@@ -5,6 +5,11 @@ passes (left-to-right and right-to-left); the two final hidden states are
 concatenated, merged with the numeric feature vector, and fed through one
 ReLU dense layer into a single sigmoid output. PAD positions are processed
 like ordinary tokens; there is no masking and no dropout.
+
+The encoder (`bilstm_encode`) is one fused autodiff op with a hand-written
+backprop through time, in the manner of cuDNN's RNN kernels (Appleyard et
+al. 2016); `lstm_cell` builds the same recurrence from tape ops and is
+the reference it is tested against.
 """
 
 from dataclasses import dataclass
@@ -81,9 +86,7 @@ def parameter_count(cfg: ModelConfig) -> int:
 
 
 def _draw_uniform(rng: SplitMix64, shape, bound: float) -> np.ndarray:
-    size = int(np.prod(shape))
-    vals = np.fromiter((rng.uniform(-bound, bound) for _ in range(size)), np.float64, size)
-    return vals.reshape(shape)
+    return rng.uniform_array(-bound, bound, int(np.prod(shape))).reshape(shape)
 
 
 def _glorot(rng: SplitMix64, rows: int, cols: int) -> Tensor:
@@ -181,7 +184,8 @@ def _step(x_t, h_prev, c_prev, wx_t, wh_t, bias, hidden):
 
 
 def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams):
-    """One recurrence step; accepts single vectors or row batches."""
+    """One recurrence step built from tape ops; accepts single vectors or
+    row batches."""
     hidden = params.wh.shape[1]
     single = x_t.values.ndim == 1
     if single:
@@ -198,29 +202,167 @@ def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams):
     return h_t, c_t
 
 
-def _run_direction(x_steps, direction: LstmParams, hidden: int, batch: int, reverse: bool):
-    wx_t = ndgrad.transpose(direction.wx)
-    wh_t = ndgrad.transpose(direction.wh)
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
-    order = reversed(x_steps) if reverse else x_steps
-    for x_t in order:
-        h, c = _step(x_t, h, c, wx_t, wh_t, direction.bias, hidden)
+def _kernel_weights(params: ModelParams):
+    """Both directions' (wx, wh, bias) stacked on a leading axis, with the
+    gate blocks in the kernel's order (i, f, o, g), and that row order.
+
+    The stored order is (i, f, g, o). Swapping the last two blocks is its
+    own inverse, so indexing kernel-order gradients by the same order maps
+    them back to the stored layout.
+    """
+    h = params.forward_lstm.wh.shape[1]
+    order = np.r_[0 : 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
+    lstms = (params.forward_lstm, params.backward_lstm)
+    wx, wh, bias = (
+        np.stack([getattr(lstm, name).values[order] for lstm in lstms])
+        for name in ("wx", "wh", "bias")
+    )
+    return wx, wh, bias, order
+
+
+def _halved(wx, wh, bias):
+    """Transposed weights with the sigmoid gates' columns halved, so one
+    tanh covers every gate: sigma(x) = 0.5 + 0.5 tanh(x / 2). Scaling by
+    a power of two is exact."""
+    h = wh.shape[2]
+    scale = np.repeat([0.5, 1.0], [3 * h, h])
+    wx_t = np.ascontiguousarray((wx * scale[:, None]).transpose(0, 2, 1))  # (2, E, 4H)
+    wh_t = np.ascontiguousarray((wh * scale[:, None]).transpose(0, 2, 1))  # (2, H, 4H)
+    return wx_t, wh_t, bias * scale
+
+
+def _cell(z, c_prev, c, tanh_c, h_out):
+    """One step of both directions, written into c, tanh_c and h_out.
+
+    On entry z (2, B, 4H) holds the halved pre-activations in kernel
+    order; on exit it holds the gate values.
+    """
+    h = c.shape[-1]
+    np.tanh(z, out=z)
+    sigmoids = z[..., : 3 * h]
+    sigmoids *= 0.5
+    sigmoids += 0.5
+    np.multiply(z[..., h : 2 * h], c_prev, out=c)
+    c += z[..., :h] * z[..., 3 * h :]
+    np.tanh(c, out=tanh_c)
+    np.multiply(z[..., 2 * h : 3 * h], tanh_c, out=h_out)
+
+
+def _cell_backward(z, c_prev, tanh_c, dh, dc):
+    """Backprop one step of both directions, in place.
+
+    On entry z holds the step's gate values, dh and dc the gradients of
+    its h and c. On exit z holds the gradients of the (unhalved)
+    pre-activations and dc that of c_prev.
+    """
+    h = dc.shape[-1]
+    i, f, o, g = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
+    through_tanh = tanh_c * tanh_c
+    np.subtract(1.0, through_tanh, out=through_tanh)
+    through_tanh *= o
+    through_tanh *= dh
+    dc += through_tanh
+    upstream = np.empty_like(z)  # gradient of each gate value
+    np.multiply(dc, g, out=upstream[..., :h])
+    np.multiply(dc, c_prev, out=upstream[..., h : 2 * h])
+    np.multiply(dh, tanh_c, out=upstream[..., 2 * h : 3 * h])
+    np.multiply(dc, i, out=upstream[..., 3 * h :])
+    dc *= f
+    local = z * z  # s (1 - s) for the sigmoid gates, 1 - g^2 for the candidate
+    np.subtract(z[..., : 3 * h], local[..., : 3 * h], out=local[..., : 3 * h])
+    np.subtract(1.0, local[..., 3 * h :], out=local[..., 3 * h :])
+    np.multiply(upstream, local, out=z)
+
+
+def _encode_forward_only(ids, params: ModelParams) -> np.ndarray:
+    """Final hidden states (2, B, H), keeping no per-step state."""
+    batch, length = ids.shape
+    wx, wh, bias, _ = _kernel_weights(params)
+    wx_t, wh_t, bias_half = _halved(wx, wh, bias)
+    vocab, hidden = params.embedding.shape[0], wh.shape[2]
+    # each token's input term per direction, (2V, 4H): for a 256-row eval
+    # chunk the per-position terms would be (2, T*B, 4H), 268 MB
+    table = (params.embedding.values @ wx_t + bias_half[:, None, :]).reshape(2 * vocab, -1)
+    rows = np.stack([ids.T, ids.T[::-1] + vocab], axis=1)  # (T, 2, B) table rows
+    h = np.zeros((2, batch, hidden))
+    c = np.zeros((2, batch, hidden))
+    tanh_c = np.empty_like(c)
+    for t in range(length):
+        z = table[rows[t]]
+        z += h @ wh_t
+        _cell(z, c, c, tanh_c, h)
     return h
 
 
+def _encode_recorded(ids, params: ModelParams):
+    """Final hidden states (2, B, H) and the backward_fn that backprops
+    through time from the gradient of the (B, 2H) encoding."""
+    batch, length = ids.shape
+    wx, wh, bias, order = _kernel_weights(params)
+    wx_t, wh_t, bias_half = _halved(wx, wh, bias)
+    hidden = wh.shape[2]
+    x = params.embedding.values[ids.T]  # (T, B, E)
+    xs = np.stack([x, x[::-1]]).reshape(2, length * batch, -1)  # each direction's time order
+    gates = (xs @ wx_t + bias_half[:, None, :]).reshape(2, length, batch, 4 * hidden)
+    hs = np.zeros((2, length + 1, batch, hidden))
+    cs = np.zeros_like(hs)
+    tanh_cs = np.empty((2, length, batch, hidden))
+    for t in range(length):
+        z = gates[:, t]
+        z += hs[:, t] @ wh_t
+        _cell(z, cs[:, t], cs[:, t + 1], tanh_cs[:, t], hs[:, t + 1])
+
+    def backward_fn(grad):
+        dh = np.stack([grad[:, :hidden], grad[:, hidden:]])
+        dc = np.zeros_like(dh)
+        for t in reversed(range(length)):
+            _cell_backward(gates[:, t], cs[:, t], tanh_cs[:, t], dh, dc)
+            dh = gates[:, t] @ wh
+        dz = gates.reshape(2, length * batch, 4 * hidden)
+        d_wx = dz.transpose(0, 2, 1) @ xs
+        d_wh = dz.transpose(0, 2, 1) @ hs[:, :length].reshape(2, length * batch, hidden)
+        d_bias = dz.sum(axis=1)
+        dx = (dz @ wx).reshape(2, length, batch, -1)
+        d_embedding = np.zeros_like(params.embedding.values)
+        np.add.at(d_embedding, ids.T.reshape(-1), (dx[0] + dx[1, ::-1]).reshape(length * batch, -1))
+        ndgrad.accumulate(params.embedding, d_embedding)
+        for d, lstm in enumerate((params.forward_lstm, params.backward_lstm)):
+            ndgrad.accumulate(lstm.wx, d_wx[d][order])
+            ndgrad.accumulate(lstm.wh, d_wh[d][order])
+            ndgrad.accumulate(lstm.bias, d_bias[d][order])
+
+    return hs[:, length], backward_fn
+
+
 def bilstm_encode(ids, params: ModelParams) -> Tensor:
-    """Concatenated final hidden states of both directions, (batch, 2H)."""
+    """Concatenated final hidden states of both directions, (batch, 2H).
+
+    One fused op over both directions and every time step, recorded as a
+    single tape node. While a Graph records it, the input projection of
+    all T*B positions is one matmul per direction, each step is one
+    batched matmul for both directions, and every step's gates and states
+    are kept for a hand-written backprop through time. Otherwise each
+    step's input term is gathered from a per-direction (vocab, 4H) table
+    and no per-step state is kept.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[np.newaxis, :]
-    batch, length = ids.shape
-    hidden = params.forward_lstm.wh.shape[1]
-    x_steps = [ndgrad.gather(params.embedding, ids[:, t]) for t in range(length)]
-    h_forward = _run_direction(x_steps, params.forward_lstm, hidden, batch, reverse=False)
-    h_backward = _run_direction(x_steps, params.backward_lstm, hidden, batch, reverse=True)
-    return ndgrad.concat(h_forward, h_backward)
-
+    if ids.ndim != 2:
+        raise ShapeError(f"ids must be 1-D or 2-D, got shape {ids.shape}")
+    vocab = params.embedding.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise IndexError(f"token id out of range for an embedding with {vocab} rows")
+    inputs = [params.embedding]
+    for lstm in (params.forward_lstm, params.backward_lstm):
+        inputs += [lstm.wx, lstm.wh, lstm.bias]
+    if not ndgrad.recording(inputs):
+        final = _encode_forward_only(ids, params)
+        return Tensor(np.concatenate(final, axis=1))
+    final, backward_fn = _encode_recorded(ids, params)
+    out = Tensor(np.concatenate(final, axis=1))
+    ndgrad.record(out, inputs, backward_fn)
+    return out
 
 def model_forward(ids, numeric, params: ModelParams) -> Tensor:
     """Per-example fraud probability, shape (batch, 1), each value in (0, 1)."""
@@ -235,13 +377,12 @@ def model_forward(ids, numeric, params: ModelParams) -> Tensor:
 
 def predict_scores(ids, numeric, params: ModelParams, chunk: int = 256) -> np.ndarray:
     """Fraud probabilities without recording gradients, in eval chunks."""
-    ids = np.asarray(ids, dtype=np.int64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    parts = []
-    for start in range(0, ids.shape[0], chunk):
-        stop = start + chunk
-        parts.append(model_forward(ids[start:stop], numeric[start:stop], params).values[:, 0])
-    return np.concatenate(parts)
+    return trainer._evaluate(
+        lambda b_ids, b_num: model_forward(b_ids, b_num, params),
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(numeric, dtype=np.float64),
+        chunk,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -54,7 +54,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("test", "val", "all"), default="test")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=None,
+                   help="decision threshold (default: the bundle's)")
 
     p = sub.add_parser("predict", help="append probabilities to a CSV")
     p.add_argument("--model", required=True)
@@ -114,7 +115,8 @@ def _cmd_evaluate(args) -> int:
     postings = [dataset.postings[i] for i in indices]
     labels = np.array([p.fraudulent for p in postings])
     scores = pipe.predict_scores(postings)
-    report = compute_report(labels, scores, args.threshold)
+    threshold = pipe.cfg.threshold if args.threshold is None else args.threshold
+    report = compute_report(labels, scores, threshold)
     print(json.dumps({"model": pipe.kind, "split": args.split, **report.to_dict()}, indent=2))
     return 0
 
@@ -128,7 +130,7 @@ def _cmd_predict(args) -> int:
     out_rows = []
     for row, score in zip(raw_rows, scores):
         padded = list(row) + [""] * (len(header) - len(row))
-        out_rows.append(padded + [f"{score:.6f}", str(int(score >= 0.5))])
+        out_rows.append(padded + [f"{score:.6f}", str(int(score >= pipe.cfg.threshold))])
     write_csv(args.out, out_header, out_rows)
     return 0
 

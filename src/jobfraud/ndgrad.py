@@ -116,7 +116,16 @@ def _wants_grad(t: Tensor, g: Graph) -> bool:
     return t.requires_grad or t.graph_id == g._id
 
 
-def _record(out: Tensor, inputs, backward_fn):
+def recording(inputs) -> bool:
+    """Whether the active Graph records an op that reads `inputs`; an op
+    with a costly forward-only form checks this before it runs."""
+    g = _active()
+    return g is not None and any(_wants_grad(t, g) for t in inputs)
+
+
+def record(out: Tensor, inputs, backward_fn):
+    """Append `out` and its backward_fn(grad) to the active Graph when any
+    input needs a gradient there; ops outside this module use it too."""
     stack = _graph_stack()
     if not stack:
         return
@@ -126,7 +135,8 @@ def _record(out: Tensor, inputs, backward_fn):
         g._nodes.append((out, backward_fn))
 
 
-def _accumulate(t: Tensor, grad):
+def accumulate(t: Tensor, grad):
+    """Add `grad` into t.grad, allocating it on first use."""
     if t.grad is None:
         t.grad = np.array(grad, dtype=np.float64)
     else:
@@ -153,11 +163,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward_fn(grad):
             if take_a:
-                _accumulate(a, grad @ bv.T)
+                accumulate(a, grad @ bv.T)
             if take_b:
-                _accumulate(b, av.T @ grad)
+                accumulate(b, av.T @ grad)
 
-        _record(out, (a, b), backward_fn)
+        record(out, (a, b), backward_fn)
     return out
 
 
@@ -181,11 +191,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
         def backward_fn(grad):
             if take_a:
-                _accumulate(a, grad)
+                accumulate(a, grad)
             if take_b:
-                _accumulate(b, grad.sum(axis=0).reshape(b_shape) if bias else grad)
+                accumulate(b, grad.sum(axis=0).reshape(b_shape) if bias else grad)
 
-        _record(out, (a, b), backward_fn)
+        record(out, (a, b), backward_fn)
     return out
 
 
@@ -202,20 +212,20 @@ def multiply(a: Tensor, b) -> Tensor:
 
             def backward_fn(grad):
                 if take_a:
-                    _accumulate(a, grad * bv)
+                    accumulate(a, grad * bv)
                 if take_b:
-                    _accumulate(b, grad * av)
+                    accumulate(b, grad * av)
 
-            _record(out, (a, b), backward_fn)
+            record(out, (a, b), backward_fn)
         return out
 
     c = float(b)
     out = Tensor(a.values * c)
 
     def backward_scale(grad):
-        _accumulate(a, grad * c)
+        accumulate(a, grad * c)
 
-    _record(out, (a,), backward_scale)
+    record(out, (a,), backward_scale)
     return out
 
 
@@ -233,11 +243,11 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 
         def backward_fn(grad):
             if take_a:
-                _accumulate(a, grad[..., :width])
+                accumulate(a, grad[..., :width])
             if take_b:
-                _accumulate(b, grad[..., width:])
+                accumulate(b, grad[..., width:])
 
-        _record(out, (a, b), backward_fn)
+        record(out, (a, b), backward_fn)
     return out
 
 
@@ -258,7 +268,7 @@ def gather(table: Tensor, ids) -> Tensor:
                 table.grad = np.zeros_like(table.values)
             np.add.at(table.grad, ids, grad)
 
-        _record(out, (table,), backward_fn)
+        record(out, (table,), backward_fn)
     return out
 
 
@@ -272,7 +282,7 @@ def slice_columns(a: Tensor, start: int, stop: int) -> Tensor:
             a.grad = np.zeros_like(a.values)
         a.grad[:, start:stop] += grad
 
-    _record(out, (a,), backward_fn)
+    record(out, (a,), backward_fn)
     return out
 
 
@@ -280,9 +290,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.values.reshape(shape))
 
     def backward_fn(grad):
-        _accumulate(a, grad.reshape(a.values.shape))
+        accumulate(a, grad.reshape(a.values.shape))
 
-    _record(out, (a,), backward_fn)
+    record(out, (a,), backward_fn)
     return out
 
 
@@ -292,9 +302,9 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.values.T.copy())
 
     def backward_fn(grad):
-        _accumulate(a, grad.T)
+        accumulate(a, grad.T)
 
-    _record(out, (a,), backward_fn)
+    record(out, (a,), backward_fn)
     return out
 
 
@@ -309,9 +319,9 @@ def sigmoid(x: Tensor) -> Tensor:
     ov = out.values
 
     def backward_fn(grad):
-        _accumulate(x, grad * ov * (1.0 - ov))
+        accumulate(x, grad * ov * (1.0 - ov))
 
-    _record(out, (x,), backward_fn)
+    record(out, (x,), backward_fn)
     return out
 
 
@@ -320,9 +330,9 @@ def tanh(x: Tensor) -> Tensor:
     ov = out.values
 
     def backward_fn(grad):
-        _accumulate(x, grad * (1.0 - ov * ov))
+        accumulate(x, grad * (1.0 - ov * ov))
 
-    _record(out, (x,), backward_fn)
+    record(out, (x,), backward_fn)
     return out
 
 
@@ -331,9 +341,9 @@ def relu(x: Tensor) -> Tensor:
     mask = x.values > 0  # derivative 0 at exactly 0
 
     def backward_fn(grad):
-        _accumulate(x, grad * mask)
+        accumulate(x, grad * mask)
 
-    _record(out, (x,), backward_fn)
+    record(out, (x,), backward_fn)
     return out
 
 
@@ -352,9 +362,9 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.values.sum())
 
     def backward_fn(grad):
-        _accumulate(x, np.full_like(x.values, float(grad)))
+        accumulate(x, np.full_like(x.values, float(grad)))
 
-    _record(out, (x,), backward_fn)
+    record(out, (x,), backward_fn)
     return out
 
 
@@ -363,9 +373,9 @@ def mean_all(x: Tensor) -> Tensor:
     out = Tensor(x.values.mean())
 
     def backward_fn(grad):
-        _accumulate(x, np.full_like(x.values, float(grad) / size))
+        accumulate(x, np.full_like(x.values, float(grad) / size))
 
-    _record(out, (x,), backward_fn)
+    record(out, (x,), backward_fn)
     return out
 
 
@@ -384,9 +394,9 @@ def bce_loss(p: Tensor, y) -> Tensor:
 
     def backward_fn(grad):
         dp = np.where(inside, (clamped - y) / (clamped * (1.0 - clamped)), 0.0)
-        _accumulate(p, dp * (float(grad) / size))
+        accumulate(p, dp * (float(grad) / size))
 
-    _record(out, (p,), backward_fn)
+    record(out, (p,), backward_fn)
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bilstm, bundle as bundle_mod, forests, metrics, trainer
 from .config import MODEL_KINDS, RunConfig, config_from_dict
-from .errors import DataError, ModelStoreError, ShapeError
+from .errors import DataError, ModelStoreError, UsageError
 from .features import CategoricalEncoder, TextVectorizer, Vocabulary
 from .ingest import Dataset
 
@@ -162,8 +162,21 @@ class DetectionPipeline:
 
     @classmethod
     def from_bundle(cls, bundle: bundle_mod.ModelBundle) -> "DetectionPipeline":
+        """Rebuild the pipeline a bundle holds; a manifest field that is
+        missing or ill-typed raises ModelStoreError."""
+        try:
+            return cls._from_manifest(bundle)
+        except KeyError as exc:
+            raise ModelStoreError(f"bundle manifest lacks field {exc}") from exc
+        except (TypeError, ValueError, AttributeError, UsageError) as exc:
+            raise ModelStoreError(f"bundle manifest is malformed: {exc}") from exc
+
+    @classmethod
+    def _from_manifest(cls, bundle: bundle_mod.ModelBundle) -> "DetectionPipeline":
         manifest = bundle.manifest
         kind = manifest["model"]
+        if kind not in MODEL_KINDS:
+            raise ModelStoreError(f"bundle holds unknown model kind {kind!r}")
         cfg = config_from_dict(manifest["config"]["run_config"])
         encoder = CategoricalEncoder()
         encoder.categories_ = {
@@ -186,10 +199,7 @@ class DetectionPipeline:
             )
             vectorizer.vocabulary_ = vocab
             model = _make_estimator(kind, cfg, vocab_size=mc["vocab_size"])
-            try:
-                model.params_ = bilstm.params_from_arrays(model_cfg, bundle.tensor)
-            except ShapeError as exc:
-                raise ModelStoreError(str(exc)) from exc
+            model.params_ = bilstm.params_from_arrays(model_cfg, bundle.tensor)
             model.config_ = model_cfg
             model.classes_ = np.array([0, 1])
             return cls(kind, cfg, encoder, model, vectorizer=vectorizer)

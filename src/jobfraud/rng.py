@@ -6,6 +6,8 @@ bit from a seed. The update is the splitmix64 mix; uniform doubles take
 the top 53 bits.
 """
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -34,6 +36,21 @@ class SplitMix64:
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
+
+    def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
+        """The next `size` uniform(low, high) draws, bit for bit, at once.
+
+        The k-th output is mix(state + k * gamma), so the whole block is
+        computed in wrapping uint64 arithmetic; the state ends where `size`
+        scalar draws leave it.
+        """
+        z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + size * _GAMMA) & _MASK64
+        return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * _TO_UNIT)
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n) via modulo reduction."""

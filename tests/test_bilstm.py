@@ -168,8 +168,68 @@ def test_encode_reversal_swaps_halves_with_tied_directions():
 
 def test_encode_id_out_of_range():
     params = init_params(TINY)
-    with pytest.raises(IndexError):
-        bilstm_encode(np.array([[TINY.vocab_size]]), params)
+    for bad in (TINY.vocab_size, -1):
+        with pytest.raises(IndexError):
+            bilstm_encode(np.array([[2, bad]]), params)
+        with pytest.raises(IndexError), ndgrad.Graph():
+            bilstm_encode(np.array([[2, bad]]), params)
+
+
+def tape_encode(ids, params: ModelParams) -> Tensor:
+    """Reference encoder: gather plus lstm_cell on the tape, step by step."""
+    ids = np.atleast_2d(ids)
+    batch, length = ids.shape
+    hidden = params.forward_lstm.wh.shape[1]
+    steps = [ndgrad.gather(params.embedding, ids[:, t]) for t in range(length)]
+    finals = []
+    for lstm, order in ((params.forward_lstm, steps), (params.backward_lstm, steps[::-1])):
+        h = c = Tensor(np.zeros((batch, hidden)))
+        for x_t in order:
+            h, c = lstm_cell(x_t, h, c, lstm)
+        finals.append(h)
+    return ndgrad.concat(*finals)
+
+
+def encode_with_grads(encode, ids, params: ModelParams, weights):
+    """(forward-only encoding, recorded encoding, tape length, encoder
+    gradients) for the loss sum(encoding * weights)."""
+    tensors = [params.embedding]
+    for lstm in (params.forward_lstm, params.backward_lstm):
+        tensors += [lstm.wx, lstm.wh, lstm.bias]
+    for t in tensors:
+        t.zero_grad()
+    forward_only = encode(ids, params).values
+    with ndgrad.Graph() as g:
+        recorded = encode(ids, params)
+        loss = ndgrad.sum_all(ndgrad.multiply(recorded, Tensor(weights)))
+    ndgrad.backward(g, loss)
+    return forward_only, recorded.values, len(g), [t.grad.copy() for t in tensors]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 17])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+def test_fused_encoder_matches_tape_reference(batch, length, tied):
+    cfg = ModelConfig(vocab_size=7, embedding_dim=5, hidden_units=3, seed=batch * 100 + length)
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(cfg)
+    for _, t in params.named_tensors():
+        t.values[...] = rng.normal(scale=0.6, size=t.shape)
+    if tied:  # one set of weights read by both directions
+        params.backward_lstm = params.forward_lstm
+    ids = rng.integers(0, cfg.vocab_size, size=(batch, length))
+    ids[:, 0] = 3  # a repeated id across rows
+    if batch > 1:
+        ids[-1] = 0  # an all-PAD row
+    weights = rng.normal(size=(batch, 2 * cfg.hidden_units))
+
+    fused = encode_with_grads(bilstm_encode, ids, params, weights)
+    tape = encode_with_grads(tape_encode, ids, params, weights)
+    assert fused[2] == 3  # the encoder is one tape node
+    assert np.abs(fused[0] - tape[1]).max() <= 1e-12
+    assert np.abs(fused[1] - tape[1]).max() <= 1e-12
+    for got, want in zip(fused[3], tape[3]):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -33,6 +34,25 @@ def trained_model_dir(tmp_path_factory, small_csv):
     code = run_cli([
         "train", "--data", str(small_csv), "--config", str(config),
         "--out", str(out), "--model", "gbm",
+    ])
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def strict_bilstm_dir(tmp_path_factory, small_csv):
+    """A BiLSTM bundle trained with "threshold": 0.9, with a step large
+    enough that some scores land between 0.5 and 0.9."""
+    out = tmp_path_factory.mktemp("model") / "bilstm"
+    config = tmp_path_factory.mktemp("cfg") / "config.json"
+    config.write_text(json.dumps({
+        **FAST_CONFIG,
+        "threshold": 0.9,
+        "train": {**FAST_CONFIG["train"], "learning_rate": 0.01},
+    }), encoding="utf-8")
+    code = run_cli([
+        "train", "--data", str(small_csv), "--config", str(config),
+        "--out", str(out), "--model", "bilstm",
     ])
     assert code == 0
     return out
@@ -143,6 +163,48 @@ def test_predict_works_without_label_column(tmp_path, trained_model_dir, capsys)
     assert code == 0
     _, rows = ingest.read_csv(out)
     assert len(rows) == 1
+
+
+def test_predict_labels_use_bundle_threshold(tmp_path, strict_bilstm_dir, small_csv):
+    out = tmp_path / "preds.csv"
+    code = run_cli([
+        "predict", "--model", str(strict_bilstm_dir),
+        "--input", str(small_csv), "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = ingest.read_csv(out)
+    probs = np.array([float(r[-2]) for r in rows])
+    labels = np.array([int(r[-1]) for r in rows])
+    assert ((probs >= 0.5) & (probs < 0.9)).any()  # rows the threshold decides
+    assert np.array_equal(labels, (probs >= 0.9).astype(int))
+
+
+def test_evaluate_threshold_defaults_to_bundle(strict_bilstm_dir, small_csv, capsys):
+    argv = ["evaluate", "--model", str(strict_bilstm_dir), "--data", str(small_csv)]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 0.9
+    assert run_cli(argv + ["--threshold", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 0.5
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_manifest_missing_field_exits_three(
+    tmp_path, trained_model_dir, strict_bilstm_dir, small_csv, command, capsys
+):
+    for source, field in ((trained_model_dir, "terms"), (strict_bilstm_dir, "vocabulary")):
+        model = tmp_path / field
+        shutil.copytree(source, model)
+        manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+        del manifest[field]
+        (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        if command == "evaluate":
+            argv = ["evaluate", "--model", str(model), "--data", str(small_csv)]
+        else:
+            argv = ["predict", "--model", str(model), "--input", str(small_csv),
+                    "--out", str(tmp_path / "p.csv")]
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert "model store error" in err and field in err
 
 
 def test_config_unknown_key_exits_one(tmp_path, small_csv, capsys):

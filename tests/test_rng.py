@@ -1,6 +1,8 @@
 """The generator contract is normative and bit-exact; these vectors were
 computed with an independent transliteration of the stated update rules."""
 
+import numpy as np
+
 from jobfraud.rng import SplitMix64
 
 # First outputs for seed 0; matches the widely published reference stream.
@@ -59,3 +61,16 @@ def test_sample_indices_distinct_and_sorted():
 
 def test_sample_indices_full_range():
     assert SplitMix64(1).sample_indices(5, 9) == [0, 1, 2, 3, 4]
+
+
+def test_uniform_array_matches_scalar_draws():
+    for seed in (0, 42, 2**64 - 1):
+        for size in (0, 1, 7, 1000):
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            scalar.next_uint64()
+            block.next_uint64()  # start mid-stream
+            bound = np.sqrt(6.0 / (256 + 32))
+            got = block.uniform_array(-bound, bound, size)
+            want = np.array([scalar.uniform(-bound, bound) for _ in range(size)])
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert block.next_uint64() == scalar.next_uint64()
