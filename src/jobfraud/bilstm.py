@@ -396,7 +396,8 @@ class BiLstmClassifier(Estimator):
     followed by the numeric feature block, so the matrix composes with
     ordinary array pipelines. Training minimizes binary cross-entropy with
     Adam and early-stops on validation loss, restoring the best epoch's
-    weights.
+    weights. ``predict`` and the validation accuracy label a score at or
+    above ``threshold`` as 1.
     """
 
     def __init__(
@@ -411,6 +412,7 @@ class BiLstmClassifier(Estimator):
         max_epochs=25,
         patience=2,
         seed=42,
+        threshold=0.5,
     ):
         self.vocab_size = vocab_size
         self.embedding_dim = embedding_dim
@@ -422,6 +424,7 @@ class BiLstmClassifier(Estimator):
         self.max_epochs = max_epochs
         self.patience = patience
         self.seed = seed
+        self.threshold = threshold
 
     def _split_columns(self, X):
         X = check_matrix(X)
@@ -465,6 +468,7 @@ class BiLstmClassifier(Estimator):
             learning_rate=self.learning_rate,
             patience=self.patience,
             seed=self.seed,
+            threshold=self.threshold,
         )
         self.history_ = trainer.train(
             self.params_.named_tensors(),
@@ -486,4 +490,4 @@ class BiLstmClassifier(Estimator):
         return np.column_stack([1.0 - scores, scores])
 
     def predict(self, X) -> np.ndarray:
-        return (self.decision_scores(X) >= 0.5).astype(np.int64)
+        return (self.decision_scores(X) >= self.threshold).astype(np.int64)

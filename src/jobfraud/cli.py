@@ -23,7 +23,7 @@ from .errors import (
     UsageError,
 )
 from .features import eda_report
-from .ingest import assemble_dataset, load_dataset, parse_csv, read_csv, write_csv
+from .ingest import assemble_dataset, load_dataset, postings_from_records, read_csv, write_csv
 from .metrics import compute_report, report_tables
 from .pipeline import DetectionPipeline, prepare, train_pipeline
 from .trainer import split_dataset
@@ -124,7 +124,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     pipe = DetectionPipeline.load(args.model)
     header, raw_rows = read_csv(args.input)
-    dataset = assemble_dataset(parse_csv(args.input))
+    dataset = assemble_dataset(postings_from_records(header, raw_rows, args.input))
     scores = pipe.predict_scores(dataset.postings)
     out_header = [h.strip() for h in header] + ["probability", "predicted_label"]
     out_rows = []

@@ -4,8 +4,13 @@ and a leaf-wise histogram-boosting variant.
 Split search is exact greedy CART over midpoints between consecutive
 distinct sorted values (Gini for classification trees, variance reduction
 for regression trees); ties in gain break toward the lowest feature index,
-then the lowest threshold. The leaf-wise trainer bins features into
-equal-frequency histograms once and always splits the highest-gain leaf.
+then the lowest threshold. Each ensemble fit ranks every column's values
+once into small integer codes; a node then scores all candidate features
+together: one stable sort of their codes, one cumulative sum of the sorted
+targets, scores only at value boundaries, one argmax. The leaf-wise trainer
+bins features into equal-frequency histograms once, sizes the histogram
+grid to the widest feature's real bin count, scores only the bin
+boundaries that carry an edge, and always splits the highest-gain leaf.
 """
 
 import heapq
@@ -56,12 +61,34 @@ class EnsembleModel:
 # Exact split search
 # --------------------------------------------------------------------------
 
-def best_split(X, y, feature_indices, min_samples_leaf, criterion):
+def rank_codes(X) -> np.ndarray:
+    """Per-column dense ranks of X's values: equal values share a code, and
+    codes rise with the values (np.unique's inverse, for all columns at once).
+
+    Stable-sorting a column's codes orders its rows exactly as
+    stable-sorting its values does; int16 codes radix-sort.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ranks = np.zeros(X.shape, dtype=np.int16 if X.shape[0] <= 2**15 else np.int32)
+    np.cumsum(xs[1:] != xs[:-1], axis=0, out=ranks[1:])
+    codes = np.empty_like(ranks)
+    np.put_along_axis(codes, order, ranks, axis=0)
+    return codes
+
+
+def best_split(X, y, feature_indices, min_samples_leaf, criterion, codes=None):
     """Best (feature, threshold, gain) over exact midpoint candidates.
 
     Gain is the impurity decrease I(parent) - w_l I(left) - w_r I(right);
     returns None when no candidate strictly decreases impurity while
-    leaving min_samples_leaf rows on each side.
+    leaving min_samples_leaf rows on each side. `codes` are rank_codes of
+    X (computed here when absent). All candidate features are scanned at
+    once: one stable sort of their codes, one cumulative sum of the sorted
+    targets, scores only at value boundaries, and one argmax whose
+    row-major order breaks ties toward the first candidate feature, then
+    the lowest threshold.
     """
     n = y.shape[0]
     total = y.sum()
@@ -72,46 +99,39 @@ def best_split(X, y, feature_indices, min_samples_leaf, criterion):
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
 
-    best_score = -np.inf
-    best_feature = None
-    best_threshold = 0.0
-    left_n = np.arange(1, n, dtype=np.float64)
-    right_n = n - left_n
-
-    for f in feature_indices:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        boundary = xs[1:] != xs[:-1]
-        if not boundary.any():
-            continue
-        cum = np.cumsum(ys)[:-1]
-        if criterion == "gini":
-            pos_l = cum
-            pos_r = total - cum
-            score = -(pos_l * (left_n - pos_l) / left_n + pos_r * (right_n - pos_r) / right_n)
-        else:
-            score = cum * cum / left_n + (total - cum) ** 2 / right_n
-        valid = boundary & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-        if not valid.any():
-            continue
-        score = np.where(valid, score, -np.inf)
-        i = int(np.argmax(score))  # first max: lowest threshold
-        if score[i] > best_score:
-            best_score = score[i]
-            best_feature = f
-            best_threshold = (xs[i] + xs[i + 1]) / 2.0
-
-    if best_feature is None:
+    # a split after sorted position i leaves i + 1 rows on the left
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    if lo >= hi:
         return None
+    if codes is None:
+        codes = rank_codes(X)
+    features = np.asarray(feature_indices, dtype=np.intp)
+    block = codes.T[features]  # (k, n)
+    order = np.argsort(block, axis=1, kind="stable")
+    sorted_codes = np.sort(block, axis=1)
+    row, at = np.nonzero(sorted_codes[:, lo + 1 : hi + 1] != sorted_codes[:, lo:hi])
+    if row.shape[0] == 0:
+        return None
+    at += lo
+    cum = np.cumsum(y.take(order), axis=1)[row, at]
+    left_n = at + 1.0
+    right_n = n - left_n
+    if criterion == "gini":
+        pos_l, pos_r = cum, total - cum
+        score = -(pos_l * (left_n - pos_l) / left_n + pos_r * (right_n - pos_r) / right_n)
+    else:
+        score = cum * cum / left_n + (total - cum) ** 2 / right_n
+    j = int(np.argmax(score))  # first max: first feature, then lowest threshold
+    best_score = score[j]
     if criterion == "gini":
         gain = 2.0 * (parent_term + best_score) / n
     else:
         gain = (best_score - parent_term) / n
     if gain <= 0.0:
         return None
-    return best_feature, best_threshold, gain
+    f = int(features[row[j]])
+    a, b = order[row[j], at[j]], order[row[j], at[j] + 1]
+    return f, (X[a, f] + X[b, f]) / 2.0, gain
 
 
 def fit_tree(
@@ -122,16 +142,20 @@ def fit_tree(
     criterion="gini",
     feature_subsample=None,
     rng=None,
+    codes=None,
 ):
     """Greedy recursive best-split CART tree.
 
     `feature_subsample` is a per-node candidate count (None = all
     features), drawn from `rng`. Leaves carry the class-1 fraction
-    (classification) or the mean target (regression).
+    (classification) or the mean target (regression). `codes` are
+    rank_codes of X, computed here when absent.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
+    if codes is None:
+        codes = rank_codes(X)
 
     def grow(rows, depth):
         yr = y[rows]
@@ -146,7 +170,7 @@ def fit_tree(
             candidates = range(n_features)
         else:
             candidates = rng.sample_indices(n_features, feature_subsample)
-        found = best_split(X[rows], yr, candidates, min_samples_leaf, criterion)
+        found = best_split(X[rows], yr, candidates, min_samples_leaf, criterion, codes[rows])
         if found is None:
             return node
         f, threshold, _ = found
@@ -194,6 +218,7 @@ def fit_random_forest(
     X = check_matrix(X)
     y = check_labels(y, X.shape[0])
     n, n_features = X.shape
+    codes = rank_codes(X)  # codes[rows] are the rank codes of X[rows]
     if feature_subsample == "sqrt":
         per_node = max(1, int(np.sqrt(n_features)))
     else:
@@ -203,9 +228,9 @@ def fit_random_forest(
         rng = SplitMix64(seed + i)
         if bootstrap:
             rows = np.fromiter((rng.randrange(n) for _ in range(n)), np.int64, n)
-            Xi, yi = X[rows], y[rows]
+            Xi, yi, ci = X[rows], y[rows], codes[rows]
         else:
-            Xi, yi = X, y
+            Xi, yi, ci = X, y, codes
         trees.append(
             fit_tree(
                 Xi,
@@ -215,6 +240,7 @@ def fit_random_forest(
                 criterion="gini",
                 feature_subsample=per_node,
                 rng=rng,
+                codes=ci,
             )
         )
     return EnsembleModel(kind="random_forest", trees=tuple(trees), n_features=n_features)
@@ -250,7 +276,6 @@ def fit_gbm(
     learning_rate=0.1,
     max_depth=3,
     min_samples_leaf=1,
-    seed=42,
 ) -> EnsembleModel:
     """Logistic-loss boosting on exact regression trees.
 
@@ -270,13 +295,14 @@ def fit_gbm(
     scores = np.full(X.shape[0], base)
     trees = []
     all_rows = np.arange(X.shape[0])
+    codes = rank_codes(X)
     for _ in range(n_rounds):
         p = _sigmoid_values(scores)
         residual = y - p
         hessian = p * (1.0 - p)
         tree = fit_tree(
             X, residual, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-            criterion="variance",
+            criterion="variance", codes=codes,
         )
         step = np.empty(X.shape[0])
         _newtonize(tree, X, all_rows, residual, hessian, step)
@@ -294,12 +320,18 @@ def fit_gbm(
 
 @dataclass
 class FeatureBins:
-    """Per-feature split-candidate edges and the binned training matrix."""
+    """Per-feature split-candidate edges and the binned training matrix.
+
+    Histograms have `width` columns per feature, the widest feature's real
+    bin count, however large the n_bins cap.
+    """
 
     edges: list  # per feature, strictly increasing candidate thresholds
     codes: np.ndarray  # (n, F) bin index per value: count of edges < value
-    flat_codes: np.ndarray  # codes offset by feature * n_bins, for bincount
-    n_bins: int
+    flat_codes: np.ndarray  # codes offset by feature * width, for bincount
+    n_bins: int  # the cap on bins per feature
+    width: int  # histogram columns per feature: most edges of any feature + 1
+    cells: np.ndarray  # feature * width + bin of every boundary with an edge
 
 
 def compute_bins(X, n_bins=255) -> FeatureBins:
@@ -321,8 +353,13 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
             e = np.unique(quantiles)
         edges.append(e)
         codes[:, f] = np.searchsorted(e, col, side="left")
-    flat = codes + np.arange(n_features) * n_bins
-    return FeatureBins(edges=edges, codes=codes, flat_codes=flat, n_bins=n_bins)
+    n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
+    width = int(n_edges.max(initial=0)) + 1
+    flat = codes + np.arange(n_features) * width
+    cells = np.flatnonzero(np.arange(width) < n_edges[:, None])
+    return FeatureBins(
+        edges=edges, codes=codes, flat_codes=flat, n_bins=n_bins, width=width, cells=cells,
+    )
 
 
 @dataclass(eq=False)  # identity comparison; fields hold arrays
@@ -336,30 +373,36 @@ class _LeafCandidate:
 
 def _leaf_histograms(bins: FeatureBins, rows, residual):
     n_features = bins.codes.shape[1]
-    size = n_features * bins.n_bins
+    size = n_features * bins.width
     flat = bins.flat_codes[rows].ravel()
-    count = np.bincount(flat, minlength=size).reshape(n_features, bins.n_bins)
+    count = np.bincount(flat, minlength=size).reshape(n_features, bins.width)
     grad = np.bincount(
         flat, weights=np.repeat(residual[rows], n_features), minlength=size
-    ).reshape(n_features, bins.n_bins)
+    ).reshape(n_features, bins.width)
     return count.astype(np.float64), grad
 
 
-def _best_hist_split(bins: FeatureBins, count, grad, edge_mask, min_samples_leaf):
-    """Highest variance-reduction split over bin boundaries, or None."""
+def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
+    """Highest variance-reduction split over the real bin boundaries, or None."""
     total_n = count[0].sum()
-    total_g = float(grad[0].sum())  # same row set whichever feature sums it
-    left_n = count.cumsum(axis=1)[:, :-1]
-    left_g = grad.cumsum(axis=1)[:, :-1]
+    # same row set whichever feature sums it; summed as a row n_bins wide
+    # so that the pairwise sum groups the same way for every width
+    row = np.zeros(bins.n_bins)
+    row[: bins.width] = grad[0]
+    total_g = float(row.sum())
+    left_n = count.cumsum(axis=1).ravel()[bins.cells]
+    left_g = grad.cumsum(axis=1).ravel()[bins.cells]
     right_n = total_n - left_n
     right_g = total_g - left_g
+    valid = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    if not valid.any():
+        return None
     score = left_g**2 / np.maximum(left_n, 1.0) + right_g**2 / np.maximum(right_n, 1.0)
-    valid = edge_mask & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
     score = np.where(valid, score, -np.inf)
-    flat_best = int(np.argmax(score))  # lowest feature, then lowest bin, on ties
-    feature, b = divmod(flat_best, score.shape[1])
-    gain = score[feature, b] - total_g * total_g / total_n
-    if not np.isfinite(score[feature, b]) or gain <= 0.0:
+    best = int(np.argmax(score))  # lowest feature, then lowest bin, on ties
+    feature, b = divmod(int(bins.cells[best]), bins.width)
+    gain = score[best] - total_g * total_g / total_n
+    if not np.isfinite(score[best]) or gain <= 0.0:
         return None
     return gain, feature, b
 
@@ -372,7 +415,6 @@ def fit_leafwise_gbm(
     max_leaves=31,
     n_bins=255,
     min_samples_leaf=20,
-    seed=42,
 ) -> EnsembleModel:
     """Boosting like fit_gbm, but trees grow leaf-wise over histograms:
     the leaf with the largest gain splits next, until max_leaves."""
@@ -386,10 +428,6 @@ def fit_leafwise_gbm(
             learning_rate=learning_rate, base_score=base,
         )
     bins = compute_bins(X, n_bins)
-    # valid boundary bins per feature: those with an edge to split on
-    edge_mask = np.zeros((X.shape[1], bins.n_bins - 1), dtype=bool)
-    for f, e in enumerate(bins.edges):
-        edge_mask[f, : e.shape[0]] = True
 
     scores = np.full(X.shape[0], base)
     trees = []
@@ -408,7 +446,7 @@ def fit_leafwise_gbm(
         def push(node, rows, count, grad):
             nonlocal counter
             cand = _LeafCandidate(node, rows, count, grad)
-            cand.best = _best_hist_split(bins, count, grad, edge_mask, min_samples_leaf)
+            cand.best = _best_hist_split(bins, count, grad, min_samples_leaf)
             if cand.best is not None:
                 heapq.heappush(heap, (-cand.best[0], counter, cand))
                 counter += 1
@@ -552,6 +590,8 @@ def build_tabular(numeric, texts, terms) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 class _EnsembleEstimator(Estimator):
+    """``predict`` labels a score at or above ``threshold`` as 1."""
+
     def _fit_model(self, X, y) -> EnsembleModel:
         raise NotImplementedError
 
@@ -569,51 +609,58 @@ class _EnsembleEstimator(Estimator):
         return np.column_stack([1.0 - scores, scores])
 
     def predict(self, X) -> np.ndarray:
-        return (self.decision_scores(X) >= 0.5).astype(np.int64)
+        return (self.decision_scores(X) >= self.threshold).astype(np.int64)
+
+    def _fit_params(self) -> dict:
+        """Constructor parameters minus the decision threshold."""
+        params = self.get_params()
+        del params["threshold"]
+        return params
 
 
 class RandomForest(_EnsembleEstimator):
     """Votes of bootstrapped Gini trees with sqrt feature subsampling."""
 
     def __init__(self, n_trees=100, max_depth=25, min_samples_leaf=1,
-                 feature_subsample="sqrt", bootstrap=True, seed=42):
+                 feature_subsample="sqrt", bootstrap=True, seed=42, threshold=0.5):
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.feature_subsample = feature_subsample
         self.bootstrap = bootstrap
         self.seed = seed
+        self.threshold = threshold
 
     def _fit_model(self, X, y):
-        return fit_random_forest(X, y, **self.get_params())
+        return fit_random_forest(X, y, **self._fit_params())
 
 
 class GradientBoosting(_EnsembleEstimator):
     """Depth-wise logistic-loss boosting with exact split search."""
 
     def __init__(self, n_rounds=100, learning_rate=0.1, max_depth=3,
-                 min_samples_leaf=1, seed=42):
+                 min_samples_leaf=1, threshold=0.5):
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.seed = seed
+        self.threshold = threshold
 
     def _fit_model(self, X, y):
-        return fit_gbm(X, y, **self.get_params())
+        return fit_gbm(X, y, **self._fit_params())
 
 
 class LeafwiseGradientBoosting(_EnsembleEstimator):
     """Leaf-wise histogram boosting (highest-gain leaf splits first)."""
 
     def __init__(self, n_rounds=100, learning_rate=0.1, max_leaves=31,
-                 n_bins=255, min_samples_leaf=20, seed=42):
+                 n_bins=255, min_samples_leaf=20, threshold=0.5):
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
         self.max_leaves = max_leaves
         self.n_bins = n_bins
         self.min_samples_leaf = min_samples_leaf
-        self.seed = seed
+        self.threshold = threshold
 
     def _fit_model(self, X, y):
-        return fit_leafwise_gbm(X, y, **self.get_params())
+        return fit_leafwise_gbm(X, y, **self._fit_params())

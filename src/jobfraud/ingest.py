@@ -205,15 +205,20 @@ def _parse_flag(value: str, column: str, record_number: int, counters: dict) -> 
 
 
 def parse_csv(path) -> list:
-    """Parse the postings file into RawPosting rows.
+    """Parse the postings file into RawPosting rows (see postings_from_records)."""
+    header, records = read_csv(path)
+    return postings_from_records(header, records, path)
+
+
+def postings_from_records(header, records, source) -> list:
+    """Map CSV records (as read_csv returns them) to RawPosting rows.
 
     Columns are mapped by header name; unknown columns are ignored and
-    known-but-absent columns are treated as empty (logged once). Empty
-    flag cells default to 0 with a counted warning; any other non-{0,1}
-    flag value is a data error. An empty job_id falls back to the 1-based
-    data row number.
+    known-but-absent columns are treated as empty (logged once, naming
+    `source`). Empty flag cells default to 0 with a counted warning; any
+    other non-{0,1} flag value is a data error. An empty job_id falls back
+    to the 1-based data row number.
     """
-    header, records = read_csv(path)
     header = [h.strip() for h in header]
     col_index = {}
     for idx, name in enumerate(header):
@@ -221,7 +226,7 @@ def parse_csv(path) -> list:
             col_index[name] = idx
     missing = [name for name in _COLUMN_NAMES if name not in col_index]
     if missing:
-        logger.warning("columns missing from %s, treated as empty: %s", path, ", ".join(missing))
+        logger.warning("columns missing from %s, treated as empty: %s", source, ", ".join(missing))
 
     flag_defaults = {}
     rows = []

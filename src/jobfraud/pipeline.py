@@ -75,24 +75,27 @@ def _make_estimator(kind: str, cfg: RunConfig, vocab_size: int | None = None):
             max_epochs=cfg.train.max_epochs,
             patience=cfg.train.patience,
             seed=cfg.seed,
+            threshold=cfg.threshold,
         )
     if kind == "random_forest":
         c = cfg.random_forest
         return forests.RandomForest(
             n_trees=c.n_trees, max_depth=c.max_depth,
             min_samples_leaf=c.min_samples_leaf, bootstrap=c.bootstrap, seed=cfg.seed,
+            threshold=cfg.threshold,
         )
     if kind == "gbm":
         c = cfg.gbm
         return forests.GradientBoosting(
             n_rounds=c.n_rounds, learning_rate=c.learning_rate,
-            max_depth=c.max_depth, min_samples_leaf=c.min_samples_leaf, seed=cfg.seed,
+            max_depth=c.max_depth, min_samples_leaf=c.min_samples_leaf,
+            threshold=cfg.threshold,
         )
     if kind == "leafwise_gbm":
         c = cfg.leafwise_gbm
         return forests.LeafwiseGradientBoosting(
             n_rounds=c.n_rounds, learning_rate=c.learning_rate, max_leaves=c.max_leaves,
-            n_bins=c.n_bins, min_samples_leaf=c.min_samples_leaf, seed=cfg.seed,
+            n_bins=c.n_bins, min_samples_leaf=c.min_samples_leaf, threshold=cfg.threshold,
         )
     raise DataError(f"unknown model kind {kind!r}")
 

@@ -55,6 +55,7 @@ class TrainConfig:
     eps: float = 1e-8
     patience: int = 2
     seed: int = 42
+    threshold: float = 0.5  # decision threshold of the validation accuracy
 
     def __post_init__(self):
         for name in ("max_epochs", "batch_size", "learning_rate", "patience"):
@@ -201,7 +202,7 @@ def train(named_params, forward_fn, train_data, val_data, cfg: TrainConfig) -> H
         val_scores = _evaluate(forward_fn, ids_val, numeric_val)
         val_loss = _bce_values(val_scores, labels_val)
         history.val_loss.append(val_loss)
-        history.val_accuracy.append(float(((val_scores >= 0.5) == labels_val).mean()))
+        history.val_accuracy.append(float(((val_scores >= cfg.threshold) == labels_val).mean()))
         logger.info(
             "epoch %d: train_loss=%.4f val_loss=%.4f val_acc=%.4f",
             epoch, history.train_loss[-1], val_loss, history.val_accuracy[-1],

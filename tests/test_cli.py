@@ -257,3 +257,47 @@ def test_roundtrip_predictions_identical_after_reload(tmp_path, trained_model_di
     pipe.save(tmp_path / "again")
     scores_b = DetectionPipeline.load(tmp_path / "again").predict_scores(ds.postings[:100])
     assert np.array_equal(scores_a, scores_b)
+
+
+def test_predict_parses_input_once(tmp_path, trained_model_dir, small_csv, monkeypatch):
+    from jobfraud.pipeline import DetectionPipeline
+
+    texts = []
+    parse = ingest.parse_csv_text
+    monkeypatch.setattr(ingest, "parse_csv_text", lambda text: texts.append(text) or parse(text))
+    out = tmp_path / "preds.csv"
+    code = run_cli([
+        "predict", "--model", str(trained_model_dir),
+        "--input", str(small_csv), "--out", str(out),
+    ])
+    assert code == 0
+    assert len(texts) == 1
+    monkeypatch.undo()
+    # the output is the input's records followed by the loaded pipeline's scores
+    header, records = ingest.read_csv(small_csv)
+    pipe = DetectionPipeline.load(trained_model_dir)
+    scores = pipe.predict_scores(ingest.load_dataset(small_csv).postings)
+    expected = ingest.format_csv(
+        [h.strip() for h in header] + ["probability", "predicted_label"],
+        [r + [f"{s:.6f}", str(int(s >= pipe.cfg.threshold))] for r, s in zip(records, scores)],
+    )
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_val_accuracy_uses_configured_threshold(strict_bilstm_dir, small_csv):
+    from jobfraud.pipeline import DetectionPipeline
+    from jobfraud.trainer import split_dataset
+
+    manifest = json.loads((strict_bilstm_dir / "manifest.json").read_text(encoding="utf-8"))
+    history = manifest["history"]
+    pipe = DetectionPipeline.load(strict_bilstm_dir)
+    postings = ingest.load_dataset(small_csv).postings
+    val = split_dataset(len(postings), pipe.cfg.seed).validation
+    labels = np.array([postings[i].fraudulent for i in val])
+    scores = pipe.predict_scores([postings[i] for i in val])  # best epoch's weights
+
+    def accuracy(threshold):
+        return float(((scores >= threshold) == labels).mean())
+
+    assert accuracy(0.9) != accuracy(0.5)  # the threshold decides the accuracy
+    assert history["val_accuracy"][history["best_epoch"] - 1] == accuracy(0.9)

@@ -22,11 +22,120 @@ from jobfraud.forests import (
     fit_leafwise_gbm,
     fit_random_forest,
     fit_tree,
+    rank_codes,
     select_terms,
     tree_predict,
 )
 from jobfraud.ndgrad import _sigmoid_values
 from jobfraud.rng import SplitMix64
+
+
+# --------------------------------------------------------------------------
+# Reference split searches: one numpy scan per feature (exact CART) and a
+# full n_bins-wide histogram grid (leaf-wise), the designs the batched
+# searches in forests replace and must match bit for bit
+# --------------------------------------------------------------------------
+
+def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion, codes=None):
+    # takes and ignores `codes` so that it can stand in for forests.best_split
+    n = y.shape[0]
+    total = y.sum()
+    if criterion == "gini":
+        parent_term = total * (n - total) / n
+    else:
+        parent_term = total * total / n
+
+    best_score = -np.inf
+    best_feature = None
+    best_threshold = 0.0
+    left_n = np.arange(1, n, dtype=np.float64)
+    right_n = n - left_n
+
+    for f in feature_indices:
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y[order]
+        boundary = xs[1:] != xs[:-1]
+        if not boundary.any():
+            continue
+        cum = np.cumsum(ys)[:-1]
+        if criterion == "gini":
+            pos_l = cum
+            pos_r = total - cum
+            score = -(pos_l * (left_n - pos_l) / left_n + pos_r * (right_n - pos_r) / right_n)
+        else:
+            score = cum * cum / left_n + (total - cum) ** 2 / right_n
+        valid = boundary & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+        if not valid.any():
+            continue
+        score = np.where(valid, score, -np.inf)
+        i = int(np.argmax(score))
+        if score[i] > best_score:
+            best_score = score[i]
+            best_feature = f
+            best_threshold = (xs[i] + xs[i + 1]) / 2.0
+
+    if best_feature is None:
+        return None
+    if criterion == "gini":
+        gain = 2.0 * (parent_term + best_score) / n
+    else:
+        gain = (best_score - parent_term) / n
+    if gain <= 0.0:
+        return None
+    return best_feature, best_threshold, gain
+
+
+def full_grid_histograms(bins, rows, residual):
+    n_features = bins.codes.shape[1]
+    size = n_features * bins.n_bins
+    flat = (bins.codes[rows] + np.arange(n_features) * bins.n_bins).ravel()
+    count = np.bincount(flat, minlength=size).reshape(n_features, bins.n_bins)
+    grad = np.bincount(
+        flat, weights=np.repeat(residual[rows], n_features), minlength=size
+    ).reshape(n_features, bins.n_bins)
+    return count.astype(np.float64), grad
+
+
+def full_grid_best_hist_split(bins, count, grad, min_samples_leaf):
+    edge_mask = np.zeros((len(bins.edges), bins.n_bins - 1), dtype=bool)
+    for f, e in enumerate(bins.edges):
+        edge_mask[f, : e.shape[0]] = True
+    total_n = count[0].sum()
+    total_g = float(grad[0].sum())
+    left_n = count.cumsum(axis=1)[:, :-1]
+    left_g = grad.cumsum(axis=1)[:, :-1]
+    right_n = total_n - left_n
+    right_g = total_g - left_g
+    score = left_g**2 / np.maximum(left_n, 1.0) + right_g**2 / np.maximum(right_n, 1.0)
+    valid = edge_mask & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    score = np.where(valid, score, -np.inf)
+    feature, b = divmod(int(np.argmax(score)), score.shape[1])
+    gain = score[feature, b] - total_g * total_g / total_n
+    if not np.isfinite(score[feature, b]) or gain <= 0.0:
+        return None
+    return gain, feature, b
+
+
+def _random_columns(rng, n, n_features):
+    """Columns mixing tied small integers, non-integer values, constant
+    columns and duplicates of earlier columns."""
+    cols = []
+    for f in range(n_features):
+        kind = rng.integers(5)
+        if kind == 0:
+            col = rng.integers(0, 1 + rng.integers(1, 6), size=n).astype(np.float64)
+        elif kind == 1:
+            col = rng.integers(-4, 5, size=n) / 3.0  # ties, non-integer
+        elif kind == 2:
+            col = rng.normal(size=n)
+        elif kind == 3:
+            col = np.full(n, rng.normal())
+        else:
+            col = cols[rng.integers(f)].copy() if f else rng.normal(size=n)
+        cols.append(col)
+    return np.column_stack(cols)
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +266,49 @@ def test_regression_split_matches_brute_force():
         f, threshold, _ = found
         chosen = variance_gain_exact(y, X[:, f] <= threshold)
         assert chosen == brute, f"case {case}"
+
+
+@pytest.mark.parametrize("criterion", ["gini", "variance"])
+def test_batched_split_equals_per_feature_reference(criterion):
+    """(feature, threshold, gain) equal the per-feature scan's exactly."""
+    rng = np.random.default_rng(4 if criterion == "gini" else 5)
+    splits = 0
+    for case in range(1500):
+        n = 2 + int(rng.integers(39))
+        n_features = 1 + int(rng.integers(8))
+        X = _random_columns(rng, n, n_features)
+        if criterion == "gini":
+            y = rng.integers(0, 2, size=n).astype(np.float64)
+        else:
+            y = np.where(rng.random(n) < 0.3, 0.5, rng.normal(size=n))
+        if rng.random() < 0.5:
+            candidates = range(n_features)
+        else:  # ascending, usually non-contiguous subset
+            size = 1 + int(rng.integers(n_features))
+            candidates = sorted(rng.choice(n_features, size=size, replace=False).tolist())
+        min_leaf = 1 + int(rng.integers(4))
+        expected = reference_best_split(X, y, candidates, min_leaf, criterion)
+        assert best_split(X, y, candidates, min_leaf, criterion) == expected, f"case {case}"
+        # codes of a larger matrix, restricted to the node's rows, as fit_tree passes them
+        rows = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
+        expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion)
+        found = best_split(X[rows], y[rows], candidates, min_leaf, criterion, rank_codes(X)[rows])
+        assert found == expected, f"case {case} (row subset)"
+        splits += expected is not None
+    assert splits > 500  # most instances have a split to agree on
+
+
+def test_rank_codes_are_unique_inverses():
+    X = np.array([[0.5, -0.0, 3.0], [-1.0, 0.0, 3.0], [0.5, 2.0, 3.0], [2.0, -0.0, 3.0]])
+    codes = rank_codes(X)
+    assert codes.dtype == np.int16
+    assert codes.T.tolist() == [[1, 0, 1, 2], [0, 0, 1, 0], [0, 0, 0, 0]]
+    rng = np.random.default_rng(6)
+    X = _random_columns(rng, 50, 12)
+    expected = [np.unique(X[:, f], return_inverse=True)[1] for f in range(12)]
+    assert np.array_equal(rank_codes(X), np.column_stack(expected))
+    wide = rank_codes(np.arange(40000.0)[::-1].reshape(-1, 1))
+    assert wide.dtype == np.int32 and np.array_equal(wide[:, 0], np.arange(40000)[::-1])
 
 
 def test_tree_respects_min_samples_leaf():
@@ -293,11 +445,8 @@ def test_leafwise_histogram_gain_matches_exact_on_small_instances():
         X = np.array([[float(rng.randrange(6)) for _ in range(4)] for _ in range(n)])
         resid = np.array([rng.random() - 0.5 for _ in range(n)])
         bins = compute_bins(X, n_bins=255)
-        edge_mask = np.zeros((4, bins.n_bins - 1), dtype=bool)
-        for f, e in enumerate(bins.edges):
-            edge_mask[f, : e.shape[0]] = True
         count, grad = forests._leaf_histograms(bins, np.arange(n), resid)
-        hist = forests._best_hist_split(bins, count, grad, edge_mask, 1)
+        hist = forests._best_hist_split(bins, count, grad, 1)
         exact = best_split(X, resid, range(4), 1, "variance")
         if hist is None or exact is None:
             assert hist is None and exact is None
@@ -309,6 +458,49 @@ def test_leafwise_histogram_gain_matches_exact_on_small_instances():
         mask_hist = X[:, f_h] <= bins.edges[f_h][b_h]
         mask_exact = X[:, exact[0]] <= exact[1]
         assert np.array_equal(mask_hist, mask_exact), f"case {case}"
+
+
+def test_leafwise_scan_equals_full_grid_reference():
+    """The narrowed histogram scan picks the full 255-wide grid's
+    (feature, bin) with the same gain, bit for bit."""
+    rng = np.random.default_rng(8)
+    for case in range(300):
+        n = 2 + int(rng.integers(60))
+        X = _random_columns(rng, n, 1 + int(rng.integers(8)))
+        resid = rng.normal(size=n)
+        bins = compute_bins(X, n_bins=int(rng.choice([3, 8, 255])))
+        assert bins.width <= bins.n_bins
+        rows = np.sort(rng.choice(n, size=1 + int(rng.integers(n)), replace=False))
+        min_leaf = 1 + int(rng.integers(4))
+        count, grad = forests._leaf_histograms(bins, rows, resid)
+        expected = full_grid_best_hist_split(
+            bins, *full_grid_histograms(bins, rows, resid), min_leaf
+        )
+        assert forests._best_hist_split(bins, count, grad, min_leaf) == expected, f"case {case}"
+
+
+def test_ensembles_equal_reference_search_on_fixture(small_csv, monkeypatch):
+    """All three learners grow the trees the reference searches grow."""
+    from jobfraud import config, ingest, pipeline
+
+    prepared = pipeline.prepare(
+        ingest.load_dataset(small_csv), config.RunConfig(), kinds=("gbm",)
+    )
+    rows = np.array(prepared.splits.train)
+    X, y = prepared.tabular[rows], prepared.labels[rows]
+
+    def fit_all():
+        return [
+            ensemble_to_dict(fit_random_forest(X, y, n_trees=4, seed=3)),
+            ensemble_to_dict(fit_gbm(X, y, n_rounds=4)),
+            ensemble_to_dict(fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=5)),
+        ]
+
+    batched = fit_all()
+    monkeypatch.setattr(forests, "best_split", reference_best_split)
+    monkeypatch.setattr(forests, "_leaf_histograms", full_grid_histograms)
+    monkeypatch.setattr(forests, "_best_hist_split", full_grid_best_hist_split)
+    assert batched == fit_all()
 
 
 def test_leafwise_deterministic():
@@ -414,3 +606,17 @@ def test_estimator_wrappers_fit_predict():
         assert proba.shape == (80, 2)
         assert ((est.predict(X) == 0) | (est.predict(X) == 1)).all()
         assert (est.predict(X) == y).mean() > 0.9
+
+
+def test_estimator_predict_uses_threshold():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(80, 4))
+    y = (X[:, 2] + rng.normal(size=80) > 0).astype(int)  # noisy: scores between 0 and 1
+    for est in (
+        RandomForest(n_trees=5, seed=1, threshold=0.7),
+        GradientBoosting(n_rounds=3, threshold=0.7),
+        LeafwiseGradientBoosting(n_rounds=3, min_samples_leaf=5, threshold=0.7),
+    ):
+        scores = est.fit(X, y).decision_scores(X)
+        assert ((scores >= 0.5) & (scores < 0.7)).any()  # rows the threshold decides
+        assert np.array_equal(est.predict(X), (scores >= 0.7).astype(np.int64))
