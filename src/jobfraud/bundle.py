@@ -2,10 +2,11 @@
 
 The manifest carries everything needed to rebuild the pipeline (format
 version, model kind, configuration, vocabulary, encoders, feature layout,
-a tensor directory, training history, and test metrics). ``weights.bin``
-holds IEEE-754 binary64 values, little-endian, concatenated row-major in
-manifest tensor order; tree ensembles serialize inside the manifest and
-write an empty blob. A CRC-32 of the blob is stored and verified on load.
+a tensor directory, training history, test metrics, and the fingerprint of
+the training data). ``weights.bin`` holds IEEE-754 binary64 values,
+little-endian, concatenated row-major in manifest tensor order; tree
+ensembles serialize inside the manifest and write an empty blob. A CRC-32
+of the blob is stored and verified on load.
 """
 
 import json

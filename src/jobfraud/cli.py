@@ -23,7 +23,14 @@ from .errors import (
     UsageError,
 )
 from .features import eda_report
-from .ingest import assemble_dataset, load_dataset, postings_from_records, read_csv, write_csv
+from .ingest import (
+    assemble_dataset,
+    dataset_fingerprint,
+    load_dataset,
+    postings_from_records,
+    read_csv,
+    write_csv,
+)
 from .metrics import compute_report, report_tables
 from .pipeline import DetectionPipeline, prepare, train_pipeline
 from .trainer import split_dataset
@@ -111,6 +118,12 @@ def _split_indices(split: str, n: int, seed: int):
 def _cmd_evaluate(args) -> int:
     pipe = DetectionPipeline.load(args.model)
     dataset = load_dataset(args.data)
+    found = dataset_fingerprint(dataset.postings)
+    if args.split != "all" and found != pipe.fingerprint:
+        raise DataError(
+            f"--split {args.split} needs the file the model was trained on; {args.data} "
+            f"has {found}, the model {pipe.fingerprint} (--split all scores every row)"
+        )
     indices = _split_indices(args.split, len(dataset.postings), pipe.cfg.seed)
     postings = [dataset.postings[i] for i in indices]
     labels = np.array([p.fraudulent for p in postings])

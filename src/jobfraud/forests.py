@@ -8,7 +8,8 @@ then the lowest threshold. Each ensemble fit ranks every column's values
 once into small integer codes; a node then scores all candidate features
 together: one stable sort of their codes, one cumulative sum of the sorted
 targets, scores only at value boundaries, one argmax. The leaf-wise trainer
-bins features into equal-frequency histograms once, sizes the histogram
+bins features into equal-frequency histograms once, from one sort of the
+whole matrix, sizes the histogram
 grid to the widest feature's real bin count, scores only the bin
 boundaries that carry an edge, and always splits the highest-gain leaf.
 """
@@ -16,6 +17,7 @@ boundaries that carry an edge, and always splits the highest-gain leaf.
 import heapq
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -336,12 +338,33 @@ class FeatureBins:
 
 def compute_bins(X, n_bins=255) -> FeatureBins:
     """Equal-frequency bins; features with few distinct values get one bin
-    per value, with edges at midpoints."""
+    per value, with edges at midpoints.
+
+    A value's bin is the count of edges below it. One sort of the whole
+    matrix gives every column's distinct values, midpoint edges and bins;
+    columns with more than n_bins distinct values take quantile edges, and
+    a column with a midpoint not strictly between its two values (NaN, an
+    infinity, overflow, or adjacent floats) is binned on its own, since its
+    bins need not be its value ranks.
+    """
     X = np.asarray(X, dtype=np.float64)
     n, n_features = X.shape
-    edges = []
-    codes = np.empty((n, n_features), dtype=np.int64)
-    for f in range(n_features):
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    boundary = xs[1:] != xs[:-1]  # between consecutive distinct values
+    with np.errstate(over="ignore", invalid="ignore"):  # such columns are binned on their own
+        mids = (xs[:-1] + xs[1:]) / 2.0
+    ranks = np.zeros((n, n_features), dtype=np.int64)
+    np.cumsum(boundary, axis=0, out=ranks[1:])
+    codes = np.empty_like(ranks)
+    np.put_along_axis(codes, order, ranks, axis=0)
+    n_mids = boundary.sum(axis=0)
+    ends = np.cumsum(n_mids)
+    flat_mids = mids.T[boundary.T]  # feature-major, ascending within a feature
+    edges = [flat_mids[a:b] for a, b in zip(ends - n_mids, ends)]
+    inside = (xs[:-1] < mids) & (mids < xs[1:])
+    own = (n_mids >= n_bins) | (boundary & ~inside).any(axis=0)
+    for f in np.flatnonzero(own):
         col = X[:, f]
         distinct = np.unique(col)
         if distinct.shape[0] <= 1:
@@ -351,7 +374,7 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
         else:
             quantiles = np.quantile(col, np.arange(1, n_bins) / n_bins)
             e = np.unique(quantiles)
-        edges.append(e)
+        edges[f] = e
         codes[:, f] = np.searchsorted(e, col, side="left")
     n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
     width = int(n_edges.max(initial=0)) + 1
@@ -569,14 +592,18 @@ def select_terms(texts, top_k=500) -> list:
 
 
 def count_terms(texts, terms) -> np.ndarray:
+    """(len(texts), len(terms)) counts of each term's tokens per text."""
     index = {t: i for i, t in enumerate(terms)}
-    out = np.zeros((len(texts), len(terms)), dtype=np.float64)
-    for row, text in enumerate(texts):
-        for token in text.split():
-            col = index.get(token)
-            if col is not None:
-                out[row, col] += 1.0
-    return out
+    miss = len(terms)  # one extra column takes the tokens outside terms
+    cols, lengths = [], []
+    for text in texts:
+        tokens = text.split()
+        cols.extend(map(index.get, tokens, repeat(miss)))
+        lengths.append(len(tokens))
+    width = miss + 1
+    flat = np.repeat(np.arange(len(texts)) * width, lengths) + np.array(cols, dtype=np.int64)
+    counts = np.bincount(flat, minlength=len(texts) * width).reshape(len(texts), width)
+    return counts[:, :miss].astype(np.float64)
 
 
 def build_tabular(numeric, texts, terms) -> np.ndarray:

@@ -1,14 +1,23 @@
 """Job-postings CSV ingestion and text cleanup.
 
-Reads the postings CSV (RFC 4180: quoted fields may hold commas, doubled
-quotes, and embedded newlines), maps columns by header name, and produces
-a cleaned dataset whose ``full_text`` holds the normalized concatenation
-of the five free-text fields.
+Reads the postings CSV (UTF-8, a leading byte-order mark dropped; RFC 4180:
+quoted fields may hold commas, doubled quotes, and embedded newlines) with
+the standard library's strict ``csv`` reader, maps columns by header name,
+and produces a cleaned dataset whose ``full_text`` holds the normalized
+concatenation of the five free-text fields. Malformed CSV is a
+CsvParseError naming its 1-based record; bytes that are not UTF-8 are a
+DataError naming the file and the byte offset. ``dataset_fingerprint``
+identifies the rows a model was trained on.
 """
 
+import codecs
+import csv
 import dataclasses
+import io
 import logging
+import operator
 import re
+import zlib
 from dataclasses import dataclass
 
 from .errors import CsvParseError, DataError
@@ -84,95 +93,64 @@ _COLUMN_NAMES = [f.name for f in dataclasses.fields(RawPosting)]
 # RFC 4180 reader / writer
 # --------------------------------------------------------------------------
 
+# csv's strict-mode errors, in this module's wording
+_CSV_ERRORS = {
+    "unexpected end of data": "unterminated quoted field at end of input",
+    "',' expected after '\"'": "unexpected character after closing quote",
+}
+
+
 def parse_csv_text(text: str) -> list:
     """Split CSV text into records of fields.
 
-    Records end at a newline (LF or CRLF) outside quotes. Inside quotes,
-    commas and newlines are literal and '""' is an escaped quote. A quote
+    Records end at a newline (LF, CRLF or a lone CR) outside quotes. Inside
+    quotes, commas and newlines are literal and '""' is an escaped quote.
+    An empty line is the record [""]. Fields have no length limit. A quote
     left open at end of input, or a closing quote followed by anything but
     a separator, raises CsvParseError naming the 1-based record number
     (the header counts as record 1).
     """
     records = []
-    fields = []
-    buf = []
-    record_number = 1
-    i = 0
-    n = len(text)
-    in_quotes = False
-    field_was_quoted = False
-
-    def end_field():
-        nonlocal field_was_quoted
-        fields.append("".join(buf))
-        buf.clear()
-        field_was_quoted = False
-
-    def end_record():
-        nonlocal record_number
-        end_field()
-        records.append(fields.copy())
-        fields.clear()
-        record_number += 1
-
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == '"':
-                if i + 1 < n and text[i + 1] == '"':
-                    buf.append('"')
-                    i += 2
-                    continue
-                in_quotes = False
-                i += 1
-                if i < n and text[i] not in (",", "\r", "\n"):
-                    raise CsvParseError(
-                        f"unexpected character {text[i]!r} after closing quote",
-                        record_number,
-                    )
-                continue
-            buf.append(ch)
-            i += 1
-        else:
-            if ch == '"' and not buf and not field_was_quoted:
-                in_quotes = True
-                field_was_quoted = True
-                i += 1
-            elif ch == ",":
-                end_field()
-                i += 1
-            elif ch == "\n":
-                end_record()
-                i += 1
-            elif ch == "\r":
-                end_record()
-                i += 2 if i + 1 < n and text[i + 1] == "\n" else 1
-            else:
-                buf.append(ch)
-                i += 1
-
-    if in_quotes:
-        raise CsvParseError("unterminated quoted field at end of input", record_number)
-    if buf or fields or field_was_quoted:
-        end_record()
+    # a field may be as long as the text; csv's limit is process-wide
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text) + 1))
+    try:
+        for record in csv.reader(io.StringIO(text, newline=""), strict=True):
+            records.append(record or [""])
+    except csv.Error as exc:
+        message = _CSV_ERRORS.get(str(exc), str(exc))
+        raise CsvParseError(message, len(records) + 1) from exc
+    finally:
+        csv.field_size_limit(limit)
     return records
 
 
 def read_csv(path) -> tuple:
-    """Read a CSV file; returns (header, data records)."""
+    """Read a UTF-8 CSV file, dropping a leading byte-order mark; returns
+    (header, data records). Bytes that are not UTF-8 are a DataError."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec reports offsets past the byte-order mark it strips
+        offset = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        raise DataError(
+            f"{path} is not UTF-8: byte {data[offset]:#04x} at offset {offset}"
+        ) from exc
     records = parse_csv_text(text)
     if not records:
         raise DataError(f"{path} is empty")
     return records[0], records[1:]
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _quote_field(value: str) -> str:
-    if any(c in value for c in (',', '"', '\n', '\r')):
+    if _NEEDS_QUOTES.search(value):
         return '"' + value.replace('"', '""') + '"'
     return value
 
@@ -289,12 +267,16 @@ def normalize_text(s: str) -> str:
     return s.strip()
 
 
+_raw_fields = operator.attrgetter(*_COLUMN_NAMES)
+_text_fields = operator.attrgetter(*TEXT_CONCAT_FIELDS)
+
+
 def clean_posting(row: RawPosting) -> CleanPosting:
-    joined = " ".join(getattr(row, name) for name in TEXT_CONCAT_FIELDS)
+    # CleanPosting's fields are RawPosting's, in order, then the two derived
     return CleanPosting(
-        **dataclasses.asdict(row),
-        title_clean=normalize_text(row.title),
-        full_text=normalize_text(joined),
+        *_raw_fields(row),
+        normalize_text(row.title),
+        normalize_text(" ".join(_text_fields(row))),
     )
 
 
@@ -315,6 +297,13 @@ def assemble_dataset(rows) -> Dataset:
         postings=postings,
         summary={"total": len(postings), "genuine": len(postings) - fake, "fake": fake},
     )
+
+
+def dataset_fingerprint(postings) -> dict:
+    """Row count and CRC-32 of the job_ids in order: enough to tell whether
+    a file is the one a model's split was drawn from."""
+    ids = "\n".join(str(p.job_id) for p in postings).encode()
+    return {"rows": len(postings), "job_id_crc32": zlib.crc32(ids)}
 
 
 def load_dataset(path) -> Dataset:

@@ -14,7 +14,7 @@ from . import bilstm, bundle as bundle_mod, forests, metrics, trainer
 from .config import MODEL_KINDS, RunConfig, config_from_dict
 from .errors import DataError, ModelStoreError, UsageError
 from .features import CategoricalEncoder, TextVectorizer, Vocabulary
-from .ingest import Dataset
+from .ingest import Dataset, dataset_fingerprint
 
 
 @dataclass
@@ -103,9 +103,10 @@ def _make_estimator(kind: str, cfg: RunConfig, vocab_size: int | None = None):
 class DetectionPipeline:
     """A fitted featurizer stack plus one trained classifier."""
 
-    def __init__(self, kind: str, cfg: RunConfig, encoder, model,
+    def __init__(self, kind: str, cfg: RunConfig, encoder, model, fingerprint,
                  vectorizer=None, terms=None, history=None, test_metrics=None):
         self.kind = kind
+        self.fingerprint = fingerprint  # of the dataset the split was drawn from
         self.cfg = cfg
         self.encoder = encoder
         self.model = model
@@ -151,6 +152,7 @@ class DetectionPipeline:
         else:
             extra["ensemble"] = forests.ensemble_to_dict(self.model.model_)
             extra["terms"] = list(self.terms)
+        extra["dataset_fingerprint"] = self.fingerprint
         return bundle_mod.make_bundle(
             kind=self.kind,
             config=config,
@@ -186,6 +188,8 @@ class DetectionPipeline:
             k: list(v) for k, v in manifest["config"]["encoder_categories"].items()
         }
         encoder.width_ = 4 + sum(len(v) for v in encoder.categories_.values())
+        stored = manifest["dataset_fingerprint"]
+        fingerprint = {"rows": int(stored["rows"]), "job_id_crc32": int(stored["job_id_crc32"])}
 
         if kind == "bilstm":
             mc = manifest["config"]["model_config"]
@@ -205,13 +209,13 @@ class DetectionPipeline:
             model.params_ = bilstm.params_from_arrays(model_cfg, bundle.tensor)
             model.config_ = model_cfg
             model.classes_ = np.array([0, 1])
-            return cls(kind, cfg, encoder, model, vectorizer=vectorizer)
+            return cls(kind, cfg, encoder, model, fingerprint, vectorizer=vectorizer)
 
         ensemble = forests.ensemble_from_dict(manifest["ensemble"])
         model = _make_estimator(kind, cfg)
         model.model_ = ensemble
         model.classes_ = np.array([0, 1])
-        return cls(kind, cfg, encoder, model, terms=list(manifest["terms"]))
+        return cls(kind, cfg, encoder, model, fingerprint, terms=list(manifest["terms"]))
 
     @classmethod
     def load(cls, directory) -> "DetectionPipeline":
@@ -249,6 +253,7 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
         cfg=cfg,
         encoder=prepared.encoder,
         model=model,
+        fingerprint=dataset_fingerprint(prepared.dataset.postings),
         vectorizer=prepared.vectorizer,
         terms=prepared.terms,
         history=history,

@@ -1,5 +1,6 @@
 import json
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -205,6 +206,60 @@ def test_manifest_missing_field_exits_three(
         assert run_cli(argv) == 3
         err = capsys.readouterr().err
         assert "model store error" in err and field in err
+
+
+def test_predict_non_utf8_input_exits_two(tmp_path, trained_model_dir, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"job_id,title\n1,caf\xe9\n")
+    code = run_cli([
+        "predict", "--model", str(trained_model_dir),
+        "--input", str(bad), "--out", str(tmp_path / "p.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "latin1.csv is not UTF-8: byte 0xe9 at offset 18" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("split", ["test", "val"])
+def test_evaluate_split_on_other_file_exits_two(
+    tmp_path, trained_model_dir, small_csv, split, capsys
+):
+    header, records = ingest.read_csv(small_csv)
+    for name, rows in (("fewer", records[:-1]), ("reordered", records[::-1])):
+        other = tmp_path / f"{name}.csv"
+        ingest.write_csv(other, header, rows)
+        argv = ["evaluate", "--model", str(trained_model_dir), "--data", str(other)]
+        assert run_cli(argv + ["--split", split]) == 2
+        assert "trained on" in capsys.readouterr().err
+        assert run_cli(argv + ["--split", "all"]) == 0  # any file can be scored whole
+        capsys.readouterr()
+
+
+def test_manifest_fingerprint_matches_training_file(trained_model_dir, small_csv):
+    manifest = json.loads((trained_model_dir / "manifest.json").read_text(encoding="utf-8"))
+    postings = ingest.load_dataset(small_csv).postings
+    ids = "\n".join(str(p.job_id) for p in postings).encode()
+    assert manifest["dataset_fingerprint"] == {"rows": 300, "job_id_crc32": zlib.crc32(ids)}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_bundle_without_fingerprint_exits_three(
+    tmp_path, trained_model_dir, small_csv, command, capsys
+):
+    model = tmp_path / "model"
+    shutil.copytree(trained_model_dir, model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["dataset_fingerprint"]
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    if command == "evaluate":
+        argv = ["evaluate", "--model", str(model), "--data", str(small_csv)]
+    else:
+        argv = ["predict", "--model", str(model), "--input", str(small_csv),
+                "--out", str(tmp_path / "p.csv")]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert "model store error" in err and "dataset_fingerprint" in err
 
 
 def test_config_unknown_key_exits_one(tmp_path, small_csv, capsys):

@@ -118,6 +118,33 @@ def full_grid_best_hist_split(bins, count, grad, min_samples_leaf):
     return gain, feature, b
 
 
+def reference_compute_bins(X, n_bins=255):
+    """compute_bins one column at a time: np.unique, then searchsorted."""
+    X = np.asarray(X, dtype=np.float64)
+    n, n_features = X.shape
+    edges = []
+    codes = np.empty((n, n_features), dtype=np.int64)
+    for f in range(n_features):
+        col = X[:, f]
+        distinct = np.unique(col)
+        if distinct.shape[0] <= 1:
+            e = np.empty(0)
+        elif distinct.shape[0] <= n_bins:
+            e = (distinct[:-1] + distinct[1:]) / 2.0
+        else:
+            quantiles = np.quantile(col, np.arange(1, n_bins) / n_bins)
+            e = np.unique(quantiles)
+        edges.append(e)
+        codes[:, f] = np.searchsorted(e, col, side="left")
+    n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
+    width = int(n_edges.max(initial=0)) + 1
+    flat = codes + np.arange(n_features) * width
+    cells = np.flatnonzero(np.arange(width) < n_edges[:, None])
+    return forests.FeatureBins(
+        edges=edges, codes=codes, flat_codes=flat, n_bins=n_bins, width=width, cells=cells,
+    )
+
+
 def _random_columns(rng, n, n_features):
     """Columns mixing tied small integers, non-integer values, constant
     columns and duplicates of earlier columns."""
@@ -479,6 +506,49 @@ def test_leafwise_scan_equals_full_grid_reference():
         assert forests._best_hist_split(bins, count, grad, min_leaf) == expected, f"case {case}"
 
 
+def _special_columns(rng, n):
+    """Columns whose bins are not their value ranks, or that need the
+    quantile path: adjacent floats, overflowing midpoints, infinities, NaN,
+    signed zeros, and many distinct values."""
+    def pick(values):
+        return rng.choice(np.array(values, dtype=np.float64), size=n)
+
+    return np.column_stack([
+        pick([1.0, np.nextafter(1.0, 2.0), 3.0]),
+        pick([-1.0, np.nextafter(-1.0, 0.0)]),
+        pick([1e308, 1.5e308, 1.7e308]),
+        pick([-1.7e308, -1e308, 0.0]),
+        pick([-np.inf, 0.0, 1.0, np.inf]),
+        pick([np.nan, 0.5, 2.0]),
+        pick([-0.0, 0.0, 1.0]),
+        rng.normal(size=n) * 1e3,
+        np.full(n, 4.0),
+    ])
+
+
+def test_compute_bins_equals_per_column_reference():
+    """Every FeatureBins field equals the per-column version exactly, edges
+    bit for bit."""
+    rng = np.random.default_rng(12)
+    for case in range(200):
+        n = 1 + int(rng.integers(80))
+        blocks = [_random_columns(rng, n, 1 + int(rng.integers(8)))]
+        if case % 2:
+            blocks.append(_special_columns(rng, n))
+        X = np.hstack(blocks)
+        X = X[:, rng.permutation(X.shape[1])]
+        n_bins = int(rng.choice([3, 8, 255]))
+        with np.errstate(over="ignore", invalid="ignore"):  # the special columns' midpoints
+            got, expected = compute_bins(X, n_bins), reference_compute_bins(X, n_bins)
+        assert len(got.edges) == len(expected.edges), f"case {case}"
+        for f, (a, b) in enumerate(zip(got.edges, expected.edges)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"case {case} feature {f}"
+        for name in ("codes", "flat_codes", "cells"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"case {case} {name}"
+        assert (got.n_bins, got.width) == (expected.n_bins, expected.width), f"case {case}"
+
+
 def test_ensembles_equal_reference_search_on_fixture(small_csv, monkeypatch):
     """All three learners grow the trees the reference searches grow."""
     from jobfraud import config, ingest, pipeline
@@ -500,6 +570,7 @@ def test_ensembles_equal_reference_search_on_fixture(small_csv, monkeypatch):
     monkeypatch.setattr(forests, "best_split", reference_best_split)
     monkeypatch.setattr(forests, "_leaf_histograms", full_grid_histograms)
     monkeypatch.setattr(forests, "_best_hist_split", full_grid_best_hist_split)
+    monkeypatch.setattr(forests, "compute_bins", reference_compute_bins)
     assert batched == fit_all()
 
 
@@ -585,6 +656,22 @@ def test_count_terms_hand_case():
 
 def test_count_terms_empty_text():
     assert count_terms([""], ["a", "b"]).tolist() == [[0.0, 0.0]]
+
+
+def test_count_terms_equals_token_loop():
+    rng = np.random.default_rng(13)
+    words = ["a", "b", "c", "dd", "e1", "zz"]
+    terms = ["dd", "a", "c", "e1"]
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(12)))) for _ in range(40)]
+    expected = np.zeros((len(texts), len(terms)))
+    for row, text in enumerate(texts):
+        for token in text.split():
+            if token in terms:
+                expected[row, terms.index(token)] += 1.0
+    counts = count_terms(texts, terms)
+    assert counts.dtype == np.float64 and np.array_equal(counts, expected)
+    assert count_terms([], terms).shape == (0, 4)
+    assert count_terms(["a b"], []).shape == (1, 0)
 
 
 def test_build_tabular_width_constant():

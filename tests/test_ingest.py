@@ -1,13 +1,132 @@
+import csv
 import logging
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobfraud import ingest
+from jobfraud import ingest, synth
 from jobfraud.errors import CsvParseError, DataError
 
 from conftest import make_posting
+
+
+# --------------------------------------------------------------------------
+# Reference reader: the character loop that parse_csv_text replaces and
+# must match record for record and error for error
+# --------------------------------------------------------------------------
+
+def reference_parse_csv_text(text: str) -> list:
+    records = []
+    fields = []
+    buf = []
+    record_number = 1
+    i = 0
+    n = len(text)
+    in_quotes = False
+    field_was_quoted = False
+
+    def end_field():
+        nonlocal field_was_quoted
+        fields.append("".join(buf))
+        buf.clear()
+        field_was_quoted = False
+
+    def end_record():
+        nonlocal record_number
+        end_field()
+        records.append(fields.copy())
+        fields.clear()
+        record_number += 1
+
+    while i < n:
+        ch = text[i]
+        if in_quotes:
+            if ch == '"':
+                if i + 1 < n and text[i + 1] == '"':
+                    buf.append('"')
+                    i += 2
+                    continue
+                in_quotes = False
+                i += 1
+                if i < n and text[i] not in (",", "\r", "\n"):
+                    raise CsvParseError(
+                        f"unexpected character {text[i]!r} after closing quote",
+                        record_number,
+                    )
+                continue
+            buf.append(ch)
+            i += 1
+        else:
+            if ch == '"' and not buf and not field_was_quoted:
+                in_quotes = True
+                field_was_quoted = True
+                i += 1
+            elif ch == ",":
+                end_field()
+                i += 1
+            elif ch == "\n":
+                end_record()
+                i += 1
+            elif ch == "\r":
+                end_record()
+                i += 2 if i + 1 < n and text[i + 1] == "\n" else 1
+            else:
+                buf.append(ch)
+                i += 1
+
+    if in_quotes:
+        raise CsvParseError("unterminated quoted field at end of input", record_number)
+    if buf or fields or field_was_quoted:
+        end_record()
+    return records
+
+
+def _outcome(parse, text):
+    """parse(text)'s records, or the record number of its CsvParseError."""
+    try:
+        return parse(text)
+    except CsvParseError as exc:
+        return ("error", exc.record_number)
+
+
+# str.splitlines would also split on \x85, \x0c and \u2028
+_csv_text = st.text(
+    alphabet=st.sampled_from(['"', ",", "\r", "\n", "a", "\u00e9", "\x00", " ",
+                              "\u2028", "\x85", "\x0c"]),
+    max_size=40,
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_csv_text)
+def test_parser_equals_reference_on_random_text(text):
+    assert _outcome(ingest.parse_csv_text, text) == _outcome(reference_parse_csv_text, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "\n\n", "\r", "\r\r\n", "a\n\nb", '""', '"a"\r', 'a,"b"', 'a"b"c',
+    '"a""', '"a"b', 'x\n"a"b\n', "a\x85b\x0cc\u2028d\n", '"a\rb\r\nc"',
+])
+def test_parser_equals_reference_on_edge_cases(text):
+    assert _outcome(ingest.parse_csv_text, text) == _outcome(reference_parse_csv_text, text)
+
+
+def test_field_longer_than_csv_default_limit():
+    limit = csv.field_size_limit()
+    big = "x" * (limit + 10)
+    assert ingest.parse_csv_text(f'a,"{big}"\n{big}\n') == [["a", big], [big]]
+    assert csv.field_size_limit() == limit  # restored after the call
+    with pytest.raises(CsvParseError):
+        ingest.parse_csv_text(f'"{big}')
+    assert csv.field_size_limit() == limit
+
+
+def test_synth_fixture_bytes_unchanged(tmp_path):
+    path = tmp_path / "fixture.csv"
+    synth.write_fixture(path, 300, 7, 0.5)
+    assert zlib.crc32(path.read_bytes()) == 2286080611
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +235,24 @@ def test_parse_csv_empty_flag_defaults_zero_with_warning(tmp_path, caplog):
 def test_parse_csv_missing_file():
     with pytest.raises(DataError):
         ingest.parse_csv("/nonexistent/file.csv")
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfjob_id,title\n17,Chef\n")
+    header, _ = ingest.read_csv(path)
+    assert header == ["job_id", "title"]
+    assert ingest.parse_csv(path)[0].job_id == 17
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_non_utf8_bytes_are_a_data_error(tmp_path, bom):
+    path = tmp_path / "latin1.csv"
+    data = bom + "job_id,title\n1,caf\u00e9\n".encode("latin-1")
+    path.write_bytes(data)
+    offset = data.index(b"\xe9")
+    with pytest.raises(DataError, match=f"latin1.csv is not UTF-8: byte 0xe9 at offset {offset}"):
+        ingest.read_csv(path)
 
 
 # --------------------------------------------------------------------------
