@@ -8,8 +8,10 @@ like ordinary tokens; there is no masking and no dropout.
 
 The encoder (`bilstm_encode`) is one fused autodiff op with a hand-written
 backprop through time, in the manner of cuDNN's RNN kernels (Appleyard et
-al. 2016); `lstm_cell` builds the same recurrence from tape ops and is
-the reference it is tested against.
+al. 2016). Rows are right-padded, so every row's reverse pass begins with
+the same PAD trajectory from the zero state: it runs once, shared. The
+forward pass reads a row's PADs after its text, from that row's own state,
+so it runs every position.
 """
 
 from dataclasses import dataclass
@@ -170,36 +172,9 @@ def params_from_arrays(cfg: ModelConfig, lookup) -> ModelParams:
 # Forward computation
 # --------------------------------------------------------------------------
 
-def _step(x_t, h_prev, c_prev, wx_t, wh_t, bias, hidden):
-    z = ndgrad.add(ndgrad.add(ndgrad.matmul(x_t, wx_t), ndgrad.matmul(h_prev, wh_t)), bias)
-    gate_in = ndgrad.sigmoid(ndgrad.slice_columns(z, 0, hidden))
-    gate_forget = ndgrad.sigmoid(ndgrad.slice_columns(z, hidden, 2 * hidden))
-    candidate = ndgrad.tanh(ndgrad.slice_columns(z, 2 * hidden, 3 * hidden))
-    gate_out = ndgrad.sigmoid(ndgrad.slice_columns(z, 3 * hidden, 4 * hidden))
-    c_t = ndgrad.add(
-        ndgrad.multiply(gate_forget, c_prev), ndgrad.multiply(gate_in, candidate)
-    )
-    h_t = ndgrad.multiply(gate_out, ndgrad.tanh(c_t))
-    return h_t, c_t
-
-
-def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams):
-    """One recurrence step built from tape ops; accepts single vectors or
-    row batches."""
-    hidden = params.wh.shape[1]
-    single = x_t.values.ndim == 1
-    if single:
-        x_t = ndgrad.reshape(x_t, (1, -1))
-        h_prev = ndgrad.reshape(h_prev, (1, -1))
-        c_prev = ndgrad.reshape(c_prev, (1, -1))
-    h_t, c_t = _step(
-        x_t, h_prev, c_prev,
-        ndgrad.transpose(params.wx), ndgrad.transpose(params.wh), params.bias, hidden,
-    )
-    if single:
-        h_t = ndgrad.reshape(h_t, (-1,))
-        c_t = ndgrad.reshape(c_t, (-1,))
-    return h_t, c_t
+# flat rows per weight-gradient chunk: bounds the copies gathered from the
+# strided direction blocks (2048 rows of 4H = 256 gate values is 4 MB)
+_GRADIENT_CHUNK = 2048
 
 
 def _kernel_weights(params: ModelParams):
@@ -231,10 +206,38 @@ def _halved(wx, wh, bias):
     return wx_t, wh_t, bias * scale
 
 
+def _plan(ids, vocab: int):
+    """Row order and flat step layout of the length-aware kernel.
+
+    A row's text length is the index of its last non-PAD id plus one.
+    Sorted stably by descending length, the rows whose text has begun at
+    reverse step t are a prefix of size real[t]. Step t owns flat rows
+    offsets[t]:offsets[t + 1], laid out [forward B | shared PAD | reverse
+    real[t]]; index holds each flat row's input-table row, and fwd_rows
+    and rev_rows each direction's flat rows (rev_rows with the shared row).
+    """
+    batch, length = ids.shape
+    text = ids != 0
+    lengths = np.where(text.any(axis=1), length - text[:, ::-1].argmax(axis=1), 0)
+    order = np.argsort(-lengths, kind="stable")
+    real = np.cumsum(np.bincount(lengths, minlength=length + 1)[::-1])[:length]
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(batch + 1 + real, out=offsets[1:])
+    fwd_rows = (offsets[:-1, None] + np.arange(batch)).reshape(-1)
+    # reverse column 0 is the shared PAD row, column k the k-th sorted row
+    steps, cols = np.nonzero(np.arange(batch + 1) <= real[:, None])
+    rev_rows = offsets[steps] + batch + cols
+    padded = np.vstack([np.zeros(length, dtype=np.int64), ids[order]])
+    index = np.empty(offsets[-1], dtype=np.int64)
+    index[fwd_rows] = padded[1:].T.reshape(-1)
+    index[rev_rows] = vocab + padded[cols, length - 1 - steps]
+    return order, real, offsets, index, fwd_rows, rev_rows
+
+
 def _cell(z, c_prev, c, tanh_c, h_out):
     """One step of both directions, written into c, tanh_c and h_out.
 
-    On entry z (2, B, 4H) holds the halved pre-activations in kernel
+    On entry z (rows, 4H) holds the halved pre-activations in kernel
     order; on exit it holds the gate values.
     """
     h = c.shape[-1]
@@ -274,76 +277,99 @@ def _cell_backward(z, c_prev, tanh_c, dh, dc):
     np.multiply(upstream, local, out=z)
 
 
-def _encode_forward_only(ids, params: ModelParams) -> np.ndarray:
-    """Final hidden states (2, B, H), keeping no per-step state."""
+def _encode(ids, params: ModelParams, keep_states: bool):
+    """The encoding (B, 2H) and, when keep_states, the backward_fn that
+    backprops through time from its gradient; otherwise the steps share
+    one buffer and no per-step state is kept."""
     batch, length = ids.shape
-    wx, wh, bias, _ = _kernel_weights(params)
+    wx, wh, bias, gate_order = _kernel_weights(params)
     wx_t, wh_t, bias_half = _halved(wx, wh, bias)
-    vocab, hidden = params.embedding.shape[0], wh.shape[2]
-    # each token's input term per direction, (2V, 4H): for a 256-row eval
-    # chunk the per-position terms would be (2, T*B, 4H), 268 MB
-    table = (params.embedding.values @ wx_t + bias_half[:, None, :]).reshape(2 * vocab, -1)
-    rows = np.stack([ids.T, ids.T[::-1] + vocab], axis=1)  # (T, 2, B) table rows
-    h = np.zeros((2, batch, hidden))
-    c = np.zeros((2, batch, hidden))
-    tanh_c = np.empty_like(c)
-    for t in range(length):
-        z = table[rows[t]]
-        z += h @ wh_t
-        _cell(z, c, c, tanh_c, h)
-    return h
-
-
-def _encode_recorded(ids, params: ModelParams):
-    """Final hidden states (2, B, H) and the backward_fn that backprops
-    through time from the gradient of the (B, 2H) encoding."""
-    batch, length = ids.shape
-    wx, wh, bias, order = _kernel_weights(params)
-    wx_t, wh_t, bias_half = _halved(wx, wh, bias)
-    hidden = wh.shape[2]
-    x = params.embedding.values[ids.T]  # (T, B, E)
-    xs = np.stack([x, x[::-1]]).reshape(2, length * batch, -1)  # each direction's time order
-    gates = (xs @ wx_t + bias_half[:, None, :]).reshape(2, length, batch, 4 * hidden)
-    hs = np.zeros((2, length + 1, batch, hidden))
+    embedding = params.embedding.values
+    vocab, hidden = embedding.shape[0], wh.shape[2]
+    # each token's input term per direction, (2V, 4H): row V + v is v's reverse term
+    table = (embedding @ wx_t + bias_half[:, None, :]).reshape(2 * vocab, -1)
+    order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
+    # step t reads its states at slots[t] and writes them at slots[t + 1]
+    slots = offsets if keep_states else np.zeros_like(offsets)
+    rows = slots[-1] + 2 * batch + 1
+    gates = np.empty((rows, 4 * hidden))
+    hs = np.zeros((rows, hidden))
     cs = np.zeros_like(hs)
-    tanh_cs = np.empty((2, length, batch, hidden))
+    tanh_cs = np.empty_like(hs)
     for t in range(length):
-        z = gates[:, t]
-        z += hs[:, t] @ wh_t
-        _cell(z, cs[:, t], cs[:, t + 1], tanh_cs[:, t], hs[:, t + 1])
+        here, there, size = slots[t], slots[t + 1], offsets[t + 1] - offsets[t]
+        z = gates[here : here + size]
+        np.take(table, index[offsets[t] : offsets[t + 1]], axis=0, out=z, mode="clip")
+        z[:batch] += hs[here : here + batch] @ wh_t[0]
+        z[batch:] += hs[here + batch : here + size] @ wh_t[1]
+        _cell(z, cs[here : here + size], cs[there : there + size],
+              tanh_cs[here : here + size], hs[there : there + size])
+        if t + 1 < length and real[t + 1] > real[t]:  # these rows' text begins at t + 1
+            entering = np.s_[there + size : there + batch + 1 + real[t + 1]]
+            hs[entering] = hs[there + batch]
+            cs[entering] = cs[there + batch]
+    final_cols = np.full(batch, batch)  # rows with no text end on the shared row
+    final_cols[: real[-1]] += 1 + np.arange(real[-1])
+    h_last = hs[slots[-1] :]
+    encoded = np.empty((batch, 2 * hidden))
+    encoded[order] = np.hstack([h_last[:batch], h_last[final_cols]])
+    if not keep_states:
+        return encoded, None
 
     def backward_fn(grad):
-        dh = np.stack([grad[:, :hidden], grad[:, hidden:]])
+        grad = grad[order]
+        dh = np.zeros((2 * batch + 1, hidden))
         dc = np.zeros_like(dh)
+        dh[:batch] = grad[:, :hidden]
+        np.add.at(dh, final_cols, grad[:, hidden:])
         for t in reversed(range(length)):
-            _cell_backward(gates[:, t], cs[:, t], tanh_cs[:, t], dh, dc)
-            dh = gates[:, t] @ wh
-        dz = gates.reshape(2, length * batch, 4 * hidden)
-        d_wx = dz.transpose(0, 2, 1) @ xs
-        d_wh = dz.transpose(0, 2, 1) @ hs[:, :length].reshape(2, length * batch, hidden)
-        d_bias = dz.sum(axis=1)
-        dx = (dz @ wx).reshape(2, length, batch, -1)
-        d_embedding = np.zeros_like(params.embedding.values)
-        np.add.at(d_embedding, ids.T.reshape(-1), (dx[0] + dx[1, ::-1]).reshape(length * batch, -1))
+            start, stop = offsets[t], offsets[t + 1]
+            size = stop - start
+            z = gates[start:stop]
+            _cell_backward(z, cs[start:stop], tanh_cs[start:stop], dh[:size], dc[:size])
+            np.matmul(z[:batch], wh[0], out=dh[:batch])
+            np.matmul(z[batch:], wh[1], out=dh[batch:size])
+            if t and real[t] > real[t - 1]:  # rows entering at t began from the shared state
+                entered = batch + 1 + real[t - 1]
+                dh[batch] += dh[entered:size].sum(axis=0)
+                dc[batch] += dc[entered:size].sum(axis=0)
+        # gates now hold the pre-activation gradients of every flat row
+        tokens = index % vocab
+        d_wx, d_wh, d_bias = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(bias)
+        d_embedding = np.zeros_like(embedding)
+        for d, flat in enumerate((fwd_rows, rev_rows)):
+            for lo in range(0, flat.size, _GRADIENT_CHUNK):
+                part = flat[lo : lo + _GRADIENT_CHUNK]
+                dz = gates[part]
+                d_wx[d] += dz.T @ embedding[tokens[part]]
+                d_wh[d] += dz.T @ hs[part]
+                d_bias[d] += dz.sum(axis=0)
+                np.add.at(d_embedding, tokens[part], dz @ wx[d])
         ndgrad.accumulate(params.embedding, d_embedding)
         for d, lstm in enumerate((params.forward_lstm, params.backward_lstm)):
-            ndgrad.accumulate(lstm.wx, d_wx[d][order])
-            ndgrad.accumulate(lstm.wh, d_wh[d][order])
-            ndgrad.accumulate(lstm.bias, d_bias[d][order])
+            ndgrad.accumulate(lstm.wx, d_wx[d][gate_order])
+            ndgrad.accumulate(lstm.wh, d_wh[d][gate_order])
+            ndgrad.accumulate(lstm.bias, d_bias[d][gate_order])
 
-    return hs[:, length], backward_fn
+    return encoded, backward_fn
 
 
 def bilstm_encode(ids, params: ModelParams) -> Tensor:
     """Concatenated final hidden states of both directions, (batch, 2H).
 
     One fused op over both directions and every time step, recorded as a
-    single tape node. While a Graph records it, the input projection of
-    all T*B positions is one matmul per direction, each step is one
-    batched matmul for both directions, and every step's gates and states
-    are kept for a hand-written backprop through time. Otherwise each
-    step's input term is gathered from a per-direction (vocab, 4H) table
-    and no per-step state is kept.
+    single tape node. Input terms are gathered from a per-direction table
+    of embedding @ Wx^T + b, and one _cell call per step covers both
+    directions. While a Graph records the op, every step's gates and
+    states are kept for a hand-written backprop through time.
+
+    The reverse pass reads a right-padded row's PAD run first, from the
+    zero state, so that stretch is the same for every row: it runs once,
+    as one shared PAD row, and each row joins from that row's state where
+    its text begins (rows are sorted by text length inside the op). The
+    backward sums the joining rows' gradients into the shared row, exact
+    because their local Jacobians are equal. The forward pass reads the
+    PADs last, each from its row's own state, so it shares nothing.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
@@ -356,13 +382,13 @@ def bilstm_encode(ids, params: ModelParams) -> Tensor:
     inputs = [params.embedding]
     for lstm in (params.forward_lstm, params.backward_lstm):
         inputs += [lstm.wx, lstm.wh, lstm.bias]
-    if not ndgrad.recording(inputs):
-        final = _encode_forward_only(ids, params)
-        return Tensor(np.concatenate(final, axis=1))
-    final, backward_fn = _encode_recorded(ids, params)
-    out = Tensor(np.concatenate(final, axis=1))
-    ndgrad.record(out, inputs, backward_fn)
+    recording = ndgrad.recording(inputs)
+    encoded, backward_fn = _encode(ids, params, keep_states=recording)
+    out = Tensor(encoded)
+    if recording:
+        ndgrad.record(out, inputs, backward_fn)
     return out
+
 
 def model_forward(ids, numeric, params: ModelParams) -> Tensor:
     """Per-example fraud probability, shape (batch, 1), each value in (0, 1)."""

@@ -111,12 +111,13 @@ def load_model(directory) -> ModelBundle:
         if not path.is_file():
             raise ModelStoreError(f"missing bundle file {path}")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelStoreError(f"malformed manifest {manifest_path}: {exc}") from exc
     except OSError as exc:
         raise ModelStoreError(f"cannot read {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ModelStoreError(f"malformed manifest {manifest_path}: not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelStoreError(

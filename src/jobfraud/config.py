@@ -119,11 +119,11 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object")

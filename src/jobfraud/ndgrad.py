@@ -272,42 +272,6 @@ def gather(table: Tensor, ids) -> Tensor:
     return out
 
 
-def slice_columns(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"slice_columns needs 2-D input, got shape {a.values.shape}")
-    out = Tensor(a.values[:, start:stop])
-
-    def backward_fn(grad):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        a.grad[:, start:stop] += grad
-
-    record(out, (a,), backward_fn)
-    return out
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.values.reshape(shape))
-
-    def backward_fn(grad):
-        accumulate(a, grad.reshape(a.values.shape))
-
-    record(out, (a,), backward_fn)
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose needs 2-D input, got shape {a.values.shape}")
-    out = Tensor(a.values.T.copy())
-
-    def backward_fn(grad):
-        accumulate(a, grad.T)
-
-    record(out, (a,), backward_fn)
-    return out
-
-
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows
     e = np.exp(-np.abs(x))

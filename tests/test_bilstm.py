@@ -1,5 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobfraud import ndgrad
 from jobfraud.bilstm import (
@@ -8,11 +12,11 @@ from jobfraud.bilstm import (
     ModelParams,
     bilstm_encode,
     init_params,
-    lstm_cell,
     model_forward,
     parameter_count,
 )
 from jobfraud.ndgrad import Tensor
+from tape_reference import lstm_cell, tape_encode
 
 
 TINY = ModelConfig(
@@ -175,21 +179,6 @@ def test_encode_id_out_of_range():
             bilstm_encode(np.array([[2, bad]]), params)
 
 
-def tape_encode(ids, params: ModelParams) -> Tensor:
-    """Reference encoder: gather plus lstm_cell on the tape, step by step."""
-    ids = np.atleast_2d(ids)
-    batch, length = ids.shape
-    hidden = params.forward_lstm.wh.shape[1]
-    steps = [ndgrad.gather(params.embedding, ids[:, t]) for t in range(length)]
-    finals = []
-    for lstm, order in ((params.forward_lstm, steps), (params.backward_lstm, steps[::-1])):
-        h = c = Tensor(np.zeros((batch, hidden)))
-        for x_t in order:
-            h, c = lstm_cell(x_t, h, c, lstm)
-        finals.append(h)
-    return ndgrad.concat(*finals)
-
-
 def encode_with_grads(encode, ids, params: ModelParams, weights):
     """(forward-only encoding, recorded encoding, tape length, encoder
     gradients) for the loss sum(encoding * weights)."""
@@ -206,23 +195,23 @@ def encode_with_grads(encode, ids, params: ModelParams, weights):
     return forward_only, recorded.values, len(g), [t.grad.copy() for t in tensors]
 
 
-@pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.parametrize("length", [1, 2, 17])
-@pytest.mark.parametrize("batch", [1, 3, 32])
-def test_fused_encoder_matches_tape_reference(batch, length, tied):
-    cfg = ModelConfig(vocab_size=7, embedding_dim=5, hidden_units=3, seed=batch * 100 + length)
-    rng = np.random.default_rng(cfg.seed)
+def random_params(cfg: ModelConfig, rng, tied=False) -> ModelParams:
     params = init_params(cfg)
     for _, t in params.named_tensors():
         t.values[...] = rng.normal(scale=0.6, size=t.shape)
     if tied:  # one set of weights read by both directions
         params.backward_lstm = params.forward_lstm
-    ids = rng.integers(0, cfg.vocab_size, size=(batch, length))
-    ids[:, 0] = 3  # a repeated id across rows
-    if batch > 1:
-        ids[-1] = 0  # an all-PAD row
-    weights = rng.normal(size=(batch, 2 * cfg.hidden_units))
+    return params
 
+
+def right_padded(rng, lengths, length, vocab):
+    """Rows of non-PAD ids cut to `lengths`, each followed by its PAD run."""
+    ids = rng.integers(1, vocab, size=(len(lengths), length))
+    ids[np.arange(length) >= np.asarray(lengths)[:, None]] = 0
+    return ids
+
+
+def assert_matches_tape(ids, params: ModelParams, weights):
     fused = encode_with_grads(bilstm_encode, ids, params, weights)
     tape = encode_with_grads(tape_encode, ids, params, weights)
     assert fused[2] == 3  # the encoder is one tape node
@@ -230,6 +219,69 @@ def test_fused_encoder_matches_tape_reference(batch, length, tied):
     assert np.abs(fused[1] - tape[1]).max() <= 1e-12
     for got, want in zip(fused[3], tape[3]):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 17])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+def test_fused_encoder_matches_tape_reference(batch, length, tied):
+    cfg = ModelConfig(vocab_size=7, embedding_dim=5, hidden_units=3, seed=batch * 100 + length)
+    rng = np.random.default_rng(cfg.seed)
+    params = random_params(cfg, rng, tied)
+    ids = rng.integers(0, cfg.vocab_size, size=(batch, length))
+    ids[:, 0] = 3  # a repeated id across rows
+    if batch > 1:
+        ids[-1] = 0  # an all-PAD row
+    # right-padded rows of mixed PAD-run lengths
+    lengths = rng.integers(0, length + 1, size=batch)
+    if batch == 1:
+        lengths[0] = (length + 1) // 2
+    else:
+        lengths[0], lengths[-1] = length, 0  # a row with no PAD, an all-PAD row
+    if batch > 2:
+        lengths[1] = lengths[2]  # two rows of equal length
+    padded = right_padded(rng, lengths, length, cfg.vocab_size)
+    if length > 2:
+        padded[0, length // 2] = 0  # a mid-text id 0 is text, not PAD
+    for case in (ids, padded, np.zeros_like(ids)):  # the last: every row all-PAD
+        assert_matches_tape(case, params, rng.normal(size=(batch, 2 * cfg.hidden_units)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 24).flatmap(
+        lambda length: st.tuples(
+            st.just(length), st.lists(st.integers(0, length), min_size=1, max_size=9)
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_encoder_matches_tape_on_random_pad_runs(shape, seed):
+    length, pad_runs = shape
+    cfg = ModelConfig(vocab_size=6, embedding_dim=4, hidden_units=3, seed=1)
+    rng = np.random.default_rng(seed)
+    params = random_params(cfg, rng)
+    ids = right_padded(rng, [length - run for run in pad_runs], length, cfg.vocab_size)
+    assert_matches_tape(ids, params, rng.normal(size=(len(pad_runs), 2 * cfg.hidden_units)))
+
+
+def test_encoding_ignores_row_order_at_full_length():
+    """The kernel sorts rows by text length inside the op; at T=256 with
+    benchmark-like PAD runs a permuted batch encodes to the permuted
+    encodings, and a batch to its rows encoded one at a time."""
+    cfg = ModelConfig(vocab_size=40, embedding_dim=6, hidden_units=5, seed=256)
+    rng = np.random.default_rng(cfg.seed)
+    params = random_params(cfg, rng)
+    lengths = [22, 129, 94, 94, 60, 256, 0, 31, 117, 75]
+    ids = right_padded(rng, lengths, 256, cfg.vocab_size)
+    perm = rng.permutation(len(lengths))
+    for recording in (False, True):
+        with ndgrad.Graph() if recording else contextlib.nullcontext():
+            batch = bilstm_encode(ids, params).values
+            permuted = bilstm_encode(ids[perm], params).values
+            singles = np.vstack([bilstm_encode(row, params).values for row in ids])
+        assert np.abs(permuted - batch[perm]).max() <= 1e-12
+        assert np.abs(singles - batch).max() <= 1e-12
 
 
 # --------------------------------------------------------------------------

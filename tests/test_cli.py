@@ -285,6 +285,37 @@ def test_config_unknown_nested_key_exits_one(tmp_path, small_csv, capsys):
     )
 
 
+@pytest.mark.parametrize("manifest, message", [
+    (b'{"format_version": "\xe9"}', "can't decode byte 0xe9 in position 20"),
+    (b"[]", "not a JSON object"),
+], ids=["non-utf8", "not-an-object"])
+def test_bad_manifest_exits_three(
+    tmp_path, trained_model_dir, small_csv, manifest, message, capsys
+):
+    model = tmp_path / "model"
+    shutil.copytree(trained_model_dir, model)
+    (model / "manifest.json").write_bytes(manifest)
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(small_csv),
+        "--out", str(tmp_path / "p.csv"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "model store error" in err and message in err
+
+
+def test_config_non_utf8_exits_one(tmp_path, small_csv, capsys):
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b'{"seed": "\xe9"}')
+    code = run_cli([
+        "train", "--data", str(small_csv), "--config", str(config),
+        "--out", str(tmp_path / "m"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "latin1.json is not valid JSON" in err and "byte 0xe9 in position 10" in err
+
+
 def test_compare_emits_tables_and_json(tmp_path, small_csv, fast_config, capsys):
     out = tmp_path / "report.md"
     code = run_cli([
