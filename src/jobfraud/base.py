@@ -1,12 +1,11 @@
-"""Estimator conventions and input validation helpers.
+"""Estimator base classes and input validation helpers.
 
-Estimators here follow the scikit-learn protocol (``fit``/``predict``/
-``get_params``/``set_params``) without depending on scikit-learn itself:
-constructor arguments are stored verbatim on ``self``, fitted state gets a
-trailing underscore, and ``get_params`` reads the constructor signature.
+``fit`` stores fitted state in attributes with a trailing underscore. A
+classifier is built from the ``RunConfig`` and reads its hyperparameters
+from its own section of it, so each is declared once, in ``config.py``;
+``decision_scores`` gives the fraud probability of each row, and
+``predict`` labels a score at or above ``cfg.threshold`` as 1.
 """
-
-import inspect
 
 import numpy as np
 
@@ -18,25 +17,7 @@ class NotFittedError(RuntimeError):
 
 
 class Estimator:
-    """Base class supplying the get_params/set_params protocol."""
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"unknown parameter {name!r} for {type(self).__name__}"
-                )
-            setattr(self, name, value)
-        return self
+    """Fitted state lives in attributes with a trailing underscore."""
 
     def _check_fitted(self, attr):
         if not hasattr(self, attr):
@@ -44,9 +25,19 @@ class Estimator:
                 f"{type(self).__name__} instance is not fitted yet"
             )
 
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
+
+class Classifier(Estimator):
+    """Holds the run's ``cfg``; prediction over a subclass's ``decision_scores``."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    def predict_proba(self, X) -> np.ndarray:
+        scores = self.decision_scores(X)
+        return np.column_stack([1.0 - scores, scores])
+
+    def predict(self, X) -> np.ndarray:
+        return (self.decision_scores(X) >= self.cfg.threshold).astype(np.int64)
 
 
 def check_matrix(X, name="X") -> np.ndarray:

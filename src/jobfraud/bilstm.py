@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndgrad, trainer
-from .base import Estimator, check_labels, check_matrix
+from .base import Classifier, check_labels, check_matrix
+from .config import RunConfig
 from .errors import ShapeError
 from .ndgrad import Tensor
 from .rng import SplitMix64
@@ -415,52 +416,33 @@ def predict_scores(ids, numeric, params: ModelParams, chunk: int = 256) -> np.nd
 # Estimator
 # --------------------------------------------------------------------------
 
-class BiLstmClassifier(Estimator):
+class BiLstmClassifier(Classifier):
     """Binary classifier over [token ids | numeric features] rows.
 
     ``X`` packs each example as ``sequence_length`` integer token ids
     followed by the numeric feature block, so the matrix composes with
-    ordinary array pipelines. Training minimizes binary cross-entropy with
-    Adam and early-stops on validation loss, restoring the best epoch's
-    weights. ``predict`` and the validation accuracy label a score at or
-    above ``threshold`` as 1.
+    ordinary array pipelines. The model shape comes from ``cfg.bilstm``,
+    ``cfg.features.sequence_length`` and ``cfg.seed``; ``vocab_size`` is
+    the fitted vocabulary's size. Training (``trainer.train``, reading
+    ``cfg.train``) minimizes binary cross-entropy with Adam and early-stops
+    on validation loss, restoring the best epoch's weights. ``predict`` and
+    the validation accuracy label a score at or above ``cfg.threshold`` as 1.
     """
 
-    def __init__(
-        self,
-        vocab_size=10000,
-        embedding_dim=32,
-        hidden_units=64,
-        dense_units=64,
-        sequence_length=256,
-        learning_rate=1e-3,
-        batch_size=32,
-        max_epochs=25,
-        patience=2,
-        seed=42,
-        threshold=0.5,
-    ):
-        self.vocab_size = vocab_size
-        self.embedding_dim = embedding_dim
-        self.hidden_units = hidden_units
-        self.dense_units = dense_units
-        self.sequence_length = sequence_length
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
-        self.max_epochs = max_epochs
-        self.patience = patience
-        self.seed = seed
-        self.threshold = threshold
+    def __init__(self, cfg: RunConfig, vocab_size: int):
+        super().__init__(cfg)
+        self.vocab_size = vocab_size  # of the fitted vocabulary, not configured
 
     def _split_columns(self, X):
         X = check_matrix(X)
-        if X.shape[1] <= self.sequence_length:
+        length = self.cfg.features.sequence_length
+        if X.shape[1] <= length:
             raise ValueError(
-                f"X must have sequence_length={self.sequence_length} id columns "
+                f"X must have sequence_length={length} id columns "
                 f"plus at least one numeric column, got width {X.shape[1]}"
             )
-        ids = X[:, : self.sequence_length].astype(np.int64)
-        numeric = X[:, self.sequence_length :]
+        ids = X[:, :length].astype(np.int64)
+        numeric = X[:, length:]
         return ids, numeric
 
     def fit(self, X, y, validation_data=None):
@@ -468,7 +450,7 @@ class BiLstmClassifier(Estimator):
         y = check_labels(y, ids.shape[0])
         if validation_data is None:
             order = list(range(ids.shape[0]))
-            SplitMix64(self.seed).shuffle(order)
+            SplitMix64(self.cfg.seed).shuffle(order)
             n_val = max(1, int(0.2 * len(order)))
             val_idx, train_idx = order[:n_val], order[n_val:]
             ids_val, numeric_val, y_val = ids[val_idx], numeric[val_idx], y[val_idx]
@@ -480,28 +462,18 @@ class BiLstmClassifier(Estimator):
 
         self.config_ = ModelConfig(
             vocab_size=self.vocab_size,
-            embedding_dim=self.embedding_dim,
-            hidden_units=self.hidden_units,
-            dense_units=self.dense_units,
-            sequence_length=self.sequence_length,
+            **vars(self.cfg.bilstm),
+            sequence_length=self.cfg.features.sequence_length,
             numeric_width=numeric.shape[1],
-            seed=self.seed,
+            seed=self.cfg.seed,
         )
         self.params_ = init_params(self.config_)
-        train_cfg = trainer.TrainConfig(
-            max_epochs=self.max_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            patience=self.patience,
-            seed=self.seed,
-            threshold=self.threshold,
-        )
         self.history_ = trainer.train(
             self.params_.named_tensors(),
             lambda b_ids, b_num: model_forward(b_ids, b_num, self.params_),
             (ids, numeric, y),
             (ids_val, numeric_val, y_val),
-            train_cfg,
+            self.cfg,
         )
         self.classes_ = np.array([0, 1])
         return self
@@ -510,10 +482,3 @@ class BiLstmClassifier(Estimator):
         self._check_fitted("params_")
         ids, numeric = self._split_columns(X)
         return predict_scores(ids, numeric, self.params_)
-
-    def predict_proba(self, X) -> np.ndarray:
-        scores = self.decision_scores(X)
-        return np.column_stack([1.0 - scores, scores])
-
-    def predict(self, X) -> np.ndarray:
-        return (self.decision_scores(X) >= self.threshold).astype(np.int64)

@@ -89,9 +89,26 @@ def save_model(bundle: ModelBundle, directory) -> None:
         raise ModelStoreError(f"cannot write bundle to {directory}: {exc}") from exc
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _check_coverage(manifest: dict, blob: bytes) -> None:
+    """The tensor directory is a list of {name: str, shape: [count, ...],
+    offset: count} entries that lie end to end over the whole blob."""
+    directory = manifest.get("tensors")
+    if not isinstance(directory, list):
+        raise ModelStoreError(f"tensor directory must be a list, got {directory!r}")
     offset = 0
-    for entry in manifest["tensors"]:
+    for entry in directory:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(map(_is_count, entry["shape"]))
+            and _is_count(entry.get("offset"))
+        ):
+            raise ModelStoreError(f"malformed tensor directory entry {entry!r}")
         if entry["offset"] != offset:
             raise ModelStoreError(
                 f"tensor {entry['name']!r} starts at byte {entry['offset']}, expected {offset}"

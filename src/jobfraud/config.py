@@ -1,7 +1,9 @@
 """Run configuration: one JSON document covering every knob.
 
-Unspecified keys take the defaults below; unknown keys are rejected so a
-typo cannot silently fall back to a default.
+Every hyperparameter is declared once, here; each estimator reads its own
+section. Unspecified keys take the defaults below; unknown keys are
+rejected so a typo cannot silently fall back to a default, and a loaded
+value must have its field's type and lie in its range.
 """
 
 import dataclasses
@@ -22,22 +24,41 @@ MODEL_ALIASES = {
 MODEL_KINDS = ("bilstm", "random_forest", "gbm", "leafwise_gbm")
 
 
+class _Section:
+    """Range checks shared by the sections: the fields named in `_positive`
+    must be greater than zero (so not NaN, which JSON input may carry).
+    Messages begin with the field name."""
+
+    _positive = ()
+
+    def __post_init__(self):
+        for name in self._positive:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+
+
 @dataclass(frozen=True)
-class FeatureSection:
+class FeatureSection(_Section):
+    _positive = ("sequence_length", "tabular_terms")
+
     max_tokens: int = 10000
     sequence_length: int = 256
     tabular_terms: int = 500
 
 
 @dataclass(frozen=True)
-class BilstmSection:
+class BilstmSection(_Section):
+    _positive = ("embedding_dim", "hidden_units", "dense_units")
+
     embedding_dim: int = 32
     hidden_units: int = 64
     dense_units: int = 64
 
 
 @dataclass(frozen=True)
-class TrainSection:
+class TrainSection(_Section):
+    _positive = ("max_epochs", "batch_size", "learning_rate", "eps", "patience")
+
     max_epochs: int = 25
     batch_size: int = 32
     learning_rate: float = 1e-3
@@ -46,9 +67,21 @@ class TrainSection:
     eps: float = 1e-8
     patience: int = 2
 
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if self.patience >= self.max_epochs:
+            raise ValueError(
+                f"patience must be smaller than max_epochs, got {self.patience} >= {self.max_epochs}"
+            )
+
 
 @dataclass(frozen=True)
-class RandomForestSection:
+class RandomForestSection(_Section):
+    _positive = ("n_trees", "min_samples_leaf")
+
     n_trees: int = 100
     max_depth: int = 25
     min_samples_leaf: int = 1
@@ -56,7 +89,9 @@ class RandomForestSection:
 
 
 @dataclass(frozen=True)
-class GbmSection:
+class GbmSection(_Section):
+    _positive = ("min_samples_leaf",)
+
     n_rounds: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
@@ -64,7 +99,9 @@ class GbmSection:
 
 
 @dataclass(frozen=True)
-class LeafwiseSection:
+class LeafwiseSection(_Section):
+    _positive = ("min_samples_leaf",)
+
     n_rounds: int = 100
     learning_rate: float = 0.1
     max_leaves: int = 31
@@ -84,6 +121,10 @@ class RunConfig:
     gbm: GbmSection = field(default_factory=GbmSection)
     leafwise_gbm: LeafwiseSection = field(default_factory=LeafwiseSection)
 
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold!r}")
+
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
 
@@ -91,21 +132,34 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+def _has_type(value, kind) -> bool:
+    """JSON typing of a field: a bool is not an int, and an int is a float."""
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _build_section(cls, data: dict, path: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    known = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(repr(path + k) for k in unknown)}")
     kwargs = {}
     for name, value in data.items():
-        section_cls = known[name].type
-        if dataclasses.is_dataclass(section_cls):
+        kind = known[name]
+        if dataclasses.is_dataclass(kind):
             if not isinstance(value, dict):
                 raise UsageError(f"config key {path + name!r} must be an object")
-            kwargs[name] = _build_section(section_cls, value, f"{path}{name}.")
+            kwargs[name] = _build_section(kind, value, f"{path}{name}.")
+        elif not _has_type(value, kind):
+            raise UsageError(f"config key {path + name!r} must be {kind.__name__}, got {value!r}")
         else:
             kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the range checks' messages begin with the field name
+        name, _, reason = str(exc).partition(" ")
+        raise UsageError(f"config key {path + name!r} {reason}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:

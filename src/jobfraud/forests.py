@@ -22,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from . import features as features_mod
-from .base import Estimator, check_labels, check_matrix
+from .base import Classifier, check_labels, check_matrix
 from .errors import ShapeError
 from .ndgrad import _sigmoid_values
 from .rng import SplitMix64
@@ -616,8 +616,8 @@ def build_tabular(numeric, texts, terms) -> np.ndarray:
 # Estimators
 # --------------------------------------------------------------------------
 
-class _EnsembleEstimator(Estimator):
-    """``predict`` labels a score at or above ``threshold`` as 1."""
+class _EnsembleEstimator(Classifier):
+    """Fits one ensemble with the settings of its ``RunConfig`` section."""
 
     def _fit_model(self, X, y) -> EnsembleModel:
         raise NotImplementedError
@@ -631,63 +631,23 @@ class _EnsembleEstimator(Estimator):
         self._check_fitted("model_")
         return ensemble_predict(self.model_, X)
 
-    def predict_proba(self, X) -> np.ndarray:
-        scores = self.decision_scores(X)
-        return np.column_stack([1.0 - scores, scores])
-
-    def predict(self, X) -> np.ndarray:
-        return (self.decision_scores(X) >= self.threshold).astype(np.int64)
-
-    def _fit_params(self) -> dict:
-        """Constructor parameters minus the decision threshold."""
-        params = self.get_params()
-        del params["threshold"]
-        return params
-
 
 class RandomForest(_EnsembleEstimator):
     """Votes of bootstrapped Gini trees with sqrt feature subsampling."""
 
-    def __init__(self, n_trees=100, max_depth=25, min_samples_leaf=1,
-                 feature_subsample="sqrt", bootstrap=True, seed=42, threshold=0.5):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.feature_subsample = feature_subsample
-        self.bootstrap = bootstrap
-        self.seed = seed
-        self.threshold = threshold
-
     def _fit_model(self, X, y):
-        return fit_random_forest(X, y, **self._fit_params())
+        return fit_random_forest(X, y, seed=self.cfg.seed, **vars(self.cfg.random_forest))
 
 
 class GradientBoosting(_EnsembleEstimator):
     """Depth-wise logistic-loss boosting with exact split search."""
 
-    def __init__(self, n_rounds=100, learning_rate=0.1, max_depth=3,
-                 min_samples_leaf=1, threshold=0.5):
-        self.n_rounds = n_rounds
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.threshold = threshold
-
     def _fit_model(self, X, y):
-        return fit_gbm(X, y, **self._fit_params())
+        return fit_gbm(X, y, **vars(self.cfg.gbm))
 
 
 class LeafwiseGradientBoosting(_EnsembleEstimator):
     """Leaf-wise histogram boosting (highest-gain leaf splits first)."""
 
-    def __init__(self, n_rounds=100, learning_rate=0.1, max_leaves=31,
-                 n_bins=255, min_samples_leaf=20, threshold=0.5):
-        self.n_rounds = n_rounds
-        self.learning_rate = learning_rate
-        self.max_leaves = max_leaves
-        self.n_bins = n_bins
-        self.min_samples_leaf = min_samples_leaf
-        self.threshold = threshold
-
     def _fit_model(self, X, y):
-        return fit_leafwise_gbm(X, y, **self._fit_params())
+        return fit_leafwise_gbm(X, y, **vars(self.cfg.leafwise_gbm))

@@ -6,7 +6,7 @@ row); ``train_pipeline`` then fits any of the four model kinds on the same
 split, so compare-style runs score every model on identical test indices.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,42 +62,12 @@ def prepare(dataset: Dataset, cfg: RunConfig, kinds=("bilstm",)) -> PreparedData
     return prepared
 
 
-def _make_estimator(kind: str, cfg: RunConfig, vocab_size: int | None = None):
-    if kind == "bilstm":
-        return bilstm.BiLstmClassifier(
-            vocab_size=vocab_size,
-            embedding_dim=cfg.bilstm.embedding_dim,
-            hidden_units=cfg.bilstm.hidden_units,
-            dense_units=cfg.bilstm.dense_units,
-            sequence_length=cfg.features.sequence_length,
-            learning_rate=cfg.train.learning_rate,
-            batch_size=cfg.train.batch_size,
-            max_epochs=cfg.train.max_epochs,
-            patience=cfg.train.patience,
-            seed=cfg.seed,
-            threshold=cfg.threshold,
-        )
-    if kind == "random_forest":
-        c = cfg.random_forest
-        return forests.RandomForest(
-            n_trees=c.n_trees, max_depth=c.max_depth,
-            min_samples_leaf=c.min_samples_leaf, bootstrap=c.bootstrap, seed=cfg.seed,
-            threshold=cfg.threshold,
-        )
-    if kind == "gbm":
-        c = cfg.gbm
-        return forests.GradientBoosting(
-            n_rounds=c.n_rounds, learning_rate=c.learning_rate,
-            max_depth=c.max_depth, min_samples_leaf=c.min_samples_leaf,
-            threshold=cfg.threshold,
-        )
-    if kind == "leafwise_gbm":
-        c = cfg.leafwise_gbm
-        return forests.LeafwiseGradientBoosting(
-            n_rounds=c.n_rounds, learning_rate=c.learning_rate, max_leaves=c.max_leaves,
-            n_bins=c.n_bins, min_samples_leaf=c.min_samples_leaf, threshold=cfg.threshold,
-        )
-    raise DataError(f"unknown model kind {kind!r}")
+# Tree-ensemble kind -> estimator class; each reads its own RunConfig section.
+_ENSEMBLES = {
+    "random_forest": forests.RandomForest,
+    "gbm": forests.GradientBoosting,
+    "leafwise_gbm": forests.LeafwiseGradientBoosting,
+}
 
 
 class DetectionPipeline:
@@ -138,15 +108,7 @@ class DetectionPipeline:
         extra = {}
         tensors = ()
         if self.kind == "bilstm":
-            config["model_config"] = {
-                "vocab_size": self.model.config_.vocab_size,
-                "embedding_dim": self.model.config_.embedding_dim,
-                "hidden_units": self.model.config_.hidden_units,
-                "dense_units": self.model.config_.dense_units,
-                "sequence_length": self.model.config_.sequence_length,
-                "numeric_width": self.model.config_.numeric_width,
-                "seed": self.model.config_.seed,
-            }
+            config["model_config"] = asdict(self.model.config_)
             extra["vocabulary"] = list(self.vectorizer.vocabulary_.id_to_token)
             tensors = [(name, t.values) for name, t in self.model.params_.named_tensors()]
         else:
@@ -205,14 +167,14 @@ class DetectionPipeline:
                 sequence_length=mc["sequence_length"],
             )
             vectorizer.vocabulary_ = vocab
-            model = _make_estimator(kind, cfg, vocab_size=mc["vocab_size"])
+            model = bilstm.BiLstmClassifier(cfg, mc["vocab_size"])
             model.params_ = bilstm.params_from_arrays(model_cfg, bundle.tensor)
             model.config_ = model_cfg
             model.classes_ = np.array([0, 1])
             return cls(kind, cfg, encoder, model, fingerprint, vectorizer=vectorizer)
 
         ensemble = forests.ensemble_from_dict(manifest["ensemble"])
-        model = _make_estimator(kind, cfg)
+        model = _ENSEMBLES[kind](cfg)
         model.model_ = ensemble
         model.classes_ = np.array([0, 1])
         return cls(kind, cfg, encoder, model, fingerprint, terms=list(manifest["terms"]))
@@ -237,12 +199,12 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
 
     if kind == "bilstm":
         X = prepared.packed_bilstm()
-        model = _make_estimator(kind, cfg, vocab_size=len(prepared.vectorizer.vocabulary_))
+        model = bilstm.BiLstmClassifier(cfg, len(prepared.vectorizer.vocabulary_))
         model.fit(X[train_idx], y[train_idx], validation_data=(X[val_idx], y[val_idx]))
         history = model.history_
     else:
         X = prepared.tabular
-        model = _make_estimator(kind, cfg)
+        model = _ENSEMBLES[kind](cfg)
         model.fit(X[train_idx], y[train_idx])
         history = None
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndgrad
+from .config import RunConfig
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 
@@ -43,26 +44,6 @@ def split_dataset(n: int, seed: int) -> SplitResult:
         validation=tuple(indices[n_test : n_test + n_val]),
         test=tuple(indices[:n_test]),
     )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 25
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    patience: int = 2
-    seed: int = 42
-    threshold: float = 0.5  # decision threshold of the validation accuracy
-
-    def __post_init__(self):
-        for name in ("max_epochs", "batch_size", "learning_rate", "patience"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.patience >= self.max_epochs:
-            raise ValueError("patience must be smaller than max_epochs")
 
 
 @dataclass
@@ -154,37 +135,39 @@ def _evaluate(forward_fn, ids, numeric, chunk=256) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def train(named_params, forward_fn, train_data, val_data, cfg: TrainConfig) -> History:
+def train(named_params, forward_fn, train_data, val_data, cfg: RunConfig) -> History:
     """Mini-batch Adam with early stopping on validation loss.
 
-    Shuffles the training indices each epoch with fresh splitmix64 draws,
-    minimizes mean binary cross-entropy, and restores the parameters of
-    the best-validation-loss epoch before returning.
+    Reads `cfg.train`, shuffles the training indices each epoch with fresh
+    draws from the `cfg.seed` stream, minimizes mean binary cross-entropy,
+    scores validation accuracy at `cfg.threshold`, and restores the
+    parameters of the best-validation-loss epoch before returning.
     """
     ids, numeric, labels = train_data
     ids_val, numeric_val, labels_val = val_data
     if ids.shape[0] == 0 or ids_val.shape[0] == 0:
         raise DataError("training and validation splits must be nonempty")
 
+    opts = cfg.train
     rng = SplitMix64(cfg.seed)
     adam = Adam(
         named_params,
-        learning_rate=cfg.learning_rate,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
+        learning_rate=opts.learning_rate,
+        beta1=opts.beta1,
+        beta2=opts.beta2,
+        eps=opts.eps,
     )
     history = History()
     order = list(range(ids.shape[0]))
     best_loss = np.inf
     best_snapshot = None
 
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, opts.max_epochs + 1):
         rng.shuffle(order)
         batch_losses = []
         with ndgrad.gc_paused():
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
+            for start in range(0, len(order), opts.batch_size):
+                batch = order[start : start + opts.batch_size]
                 adam.zero_grad()
                 try:
                     with ndgrad.Graph() as g:
@@ -211,7 +194,7 @@ def train(named_params, forward_fn, train_data, val_data, cfg: TrainConfig) -> H
         if val_loss < best_loss:
             best_loss = val_loss
             best_snapshot = {name: t.values.copy() for name, t in named_params}
-        stop, best_index = early_stop_check(history.val_loss, cfg.patience)
+        stop, best_index = early_stop_check(history.val_loss, opts.patience)
         history.stopped_epoch = epoch
         history.best_epoch = best_index + 1
         if stop:

@@ -15,6 +15,7 @@ from jobfraud.bilstm import (
     model_forward,
     parameter_count,
 )
+from jobfraud.config import BilstmSection, FeatureSection, RunConfig, TrainSection
 from jobfraud.ndgrad import Tensor
 from tape_reference import lstm_cell, tape_encode
 
@@ -352,11 +353,13 @@ def test_full_model_gradient_check_two_examples():
 
 def test_classifier_fit_predict_roundtrip(toy_separable):
     X, y, length = toy_separable
-    clf = BiLstmClassifier(
-        vocab_size=6, embedding_dim=4, hidden_units=6, dense_units=6,
-        sequence_length=length, learning_rate=1e-2, batch_size=8,
-        max_epochs=40, patience=39, seed=3,
+    cfg = RunConfig(
+        seed=3,
+        features=FeatureSection(sequence_length=length),
+        bilstm=BilstmSection(embedding_dim=4, hidden_units=6, dense_units=6),
+        train=TrainSection(learning_rate=1e-2, batch_size=8, max_epochs=40, patience=39),
     )
+    clf = BiLstmClassifier(cfg, vocab_size=6)
     clf.fit(X, y)
     assert (clf.predict(X) == y).all()
     proba = clf.predict_proba(X)
@@ -364,15 +367,7 @@ def test_classifier_fit_predict_roundtrip(toy_separable):
     assert np.allclose(proba.sum(axis=1), 1.0)
 
 
-def test_classifier_get_set_params():
-    clf = BiLstmClassifier(hidden_units=16)
-    assert clf.get_params()["hidden_units"] == 16
-    clf.set_params(hidden_units=8)
-    assert clf.hidden_units == 8
-    with pytest.raises(ValueError):
-        clf.set_params(bogus=1)
-
-
 def test_classifier_requires_fit():
+    cfg = RunConfig(features=FeatureSection(sequence_length=4))
     with pytest.raises(Exception):
-        BiLstmClassifier(sequence_length=4).predict(np.zeros((1, 6)))
+        BiLstmClassifier(cfg, vocab_size=10000).predict(np.zeros((1, 6)))

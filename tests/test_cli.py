@@ -285,15 +285,45 @@ def test_config_unknown_nested_key_exits_one(tmp_path, small_csv, capsys):
     )
 
 
+@pytest.mark.parametrize("config, model, key", [
+    ({"train": {"max_epochs": 2, "patience": 3}}, "bilstm", "'train.patience' must be smaller"),
+    ({"train": {"max_epochs": "2"}}, "bilstm", "'train.max_epochs' must be int"),
+    ({"train": {"batch_size": True}}, "bilstm", "'train.batch_size' must be int"),
+    ({"threshold": "x"}, "bilstm", "'threshold' must be float"),
+    ({"threshold": 1.5}, "gbm", "'threshold' must lie in [0, 1]"),
+    ({"features": {"sequence_length": 0}}, "bilstm", "'features.sequence_length' must be positive"),
+    ({"bilstm": {"hidden_units": -4}}, "bilstm", "'bilstm.hidden_units' must be positive"),
+    ({"features": {"tabular_terms": -2}}, "gbm", "'features.tabular_terms' must be positive"),
+    ({"random_forest": {"n_trees": 0}}, "rf", "'random_forest.n_trees' must be positive"),
+    ({"gbm": {"min_samples_leaf": 0}}, "gbm", "'gbm.min_samples_leaf' must be positive"),
+], ids=["patience", "str-int", "bool-int", "str-float", "threshold-range", "sequence-length",
+        "hidden-units", "tabular-terms", "n-trees", "min-samples-leaf"])
+def test_config_bad_value_exits_one(tmp_path, small_csv, config, model, key, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli([
+        "train", "--data", str(small_csv), "--config", str(path),
+        "--out", str(tmp_path / "m"), "--model", model,
+    ])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("manifest, message", [
     (b'{"format_version": "\xe9"}', "can't decode byte 0xe9 in position 20"),
     (b"[]", "not a JSON object"),
-], ids=["non-utf8", "not-an-object"])
+    ({"tensors": 5}, "tensor directory must be a list"),
+    ({"tensors": [5]}, "malformed tensor directory entry 5"),
+], ids=["non-utf8", "not-an-object", "tensors-not-a-list", "tensor-entry-not-an-object"])
 def test_bad_manifest_exits_three(
     tmp_path, trained_model_dir, small_csv, manifest, message, capsys
 ):
     model = tmp_path / "model"
     shutil.copytree(trained_model_dir, model)
+    if isinstance(manifest, dict):  # fields to overwrite in the trained manifest
+        stored = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+        manifest = json.dumps({**stored, **manifest}).encode("utf-8")
     (model / "manifest.json").write_bytes(manifest)
     code = run_cli([
         "predict", "--model", str(model), "--input", str(small_csv),

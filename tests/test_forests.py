@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jobfraud import forests
+from jobfraud.config import GbmSection, LeafwiseSection, RandomForestSection, RunConfig
 from jobfraud.errors import ShapeError
 from jobfraud.forests import (
     EnsembleModel,
@@ -684,9 +685,11 @@ def test_build_tabular_width_constant():
 def test_estimator_wrappers_fit_predict():
     X, y = _separable(n=80)
     for est in (
-        RandomForest(n_trees=10, seed=1),
-        GradientBoosting(n_rounds=10),
-        LeafwiseGradientBoosting(n_rounds=10, min_samples_leaf=5),
+        RandomForest(RunConfig(seed=1, random_forest=RandomForestSection(n_trees=10))),
+        GradientBoosting(RunConfig(gbm=GbmSection(n_rounds=10))),
+        LeafwiseGradientBoosting(
+            RunConfig(leafwise_gbm=LeafwiseSection(n_rounds=10, min_samples_leaf=5))
+        ),
     ):
         est.fit(X, y)
         proba = est.predict_proba(X)
@@ -700,9 +703,13 @@ def test_estimator_predict_uses_threshold():
     X = rng.normal(size=(80, 4))
     y = (X[:, 2] + rng.normal(size=80) > 0).astype(int)  # noisy: scores between 0 and 1
     for est in (
-        RandomForest(n_trees=5, seed=1, threshold=0.7),
-        GradientBoosting(n_rounds=3, threshold=0.7),
-        LeafwiseGradientBoosting(n_rounds=3, min_samples_leaf=5, threshold=0.7),
+        RandomForest(RunConfig(
+            seed=1, threshold=0.7, random_forest=RandomForestSection(n_trees=5)
+        )),
+        GradientBoosting(RunConfig(threshold=0.7, gbm=GbmSection(n_rounds=3))),
+        LeafwiseGradientBoosting(RunConfig(
+            threshold=0.7, leafwise_gbm=LeafwiseSection(n_rounds=3, min_samples_leaf=5)
+        )),
     ):
         scores = est.fit(X, y).decision_scores(X)
         assert ((scores >= 0.5) & (scores < 0.7)).any()  # rows the threshold decides

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobfraud import bilstm, ndgrad, trainer
+from jobfraud import bilstm, ingest, ndgrad, pipeline, trainer
+from jobfraud.config import BilstmSection, FeatureSection, RunConfig, TrainSection
 from jobfraud.errors import DataError, NumericError
 from jobfraud.trainer import (
     Adam,
-    TrainConfig,
     early_stop_check,
     split_dataset,
     train,
@@ -146,17 +146,6 @@ def test_early_stop_empty_error():
 
 
 # --------------------------------------------------------------------------
-# TrainConfig
-# --------------------------------------------------------------------------
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(patience=25, max_epochs=25)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-
-
-# --------------------------------------------------------------------------
 # train()
 # --------------------------------------------------------------------------
 
@@ -177,10 +166,14 @@ def _toy_model_and_data(seed=3):
     return params, forward, ids, numeric, y
 
 
+def _run_config(seed, **train):
+    return RunConfig(seed=seed, train=TrainSection(**train))
+
+
 def test_train_reaches_full_accuracy_on_separable_toy():
     params, forward, ids, numeric, y = _toy_model_and_data()
-    cfg = TrainConfig(max_epochs=200, batch_size=8, learning_rate=1e-2,
-                      patience=199, seed=3)  # patience effectively disabled
+    # patience effectively disabled
+    cfg = _run_config(3, max_epochs=200, batch_size=8, learning_rate=1e-2, patience=199)
     history = train(
         params.named_tensors(), forward,
         (ids, numeric, y), (ids, numeric, y), cfg,
@@ -192,7 +185,7 @@ def test_train_reaches_full_accuracy_on_separable_toy():
 
 def test_train_first_epoch_loss_below_ln2():
     params, forward, ids, numeric, y = _toy_model_and_data()
-    cfg = TrainConfig(max_epochs=2, batch_size=4, learning_rate=1e-3, patience=1, seed=3)
+    cfg = _run_config(3, max_epochs=2, batch_size=4, learning_rate=1e-3, patience=1)
     history = train(
         params.named_tensors(), forward,
         (ids, numeric, y), (ids, numeric, y), cfg,
@@ -217,7 +210,7 @@ def test_train_frozen_batch_loss_decreases_over_first_steps():
 
 def test_train_restores_best_epoch_weights():
     params, forward, ids, numeric, y = _toy_model_and_data()
-    cfg = TrainConfig(max_epochs=30, batch_size=8, learning_rate=5e-2, patience=4, seed=3)
+    cfg = _run_config(3, max_epochs=30, batch_size=8, learning_rate=5e-2, patience=4)
     history = train(
         params.named_tensors(), forward,
         (ids, numeric, y), (ids, numeric, y), cfg,
@@ -231,7 +224,7 @@ def test_train_restores_best_epoch_weights():
 
 def test_train_empty_split_is_error():
     params, forward, ids, numeric, y = _toy_model_and_data()
-    cfg = TrainConfig(max_epochs=2, patience=1, seed=0)
+    cfg = _run_config(0, max_epochs=2, patience=1)
     with pytest.raises(DataError):
         train(params.named_tensors(), forward, (ids[:0], numeric[:0], y[:0]),
               (ids, numeric, y), cfg)
@@ -239,10 +232,36 @@ def test_train_empty_split_is_error():
 
 def test_train_histories_aligned():
     params, forward, ids, numeric, y = _toy_model_and_data()
-    cfg = TrainConfig(max_epochs=5, batch_size=8, learning_rate=1e-2, patience=4, seed=3)
+    cfg = _run_config(3, max_epochs=5, batch_size=8, learning_rate=1e-2, patience=4)
     history = train(
         params.named_tensors(), forward,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     n = history.stopped_epoch
     assert len(history.train_loss) == len(history.val_loss) == len(history.val_accuracy) == n
+
+
+def test_train_passes_configured_adam_settings(small_csv, monkeypatch):
+    """train.beta1/beta2/eps reach Adam and change the trained weights."""
+    seen = []
+
+    class SpyAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append((self.beta1, self.beta2, self.eps))
+
+    monkeypatch.setattr(trainer, "Adam", SpyAdam)
+    dataset = ingest.load_dataset(small_csv)
+    base = RunConfig(
+        seed=5,
+        features=FeatureSection(max_tokens=300, sequence_length=12, tabular_terms=10),
+        bilstm=BilstmSection(embedding_dim=3, hidden_units=4, dense_units=4),
+        train=TrainSection(max_epochs=2, patience=1),
+    )
+    custom = base.replace(train=TrainSection(max_epochs=2, patience=1, beta1=0.5, eps=0.1))
+    weights = []
+    for cfg in (base, custom):
+        model = pipeline.train_pipeline(dataset, cfg, "bilstm").model
+        weights.append([t.values for _, t in model.params_.named_tensors()])
+    assert seen == [(0.9, 0.999, 1e-8), (0.5, 0.999, 0.1)]
+    assert not all(np.array_equal(a, b) for a, b in zip(*weights))
