@@ -10,6 +10,7 @@ of the blob is stored and verified on load.
 """
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,15 +77,28 @@ def make_bundle(
     return ModelBundle(manifest=manifest, weights=blob)
 
 
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`: a reader sees the old file or the new one, never a part."""
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def save_model(bundle: ModelBundle, directory) -> None:
+    """Write the bundle's two files. The weights go first: a save cut short
+    between the two leaves new weights under the old manifest, which load
+    refuses on the checksum."""
     directory = Path(directory)
+    manifest = json.dumps(bundle.manifest, indent=2) + "\n"
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-            json.dump(bundle.manifest, fh, indent=2)
-            fh.write("\n")
-        with open(directory / WEIGHTS_NAME, "wb") as fh:
-            fh.write(bundle.weights)
+        _replace_file(directory / WEIGHTS_NAME, bundle.weights)
+        _replace_file(directory / MANIFEST_NAME, manifest.encode("utf-8"))
     except OSError as exc:
         raise ModelStoreError(f"cannot write bundle to {directory}: {exc}") from exc
 

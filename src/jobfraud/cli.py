@@ -138,13 +138,14 @@ def _cmd_predict(args) -> int:
     pipe = DetectionPipeline.load(args.model)
     header, raw_rows = read_csv(args.input)
     dataset = assemble_dataset(postings_from_records(header, raw_rows, args.input))
-    scores = pipe.predict_scores(dataset.postings)
-    out_header = [h.strip() for h in header] + ["probability", "predicted_label"]
-    out_rows = []
-    for row, score in zip(raw_rows, scores):
-        padded = list(row) + [""] * (len(header) - len(row))
-        out_rows.append(padded + [f"{score:.6f}", str(int(score >= pipe.cfg.threshold))])
-    write_csv(args.out, out_header, out_rows)
+    scores = pipe.predict_scores(dataset.postings).tolist()
+    threshold = pipe.cfg.threshold
+    width = len(header)  # postings_from_records refused any wider record
+    out_rows = [
+        record + [""] * (width - len(record)) + [f"{score:.6f}", "1" if score >= threshold else "0"]
+        for record, score in zip(raw_rows, scores)
+    ]
+    write_csv(args.out, [h.strip() for h in header] + ["probability", "predicted_label"], out_rows)
     return 0
 
 

@@ -26,20 +26,26 @@ MODEL_KINDS = ("bilstm", "random_forest", "gbm", "leafwise_gbm")
 
 class _Section:
     """Range checks shared by the sections: the fields named in `_positive`
-    must be greater than zero (so not NaN, which JSON input may carry).
+    must be greater than zero (so not NaN, which JSON input may carry), and
+    each (field, least) pair in `_at_least` must be at least `least`.
     Messages begin with the field name."""
 
     _positive = ()
+    _at_least = ()
 
     def __post_init__(self):
         for name in self._positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name, least in self._at_least:
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
 class FeatureSection(_Section):
     _positive = ("sequence_length", "tabular_terms")
+    _at_least = (("max_tokens", 3),)  # PAD, OOV and one token
 
     max_tokens: int = 10000
     sequence_length: int = 256
@@ -80,7 +86,7 @@ class TrainSection(_Section):
 
 @dataclass(frozen=True)
 class RandomForestSection(_Section):
-    _positive = ("n_trees", "min_samples_leaf")
+    _positive = ("n_trees", "max_depth", "min_samples_leaf")
 
     n_trees: int = 100
     max_depth: int = 25
@@ -90,7 +96,7 @@ class RandomForestSection(_Section):
 
 @dataclass(frozen=True)
 class GbmSection(_Section):
-    _positive = ("min_samples_leaf",)
+    _positive = ("max_depth", "min_samples_leaf")
 
     n_rounds: int = 100
     learning_rate: float = 0.1
@@ -101,6 +107,7 @@ class GbmSection(_Section):
 @dataclass(frozen=True)
 class LeafwiseSection(_Section):
     _positive = ("min_samples_leaf",)
+    _at_least = (("max_leaves", 2), ("n_bins", 2))  # a tree that can split
 
     n_rounds: int = 100
     learning_rate: float = 0.1

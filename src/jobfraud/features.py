@@ -5,6 +5,8 @@ validation/test rows, so no leakage flows backward through the vocabulary
 or the category lists.
 """
 
+import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -121,28 +123,40 @@ def fit_categorical_encoders(postings) -> dict:
     return categories
 
 
-def encode_numeric(posting, categories: dict) -> np.ndarray:
-    """Flags, a has-salary indicator, then the one-hot blocks.
+def encode_numeric(postings, categories: dict) -> np.ndarray:
+    """One row per posting: flags, a has-salary indicator, then the one-hot
+    blocks.
 
-    A known category value becomes a unit vector inside its block; unknown
-    or empty values leave the block all zeros.
+    A known category value sets its column inside its block; unknown or
+    empty values leave the block all zeros.
     """
-    parts = [
-        float(posting.telecommuting),
-        float(posting.has_company_logo),
-        float(posting.has_questions),
-        1.0 if posting.salary_range != "" else 0.0,
+    width = 4 + sum(len(categories[column]) for column in CATEGORICAL_COLUMNS)
+    out = np.zeros((len(postings), width), dtype=np.float64)
+    if not postings:
+        return out
+    out[:, :4] = [
+        (p.telecommuting, p.has_company_logo, p.has_questions, p.salary_range != "")
+        for p in postings
     ]
+    # column of each posting's value in each block, -1 for unknown or empty
+    codes = []
+    offset = 4
     for column in CATEGORICAL_COLUMNS:
-        block = [0.0] * len(categories[column])
-        value = _column_value(posting, column)
-        if value:
-            try:
-                block[categories[column].index(value)] = 1.0
-            except ValueError:
-                pass  # unseen at fit time -> all zeros
-        parts.extend(block)
-    return np.array(parts, dtype=np.float64)
+        index = {}
+        for col, value in enumerate(categories[column], start=offset):
+            index.setdefault(value, col)  # a repeated value keeps its first column
+        index.pop("", None)
+        if column == "country":
+            values = [country_of(p.location) for p in postings]
+        else:
+            values = map(operator.attrgetter(column), postings)
+        codes.append(list(map(index.get, values, itertools.repeat(-1))))
+        offset += len(categories[column])
+    codes = np.array(codes, dtype=np.int64)
+    rows = np.broadcast_to(np.arange(len(postings)), codes.shape)
+    known = codes >= 0
+    out[rows[known], codes[known]] = 1.0
+    return out
 
 
 class CategoricalEncoder(Estimator):
@@ -155,10 +169,7 @@ class CategoricalEncoder(Estimator):
 
     def transform(self, postings) -> np.ndarray:
         self._check_fitted("categories_")
-        out = np.zeros((len(postings), self.width_), dtype=np.float64)
-        for i, posting in enumerate(postings):
-            out[i] = encode_numeric(posting, self.categories_)
-        return out
+        return encode_numeric(postings, self.categories_)
 
     def fit_transform(self, postings):
         return self.fit(postings).transform(postings)

@@ -14,6 +14,7 @@ import codecs
 import csv
 import dataclasses
 import io
+import itertools
 import logging
 import operator
 import re
@@ -56,7 +57,8 @@ class RawPosting:
 
 @dataclass(frozen=True, slots=True)
 class CleanPosting:
-    """A RawPosting plus its normalized title and combined text."""
+    """A RawPosting plus its normalized combined text; the normalized title
+    is derived on access."""
 
     job_id: int
     title: str
@@ -76,8 +78,11 @@ class CleanPosting:
     industry: str
     function: str
     fraudulent: int
-    title_clean: str
     full_text: str
+
+    @property
+    def title_clean(self) -> str:
+        return normalize_text(self.title)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +92,8 @@ class Dataset:
 
 
 _COLUMN_NAMES = [f.name for f in dataclasses.fields(RawPosting)]
+# (position in _COLUMN_NAMES, name) of each flag; job_id is position 0
+_FLAG_SLOTS = [(_COLUMN_NAMES.index(name), name) for name in FLAG_COLUMNS]
 
 
 # --------------------------------------------------------------------------
@@ -146,23 +153,25 @@ def read_csv(path) -> tuple:
     return records[0], records[1:]
 
 
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-
-
-def _quote_field(value: str) -> str:
-    if _NEEDS_QUOTES.search(value):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+def _csv_line(fields) -> str:
+    # membership tests inline rather than a call per field: this runs for
+    # every cell of the output
+    return ",".join([
+        '"' + f.replace('"', '""') + '"' if ("," in f or '"' in f or "\n" in f or "\r" in f)
+        else f
+        for f in fields
+    ])
 
 
 def format_csv(header, rows) -> str:
-    lines = [",".join(_quote_field(f) for f in header)]
-    lines.extend(",".join(_quote_field(str(f)) for f in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """CSV text of string records with minimal RFC 4180 quoting: a field
+    holding a comma, quote, CR or LF is quoted, its quotes doubled. Every
+    record ends with LF; a record of one empty field is an empty line."""
+    return "\n".join(map(_csv_line, itertools.chain((header,), rows))) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
-    """Write records with minimal RFC 4180 quoting (LF terminators)."""
+    """Write string records as format_csv lays them out."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(format_csv(header, rows))
 
@@ -193,42 +202,47 @@ def postings_from_records(header, records, source) -> list:
 
     Columns are mapped by header name; unknown columns are ignored and
     known-but-absent columns are treated as empty (logged once, naming
-    `source`). Empty flag cells default to 0 with a counted warning; any
-    other non-{0,1} flag value is a data error. An empty job_id falls back
-    to the 1-based data row number.
+    `source`). A record shorter than the header reads its missing fields
+    as empty; one longer than the header is a data error. Empty flag cells
+    default to 0 with a counted warning; any other non-{0,1} flag value is
+    a data error. An empty job_id falls back to the 1-based data row number.
     """
     header = [h.strip() for h in header]
-    col_index = {}
-    for idx, name in enumerate(header):
-        if name in _COLUMN_NAMES and name not in col_index:
-            col_index[name] = idx
-    missing = [name for name in _COLUMN_NAMES if name not in col_index]
+    width = len(header)
+    # a column the header lacks reads index `width`: the empty field that
+    # padding appends past a record's end
+    positions = [header.index(name) if name in header else width for name in _COLUMN_NAMES]
+    missing = [name for name, at in zip(_COLUMN_NAMES, positions) if at == width]
     if missing:
         logger.warning("columns missing from %s, treated as empty: %s", source, ", ".join(missing))
+    take = operator.itemgetter(*positions)
+    padding = [""] * (width + 1)
 
     flag_defaults = {}
     rows = []
     for data_row, record in enumerate(records, start=1):
         record_number = data_row + 1  # header is record 1
-        values = {}
-        for name, idx in col_index.items():
-            values[name] = record[idx] if idx < len(record) else ""
-        for name in missing:
-            values[name] = ""
-        for flag in FLAG_COLUMNS:
-            values[flag] = _parse_flag(values[flag], flag, record_number, flag_defaults)
-        raw_id = values["job_id"].strip() if isinstance(values["job_id"], str) else values["job_id"]
+        if len(record) > width:
+            raise DataError(
+                f"record {record_number}: {len(record)} fields, but the header has {width}"
+            )
+        if missing or len(record) < width:
+            record = record + padding[len(record):]
+        values = list(take(record))
+        for slot, flag in _FLAG_SLOTS:
+            values[slot] = _parse_flag(values[slot], flag, record_number, flag_defaults)
+        raw_id = values[0].strip()
         if raw_id == "":
             flag_defaults["job_id"] = flag_defaults.get("job_id", 0) + 1
-            values["job_id"] = data_row
+            values[0] = data_row
         else:
             try:
-                values["job_id"] = int(raw_id)
+                values[0] = int(raw_id)
             except ValueError as exc:
                 raise DataError(
                     f"record {record_number}: job_id must be an integer, got {raw_id!r}"
                 ) from exc
-        rows.append(RawPosting(**values))
+        rows.append(RawPosting(*values))
 
     for column, count in sorted(flag_defaults.items()):
         logger.warning("%d empty %r values defaulted", count, column)
@@ -240,9 +254,8 @@ def postings_from_records(header, records, source) -> list:
 # --------------------------------------------------------------------------
 
 _TAG_RE = re.compile(r"<[^>]*>")
-_NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
-# Only these six entities are decoded; anything else falls through to
-# punctuation removal.
+# Only these six entities are decoded, in this order (so "&amp;lt;" is
+# "<"); anything else falls through to punctuation removal.
 _ENTITIES = (
     ("&amp;", "&"),
     ("&lt;", "<"),
@@ -251,6 +264,9 @@ _ENTITIES = (
     ("&#39;", "'"),
     ("&nbsp;", " "),
 )
+# byte -> itself for [a-z0-9], a space for every other byte
+_ALNUM = b"abcdefghijklmnopqrstuvwxyz0123456789"
+_TOKEN_BYTES = bytes(b if b in _ALNUM else 0x20 for b in range(256))
 
 
 def normalize_text(s: str) -> str:
@@ -260,11 +276,13 @@ def normalize_text(s: str) -> str:
     Idempotent; a '<' with no closing '>' is left for punctuation removal.
     """
     s = _TAG_RE.sub(" ", s)
-    for entity, char in _ENTITIES:
-        s = s.replace(entity, char)
-    s = s.lower()
-    s = _NON_ALNUM_RE.sub(" ", s)
-    return s.strip()
+    if "&" in s:  # every entity starts with one
+        for entity, char in _ENTITIES:
+            s = s.replace(entity, char)
+    # Lowercased, a character outside ASCII is never one of [a-z0-9]; the
+    # encoder turns it into "?", which the table makes a separator.
+    cleaned = s.lower().encode("ascii", "replace").translate(_TOKEN_BYTES)
+    return b" ".join(cleaned.split()).decode("ascii")
 
 
 _raw_fields = operator.attrgetter(*_COLUMN_NAMES)
@@ -272,12 +290,8 @@ _text_fields = operator.attrgetter(*TEXT_CONCAT_FIELDS)
 
 
 def clean_posting(row: RawPosting) -> CleanPosting:
-    # CleanPosting's fields are RawPosting's, in order, then the two derived
-    return CleanPosting(
-        *_raw_fields(row),
-        normalize_text(row.title),
-        normalize_text(" ".join(_text_fields(row))),
-    )
+    # CleanPosting's fields are RawPosting's, in order, then full_text
+    return CleanPosting(*_raw_fields(row), normalize_text(" ".join(_text_fields(row))))
 
 
 def assemble_dataset(rows) -> Dataset:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,3 +118,49 @@ def test_empty_blob_for_tree_models(tmp_path):
     loaded = load_model(tmp_path / "m")
     assert loaded.weights == b""
     assert loaded.manifest["ensemble"] == {"trees": []}
+
+
+@pytest.mark.parametrize("failing", [bundle.WEIGHTS_NAME, bundle.MANIFEST_NAME])
+def test_save_cut_short_leaves_no_partial_file(tmp_path, monkeypatch, failing):
+    """A save whose write of one file fails halfway (disk full) leaves the
+    previous bundle loadable, or new weights under the old manifest, which
+    load refuses on the checksum; never a truncated file or a temp file."""
+    old, _ = sample_bundle()
+    save_model(old, tmp_path / "m")
+    names = (bundle.MANIFEST_NAME, bundle.WEIGHTS_NAME)
+    before = {name: (tmp_path / "m" / name).read_bytes() for name in names}
+    new = make_bundle(kind="demo", config={"seed": 2}, tensors=[("w", np.arange(6.0))])
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return HalfWrite(fh) if failing in Path(path).name else fh
+
+    monkeypatch.setattr(bundle, "open", failing_open, raising=False)
+    with pytest.raises(ModelStoreError, match="No space left on device"):
+        save_model(new, tmp_path / "m")
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == sorted(names)
+    assert (tmp_path / "m" / bundle.MANIFEST_NAME).read_bytes() == before[bundle.MANIFEST_NAME]
+    if failing == bundle.WEIGHTS_NAME:
+        assert load_model(tmp_path / "m") == old
+    else:  # the weights went first
+        assert (tmp_path / "m" / bundle.WEIGHTS_NAME).read_bytes() == new.weights
+        with pytest.raises(ModelStoreError, match="checksum"):
+            load_model(tmp_path / "m")
+

@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+import ingest_reference as reference
 from jobfraud import ingest
 from jobfraud.cli import run_cli
 
@@ -166,6 +167,40 @@ def test_predict_works_without_label_column(tmp_path, trained_model_dir, capsys)
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_record_wider_than_header_exits_two(
+    tmp_path, trained_model_dir, small_csv, command, capsys
+):
+    """A record with more fields than the header would put its scores under
+    the wrong columns; every command refuses it, naming the record."""
+    header, records = ingest.read_csv(small_csv)
+    records[4] = records[4] + ["spill", "over"]
+    wide = tmp_path / "wide.csv"
+    ingest.write_csv(wide, header, records)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(wide), "--model", "gbm", "--out", str(out)],
+        "evaluate": ["evaluate", "--model", str(trained_model_dir), "--data", str(wide),
+                     "--split", "all"],
+        "predict": ["predict", "--model", str(trained_model_dir), "--input", str(wide),
+                    "--out", str(out)],
+    }[command]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"data error: record 6: {len(header) + 2} fields, but the header has {len(header)}" in err
+    assert not out.exists()
+
+
+def test_predict_pads_short_records(tmp_path, trained_model_dir):
+    short = tmp_path / "short.csv"
+    short.write_text("job_id,title,location,description\n5,Data Engineer\n", encoding="utf-8")
+    out = tmp_path / "p.csv"
+    assert run_cli(["predict", "--model", str(trained_model_dir),
+                    "--input", str(short), "--out", str(out)]) == 0
+    _, rows = ingest.read_csv(out)
+    assert rows[0][:4] == ["5", "Data Engineer", "", ""] and len(rows[0]) == 6
+
+
 def test_predict_labels_use_bundle_threshold(tmp_path, strict_bilstm_dir, small_csv):
     out = tmp_path / "preds.csv"
     code = run_cli([
@@ -296,8 +331,15 @@ def test_config_unknown_nested_key_exits_one(tmp_path, small_csv, capsys):
     ({"features": {"tabular_terms": -2}}, "gbm", "'features.tabular_terms' must be positive"),
     ({"random_forest": {"n_trees": 0}}, "rf", "'random_forest.n_trees' must be positive"),
     ({"gbm": {"min_samples_leaf": 0}}, "gbm", "'gbm.min_samples_leaf' must be positive"),
+    ({"features": {"max_tokens": 2}}, "bilstm", "'features.max_tokens' must be at least 3, got 2"),
+    ({"leafwise_gbm": {"n_bins": 1}}, "lgbt", "'leafwise_gbm.n_bins' must be at least 2, got 1"),
+    ({"leafwise_gbm": {"max_leaves": 1}}, "lgbt",
+     "'leafwise_gbm.max_leaves' must be at least 2, got 1"),
+    ({"random_forest": {"max_depth": 0}}, "rf", "'random_forest.max_depth' must be positive"),
+    ({"gbm": {"max_depth": -1}}, "gbm", "'gbm.max_depth' must be positive, got -1"),
 ], ids=["patience", "str-int", "bool-int", "str-float", "threshold-range", "sequence-length",
-        "hidden-units", "tabular-terms", "n-trees", "min-samples-leaf"])
+        "hidden-units", "tabular-terms", "n-trees", "min-samples-leaf", "max-tokens", "n-bins",
+        "max-leaves", "rf-max-depth", "gbm-max-depth"])
 def test_config_bad_value_exits_one(tmp_path, small_csv, config, model, key, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -393,7 +435,7 @@ def test_predict_parses_input_once(tmp_path, trained_model_dir, small_csv, monke
     header, records = ingest.read_csv(small_csv)
     pipe = DetectionPipeline.load(trained_model_dir)
     scores = pipe.predict_scores(ingest.load_dataset(small_csv).postings)
-    expected = ingest.format_csv(
+    expected = reference.format_csv(
         [h.strip() for h in header] + ["probability", "predicted_label"],
         [r + [f"{s:.6f}", str(int(s >= pipe.cfg.threshold))] for r, s in zip(records, scores)],
     )

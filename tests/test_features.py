@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ingest_reference as reference
 from jobfraud import features
 from jobfraud.errors import DataError
 from jobfraud.features import (
@@ -130,7 +131,7 @@ def test_encode_numeric_layout():
         salary_range="", employment_type="Part-time", required_experience="zz",
         required_education="zz", industry="zz", function="zz", location="ZZ",
     )
-    vec = encode_numeric(p, cats)
+    vec = encode_numeric([p], cats)[0]
     assert vec[0] == 1 and vec[1] == 0 and vec[2] == 1 and vec[3] == 0
     assert vec[4:].sum() == 0  # all categoricals unknown -> zero blocks
 
@@ -139,7 +140,7 @@ def test_encode_numeric_salary_flag():
     cats = fit_categorical_encoders([make_posting()])
     p = make_posting(telecommuting=0, has_company_logo=0, has_questions=0,
                      salary_range="40000-50000")
-    assert encode_numeric(p, cats)[3] == 1.0
+    assert encode_numeric([p], cats)[0, 3] == 1.0
 
 
 def test_encode_numeric_known_unit_vector():
@@ -149,8 +150,41 @@ def test_encode_numeric_known_unit_vector():
     ]
     cats = fit_categorical_encoders(postings)
     p = make_posting(employment_type="Full-time")
-    block = encode_numeric(p, cats)[4:6]
+    block = encode_numeric([p], cats)[0, 4:6]
     assert list(block) == [0.0, 1.0]
+
+
+_category = st.sampled_from(["", "A", "B", "Full-time", "US", "us"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.fixed_dictionaries({
+        "telecommuting": st.sampled_from([0, 1]),
+        "has_questions": st.sampled_from([0, 1]),
+        "salary_range": st.sampled_from(["", "10-20"]),
+        "employment_type": _category,
+        "industry": _category,
+        "location": st.sampled_from(["", "US, NY", "us", " A ,x", "B"]),
+    }), max_size=6),
+    st.fixed_dictionaries({
+        column: st.lists(_category, max_size=4) for column in features.CATEGORICAL_COLUMNS
+    }),
+)
+def test_encode_numeric_equals_reference(fields, categories):
+    """Unknown, empty and repeated categories included."""
+    postings = [make_posting(job_id=i, **f) for i, f in enumerate(fields)]
+    got = encode_numeric(postings, categories)
+    expected = [reference.encode_numeric(p, categories) for p in postings]
+    assert got.dtype == np.float64 and got.shape[0] == len(postings)
+    assert np.array_equal(got, np.array(expected).reshape(got.shape))
+
+
+def test_encoder_transform_equals_reference(fixture_dataset):
+    postings = fixture_dataset.postings
+    enc = CategoricalEncoder().fit(postings[:1000])
+    expected = np.array([reference.encode_numeric(p, enc.categories_) for p in postings])
+    assert np.array_equal(enc.transform(postings), expected)
 
 
 def test_one_hot_blocks_sum_at_most_one(fixture_dataset):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ingest_reference as reference
 from jobfraud import ingest, synth
 from jobfraud.errors import CsvParseError, DataError
 
@@ -182,6 +183,24 @@ def test_csv_round_trip_property(rows):
     assert parsed == rows
 
 
+# a lone CR, quotes, commas, LF and empty fields: csv.writer on Python 3.11
+# leaves a field holding only "\r" unquoted and writes a one-empty-field
+# row as '""', so the writer is not a plain csv.writer
+_writer_field = st.text(alphabet=st.sampled_from(list('a",\r\n é')), max_size=6)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_writer_field, max_size=5),
+       st.lists(st.lists(_writer_field, min_size=1, max_size=5), max_size=6))
+def test_format_csv_equals_reference(header, rows):
+    assert ingest.format_csv(header, rows) == reference.format_csv(header, rows)
+
+
+@pytest.mark.parametrize("rows", [[["\r"]], [[""]], [["", ""]], [['"']], [["a,b", 'say "hi"']]])
+def test_format_csv_edge_rows_equal_reference(rows):
+    assert ingest.format_csv(["h"], rows) == reference.format_csv(["h"], rows)
+
+
 def test_round_trip_torture_file(tmp_path):
     rows = [
         ["id", "note"],
@@ -237,6 +256,40 @@ def test_parse_csv_missing_file():
         ingest.parse_csv("/nonexistent/file.csv")
 
 
+_HEADER_NAMES = ingest._COLUMN_NAMES + ["extra", " title ", ""]
+_cells = st.sampled_from(["", "0", "1", " 7 ", "12", "x", "Chef", "US, NY"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from(_HEADER_NAMES), min_size=1, max_size=22),
+    st.lists(st.lists(_cells, min_size=1, max_size=22), max_size=5),
+)
+def test_postings_from_records_equals_reference(header, records):
+    """Same rows, or the same error, for records no wider than the header."""
+    records = [r[: len(header)] for r in records]
+
+    def outcome(fn):
+        try:
+            return fn(header, records, "p.csv")
+        except DataError as exc:
+            return ("error", str(exc))
+
+    assert outcome(ingest.postings_from_records) == outcome(reference.postings_from_records)
+
+
+def test_record_wider_than_header_is_a_data_error(tmp_path):
+    path = _write(tmp_path, "job_id,title\n1,Chef\n2,Cook,extra\n")
+    with pytest.raises(DataError, match="record 3: 3 fields, but the header has 2"):
+        ingest.parse_csv(path)
+
+
+def test_record_narrower_than_header_reads_empty_fields(tmp_path):
+    path = _write(tmp_path, "job_id,title,fraudulent\n4\n")
+    (row,) = ingest.parse_csv(path)
+    assert (row.job_id, row.title, row.fraudulent) == (4, "", 0)
+
+
 def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfjob_id,title\n17,Chef\n")
@@ -258,6 +311,40 @@ def test_non_utf8_bytes_are_a_data_error(tmp_path, bom):
 # --------------------------------------------------------------------------
 # normalize_text
 # --------------------------------------------------------------------------
+
+# Pieces that exercise every step: tags, the six entities and overlaps
+# such as "&amp;lt;" (entity order decides the result), an unclosed "<",
+# digits, Unicode whitespace, and non-ASCII letters whose lowercase is
+# ASCII (KELVIN SIGN -> "k") or longer (U+0130 -> "i" + combining dot).
+_normalize_pieces = st.sampled_from([
+    "<p>", "</b>", "<br/>", "<", ">", "&amp;", "&lt;", "&gt;", "&quot;", "&#39;", "&nbsp;",
+    "&amp;lt;", "&amp;amp;", "&lt;b&gt;", "&", ";", "#39", "amp", "lt", "Ab", "z", "Q",
+    "0", "9", "42", " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+    "\u00a0", "\u2003", "\u2028", "\u3000", "\u212a", "\u0130", "\u00c9", "\u00e9",
+    "\u00df", "\u1e9e", "\u03a3", "-", ",", ".", "'", '"', "\x00", "\x7f", "\u00ff",
+])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(_normalize_pieces, max_size=30).map("".join))
+def test_normalize_equals_reference_on_pieces(s):
+    assert ingest.normalize_text(s) == reference.normalize_text(s)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(max_size=80))
+def test_normalize_equals_reference_on_any_text(s):
+    assert ingest.normalize_text(s) == reference.normalize_text(s)
+
+
+def test_normalize_full_texts_equal_reference(fixture_csv):
+    rows = ingest.parse_csv(fixture_csv)
+    for row in rows:
+        text = " ".join(ingest._text_fields(row))
+        assert ingest.normalize_text(text) == reference.normalize_text(text)
+    for posting in ingest.assemble_dataset(rows).postings:
+        assert posting.title_clean == reference.normalize_text(posting.title)
+
 
 def test_normalize_strips_tags_and_entities():
     assert ingest.normalize_text("<p>Hello&amp;World</p>") == "hello world"
