@@ -7,15 +7,21 @@ for regression trees); ties in gain break toward the lowest feature index,
 then the lowest threshold. Each ensemble fit ranks every column's values
 once into small integer codes; a node then scores all candidate features
 together: one stable sort of their codes, one cumulative sum of the sorted
-targets, scores only at value boundaries, one argmax. The leaf-wise trainer
-bins features into equal-frequency histograms once, from one sort of the
-whole matrix, sizes the histogram
-grid to the widest feature's real bin count, scores only the bin
-boundaries that carry an edge, and always splits the highest-gain leaf.
+targets, scores only at value boundaries, one argmax. Nodes work on row
+indices and copy no rows of X: a random-forest node gathers only its
+candidate features' codes, from a feature-major copy made once per fit,
+and a boosting node gathers whole rows of codes. The depth-wise booster
+sorts its root once per fit, since every round splits the same rows on the
+same codes and only the residuals change. The leaf-wise trainer bins
+features into equal-frequency histograms once, from one sort of the whole
+matrix, sizes the histogram grid to the widest feature's real bin count,
+scores only the bin boundaries that carry an edge, and always splits the
+highest-gain leaf.
 """
 
 import heapq
 import logging
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import features as features_mod
 from .base import Classifier, check_labels, check_matrix
-from .errors import ShapeError
+from .errors import ModelStoreError, ShapeError
 from .ndgrad import _sigmoid_values
 from .rng import SplitMix64
 
@@ -80,17 +86,32 @@ def rank_codes(X) -> np.ndarray:
     return codes
 
 
-def best_split(X, y, feature_indices, min_samples_leaf, criterion, codes=None):
+def presort(block, min_samples_leaf):
+    """(order, row, at) of a (k, n) code block: each row's stable sort
+    order, and the (row, sorted position) of every value boundary a split
+    may follow while leaving min_samples_leaf rows on each side."""
+    lo, hi = min_samples_leaf - 1, block.shape[1] - min_samples_leaf
+    order = np.argsort(block, axis=1, kind="stable")
+    sorted_codes = np.sort(block, axis=1)
+    row, at = np.nonzero(sorted_codes[:, lo + 1 : hi + 1] != sorted_codes[:, lo:hi])
+    return order, row, at + lo
+
+
+def best_split(
+    X, y, feature_indices, min_samples_leaf, criterion, codes=None, rows=None, presorted=None,
+):
     """Best (feature, threshold, gain) over exact midpoint candidates.
 
     Gain is the impurity decrease I(parent) - w_l I(left) - w_r I(right);
     returns None when no candidate strictly decreases impurity while
     leaving min_samples_leaf rows on each side. `codes` are rank_codes of
-    X (computed here when absent). All candidate features are scanned at
-    once: one stable sort of their codes, one cumulative sum of the sorted
-    targets, scores only at value boundaries, and one argmax whose
-    row-major order breaks ties toward the first candidate feature, then
-    the lowest threshold.
+    X (computed here when absent). `rows` index the node's rows in X and
+    codes (all rows when None), and y holds one target per node row. All
+    candidate features are scanned at once: one stable sort of their
+    codes, one cumulative sum of the sorted targets, scores only at value
+    boundaries, and one argmax whose row-major order breaks ties toward the
+    first candidate feature, then the lowest threshold. `presorted` is the
+    node's presort of the candidates' codes, when the caller already has it.
     """
     n = y.shape[0]
     total = y.sum()
@@ -101,22 +122,26 @@ def best_split(X, y, feature_indices, min_samples_leaf, criterion, codes=None):
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
 
-    # a split after sorted position i leaves i + 1 rows on the left
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
-    if lo >= hi:
+    if n < 2 * min_samples_leaf:
         return None
-    if codes is None:
-        codes = rank_codes(X)
     features = np.asarray(feature_indices, dtype=np.intp)
-    block = codes.T[features]  # (k, n)
-    order = np.argsort(block, axis=1, kind="stable")
-    sorted_codes = np.sort(block, axis=1)
-    row, at = np.nonzero(sorted_codes[:, lo + 1 : hi + 1] != sorted_codes[:, lo:hi])
+    if presorted is None:
+        if codes is None:
+            codes = rank_codes(X)
+        if rows is None:
+            block = codes.T[features]
+        elif codes.flags.f_contiguous:  # column-major: read only the candidate columns
+            block = codes.T[features][:, rows]
+        else:  # whole rows, one contiguous copy of the candidates for the sort
+            block = codes[rows].T[features]
+        presorted = presort(block, min_samples_leaf)
+    order, row, at = presorted
     if row.shape[0] == 0:
         return None
-    at += lo
-    cum = np.cumsum(y.take(order), axis=1)[row, at]
-    left_n = at + 1.0
+    cum = y.take(order)
+    np.cumsum(cum, axis=1, out=cum)  # in place: a second (k, n) buffer costs page faults
+    cum = cum[row, at]
+    left_n = at + 1.0  # a split after sorted position i leaves i + 1 rows on the left
     right_n = n - left_n
     if criterion == "gini":
         pos_l, pos_r = cum, total - cum
@@ -133,6 +158,8 @@ def best_split(X, y, feature_indices, min_samples_leaf, criterion, codes=None):
         return None
     f = int(features[row[j]])
     a, b = order[row[j], at[j]], order[row[j], at[j] + 1]
+    if rows is not None:
+        a, b = rows[a], rows[b]
     return f, (X[a, f] + X[b, f]) / 2.0, gain
 
 
@@ -145,34 +172,45 @@ def fit_tree(
     feature_subsample=None,
     rng=None,
     codes=None,
+    rows=None,
+    root_presort=None,
 ):
     """Greedy recursive best-split CART tree.
 
     `feature_subsample` is a per-node candidate count (None = all
     features), drawn from `rng`. Leaves carry the class-1 fraction
     (classification) or the mean target (regression). `codes` are
-    rank_codes of X, computed here when absent.
+    rank_codes of X, computed here when absent; column-major codes let a
+    subsampling node read only its candidate columns. `rows` are the root's
+    rows of X and y (all when None; a bootstrap sample repeats rows).
+    `root_presort` is the root's presort of all features' codes, for
+    callers that fit many trees on the same rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
     if codes is None:
         codes = rank_codes(X)
+    subsample = feature_subsample is not None and feature_subsample < n_features
+    all_features = np.arange(n_features)
 
     def grow(rows, depth):
         yr = y[rows]
-        node = TreeNode(value=float(yr.mean()))
+        node = TreeNode(value=float(yr.sum() / rows.shape[0]))  # yr.mean(), without its overhead
         if (
             rows.shape[0] < 2 * min_samples_leaf
             or (max_depth is not None and depth >= max_depth)
             or (yr == yr[0]).all()
         ):
             return node
-        if feature_subsample is None or feature_subsample >= n_features:
-            candidates = range(n_features)
-        else:
+        if subsample:
             candidates = rng.sample_indices(n_features, feature_subsample)
-        found = best_split(X[rows], yr, candidates, min_samples_leaf, criterion, codes[rows])
+        else:
+            candidates = all_features
+        found = best_split(
+            X, yr, candidates, min_samples_leaf, criterion, codes, rows,
+            root_presort if depth == 0 else None,
+        )
         if found is None:
             return node
         f, threshold, _ = found
@@ -183,7 +221,7 @@ def fit_tree(
         node.right = grow(rows[~mask], depth + 1)
         return node
 
-    return grow(np.arange(X.shape[0]), 0)
+    return grow(np.arange(X.shape[0]) if rows is None else np.asarray(rows), 0)
 
 
 def tree_predict(root: TreeNode, X) -> np.ndarray:
@@ -220,7 +258,8 @@ def fit_random_forest(
     X = check_matrix(X)
     y = check_labels(y, X.shape[0])
     n, n_features = X.shape
-    codes = rank_codes(X)  # codes[rows] are the rank codes of X[rows]
+    # column-major, so a node gathers only its candidate columns' codes
+    codes = np.asfortranarray(rank_codes(X))
     if feature_subsample == "sqrt":
         per_node = max(1, int(np.sqrt(n_features)))
     else:
@@ -228,21 +267,20 @@ def fit_random_forest(
     trees = []
     for i in range(n_trees):
         rng = SplitMix64(seed + i)
+        rows = None
         if bootstrap:
             rows = np.fromiter((rng.randrange(n) for _ in range(n)), np.int64, n)
-            Xi, yi, ci = X[rows], y[rows], codes[rows]
-        else:
-            Xi, yi, ci = X, y, codes
         trees.append(
             fit_tree(
-                Xi,
-                yi,
+                X,
+                y,
                 max_depth=max_depth,
                 min_samples_leaf=min_samples_leaf,
                 criterion="gini",
                 feature_subsample=per_node,
                 rng=rng,
-                codes=ci,
+                codes=codes,
+                rows=rows,
             )
         )
     return EnsembleModel(kind="random_forest", trees=tuple(trees), n_features=n_features)
@@ -298,13 +336,15 @@ def fit_gbm(
     trees = []
     all_rows = np.arange(X.shape[0])
     codes = rank_codes(X)
+    # every round's root splits the same rows on the same codes: sort them once
+    root_presort = presort(codes.T, min_samples_leaf)
     for _ in range(n_rounds):
         p = _sigmoid_values(scores)
         residual = y - p
         hessian = p * (1.0 - p)
         tree = fit_tree(
             X, residual, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-            criterion="variance", codes=codes,
+            criterion="variance", codes=codes, root_presort=root_presort,
         )
         step = np.empty(X.shape[0])
         _newtonize(tree, X, all_rows, residual, hessian, step)
@@ -551,14 +591,42 @@ def tree_to_dict(node: TreeNode) -> dict:
     }
 
 
-def tree_from_dict(data: dict) -> TreeNode:
+_MAX_FLOAT = sys.float_info.max
+
+
+def _finite(value, what):
+    """value, when it is a finite JSON number; else ModelStoreError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not -_MAX_FLOAT <= value <= _MAX_FLOAT:  # also False for NaN
+        raise ModelStoreError(f"{what} must be a finite number, got {value!r:.40}")
+    return value
+
+
+def tree_from_dict(data: dict, n_features: int) -> TreeNode:
+    """Rebuild a tree, checking every node: a leaf's value is a finite
+    number, a split's feature an integer in [0, n_features) and its
+    threshold finite. A malformed node raises ModelStoreError."""
+    # every predict loads every node: a finite float passes without a call
+    if not isinstance(data, dict):
+        raise ModelStoreError(f"tree node must be an object, got {data!r:.40}")
     if "feature" not in data:
-        return TreeNode(value=data["value"])
+        value = data["value"]
+        if type(value) is not float or not -_MAX_FLOAT <= value <= _MAX_FLOAT:
+            value = _finite(value, "leaf value")
+        return TreeNode(value)
+    feature, threshold = data["feature"], data["threshold"]
+    if type(feature) is not int or not 0 <= feature < n_features:
+        raise ModelStoreError(
+            f"split feature must be an integer in [0, {n_features}), got {feature!r:.40}"
+        )
+    if type(threshold) is not float or not -_MAX_FLOAT <= threshold <= _MAX_FLOAT:
+        threshold = _finite(threshold, "split threshold")
     return TreeNode(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        left=tree_from_dict(data["left"]),
-        right=tree_from_dict(data["right"]),
+        0.0,
+        feature,
+        threshold,
+        tree_from_dict(data["left"], n_features),
+        tree_from_dict(data["right"], n_features),
     )
 
 
@@ -573,12 +641,27 @@ def ensemble_to_dict(model: EnsembleModel) -> dict:
 
 
 def ensemble_from_dict(data: dict) -> EnsembleModel:
+    """Rebuild an ensemble; a field of the wrong type or range raises
+    ModelStoreError (a forest needs at least one tree to vote)."""
+    kind, n_features, trees = data["kind"], data["n_features"], data["trees"]
+    if kind not in ("random_forest", "gbm", "leafwise_gbm"):
+        raise ModelStoreError(f"unknown ensemble kind {kind!r:.40}")
+    if type(n_features) is not int or n_features < 1:
+        raise ModelStoreError(f"n_features must be a positive integer, got {n_features!r:.40}")
+    if not isinstance(trees, list):
+        raise ModelStoreError(f"trees must be a list, got {trees!r:.40}")
+    if kind == "random_forest" and not trees:
+        raise ModelStoreError("a random forest needs at least one tree")
+    learning_rate, base_score = data["learning_rate"], data["base_score"]
+    if kind != "random_forest":
+        _finite(learning_rate, "learning_rate")
+        _finite(base_score, "base_score")
     return EnsembleModel(
-        kind=data["kind"],
-        n_features=data["n_features"],
-        learning_rate=data["learning_rate"],
-        base_score=data["base_score"],
-        trees=tuple(tree_from_dict(t) for t in data["trees"]),
+        kind=kind,
+        n_features=n_features,
+        learning_rate=learning_rate,
+        base_score=base_score,
+        trees=tuple(tree_from_dict(t, n_features) for t in trees),
     )
 
 

@@ -174,6 +174,8 @@ class DetectionPipeline:
             return cls(kind, cfg, encoder, model, fingerprint, vectorizer=vectorizer)
 
         ensemble = forests.ensemble_from_dict(manifest["ensemble"])
+        if ensemble.kind != kind:
+            raise ModelStoreError(f"bundle of model {kind!r} holds a {ensemble.kind!r} ensemble")
         model = _ENSEMBLES[kind](cfg)
         model.model_ = ensemble
         model.classes_ = np.array([0, 1])

@@ -42,6 +42,19 @@ def trained_model_dir(tmp_path_factory, small_csv):
 
 
 @pytest.fixture(scope="module")
+def trained_rf_dir(tmp_path_factory, small_csv):
+    out = tmp_path_factory.mktemp("model") / "rf"
+    config = tmp_path_factory.mktemp("cfg") / "config.json"
+    config.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    code = run_cli([
+        "train", "--data", str(small_csv), "--config", str(config),
+        "--out", str(out), "--model", "rf",
+    ])
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def strict_bilstm_dir(tmp_path_factory, small_csv):
     """A BiLSTM bundle trained with "threshold": 0.9, with a step large
     enough that some scores land between 0.5 and 0.9."""
@@ -374,6 +387,53 @@ def test_bad_manifest_exits_three(
     assert code == 3
     err = capsys.readouterr().err
     assert "model store error" in err and message in err
+
+
+def _first_leaf(node):
+    while "feature" in node:
+        node = node["left"]
+    return node
+
+
+def _root(ensemble):
+    return ensemble["trees"][0]
+
+
+@pytest.mark.parametrize("bundle, edit, message", [
+    ("gbm", lambda e: _root(e).update(feature=10**6), "split feature must be an integer in [0, "),
+    ("gbm", lambda e: _root(e).update(feature=-1), "integer in [0, 199), got -1"),
+    ("gbm", lambda e: _root(e).update(feature="3"), "integer in [0, 199), got '3'"),
+    ("gbm", lambda e: _root(e).update(feature=3.0), "integer in [0, 199), got 3.0"),
+    ("gbm", lambda e: _root(e).update(feature=True), "integer in [0, 199), got True"),
+    ("gbm", lambda e: _root(e).update(threshold="x"), "split threshold must be a finite number"),
+    ("gbm", lambda e: _first_leaf(_root(e)).update(value="x"), "leaf value must be a finite"),
+    ("gbm", lambda e: _first_leaf(_root(e)).update(value=None), "finite number, got None"),
+    ("gbm", lambda e: e.update(learning_rate=None), "learning_rate must be a finite number"),
+    ("gbm", lambda e: e.update(base_score="x"), "base_score must be a finite number, got 'x'"),
+    ("gbm", lambda e: e.update(kind="random_forest"), "holds a 'random_forest' ensemble"),
+    ("gbm", lambda e: e["trees"].append([]), "tree node must be an object, got []"),
+    ("rf", lambda e: e.update(trees=[]), "a random forest needs at least one tree"),
+    ("rf", lambda e: _first_leaf(e["trees"][-1]).update(value=None), "leaf value must be"),
+], ids=["feature-out-of-range", "feature-negative", "feature-string", "feature-float",
+        "feature-bool", "threshold-string", "value-string", "value-null", "learning-rate-null",
+        "base-score-string", "kind-mismatch", "tree-not-an-object", "rf-no-trees",
+        "rf-value-null"])
+def test_ill_typed_tree_manifest_exits_three(
+    tmp_path, trained_model_dir, trained_rf_dir, small_csv, bundle, edit, message, capsys
+):
+    model = tmp_path / "model"
+    shutil.copytree(trained_model_dir if bundle == "gbm" else trained_rf_dir, model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    edit(manifest["ensemble"])
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(small_csv),
+        "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "model store error" in err and message in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_config_non_utf8_exits_one(tmp_path, small_csv, capsys):

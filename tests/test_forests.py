@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobfraud import forests
 from jobfraud.config import GbmSection, LeafwiseSection, RandomForestSection, RunConfig
@@ -23,70 +25,26 @@ from jobfraud.forests import (
     fit_leafwise_gbm,
     fit_random_forest,
     fit_tree,
+    presort,
     rank_codes,
     select_terms,
     tree_predict,
 )
 from jobfraud.ndgrad import _sigmoid_values
 from jobfraud.rng import SplitMix64
+import tree_reference
+from tree_reference import (
+    reference_best_split,
+    reference_fit_gbm,
+    reference_fit_random_forest,
+)
 
 
 # --------------------------------------------------------------------------
-# Reference split searches: one numpy scan per feature (exact CART) and a
-# full n_bins-wide histogram grid (leaf-wise), the designs the batched
-# searches in forests replace and must match bit for bit
+# Reference histogram searches: a full n_bins-wide grid (leaf-wise), the
+# design the batched scan in forests replaces and must match bit for bit;
+# the exact-split references are in tree_reference.py
 # --------------------------------------------------------------------------
-
-def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion, codes=None):
-    # takes and ignores `codes` so that it can stand in for forests.best_split
-    n = y.shape[0]
-    total = y.sum()
-    if criterion == "gini":
-        parent_term = total * (n - total) / n
-    else:
-        parent_term = total * total / n
-
-    best_score = -np.inf
-    best_feature = None
-    best_threshold = 0.0
-    left_n = np.arange(1, n, dtype=np.float64)
-    right_n = n - left_n
-
-    for f in feature_indices:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        boundary = xs[1:] != xs[:-1]
-        if not boundary.any():
-            continue
-        cum = np.cumsum(ys)[:-1]
-        if criterion == "gini":
-            pos_l = cum
-            pos_r = total - cum
-            score = -(pos_l * (left_n - pos_l) / left_n + pos_r * (right_n - pos_r) / right_n)
-        else:
-            score = cum * cum / left_n + (total - cum) ** 2 / right_n
-        valid = boundary & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-        if not valid.any():
-            continue
-        score = np.where(valid, score, -np.inf)
-        i = int(np.argmax(score))
-        if score[i] > best_score:
-            best_score = score[i]
-            best_feature = f
-            best_threshold = (xs[i] + xs[i + 1]) / 2.0
-
-    if best_feature is None:
-        return None
-    if criterion == "gini":
-        gain = 2.0 * (parent_term + best_score) / n
-    else:
-        gain = (best_score - parent_term) / n
-    if gain <= 0.0:
-        return None
-    return best_feature, best_threshold, gain
-
 
 def full_grid_histograms(bins, rows, residual):
     n_features = bins.codes.shape[1]
@@ -326,6 +284,44 @@ def test_batched_split_equals_per_feature_reference(criterion):
     assert splits > 500  # most instances have a split to agree on
 
 
+@st.composite
+def _node_instances(draw):
+    """A matrix, its targets, and a node's rows of it: in any order and
+    repeated as in a bootstrap sample, over tied, constant and continuous
+    columns, with an ascending candidate subset and min_samples_leaf 1-4."""
+    n = draw(st.integers(1, 12))
+    n_features = draw(st.integers(1, 6))
+    ties = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    column = st.one_of(
+        st.lists(ties, min_size=n, max_size=n),
+        st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=n, max_size=n),
+        ties.map(lambda v: [v] * n),
+    )
+    X = np.column_stack([draw(column) for _ in range(n_features)])
+    criterion = draw(st.sampled_from(["gini", "variance"]))
+    targets = st.sampled_from([0.0, 1.0] if criterion == "gini" else [-0.75, 0.0, 0.1, 1.5])
+    y = np.array(draw(st.lists(targets, min_size=n, max_size=n)))
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
+    candidates = sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=1)))
+    return X, y, rows, candidates, draw(st.integers(1, 4)), criterion
+
+
+@settings(max_examples=400, deadline=None)
+@given(_node_instances())
+def test_row_indexed_split_equals_reference_on_copied_rows(instance):
+    """best_split on a node's row indices equals the reference search on the
+    node's copied rows, exactly, for both code layouts and a presort."""
+    X, y, rows, candidates, min_leaf, criterion = instance
+    expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion)
+    codes = rank_codes(X)
+    for layout in (codes, np.asfortranarray(codes)):  # whole-row and candidate-column gathers
+        found = best_split(X, y[rows], candidates, min_leaf, criterion, layout, rows)
+        assert found == expected
+    presorted = presort(codes[rows].T[candidates], min_leaf)
+    found = best_split(X, y[rows], candidates, min_leaf, criterion, rows=rows, presorted=presorted)
+    assert found == expected
+
+
 def test_rank_codes_are_unique_inverses():
     X = np.array([[0.5, -0.0, 3.0], [-1.0, 0.0, 3.0], [0.5, 2.0, 3.0], [2.0, -0.0, 3.0]])
     codes = rank_codes(X)
@@ -550,29 +546,92 @@ def test_compute_bins_equals_per_column_reference():
         assert (got.n_bins, got.width) == (expected.n_bins, expected.width), f"case {case}"
 
 
-def test_ensembles_equal_reference_search_on_fixture(small_csv, monkeypatch):
-    """All three learners grow the trees the reference searches grow."""
+@pytest.fixture(scope="module")
+def fixture_matrix(small_csv):
+    """The training rows of the 300-row fixture's tabular matrix."""
     from jobfraud import config, ingest, pipeline
 
     prepared = pipeline.prepare(
         ingest.load_dataset(small_csv), config.RunConfig(), kinds=("gbm",)
     )
     rows = np.array(prepared.splits.train)
-    X, y = prepared.tabular[rows], prepared.labels[rows]
+    return prepared.tabular[rows], prepared.labels[rows]
 
-    def fit_all():
-        return [
-            ensemble_to_dict(fit_random_forest(X, y, n_trees=4, seed=3)),
-            ensemble_to_dict(fit_gbm(X, y, n_rounds=4)),
-            ensemble_to_dict(fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=5)),
-        ]
 
-    batched = fit_all()
-    monkeypatch.setattr(forests, "best_split", reference_best_split)
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _assert_same_trees(monkeypatch, fast, reference):
+    """fast() and reference() fit equal ensembles, and every node that
+    searched for a split did it through the module-level forests.best_split."""
+    fast_calls = _count_calls(monkeypatch, forests, "best_split")
+    got = ensemble_to_dict(fast())
+    reference_calls = _count_calls(monkeypatch, tree_reference, "reference_best_split")
+    assert got == ensemble_to_dict(reference())
+    assert len(fast_calls) == len(reference_calls) > 0
+
+
+def test_ensembles_equal_reference_search_on_fixture(fixture_matrix, monkeypatch):
+    """All three learners grow the trees the reference learners grow."""
+    X, y = fixture_matrix
+    _assert_same_trees(
+        monkeypatch,
+        lambda: fit_random_forest(X, y, n_trees=4, seed=3),
+        lambda: reference_fit_random_forest(X, y, n_trees=4, seed=3),
+    )
+    _assert_same_trees(
+        monkeypatch,
+        lambda: fit_gbm(X, y, n_rounds=4),
+        lambda: reference_fit_gbm(X, y, n_rounds=4),
+    )
+
+    def fit_leafwise():
+        return ensemble_to_dict(fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=5))
+
+    batched = fit_leafwise()
     monkeypatch.setattr(forests, "_leaf_histograms", full_grid_histograms)
     monkeypatch.setattr(forests, "_best_hist_split", full_grid_best_hist_split)
     monkeypatch.setattr(forests, "compute_bins", reference_compute_bins)
-    assert batched == fit_all()
+    assert batched == fit_leafwise()
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+@pytest.mark.parametrize("max_depth", [2, 3, 4])
+def test_gbm_equals_reference_fit(fixture_matrix, monkeypatch, min_samples_leaf, max_depth):
+    """The root presort and the node gathers grow the reference's trees at
+    every min_samples_leaf and depth, also where the best root split would
+    leave a single row on one side."""
+    rng = np.random.default_rng(8)
+    lone_X = rng.normal(size=(40, 5))
+    lone_y = np.zeros(40)
+    lone_y[np.argmin(lone_X[:, 2])] = 1.0
+    params = dict(n_rounds=3, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    for X, y in (fixture_matrix, (lone_X, lone_y)):
+        _assert_same_trees(
+            monkeypatch,
+            lambda: fit_gbm(X, y, **params),
+            lambda: reference_fit_gbm(X, y, **params),
+        )
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_random_forest_equals_reference_fit(fixture_matrix, monkeypatch, bootstrap):
+    X, y = fixture_matrix
+    params = dict(n_trees=4, min_samples_leaf=2, bootstrap=bootstrap, seed=5)
+    _assert_same_trees(
+        monkeypatch,
+        lambda: fit_random_forest(X, y, **params),
+        lambda: reference_fit_random_forest(X, y, **params),
+    )
 
 
 def test_leafwise_deterministic():
