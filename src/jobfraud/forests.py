@@ -23,7 +23,6 @@ import heapq
 import logging
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -669,30 +668,31 @@ def ensemble_from_dict(data: dict) -> EnsembleModel:
 # Tabular featurization (numeric block + term counts)
 # --------------------------------------------------------------------------
 
-def select_terms(texts, top_k=500) -> list:
-    """The top_k corpus tokens, the count-feature columns for tabular models."""
-    return [t for t, _ in features_mod.term_frequencies(texts, top_k)]
-
-
-def count_terms(texts, terms) -> np.ndarray:
-    """(len(texts), len(terms)) counts of each term's tokens per text."""
+def count_terms(texts, terms, out=None) -> np.ndarray:
+    """(len(texts), len(terms)) counts of each term's tokens per text,
+    written into `out` when it is given."""
+    if out is None:
+        out = np.empty((len(texts), len(terms)))
     index = {t: i for i, t in enumerate(terms)}
     miss = len(terms)  # one extra column takes the tokens outside terms
-    cols, lengths = [], []
-    for text in texts:
-        tokens = text.split()
-        cols.extend(map(index.get, tokens, repeat(miss)))
-        lengths.append(len(tokens))
     width = miss + 1
-    flat = np.repeat(np.arange(len(texts)) * width, lengths) + np.array(cols, dtype=np.int64)
-    counts = np.bincount(flat, minlength=len(texts) * width).reshape(len(texts), width)
-    return counts[:, :miss].astype(np.float64)
+    for rows, lengths, cols in features_mod.coded_chunks(texts, index, miss):
+        n = len(lengths)
+        cols += np.repeat(np.arange(0, n * width, width), lengths)
+        out[rows] = np.bincount(cols, minlength=n * width).reshape(n, width)[:, :miss]
+    return out
 
 
 def build_tabular(numeric, texts, terms) -> np.ndarray:
     """[numeric features | per-term counts]; column meaning fixed by terms."""
     numeric = check_matrix(numeric, "numeric")
-    return np.hstack([numeric, count_terms(texts, terms)])
+    rows, width = numeric.shape
+    if len(texts) != rows:
+        raise ShapeError(f"{len(texts)} texts for {rows} numeric rows")
+    out = np.empty((rows, width + len(terms)))
+    out[:, :width] = numeric
+    count_terms(texts, terms, out=out[:, width:])
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 from . import bilstm, bundle as bundle_mod, forests, metrics, trainer
 from .config import MODEL_KINDS, RunConfig, config_from_dict
 from .errors import DataError, ModelStoreError, UsageError
-from .features import CategoricalEncoder, TextVectorizer, Vocabulary
+from .features import CategoricalEncoder, SplitTexts, TextVectorizer, Vocabulary
 from .ingest import Dataset, dataset_fingerprint
 
 
@@ -48,16 +48,18 @@ def prepare(dataset: Dataset, cfg: RunConfig, kinds=("bilstm",)) -> PreparedData
         encoder=encoder,
         numeric=encoder.transform(postings),
     )
-    texts = [p.full_text for p in postings]
-    train_texts = [postings[i].full_text for i in splits.train]
+    # every text is split once; one ranking of the training rows' tokens
+    # gives the vocabulary and the terms
+    texts = SplitTexts([p.full_text for p in postings])
+    ranked = texts.rank(splits.train)
     if "bilstm" in kinds:
         prepared.vectorizer = TextVectorizer(
             max_tokens=cfg.features.max_tokens,
             sequence_length=cfg.features.sequence_length,
-        ).fit(train_texts)
+        ).fit_ranking(ranked)
         prepared.ids = prepared.vectorizer.transform(texts)
     if any(k != "bilstm" for k in kinds):
-        prepared.terms = forests.select_terms(train_texts, cfg.features.tabular_terms)
+        prepared.terms = [token for token, _ in ranked[: cfg.features.tabular_terms]]
         prepared.tabular = forests.build_tabular(prepared.numeric, texts, prepared.terms)
     return prepared
 
@@ -157,14 +159,26 @@ class DetectionPipeline:
             mc = manifest["config"]["model_config"]
             model_cfg = bilstm.ModelConfig(**mc)
             tokens = manifest["vocabulary"]
-            vocab = Vocabulary(
-                token_to_id={t: i for i, t in enumerate(tokens)},
-                id_to_token=tuple(tokens),
-                max_size=cfg.features.max_tokens,
-            )
+            token_to_id = {t: i for i, t in enumerate(tokens)}
+            if len(tokens) != model_cfg.vocab_size or len(token_to_id) != len(tokens):
+                raise ModelStoreError(
+                    f"vocabulary has {len(tokens)} tokens ({len(token_to_id)} distinct), "
+                    f"the model expects {model_cfg.vocab_size} distinct tokens"
+                )
+            if model_cfg.numeric_width != encoder.width_:
+                raise ModelStoreError(
+                    f"encoder categories give {encoder.width_} numeric features, "
+                    f"the model expects {model_cfg.numeric_width}"
+                )
+            if model_cfg.sequence_length != cfg.features.sequence_length:
+                raise ModelStoreError(
+                    f"run config gives sequence_length {cfg.features.sequence_length}, "
+                    f"the model expects {model_cfg.sequence_length}"
+                )
+            vocab = Vocabulary(token_to_id, tuple(tokens), cfg.features.max_tokens)
             vectorizer = TextVectorizer(
                 max_tokens=cfg.features.max_tokens,
-                sequence_length=mc["sequence_length"],
+                sequence_length=model_cfg.sequence_length,
             )
             vectorizer.vocabulary_ = vocab
             model = bilstm.BiLstmClassifier(cfg, mc["vocab_size"])
@@ -176,10 +190,16 @@ class DetectionPipeline:
         ensemble = forests.ensemble_from_dict(manifest["ensemble"])
         if ensemble.kind != kind:
             raise ModelStoreError(f"bundle of model {kind!r} holds a {ensemble.kind!r} ensemble")
+        terms = list(manifest["terms"])
+        if ensemble.n_features != encoder.width_ + len(terms):
+            raise ModelStoreError(
+                f"ensemble has {ensemble.n_features} features, the encoder and "
+                f"{len(terms)} terms give {encoder.width_ + len(terms)}"
+            )
         model = _ENSEMBLES[kind](cfg)
         model.model_ = ensemble
         model.classes_ = np.array([0, 1])
-        return cls(kind, cfg, encoder, model, fingerprint, terms=list(manifest["terms"]))
+        return cls(kind, cfg, encoder, model, fingerprint, terms=terms)
 
     @classmethod
     def load(cls, directory) -> "DetectionPipeline":

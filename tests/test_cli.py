@@ -436,6 +436,46 @@ def test_ill_typed_tree_manifest_exits_three(
     assert not (tmp_path / "p.csv").exists()
 
 
+def _drop_category(config):
+    column = next(c for c, values in config["encoder_categories"].items() if values)
+    config["encoder_categories"][column].pop()
+
+
+def _repeat_token(manifest):
+    manifest["vocabulary"][-1] = manifest["vocabulary"][2]
+
+
+@pytest.mark.parametrize("bundle, edit, message", [
+    ("gbm", lambda m: m["ensemble"].update(n_features=600), "ensemble has 600 features"),
+    ("gbm", lambda m: m["terms"].pop(), "the encoder and 149 terms give"),
+    ("gbm", lambda m: _drop_category(m["config"]), "terms give 198"),
+    ("bilstm", lambda m: _drop_category(m["config"]), "the model expects"),
+    ("bilstm", lambda m: m.update(vocabulary=m["vocabulary"][:-5]), "the model expects"),
+    ("bilstm", _repeat_token, "distinct), the model expects"),
+    ("bilstm", lambda m: m["config"]["run_config"]["features"].update(sequence_length=200),
+     "run config gives sequence_length 200, the model expects 64"),
+], ids=["gbm-n-features", "gbm-term-dropped", "gbm-category-dropped",
+        "bilstm-category-dropped", "bilstm-tokens-dropped", "bilstm-token-repeated",
+        "bilstm-sequence-length"])
+def test_mismatched_bundle_parts_exit_three(
+    tmp_path, trained_model_dir, strict_bilstm_dir, small_csv, bundle, edit, message, capsys
+):
+    """The featurizers a bundle stores must give the input its model reads."""
+    model = tmp_path / "model"
+    shutil.copytree(trained_model_dir if bundle == "gbm" else strict_bilstm_dir, model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    edit(manifest)
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(small_csv),
+        "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "model store error" in err and message in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_config_non_utf8_exits_one(tmp_path, small_csv, capsys):
     config = tmp_path / "latin1.json"
     config.write_bytes(b'{"seed": "\xe9"}')

@@ -1,18 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import features_reference as text_reference
 import ingest_reference as reference
 from jobfraud import features
 from jobfraud.errors import DataError
 from jobfraud.features import (
     CategoricalEncoder,
+    SplitTexts,
     TextVectorizer,
     build_vocabulary,
     encode_numeric,
-    encode_sequence,
     fit_categorical_encoders,
+    rank_tokens,
     term_frequencies,
 )
 
@@ -62,19 +66,22 @@ def test_vocabulary_order_independent_of_doc_order(docs):
 # Sequence encoding
 # --------------------------------------------------------------------------
 
+def encode_sequence(text, corpus, length, max_tokens=10):
+    """The id row a vectorizer fit on corpus gives one text."""
+    vec = TextVectorizer(max_tokens=max_tokens, sequence_length=length).fit(corpus)
+    return vec.transform([text])[0].tolist()
+
+
 def test_encode_sequence_pads():
-    vocab = build_vocabulary(["hello world"], 10)
-    assert encode_sequence("hello world", vocab, 4) == [2, 3, 0, 0]
+    assert encode_sequence("hello world", ["hello world"], 4) == [2, 3, 0, 0]
 
 
 def test_encode_sequence_truncates():
-    vocab = build_vocabulary(["a b c d e"], 10)
-    assert encode_sequence("a b c d e", vocab, 3) == [2, 3, 4]
+    assert encode_sequence("a b c d e", ["a b c d e"], 3) == [2, 3, 4]
 
 
 def test_encode_sequence_oov():
-    vocab = build_vocabulary(["known"], 10)
-    assert encode_sequence("zzz", vocab, 2) == [1, 0]
+    assert encode_sequence("zzz", ["known"], 2) == [1, 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,10 +90,9 @@ def test_encode_sequence_oov():
     st.integers(min_value=1, max_value=12),
 )
 def test_encode_sequence_length_and_range(text, length):
-    vocab = build_vocabulary(["a b", "c c"], 5)
-    ids = encode_sequence(text, vocab, length)
+    ids = encode_sequence(text, ["a b", "c c"], length, max_tokens=5)
     assert len(ids) == length
-    assert all(0 <= i < len(vocab) for i in ids)
+    assert all(0 <= i < 5 for i in ids)
 
 
 def test_text_vectorizer_transform_shape():
@@ -94,6 +100,74 @@ def test_text_vectorizer_transform_shape():
     out = tv.transform(["a", "b c d"])
     assert out.shape == (2, 5)
     assert out.dtype == np.int64
+
+
+# Texts of a few tokens from a small alphabet, so counts tie often; the
+# literal reserved tokens are ordinary tokens to the ranking. Tokens are
+# joined by any whitespace str.split() knows, with some at either end.
+_token = st.sampled_from(["a", "b", "c", "dd", "e1", "<pad>", "<oov>"])
+_space = st.sampled_from([" ", "  ", "\t", "\n", " \r\n"])
+_text = st.builds(
+    lambda tokens, sep, lead, trail: lead + sep.join(tokens) + trail,
+    st.lists(_token, max_size=14), _space, st.sampled_from(["", " "]), st.sampled_from(["", "\n"]),
+)
+_texts = st.lists(_text, max_size=12)
+_chunk_rows = st.integers(min_value=1, max_value=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _texts, _texts, st.lists(st.sampled_from(["zz", "a", "q9"]), max_size=4),
+    st.integers(min_value=3, max_value=9), st.integers(min_value=1, max_value=16), _chunk_rows,
+)
+def test_vectorizer_equals_reference(train, other, unseen, max_tokens, length, chunk_rows):
+    """Ties, PAD/OOV literals, unseen tokens, texts longer than the
+    sequence, empty texts and chunk boundaries included, for texts given
+    as strings and as SplitTexts."""
+    texts = other + [" ".join(unseen)] + train
+    train_rows = range(len(texts) - len(train), len(texts))
+    with mock.patch.object(features, "CHUNK_ROWS", chunk_rows):
+        split = SplitTexts(texts)
+        fitted = TextVectorizer(max_tokens=max_tokens, sequence_length=length).fit(train)
+        ranked = TextVectorizer(max_tokens=max_tokens, sequence_length=length).fit_ranking(
+            split.rank(train_rows))
+        outputs = [fitted.transform(texts), ranked.transform(split), ranked.transform(texts)]
+    id_to_token, token_to_id = text_reference.build_vocabulary(train, max_tokens)
+    for vec in (fitted, ranked):
+        assert vec.vocabulary_.id_to_token == id_to_token
+        assert vec.vocabulary_.token_to_id == token_to_id
+    expected = text_reference.encode_sequences(texts, token_to_id, length)
+    for ids in outputs:
+        assert ids.dtype == np.int64 and np.array_equal(ids, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts, st.lists(st.booleans(), min_size=12, max_size=12),
+       st.integers(min_value=0, max_value=12), _chunk_rows)
+def test_rankings_equal_reference(texts, picks, top_k, chunk_rows):
+    rows = [i for i in range(len(texts)) if picks[i]]
+    with mock.patch.object(features, "CHUNK_ROWS", chunk_rows):
+        ranked = rank_tokens(texts)
+        top = term_frequencies(texts, top_k)
+        ranked_rows = SplitTexts(texts).rank(rows)
+    assert ranked == text_reference.ranked(texts)
+    assert top == ranked[:top_k]
+    assert [t for t, _ in top] == text_reference.select_terms(texts, top_k)
+    assert ranked_rows == text_reference.ranked([texts[i] for i in rows])
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, features.CHUNK_ROWS + 1])
+def test_vectorizer_around_the_chunk_size(extra):
+    rows = features.CHUNK_ROWS + extra
+    texts = [" ".join(["a", "b", "c", "d"][: 1 + i % 4] * (1 + i % 3)) for i in range(rows)]
+    texts[-1] = "d d unseen " * 4
+    split = SplitTexts(texts)
+    vec = TextVectorizer(max_tokens=4, sequence_length=7).fit_ranking(split.rank(range(0, rows, 2)))
+    _, token_to_id = text_reference.build_vocabulary(texts[::2], 4)
+    assert vec.vocabulary_.token_to_id == token_to_id
+    expected = text_reference.encode_sequences(texts, token_to_id, 7)
+    assert np.array_equal(vec.transform(texts), expected)
+    assert np.array_equal(vec.transform(split), expected)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobfraud import forests
+from jobfraud import features, forests
 from jobfraud.config import GbmSection, LeafwiseSection, RandomForestSection, RunConfig
 from jobfraud.errors import ShapeError
 from jobfraud.forests import (
@@ -27,11 +28,11 @@ from jobfraud.forests import (
     fit_tree,
     presort,
     rank_codes,
-    select_terms,
     tree_predict,
 )
 from jobfraud.ndgrad import _sigmoid_values
 from jobfraud.rng import SplitMix64
+import features_reference
 import tree_reference
 from tree_reference import (
     reference_best_split,
@@ -736,9 +737,47 @@ def test_count_terms_equals_token_loop():
 
 def test_build_tabular_width_constant():
     numeric = np.zeros((3, 4))
-    terms = select_terms(["a b c", "a a", "d"], top_k=3)
+    terms = features_reference.select_terms(["a b c", "a a", "d"], top_k=3)
     X = build_tabular(numeric, ["a b", "c d", ""], terms)
     assert X.shape == (3, 4 + 3)
+
+
+def test_build_tabular_rejects_row_mismatch():
+    with pytest.raises(ShapeError, match="3 texts for 2 numeric rows"):
+        build_tabular(np.zeros((2, 4)), ["a", "b", "c"], ["a"])
+
+
+_token = st.sampled_from(["a", "b", "c", "dd", "e1", "zz"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(_token, max_size=15).map(" ".join), max_size=12),
+    st.lists(_token, max_size=6),
+    st.integers(min_value=1, max_value=5),
+)
+def test_count_terms_equals_reference(texts, terms, chunk_rows):
+    """Empty texts, tokens outside the terms, a repeated term and chunk
+    boundaries included, for texts given as strings and as SplitTexts."""
+    numeric = np.arange(len(texts) * 3, dtype=np.float64).reshape(-1, 3)
+    expected = features_reference.count_terms(texts, terms)
+    with mock.patch.object(features, "CHUNK_ROWS", chunk_rows):
+        for source in (texts, features.SplitTexts(texts)):
+            counts = count_terms(source, terms)
+            assert counts.dtype == np.float64 and np.array_equal(counts, expected)
+            if texts:
+                tabular = build_tabular(numeric, source, terms)
+                assert np.array_equal(tabular, np.hstack([numeric, expected]))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, features.CHUNK_ROWS + 1])
+def test_count_terms_around_the_chunk_size(extra):
+    rows = features.CHUNK_ROWS + extra
+    texts = [" ".join(["a", "b", "c", "d"][: 1 + i % 4] * (1 + i % 3)) for i in range(rows)]
+    terms = ["c", "a", "x"]
+    expected = features_reference.count_terms(texts, terms)
+    assert np.array_equal(count_terms(texts, terms), expected)
+    assert np.array_equal(count_terms(features.SplitTexts(texts), terms), expected)
 
 
 def test_estimator_wrappers_fit_predict():

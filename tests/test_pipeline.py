@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jobfraud import forests
+import features_reference
+from jobfraud import features, forests
 from jobfraud.config import (
     BilstmSection,
     FeatureSection,
@@ -50,7 +51,7 @@ def test_prepare_fits_featurizers_on_train_only(small_dataset, prepared):
     assert vec.vocabulary_.id_to_token == prepared.vectorizer.vocabulary_.id_to_token
     enc = CategoricalEncoder().fit(train_postings)
     assert enc.categories_ == prepared.encoder.categories_
-    assert forests.select_terms(train_texts, FAST.features.tabular_terms) == prepared.terms
+    assert features_reference.select_terms(train_texts, FAST.features.tabular_terms) == prepared.terms
 
 
 def test_prepare_encodes_every_row(small_dataset, prepared):
@@ -61,6 +62,64 @@ def test_prepare_encodes_every_row(small_dataset, prepared):
         n, prepared.numeric.shape[1] + FAST.features.tabular_terms,
     )
     assert prepared.labels.shape == (n,)
+
+
+# a vocabulary of one token, with more terms than vocabulary slots
+TINY_VOCAB = RunConfig(
+    seed=5, features=FeatureSection(max_tokens=3, sequence_length=9, tabular_terms=40),
+)
+
+
+@pytest.mark.parametrize("kinds", [("bilstm",), ("gbm",), MODEL_KINDS],
+                         ids=["bilstm", "gbm", "all"])
+@pytest.mark.parametrize("cfg", [RunConfig(), FAST, TINY_VOCAB], ids=["default", "fast", "tiny"])
+@pytest.mark.parametrize("data", ["small_dataset", "fixture_dataset"])
+def test_prepare_equals_reference(request, data, cfg, kinds):
+    dataset = request.getfixturevalue(data)
+    prepared = prepare(dataset, cfg, kinds=kinds)
+    expected = features_reference.prepare_text(
+        dataset.postings, prepared.splits.train, prepared.numeric, cfg.features, kinds)
+    vocabulary = prepared.vectorizer and prepared.vectorizer.vocabulary_.id_to_token
+    assert vocabulary == expected["vocabulary"]
+    assert prepared.terms == expected["terms"]
+    for name in ("ids", "tabular"):
+        got, want = getattr(prepared, name), expected[name]
+        assert (got is None and want is None) or (
+            got.dtype == want.dtype and np.array_equal(got, want)), name
+
+
+def test_featurizers_keep_their_traced_names(small_dataset, prepared, monkeypatch):
+    """The benchmark traces TextVectorizer.transform (its result is the id
+    matrix, its argument the texts) and forests.build_tabular by name:
+    prepare and featurize must keep calling both."""
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def traced(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(owner, name, traced)
+
+    spy(features.TextVectorizer, "transform")
+    spy(forests, "build_tabular")
+    postings = small_dataset.postings
+
+    prepare(small_dataset, FAST, kinds=MODEL_KINDS)
+    assert [c[0] for c in calls] == ["transform", "build_tabular"]
+    (_, args, ids), (_, _, tabular) = calls
+    assert len(args[1]) == len(postings) and ids.shape == (len(postings), 48)
+    assert tabular.shape[0] == len(postings)
+
+    calls.clear()
+    kwargs = dict(cfg=FAST, encoder=prepared.encoder, model=None, fingerprint=None)
+    DetectionPipeline("bilstm", vectorizer=prepared.vectorizer, **kwargs).featurize(postings[:9])
+    DetectionPipeline("gbm", terms=prepared.terms, **kwargs).featurize(postings[:9])
+    assert [c[0] for c in calls] == ["transform", "build_tabular"]
+    assert len(calls[0][1][1]) == 9 and np.array_equal(calls[0][2], prepared.ids[:9])
 
 
 def test_models_share_test_indices(small_dataset, prepared):
