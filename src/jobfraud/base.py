@@ -2,9 +2,11 @@
 
 ``fit`` stores fitted state in attributes with a trailing underscore. A
 classifier is built from the ``RunConfig`` and reads its hyperparameters
-from its own section of it, so each is declared once, in ``config.py``;
-``decision_scores`` gives the fraud probability of each row, and
-``predict`` labels a score at or above ``cfg.threshold`` as 1.
+from its own section of it, so each is declared once, in ``config.py``.
+``X`` is the input the model reads: the tabular matrix for a tree
+ensemble, the ``(ids, numeric)`` pair for the BiLSTM. ``decision_scores``
+gives the fraud probability of each row, and ``predict`` labels a score at
+or above ``cfg.threshold`` as 1.
 """
 
 import numpy as np

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndgrad, trainer
-from .base import Classifier, check_labels, check_matrix
+from .base import Classifier, check_labels
 from .config import RunConfig
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .ndgrad import Tensor
 from .rng import SplitMix64
 
@@ -417,48 +417,42 @@ def predict_scores(ids, numeric, params: ModelParams, chunk: int = 256) -> np.nd
 # --------------------------------------------------------------------------
 
 class BiLstmClassifier(Classifier):
-    """Binary classifier over [token ids | numeric features] rows.
+    """Binary classifier over the model's two inputs.
 
-    ``X`` packs each example as ``sequence_length`` integer token ids
-    followed by the numeric feature block, so the matrix composes with
-    ordinary array pipelines. The model shape comes from ``cfg.bilstm``,
-    ``cfg.features.sequence_length`` and ``cfg.seed``; ``vocab_size`` is
-    the fitted vocabulary's size. Training (``trainer.train``, reading
-    ``cfg.train``) minimizes binary cross-entropy with Adam and early-stops
-    on validation loss, restoring the best epoch's weights. ``predict`` and
-    the validation accuracy label a score at or above ``cfg.threshold`` as 1.
+    ``X`` is the pair ``(ids, numeric)``: an int64 matrix of
+    ``sequence_length`` token ids per row and a float64 matrix of the
+    numeric feature block, row for row. The model shape comes from
+    ``cfg.bilstm``, ``cfg.features.sequence_length`` and ``cfg.seed``;
+    ``vocab_size`` is the fitted vocabulary's size. Training
+    (``trainer.train``, reading ``cfg.train``) minimizes binary
+    cross-entropy with Adam and early-stops on ``validation_data``'s
+    loss, restoring the best epoch's weights. ``predict`` and the
+    validation accuracy label a score at or above ``cfg.threshold`` as 1.
     """
 
     def __init__(self, cfg: RunConfig, vocab_size: int):
         super().__init__(cfg)
         self.vocab_size = vocab_size  # of the fitted vocabulary, not configured
 
-    def _split_columns(self, X):
-        X = check_matrix(X)
+    def _inputs(self, X):
+        """The (ids, numeric) pair as arrays, after checking their shapes."""
+        ids, numeric = map(np.asarray, X)
         length = self.cfg.features.sequence_length
-        if X.shape[1] <= length:
-            raise ValueError(
-                f"X must have sequence_length={length} id columns "
-                f"plus at least one numeric column, got width {X.shape[1]}"
+        if ids.ndim != 2 or numeric.ndim != 2 or ids.shape != (numeric.shape[0], length):
+            raise ShapeError(
+                f"X must be ids (rows, {length}) and numeric (rows, width), "
+                f"got shapes {ids.shape} and {numeric.shape}"
             )
-        ids = X[:, :length].astype(np.int64)
-        numeric = X[:, length:]
+        if ids.shape[0] == 0:
+            raise DataError("X has no rows")
         return ids, numeric
 
-    def fit(self, X, y, validation_data=None):
-        ids, numeric = self._split_columns(X)
+    def fit(self, X, y, validation_data):
+        ids, numeric = self._inputs(X)
         y = check_labels(y, ids.shape[0])
-        if validation_data is None:
-            order = list(range(ids.shape[0]))
-            SplitMix64(self.cfg.seed).shuffle(order)
-            n_val = max(1, int(0.2 * len(order)))
-            val_idx, train_idx = order[:n_val], order[n_val:]
-            ids_val, numeric_val, y_val = ids[val_idx], numeric[val_idx], y[val_idx]
-            ids, numeric, y = ids[train_idx], numeric[train_idx], y[train_idx]
-        else:
-            X_val, y_val = validation_data
-            ids_val, numeric_val = self._split_columns(X_val)
-            y_val = check_labels(y_val, ids_val.shape[0])
+        X_val, y_val = validation_data
+        ids_val, numeric_val = self._inputs(X_val)
+        y_val = check_labels(y_val, ids_val.shape[0])
 
         self.config_ = ModelConfig(
             vocab_size=self.vocab_size,
@@ -480,5 +474,4 @@ class BiLstmClassifier(Classifier):
 
     def decision_scores(self, X) -> np.ndarray:
         self._check_fitted("params_")
-        ids, numeric = self._split_columns(X)
-        return predict_scores(ids, numeric, self.params_)
+        return predict_scores(*self._inputs(X), self.params_)

@@ -594,11 +594,11 @@ _MAX_FLOAT = sys.float_info.max
 
 
 def _finite(value, what):
-    """value, when it is a finite JSON number; else ModelStoreError."""
+    """value as a float, when it is a finite JSON number; else ModelStoreError."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not number or not -_MAX_FLOAT <= value <= _MAX_FLOAT:  # also False for NaN
         raise ModelStoreError(f"{what} must be a finite number, got {value!r:.40}")
-    return value
+    return float(value)
 
 
 def tree_from_dict(data: dict, n_features: int) -> TreeNode:
@@ -653,8 +653,8 @@ def ensemble_from_dict(data: dict) -> EnsembleModel:
         raise ModelStoreError("a random forest needs at least one tree")
     learning_rate, base_score = data["learning_rate"], data["base_score"]
     if kind != "random_forest":
-        _finite(learning_rate, "learning_rate")
-        _finite(base_score, "base_score")
+        learning_rate = _finite(learning_rate, "learning_rate")
+        base_score = _finite(base_score, "base_score")
     return EnsembleModel(
         kind=kind,
         n_features=n_features,

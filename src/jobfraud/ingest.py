@@ -3,8 +3,8 @@
 Reads the postings CSV (UTF-8, a leading byte-order mark dropped; RFC 4180:
 quoted fields may hold commas, doubled quotes, and embedded newlines) with
 the standard library's strict ``csv`` reader, maps columns by header name,
-and produces a cleaned dataset whose ``full_text`` holds the normalized
-concatenation of the five free-text fields. Malformed CSV is a
+and builds one ``Posting`` per record, whose ``full_text`` holds the
+normalized concatenation of the five free-text fields. Malformed CSV is a
 CsvParseError naming its 1-based record; bytes that are not UTF-8 are a
 DataError naming the file and the byte offset. ``dataset_fingerprint``
 identifies the rows a model was trained on.
@@ -32,33 +32,9 @@ TEXT_CONCAT_FIELDS = ("title", "company_profile", "description", "requirements",
 
 
 @dataclass(frozen=True, slots=True)
-class RawPosting:
-    """One job advertisement as read from the CSV (missing text = "")."""
-
-    job_id: int
-    title: str = ""
-    location: str = ""
-    department: str = ""
-    salary_range: str = ""
-    company_profile: str = ""
-    description: str = ""
-    requirements: str = ""
-    benefits: str = ""
-    telecommuting: int = 0
-    has_company_logo: int = 0
-    has_questions: int = 0
-    employment_type: str = ""
-    required_experience: str = ""
-    required_education: str = ""
-    industry: str = ""
-    function: str = ""
-    fraudulent: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class CleanPosting:
-    """A RawPosting plus its normalized combined text; the normalized title
-    is derived on access."""
+class Posting:
+    """One job advertisement: its 18 CSV fields (missing text = "") and the
+    normalized combined text; the normalized title is derived on access."""
 
     job_id: int
     title: str
@@ -91,9 +67,12 @@ class Dataset:
     summary: dict
 
 
-_COLUMN_NAMES = [f.name for f in dataclasses.fields(RawPosting)]
+# the CSV columns: every Posting field but full_text
+_COLUMN_NAMES = [f.name for f in dataclasses.fields(Posting)][:-1]
 # (position in _COLUMN_NAMES, name) of each flag; job_id is position 0
 _FLAG_SLOTS = [(_COLUMN_NAMES.index(name), name) for name in FLAG_COLUMNS]
+# a record's five text values, in TEXT_CONCAT_FIELDS order
+_text_fields = operator.itemgetter(*[_COLUMN_NAMES.index(name) for name in TEXT_CONCAT_FIELDS])
 
 
 # --------------------------------------------------------------------------
@@ -192,13 +171,15 @@ def _parse_flag(value: str, column: str, record_number: int, counters: dict) -> 
 
 
 def parse_csv(path) -> list:
-    """Parse the postings file into RawPosting rows (see postings_from_records)."""
+    """Parse the postings file into Posting rows (see postings_from_records)."""
     header, records = read_csv(path)
     return postings_from_records(header, records, path)
 
 
 def postings_from_records(header, records, source) -> list:
-    """Map CSV records (as read_csv returns them) to RawPosting rows.
+    """Map CSV records (as read_csv returns them) to Posting rows, each with
+    its full_text: the five text fields, in TEXT_CONCAT_FIELDS order,
+    joined by spaces and normalized.
 
     Columns are mapped by header name; unknown columns are ignored and
     known-but-absent columns are treated as empty (logged once, naming
@@ -242,7 +223,8 @@ def postings_from_records(header, records, source) -> list:
                 raise DataError(
                     f"record {record_number}: job_id must be an integer, got {raw_id!r}"
                 ) from exc
-        rows.append(RawPosting(*values))
+        values.append(normalize_text(" ".join(_text_fields(values))))
+        rows.append(Posting(*values))
 
     for column, count in sorted(flag_defaults.items()):
         logger.warning("%d empty %r values defaulted", count, column)
@@ -285,24 +267,15 @@ def normalize_text(s: str) -> str:
     return b" ".join(cleaned.split()).decode("ascii")
 
 
-_raw_fields = operator.attrgetter(*_COLUMN_NAMES)
-_text_fields = operator.attrgetter(*TEXT_CONCAT_FIELDS)
-
-
-def clean_posting(row: RawPosting) -> CleanPosting:
-    # CleanPosting's fields are RawPosting's, in order, then full_text
-    return CleanPosting(*_raw_fields(row), normalize_text(" ".join(_text_fields(row))))
-
-
 def assemble_dataset(rows) -> Dataset:
-    """Normalize parsed rows into a Dataset, preserving order and count.
+    """Collect parsed Posting rows into a Dataset, preserving order and count.
 
     Class counts are reported in the summary, never asserted against any
     expected value.
     """
     if not rows:
         raise DataError("cannot assemble a dataset from zero rows")
-    postings = tuple(clean_posting(r) for r in rows)
+    postings = tuple(rows)
     fake = sum(p.fraudulent for p in postings)
     ids = {p.job_id for p in postings}
     if len(ids) != len(postings):

@@ -13,7 +13,7 @@ import numpy as np
 from . import bilstm, bundle as bundle_mod, forests, metrics, trainer
 from .config import MODEL_KINDS, RunConfig, config_from_dict
 from .errors import DataError, ModelStoreError, UsageError
-from .features import CategoricalEncoder, SplitTexts, TextVectorizer, Vocabulary
+from .features import CATEGORICAL_COLUMNS, CategoricalEncoder, SplitTexts, TextVectorizer, Vocabulary
 from .ingest import Dataset, dataset_fingerprint
 
 
@@ -28,10 +28,6 @@ class PreparedData:
     ids: np.ndarray | None = None
     terms: list | None = None
     tabular: np.ndarray | None = None
-
-    def packed_bilstm(self) -> np.ndarray:
-        """[token ids | numeric] rows, the BiLstmClassifier input layout."""
-        return np.hstack([self.ids.astype(np.float64), self.numeric])
 
 
 def prepare(dataset: Dataset, cfg: RunConfig, kinds=("bilstm",)) -> PreparedData:
@@ -89,12 +85,13 @@ class DetectionPipeline:
 
     # -- prediction ---------------------------------------------------------
 
-    def featurize(self, postings) -> np.ndarray:
+    def featurize(self, postings):
+        """The model's input: the (ids, numeric) pair for the BiLSTM, the
+        tabular matrix for a tree ensemble."""
         numeric = self.encoder.transform(postings)
         texts = [p.full_text for p in postings]
         if self.kind == "bilstm":
-            ids = self.vectorizer.transform(texts)
-            return np.hstack([ids.astype(np.float64), numeric])
+            return self.vectorizer.transform(texts), numeric
         return forests.build_tabular(numeric, texts, self.terms)
 
     def predict_scores(self, postings) -> np.ndarray:
@@ -147,10 +144,19 @@ class DetectionPipeline:
         if kind not in MODEL_KINDS:
             raise ModelStoreError(f"bundle holds unknown model kind {kind!r}")
         cfg = config_from_dict(manifest["config"]["run_config"])
+        categories = manifest["config"]["encoder_categories"]
+        if not (
+            isinstance(categories, dict)
+            and sorted(categories) == sorted(CATEGORICAL_COLUMNS)
+            and all(isinstance(v, list) and all(isinstance(c, str) for c in v)
+                    for v in categories.values())
+        ):
+            raise ModelStoreError(
+                f"encoder_categories must map {', '.join(CATEGORICAL_COLUMNS)} "
+                f"to lists of strings, got {categories!r:.80}"
+            )
         encoder = CategoricalEncoder()
-        encoder.categories_ = {
-            k: list(v) for k, v in manifest["config"]["encoder_categories"].items()
-        }
+        encoder.categories_ = categories
         encoder.width_ = 4 + sum(len(v) for v in encoder.categories_.values())
         stored = manifest["dataset_fingerprint"]
         fingerprint = {"rows": int(stored["rows"]), "job_id_crc32": int(stored["job_id_crc32"])}
@@ -219,18 +225,22 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
     test_idx = np.array(splits.test, dtype=np.int64)
     y = prepared.labels
 
+    def rows(idx):
+        """The model input of the rows at idx."""
+        if kind == "bilstm":
+            return prepared.ids[idx], prepared.numeric[idx]
+        return prepared.tabular[idx]
+
     if kind == "bilstm":
-        X = prepared.packed_bilstm()
         model = bilstm.BiLstmClassifier(cfg, len(prepared.vectorizer.vocabulary_))
-        model.fit(X[train_idx], y[train_idx], validation_data=(X[val_idx], y[val_idx]))
+        model.fit(rows(train_idx), y[train_idx], validation_data=(rows(val_idx), y[val_idx]))
         history = model.history_
     else:
-        X = prepared.tabular
         model = _ENSEMBLES[kind](cfg)
-        model.fit(X[train_idx], y[train_idx])
+        model.fit(rows(train_idx), y[train_idx])
         history = None
 
-    test_scores = model.decision_scores(X[test_idx])
+    test_scores = model.decision_scores(rows(test_idx))
     report = metrics.compute_report(y[test_idx], test_scores, cfg.threshold)
     return DetectionPipeline(
         kind=kind,

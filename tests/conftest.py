@@ -36,7 +36,8 @@ def make_posting(**overrides):
         industry="Retail", function="Sales", fraudulent=0,
     )
     base.update(overrides)
-    return ingest.RawPosting(**base)
+    (posting,) = ingest.postings_from_records(list(base), [[str(v) for v in base.values()]], "test")
+    return posting
 
 
 @pytest.fixture
@@ -45,8 +46,8 @@ def toy_separable():
     rng = np.random.default_rng(5)
     n, length = 20, 6
     y = np.array([1, 0] * (n // 2))
-    ids = np.zeros((n, length))
+    ids = np.zeros((n, length), dtype=np.int64)
     for i in range(n):
         ids[i, :3] = 2 if y[i] else 3
     numeric = rng.normal(size=(n, 2)) * 0.1
-    return np.hstack([ids, numeric]), y, length
+    return (ids, numeric), y, length

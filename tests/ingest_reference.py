@@ -1,9 +1,10 @@
 """Per-field predict-path code that the package's table-driven versions replace.
 
 `normalize_text` (a `[^a-z0-9]+` substitution), `format_csv` (one regex
-search per field), `postings_from_records` (a dict and `RawPosting(**values)`
-per row) and `encode_numeric` (one posting, `list.index` per category) as
-they were before the rewrite. The package never calls them; the property
+search per field), `postings_from_records` (a dict and `Posting(**values)`
+per row, its full_text from this module's `normalize_text`) and
+`encode_numeric` (one posting, `list.index` per category) as they were
+before the rewrite. The package never calls them; the property
 tests require the new code to give exactly what these give.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from jobfraud.errors import DataError
 from jobfraud.features import CATEGORICAL_COLUMNS, country_of
-from jobfraud.ingest import _COLUMN_NAMES, FLAG_COLUMNS, RawPosting
+from jobfraud.ingest import _COLUMN_NAMES, FLAG_COLUMNS, TEXT_CONCAT_FIELDS, Posting
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
@@ -93,7 +94,8 @@ def postings_from_records(header, records, source) -> list:
                 raise DataError(
                     f"record {record_number}: job_id must be an integer, got {raw_id!r}"
                 ) from exc
-        rows.append(RawPosting(**values))
+        text = " ".join(values[name] for name in TEXT_CONCAT_FIELDS)
+        rows.append(Posting(**values, full_text=normalize_text(text)))
     return rows
 
 

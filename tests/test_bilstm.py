@@ -16,6 +16,7 @@ from jobfraud.bilstm import (
     parameter_count,
 )
 from jobfraud.config import BilstmSection, FeatureSection, RunConfig, TrainSection
+from jobfraud.errors import ShapeError
 from jobfraud.ndgrad import Tensor
 from tape_reference import lstm_cell, tape_encode
 
@@ -360,7 +361,7 @@ def test_classifier_fit_predict_roundtrip(toy_separable):
         train=TrainSection(learning_rate=1e-2, batch_size=8, max_epochs=40, patience=39),
     )
     clf = BiLstmClassifier(cfg, vocab_size=6)
-    clf.fit(X, y)
+    clf.fit(X, y, validation_data=(X, y))
     assert (clf.predict(X) == y).all()
     proba = clf.predict_proba(X)
     assert proba.shape == (len(y), 2)
@@ -370,4 +371,21 @@ def test_classifier_fit_predict_roundtrip(toy_separable):
 def test_classifier_requires_fit():
     cfg = RunConfig(features=FeatureSection(sequence_length=4))
     with pytest.raises(Exception):
-        BiLstmClassifier(cfg, vocab_size=10000).predict(np.zeros((1, 6)))
+        BiLstmClassifier(cfg, vocab_size=10000).predict(
+            (np.zeros((1, 4), dtype=np.int64), np.zeros((1, 2))))
+
+
+@pytest.mark.parametrize("ids, numeric", [
+    (np.zeros(4, dtype=np.int64), np.zeros((1, 2))),
+    (np.zeros((2, 4), dtype=np.int64), np.zeros((3, 2))),
+    (np.zeros((2, 5), dtype=np.int64), np.zeros((2, 2))),
+    (np.zeros((2, 4), dtype=np.int64), np.zeros(2)),
+], ids=["ids-1d", "row-counts-differ", "ids-too-wide", "numeric-1d"])
+def test_classifier_rejects_mismatched_inputs(ids, numeric):
+    cfg = RunConfig(features=FeatureSection(sequence_length=4))
+    good = (np.zeros((2, 4), dtype=np.int64), np.zeros((2, 2)))
+    y = np.array([0, 1])
+    with pytest.raises(ShapeError, match=r"X must be ids \(rows, 4\)"):
+        BiLstmClassifier(cfg, vocab_size=10).fit((ids, numeric), y, validation_data=(good, y))
+    with pytest.raises(ShapeError):
+        BiLstmClassifier(cfg, vocab_size=10).fit(good, y, validation_data=((ids, numeric), y))

@@ -476,6 +476,65 @@ def test_mismatched_bundle_parts_exit_three(
     assert not (tmp_path / "p.csv").exists()
 
 
+def _swap_category(value):
+    """An edit that replaces one category with `value`, keeping the width."""
+    def edit(config):
+        config["encoder_categories"]["industry"][0] = value
+    return edit
+
+
+def _rename_category(config):
+    categories = config["encoder_categories"]
+    categories["sector"] = categories.pop("industry")  # same width, unknown column
+
+
+@pytest.mark.parametrize("edit", [
+    _swap_category(["Retail"]),
+    _swap_category({}),
+    _swap_category(5),
+    lambda c: c["encoder_categories"].update(industry="Retail"),
+    _rename_category,
+    lambda c: c["encoder_categories"].pop("country"),
+    lambda c: c.update(encoder_categories=list(c["encoder_categories"])),
+], ids=["entry-list", "entry-object", "entry-number", "value-string", "key-renamed",
+        "key-missing", "not-an-object"])
+@pytest.mark.parametrize("bundle", ["gbm", "rf", "bilstm"])
+def test_ill_typed_encoder_categories_exit_three(
+    tmp_path, trained_model_dir, trained_rf_dir, strict_bilstm_dir, small_csv, bundle, edit, capsys
+):
+    source = {"gbm": trained_model_dir, "rf": trained_rf_dir, "bilstm": strict_bilstm_dir}
+    model = tmp_path / "model"
+    shutil.copytree(source[bundle], model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    edit(manifest["config"])
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(small_csv),
+        "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "model store error: encoder_categories must map" in err and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_integer_base_score_predicts_like_float(tmp_path, trained_model_dir, small_csv):
+    """A hand-edited "base_score": 0 reads as 0.0."""
+    outputs = []
+    for base_score in (0, 0.0):
+        model = tmp_path / f"model-{base_score!r}"
+        shutil.copytree(trained_model_dir, model)
+        manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+        manifest["ensemble"]["base_score"] = base_score
+        (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / f"p-{base_score!r}.csv"
+        code = run_cli(["predict", "--model", str(model), "--input", str(small_csv),
+                        "--out", str(out)])
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_config_non_utf8_exits_one(tmp_path, small_csv, capsys):
     config = tmp_path / "latin1.json"
     config.write_bytes(b'{"seed": "\xe9"}')

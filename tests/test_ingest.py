@@ -278,6 +278,14 @@ def test_postings_from_records_equals_reference(header, records):
     assert outcome(ingest.postings_from_records) == outcome(reference.postings_from_records)
 
 
+def test_postings_from_records_full_text_order_and_empty():
+    header = ["job_id", "benefits", "title", "requirements", "description", "company_profile"]
+    records = [["1", "E", "A B", "", "D,d", "<b>C</b>"], ["2", "", "", "", "", ""]]
+    full, empty = ingest.postings_from_records(header, records, "p.csv")
+    assert full.full_text == "a b c d d e"
+    assert empty.full_text == ""
+
+
 def test_record_wider_than_header_is_a_data_error(tmp_path):
     path = _write(tmp_path, "job_id,title\n1,Chef\n2,Cook,extra\n")
     with pytest.raises(DataError, match="record 3: 3 fields, but the header has 2"):
@@ -338,11 +346,9 @@ def test_normalize_equals_reference_on_any_text(s):
 
 
 def test_normalize_full_texts_equal_reference(fixture_csv):
-    rows = ingest.parse_csv(fixture_csv)
-    for row in rows:
-        text = " ".join(ingest._text_fields(row))
-        assert ingest.normalize_text(text) == reference.normalize_text(text)
-    for posting in ingest.assemble_dataset(rows).postings:
+    for posting in ingest.parse_csv(fixture_csv):
+        text = " ".join(getattr(posting, name) for name in ingest.TEXT_CONCAT_FIELDS)
+        assert posting.full_text == reference.normalize_text(text)
         assert posting.title_clean == reference.normalize_text(posting.title)
 
 
@@ -395,19 +401,6 @@ def test_assemble_counts():
     rows = [make_posting(job_id=1, fraudulent=0), make_posting(job_id=2, fraudulent=1)]
     ds = ingest.assemble_dataset(rows)
     assert ds.summary == {"total": 2, "genuine": 1, "fake": 1}
-
-
-def test_assemble_full_text_order_and_empty():
-    row = make_posting(
-        title="A B", company_profile="<b>C</b>", description="D,d",
-        requirements="", benefits="E",
-    )
-    ds = ingest.assemble_dataset([row])
-    assert ds.postings[0].full_text == "a b c d d e"
-    empty = make_posting(
-        title="", company_profile="", description="", requirements="", benefits="",
-    )
-    assert ingest.assemble_dataset([empty]).postings[0].full_text == ""
 
 
 def test_assemble_preserves_order_and_count():

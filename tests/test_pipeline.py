@@ -131,10 +131,16 @@ def test_models_share_test_indices(small_dataset, prepared):
     assert totals == {len(prepared.splits.test)}
 
 
-def test_featurize_matches_prepared_rows(small_dataset, prepared):
-    pipe = train_pipeline(small_dataset, FAST, "gbm", prepared=prepared)
+@pytest.mark.parametrize("kind", ["gbm", "bilstm"])
+def test_featurize_matches_prepared_rows(small_dataset, prepared, kind):
+    pipe = train_pipeline(small_dataset, FAST, kind, prepared=prepared)
     rows = list(small_dataset.postings[:25])
-    assert np.array_equal(pipe.featurize(rows), prepared.tabular[:25])
+    if kind == "gbm":
+        assert np.array_equal(pipe.featurize(rows), prepared.tabular[:25])
+    else:
+        ids, numeric = pipe.featurize(rows)
+        assert ids.dtype == np.int64 and np.array_equal(ids, prepared.ids[:25])
+        assert numeric.dtype == np.float64 and np.array_equal(numeric, prepared.numeric[:25])
 
 
 def test_unknown_kind_rejected(small_dataset):
