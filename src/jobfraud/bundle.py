@@ -143,7 +143,7 @@ def load_model(directory) -> ModelBundle:
             raise ModelStoreError(f"missing bundle file {path}")
     try:
         manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise ModelStoreError(f"malformed manifest {manifest_path}: {exc}") from exc
     except OSError as exc:
         raise ModelStoreError(f"cannot read {manifest_path}: {exc}") from exc

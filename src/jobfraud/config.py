@@ -184,7 +184,7 @@ def load_config(path) -> RunConfig:
             data = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object")

@@ -17,12 +17,17 @@ features into equal-frequency histograms once, from one sort of the whole
 matrix, sizes the histogram grid to the widest feature's real bin count,
 scores only the bin boundaries that carry an edge, and always splits the
 highest-gain leaf.
+
+An ensemble's trees share one set of flat node arrays, which both growers
+append to; the boosters share one boosting loop. Predict walks all rows
+through all trees one level at a time. Bundles keep each tree as nested
+JSON, which tree_to_dict and tree_from_dict convert to and from the arrays.
 """
 
 import heapq
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,31 +42,40 @@ logger = logging.getLogger(__name__)
 _NEWTON_EPS = 1e-12
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """Internal node (feature/threshold/left/right) or leaf (value).
-
-    Rows with X[:, feature] <= threshold route left.
-    """
-
-    value: float = 0.0
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass(frozen=True)
+@dataclass
 class EnsembleModel:
+    """An ensemble's trees as flat node lists, which the growers append to
+    and predict reads as arrays. Node i is a leaf worth value[i] when
+    feature[i] == -1; else rows with X[:, feature[i]] <= threshold[i] go on
+    to node left[i], the others to right[i]. Tree t is the nodes from
+    roots[t] up to the next tree's root."""
+
     kind: str  # random_forest | gbm | leafwise_gbm
-    trees: tuple
     n_features: int
     learning_rate: float | None = None
     base_score: float | None = None
+    feature: list = field(default_factory=list)
+    threshold: list = field(default_factory=list)
+    left: list = field(default_factory=list)
+    right: list = field(default_factory=list)
+    value: list = field(default_factory=list)
+    roots: list = field(default_factory=list)
+
+    def leaf(self) -> int:
+        """Append a leaf; returns its index."""
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        return len(self.value) - 1
+
+    def split(self, node, feature, threshold) -> int:
+        """Turn leaf `node` into a split; returns its new left leaf, the right follows."""
+        left = self.leaf()
+        self.feature[node], self.threshold[node] = feature, threshold
+        self.left[node], self.right[node] = left, self.leaf()
+        return left
 
 
 # --------------------------------------------------------------------------
@@ -165,6 +179,7 @@ def best_split(
 def fit_tree(
     X,
     y,
+    model,
     max_depth=None,
     min_samples_leaf=1,
     criterion="gini",
@@ -174,7 +189,8 @@ def fit_tree(
     rows=None,
     root_presort=None,
 ):
-    """Greedy recursive best-split CART tree.
+    """Greedy recursive best-split CART tree, appended to the EnsembleModel
+    `model`; returns its leaves, each mapped to its rows.
 
     `feature_subsample` is a per-node candidate count (None = all
     features), drawn from `rng`. Leaves carry the class-1 fraction
@@ -192,16 +208,18 @@ def fit_tree(
         codes = rank_codes(X)
     subsample = feature_subsample is not None and feature_subsample < n_features
     all_features = np.arange(n_features)
+    leaves = {}
 
-    def grow(rows, depth):
+    def grow(node, rows, depth):
         yr = y[rows]
-        node = TreeNode(value=float(yr.sum() / rows.shape[0]))  # yr.mean(), without its overhead
+        model.value[node] = float(yr.sum() / rows.shape[0])  # yr.mean(), without its overhead
+        leaves[node] = rows
         if (
             rows.shape[0] < 2 * min_samples_leaf
             or (max_depth is not None and depth >= max_depth)
             or (yr == yr[0]).all()
         ):
-            return node
+            return
         if subsample:
             candidates = rng.sample_indices(n_features, feature_subsample)
         else:
@@ -211,32 +229,17 @@ def fit_tree(
             root_presort if depth == 0 else None,
         )
         if found is None:
-            return node
+            return
+        del leaves[node]
         f, threshold, _ = found
         mask = X[rows, f] <= threshold
-        node.feature = f
-        node.threshold = threshold
-        node.left = grow(rows[mask], depth + 1)
-        node.right = grow(rows[~mask], depth + 1)
-        return node
+        left = model.split(node, f, threshold)
+        grow(left, rows[mask], depth + 1)
+        grow(left + 1, rows[~mask], depth + 1)
 
-    return grow(np.arange(X.shape[0]) if rows is None else np.asarray(rows), 0)
-
-
-def tree_predict(root: TreeNode, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0])
-
-    def route(node, idx):
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        route(node.left, idx[mask])
-        route(node.right, idx[~mask])
-
-    route(root, np.arange(X.shape[0]))
-    return out
+    model.roots.append(model.leaf())
+    grow(model.roots[-1], np.arange(X.shape[0]) if rows is None else np.asarray(rows), 0)
+    return leaves
 
 
 # --------------------------------------------------------------------------
@@ -263,30 +266,29 @@ def fit_random_forest(
         per_node = max(1, int(np.sqrt(n_features)))
     else:
         per_node = feature_subsample
-    trees = []
+    model = EnsembleModel("random_forest", n_features)
     for i in range(n_trees):
         rng = SplitMix64(seed + i)
         rows = None
         if bootstrap:
             rows = np.fromiter((rng.randrange(n) for _ in range(n)), np.int64, n)
-        trees.append(
-            fit_tree(
-                X,
-                y,
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                criterion="gini",
-                feature_subsample=per_node,
-                rng=rng,
-                codes=codes,
-                rows=rows,
-            )
+        fit_tree(
+            X,
+            y,
+            model,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            criterion="gini",
+            feature_subsample=per_node,
+            rng=rng,
+            codes=codes,
+            rows=rows,
         )
-    return EnsembleModel(kind="random_forest", trees=tuple(trees), n_features=n_features)
+    return model
 
 
 # --------------------------------------------------------------------------
-# Depth-wise gradient boosting
+# Gradient boosting
 # --------------------------------------------------------------------------
 
 def _clamped_log_odds(rate: float) -> float:
@@ -297,15 +299,28 @@ def _clamped_log_odds(rate: float) -> float:
     return float(np.clip(np.log(rate / (1.0 - rate)), -10.0, 10.0))
 
 
-def _newtonize(node: TreeNode, X, rows, residual, hessian, out) -> None:
-    """Replace leaf means with Newton steps and emit per-row predictions."""
-    if node.is_leaf:
-        node.value = float(residual[rows].sum() / (hessian[rows].sum() + _NEWTON_EPS))
-        out[rows] = node.value
-        return
-    mask = X[rows, node.feature] <= node.threshold
-    _newtonize(node.left, X, rows[mask], residual, hessian, out)
-    _newtonize(node.right, X, rows[~mask], residual, hessian, out)
+def _boost(kind, X, y, n_rounds, learning_rate, grow) -> EnsembleModel:
+    """Logistic-loss boosting on a checked X, shared by both boosters:
+    from the log-odds of the training positive rate, each round's
+    grow(residual, model) appends a tree fit to the residuals y - sigmoid(F)
+    and returns its leaves, each mapped to its ascending rows; a leaf then
+    takes the Newton value sum residual / sum p(1-p) over its rows."""
+    y = check_labels(y, X.shape[0]).astype(np.float64)
+    base = _clamped_log_odds(float(y.mean()))
+    model = EnsembleModel(kind, X.shape[1], learning_rate, base)
+    if y.min() == y.max():
+        logger.warning("degenerate labels (all %d): base score clamped, no boosting rounds", int(y[0]))
+        return model
+    scores = np.full(X.shape[0], base)
+    for _ in range(n_rounds):
+        p = _sigmoid_values(scores)
+        residual = y - p
+        hessian = p * (1.0 - p)
+        for leaf, rows in grow(residual, model).items():
+            value = float(residual[rows].sum() / (hessian[rows].sum() + _NEWTON_EPS))
+            model.value[leaf] = value
+            scores[rows] += learning_rate * value
+    return model
 
 
 def fit_gbm(
@@ -316,43 +331,20 @@ def fit_gbm(
     max_depth=3,
     min_samples_leaf=1,
 ) -> EnsembleModel:
-    """Logistic-loss boosting on exact regression trees.
-
-    Starts from the log-odds of the training positive rate; each round fits
-    a depth-limited tree to the residuals y - sigmoid(F) and applies Newton
-    leaf values (sum residual / sum p(1-p)).
-    """
+    """Boosting on exact regression trees: each round fits a depth-limited
+    tree to the residuals."""
     X = check_matrix(X)
-    y = check_labels(y, X.shape[0]).astype(np.float64)
-    base = _clamped_log_odds(float(y.mean()))
-    if y.min() == y.max():
-        logger.warning("degenerate labels (all %d): base score clamped, no boosting rounds", int(y[0]))
-        return EnsembleModel(
-            kind="gbm", trees=(), n_features=X.shape[1],
-            learning_rate=learning_rate, base_score=base,
-        )
-    scores = np.full(X.shape[0], base)
-    trees = []
-    all_rows = np.arange(X.shape[0])
     codes = rank_codes(X)
     # every round's root splits the same rows on the same codes: sort them once
     root_presort = presort(codes.T, min_samples_leaf)
-    for _ in range(n_rounds):
-        p = _sigmoid_values(scores)
-        residual = y - p
-        hessian = p * (1.0 - p)
-        tree = fit_tree(
-            X, residual, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+
+    def grow(residual, model):
+        return fit_tree(
+            X, residual, model, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
             criterion="variance", codes=codes, root_presort=root_presort,
         )
-        step = np.empty(X.shape[0])
-        _newtonize(tree, X, all_rows, residual, hessian, step)
-        scores += learning_rate * step
-        trees.append(tree)
-    return EnsembleModel(
-        kind="gbm", trees=tuple(trees), n_features=X.shape[1],
-        learning_rate=learning_rate, base_score=base,
-    )
+
+    return _boost("gbm", X, y, n_rounds, learning_rate, grow)
 
 
 # --------------------------------------------------------------------------
@@ -424,15 +416,6 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
     )
 
 
-@dataclass(eq=False)  # identity comparison; fields hold arrays
-class _LeafCandidate:
-    node: TreeNode
-    rows: np.ndarray
-    hist_count: np.ndarray
-    hist_grad: np.ndarray
-    best: tuple | None = None  # (gain, feature, bin)
-
-
 def _leaf_histograms(bins: FeatureBins, rows, residual):
     n_features = bins.codes.shape[1]
     size = n_features * bins.width
@@ -469,6 +452,40 @@ def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
     return gain, feature, b
 
 
+def _grow_leafwise(bins: FeatureBins, residual, model, max_leaves, min_samples_leaf):
+    """One tree grown over the histograms of `bins` and appended to
+    `model`: the leaf with the largest gain splits next, until max_leaves.
+    Returns its leaves, each mapped to its ascending rows."""
+    heap = []  # (-gain, node, feature, bin, count, grad) of each leaf that can split
+    leaves = {}
+
+    def push(node, rows, count, grad):
+        leaves[node] = rows
+        best = _best_hist_split(bins, count, grad, min_samples_leaf)
+        if best is not None:  # ties pop in push order: node indices rise
+            heapq.heappush(heap, (-best[0], node, best[1], best[2], count, grad))
+
+    rows = np.arange(bins.codes.shape[0])
+    model.roots.append(model.leaf())
+    push(model.roots[-1], rows, *_leaf_histograms(bins, rows, residual))
+    while len(leaves) < max_leaves and heap:
+        _, node, f, b, count, grad = heapq.heappop(heap)
+        rows = leaves.pop(node)
+        mask = bins.codes[rows, f] <= b
+        left_rows, right_rows = rows[mask], rows[~mask]
+        # build the smaller child's histogram, subtract for the sibling
+        if left_rows.shape[0] <= right_rows.shape[0]:
+            lc, lg = _leaf_histograms(bins, left_rows, residual)
+            rc, rg = count - lc, grad - lg
+        else:
+            rc, rg = _leaf_histograms(bins, right_rows, residual)
+            lc, lg = count - rc, grad - rg
+        left = model.split(node, f, float(bins.edges[f][b]))
+        push(left, left_rows, lc, lg)
+        push(left + 1, right_rows, rc, rg)
+    return leaves
+
+
 def fit_leafwise_gbm(
     X,
     y,
@@ -481,112 +498,80 @@ def fit_leafwise_gbm(
     """Boosting like fit_gbm, but trees grow leaf-wise over histograms:
     the leaf with the largest gain splits next, until max_leaves."""
     X = check_matrix(X)
-    y = check_labels(y, X.shape[0]).astype(np.float64)
-    base = _clamped_log_odds(float(y.mean()))
-    if y.min() == y.max():
-        logger.warning("degenerate labels (all %d): base score clamped, no boosting rounds", int(y[0]))
-        return EnsembleModel(
-            kind="leafwise_gbm", trees=(), n_features=X.shape[1],
-            learning_rate=learning_rate, base_score=base,
-        )
     bins = compute_bins(X, n_bins)
 
-    scores = np.full(X.shape[0], base)
-    trees = []
-    for _ in range(n_rounds):
-        p = _sigmoid_values(scores)
-        residual = y - p
-        hessian = p * (1.0 - p)
+    def grow(residual, model):
+        return _grow_leafwise(bins, residual, model, max_leaves, min_samples_leaf)
 
-        root = TreeNode()
-        root_rows = np.arange(X.shape[0])
-        count, grad = _leaf_histograms(bins, root_rows, residual)
-        heap = []
-        counter = 0
-        leaves = []
-
-        def push(node, rows, count, grad):
-            nonlocal counter
-            cand = _LeafCandidate(node, rows, count, grad)
-            cand.best = _best_hist_split(bins, count, grad, min_samples_leaf)
-            if cand.best is not None:
-                heapq.heappush(heap, (-cand.best[0], counter, cand))
-                counter += 1
-            leaves.append(cand)
-
-        push(root, root_rows, count, grad)
-        n_leaves = 1
-        while n_leaves < max_leaves and heap:
-            _, _, cand = heapq.heappop(heap)
-            leaves.remove(cand)
-            _, f, b = cand.best
-            node = cand.node
-            node.feature = f
-            node.threshold = float(bins.edges[f][b])
-            node.left = TreeNode()
-            node.right = TreeNode()
-            mask = bins.codes[cand.rows, f] <= b
-            left_rows, right_rows = cand.rows[mask], cand.rows[~mask]
-            # build the smaller child's histogram, subtract for the sibling
-            if left_rows.shape[0] <= right_rows.shape[0]:
-                lc, lg = _leaf_histograms(bins, left_rows, residual)
-                rc, rg = cand.hist_count - lc, cand.hist_grad - lg
-            else:
-                rc, rg = _leaf_histograms(bins, right_rows, residual)
-                lc, lg = cand.hist_count - rc, cand.hist_grad - rg
-            push(node.left, left_rows, lc, lg)
-            push(node.right, right_rows, rc, rg)
-            n_leaves += 1
-
-        for cand in leaves:
-            rows = cand.rows
-            cand.node.value = float(
-                residual[rows].sum() / (hessian[rows].sum() + _NEWTON_EPS)
-            )
-            scores[rows] += learning_rate * cand.node.value
-        trees.append(root)
-    return EnsembleModel(
-        kind="leafwise_gbm", trees=tuple(trees), n_features=X.shape[1],
-        learning_rate=learning_rate, base_score=base,
-    )
+    return _boost("leafwise_gbm", X, y, n_rounds, learning_rate, grow)
 
 
 # --------------------------------------------------------------------------
 # Prediction
 # --------------------------------------------------------------------------
 
+_WALK_PAIRS = 1 << 16  # (tree, row) pairs a block walks; smaller blocks stay in cache
+
+
 def ensemble_predict(model: EnsembleModel, X) -> np.ndarray:
-    """Class-1 probability per row."""
+    """Class-1 probability per row.
+
+    Each step moves all the (tree, row) pairs not yet at a leaf one level
+    down, then the trees' leaf values are added in tree order. Rows go in
+    blocks of at most _WALK_PAIRS pairs, which bounds the walk's memory.
+    """
     X = check_matrix(X)
     if X.shape[1] != model.n_features:
         raise ShapeError(
             f"matrix has {X.shape[1]} features, model expects {model.n_features}"
         )
+    feature, left, right, roots = (
+        np.array(a, dtype=np.intp) for a in (model.feature, model.left, model.right, model.roots)
+    )
+    threshold, value = np.array(model.threshold, dtype=float), np.array(model.value, dtype=float)
+    # a block keeps only the split features' columns, one after another: pair
+    # t * rows + i (tree t, row i) at a node of tree t reads pair + shift[node] * rows
+    used = np.unique(feature[feature >= 0])
+    tree = np.searchsorted(roots, np.arange(feature.shape[0]), side="right") - 1
+    shift = np.searchsorted(used, feature) - tree
+    children = np.stack([right, left], axis=1).ravel()  # 2 * node + went left
+    step = max(1, _WALK_PAIRS // max(1, roots.shape[0]))
+    per_block = []
+    for block in np.split(X, range(step, X.shape[0], step)):
+        columns, offset = block.T[used].ravel(), shift * block.shape[0]
+        node = np.repeat(roots, block.shape[0])
+        walking = np.flatnonzero(feature[node] >= 0)
+        while walking.shape[0]:
+            at = node[walking]
+            go_left = columns[walking + offset[at]] <= threshold[at]
+            node[walking] = moved = children[2 * at + go_left]
+            walking = walking[feature[moved] >= 0]
+        per_block.append(value[node].reshape(roots.shape[0], block.shape[0]))
+    values = np.hstack(per_block)
     if model.kind == "random_forest":
         total = np.zeros(X.shape[0])
-        for tree in model.trees:
-            total += tree_predict(tree, X)
-        return total / len(model.trees)
-    if model.kind in ("gbm", "leafwise_gbm"):
-        scores = np.full(X.shape[0], model.base_score)
-        for tree in model.trees:
-            scores += model.learning_rate * tree_predict(tree, X)
-        return _sigmoid_values(scores)
-    raise ValueError(f"unknown ensemble kind {model.kind!r}")
+        for tree_values in values:
+            total += tree_values
+        return total / values.shape[0]
+    scores = np.full(X.shape[0], model.base_score)
+    for tree_values in values:
+        scores += model.learning_rate * tree_values
+    return _sigmoid_values(scores)
 
 
 # --------------------------------------------------------------------------
-# Serialization (trees live inside the bundle manifest)
+# Serialization (trees live inside the bundle manifest as nested JSON)
 # --------------------------------------------------------------------------
 
-def tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
+def tree_to_dict(model: EnsembleModel, node: int) -> dict:
+    """The tree below `node` as nested JSON, the bundles' tree format."""
+    if model.feature[node] < 0:
+        return {"value": model.value[node]}
     return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
+        "feature": model.feature[node],
+        "threshold": model.threshold[node],
+        "left": tree_to_dict(model, model.left[node]),
+        "right": tree_to_dict(model, model.right[node]),
     }
 
 
@@ -601,32 +586,33 @@ def _finite(value, what):
     return float(value)
 
 
-def tree_from_dict(data: dict, n_features: int) -> TreeNode:
-    """Rebuild a tree, checking every node: a leaf's value is a finite
-    number, a split's feature an integer in [0, n_features) and its
-    threshold finite. A malformed node raises ModelStoreError."""
-    # every predict loads every node: a finite float passes without a call
-    if not isinstance(data, dict):
-        raise ModelStoreError(f"tree node must be an object, got {data!r:.40}")
-    if "feature" not in data:
-        value = data["value"]
-        if type(value) is not float or not -_MAX_FLOAT <= value <= _MAX_FLOAT:
-            value = _finite(value, "leaf value")
-        return TreeNode(value)
-    feature, threshold = data["feature"], data["threshold"]
-    if type(feature) is not int or not 0 <= feature < n_features:
-        raise ModelStoreError(
-            f"split feature must be an integer in [0, {n_features}), got {feature!r:.40}"
-        )
-    if type(threshold) is not float or not -_MAX_FLOAT <= threshold <= _MAX_FLOAT:
-        threshold = _finite(threshold, "split threshold")
-    return TreeNode(
-        0.0,
-        feature,
-        threshold,
-        tree_from_dict(data["left"], n_features),
-        tree_from_dict(data["right"], n_features),
-    )
+def tree_from_dict(data: dict, n_features: int, model: EnsembleModel) -> None:
+    """Append a nested-JSON tree to `model`, read from a stack (any depth),
+    checking every node: a leaf's value is a finite number, a split's feature
+    an integer in [0, n_features) and its threshold finite; a malformed node
+    raises ModelStoreError."""
+    model.roots.append(model.leaf())
+    pending = [(data, model.roots[-1])]
+    while pending:
+        data, node = pending.pop()
+        # every predict loads every node: a finite float passes without a call
+        if not isinstance(data, dict):
+            raise ModelStoreError(f"tree node must be an object, got {data!r:.40}")
+        if "feature" not in data:
+            value = data["value"]
+            if type(value) is not float or not -_MAX_FLOAT <= value <= _MAX_FLOAT:
+                value = _finite(value, "leaf value")
+            model.value[node] = value
+            continue
+        feature, threshold = data["feature"], data["threshold"]
+        if type(feature) is not int or not 0 <= feature < n_features:
+            raise ModelStoreError(
+                f"split feature must be an integer in [0, {n_features}), got {feature!r:.40}"
+            )
+        if type(threshold) is not float or not -_MAX_FLOAT <= threshold <= _MAX_FLOAT:
+            threshold = _finite(threshold, "split threshold")
+        left = model.split(node, feature, threshold)
+        pending += [(data["right"], left + 1), (data["left"], left)]
 
 
 def ensemble_to_dict(model: EnsembleModel) -> dict:
@@ -635,7 +621,7 @@ def ensemble_to_dict(model: EnsembleModel) -> dict:
         "n_features": model.n_features,
         "learning_rate": model.learning_rate,
         "base_score": model.base_score,
-        "trees": [tree_to_dict(t) for t in model.trees],
+        "trees": [tree_to_dict(model, root) for root in model.roots],
     }
 
 
@@ -655,13 +641,22 @@ def ensemble_from_dict(data: dict) -> EnsembleModel:
     if kind != "random_forest":
         learning_rate = _finite(learning_rate, "learning_rate")
         base_score = _finite(base_score, "base_score")
-    return EnsembleModel(
-        kind=kind,
-        n_features=n_features,
-        learning_rate=learning_rate,
-        base_score=base_score,
-        trees=tuple(tree_from_dict(t, n_features) for t in trees),
-    )
+    model = EnsembleModel(kind, n_features, learning_rate, base_score)
+    for tree in trees:
+        tree_from_dict(tree, n_features, model)
+    values = np.array(model.value)
+    if kind == "random_forest":  # a forest's leaves hold class-1 fractions
+        outside = (values < 0.0) | (values > 1.0)
+        if outside.any():
+            raise ModelStoreError(
+                f"a forest's leaf value must lie in [0, 1], got {float(values[outside][0])!r}"
+            )
+        return model
+    with np.errstate(over="ignore"):  # a row's score adds at most one leaf of each tree
+        reach = abs(base_score) + abs(learning_rate) * float(np.abs(values).sum())
+    if not reach <= _MAX_FLOAT:
+        raise ModelStoreError("base_score and learning_rate times the leaf values can overflow")
+    return model
 
 
 # --------------------------------------------------------------------------

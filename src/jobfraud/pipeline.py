@@ -193,10 +193,13 @@ class DetectionPipeline:
             model.classes_ = np.array([0, 1])
             return cls(kind, cfg, encoder, model, fingerprint, vectorizer=vectorizer)
 
+        if manifest["ensemble"]["kind"] != kind:
+            stored = manifest["ensemble"]["kind"]
+            raise ModelStoreError(f"bundle of model {kind!r} holds a {stored!r:.40} ensemble")
         ensemble = forests.ensemble_from_dict(manifest["ensemble"])
-        if ensemble.kind != kind:
-            raise ModelStoreError(f"bundle of model {kind!r} holds a {ensemble.kind!r} ensemble")
-        terms = list(manifest["terms"])
+        terms = manifest["terms"]
+        if not isinstance(terms, list) or len({t for t in terms if isinstance(t, str)}) != len(terms):
+            raise ModelStoreError(f"terms must be a list of distinct strings, got {terms!r:.80}")
         if ensemble.n_features != encoder.width_ + len(terms):
             raise ModelStoreError(
                 f"ensemble has {ensemble.n_features} features, the encoder and "

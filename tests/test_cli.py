@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import shutil
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ingest_reference as reference
-from jobfraud import ingest
+from jobfraud import ingest, synth
 from jobfraud.cli import run_cli
 
 # a fast configuration for end-to-end runs on the 300-row fixture
@@ -28,30 +32,36 @@ def fast_config(tmp_path):
     return path
 
 
-@pytest.fixture(scope="module")
-def trained_model_dir(tmp_path_factory, small_csv):
-    out = tmp_path_factory.mktemp("model") / "gbm"
+def _train_bundle(tmp_path_factory, small_csv, model):
+    out = tmp_path_factory.mktemp("model") / model
     config = tmp_path_factory.mktemp("cfg") / "config.json"
     config.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
     code = run_cli([
         "train", "--data", str(small_csv), "--config", str(config),
-        "--out", str(out), "--model", "gbm",
+        "--out", str(out), "--model", model,
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained_model_dir(tmp_path_factory, small_csv):
+    return _train_bundle(tmp_path_factory, small_csv, "gbm")
 
 
 @pytest.fixture(scope="module")
 def trained_rf_dir(tmp_path_factory, small_csv):
-    out = tmp_path_factory.mktemp("model") / "rf"
-    config = tmp_path_factory.mktemp("cfg") / "config.json"
-    config.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
-    code = run_cli([
-        "train", "--data", str(small_csv), "--config", str(config),
-        "--out", str(out), "--model", "rf",
-    ])
-    assert code == 0
-    return out
+    return _train_bundle(tmp_path_factory, small_csv, "rf")
+
+
+@pytest.fixture(scope="module")
+def tree_bundles(tmp_path_factory, small_csv, trained_model_dir, trained_rf_dir):
+    """The rf, gbm and lgbt bundles of the 300-row fixture."""
+    return {
+        "rf": trained_rf_dir,
+        "gbm": trained_model_dir,
+        "lgbt": _train_bundle(tmp_path_factory, small_csv, "lgbt"),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -414,10 +424,13 @@ def _root(ensemble):
     ("gbm", lambda e: e["trees"].append([]), "tree node must be an object, got []"),
     ("rf", lambda e: e.update(trees=[]), "a random forest needs at least one tree"),
     ("rf", lambda e: _first_leaf(e["trees"][-1]).update(value=None), "leaf value must be"),
+    ("rf", lambda e: _first_leaf(e["trees"][-1]).update(value=5), "must lie in [0, 1], got 5.0"),
+    ("rf", lambda e: _first_leaf(_root(e)).update(value=-0.5), "must lie in [0, 1], got -0.5"),
+    ("gbm", lambda e: e.update(learning_rate=1e308), "learning_rate times the leaf values can"),
 ], ids=["feature-out-of-range", "feature-negative", "feature-string", "feature-float",
         "feature-bool", "threshold-string", "value-string", "value-null", "learning-rate-null",
         "base-score-string", "kind-mismatch", "tree-not-an-object", "rf-no-trees",
-        "rf-value-null"])
+        "rf-value-null", "rf-value-above-one", "rf-value-negative", "learning-rate-overflows"])
 def test_ill_typed_tree_manifest_exits_three(
     tmp_path, trained_model_dir, trained_rf_dir, small_csv, bundle, edit, message, capsys
 ):
@@ -516,6 +529,156 @@ def test_ill_typed_encoder_categories_exit_three(
     assert code == 3
     assert "model store error: encoder_categories must map" in err and "Traceback" not in err
     assert not (tmp_path / "p.csv").exists()
+
+
+def _set_term(value):
+    def edit(terms):
+        terms[3] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_term(["sales"]),
+    _set_term({"sales": 1}),
+    _set_term(5),
+    lambda terms: terms.__setitem__(3, terms[0]),
+], ids=["term-list", "term-object", "term-number", "term-repeated"])
+@pytest.mark.parametrize("bundle", ["rf", "gbm", "lgbt"])
+def test_ill_typed_terms_exit_three(tmp_path, tree_bundles, small_csv, bundle, edit, capsys):
+    """A tree bundle's terms are distinct strings; any other entry would
+    count the wrong tokens, or none."""
+    model = tmp_path / "model"
+    shutil.copytree(tree_bundles[bundle], model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    edit(manifest["terms"])
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(small_csv),
+        "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "model store error: terms must be a list of distinct strings" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def _nested(levels, inner, wrap):
+    """`inner` wrapped `levels` times by the format string `wrap`."""
+    for _ in range(levels):
+        inner = wrap.format(inner)
+    return inner
+
+
+def _deep_history(manifest):
+    manifest["history"] = "@"
+    return json.dumps(manifest).replace('"@"', _nested(100_000, "", "[{}]"))
+
+
+def _deep_first_tree(manifest):
+    manifest["ensemble"]["trees"][0] = "@"
+    split = '{{"feature": 0, "threshold": 0.5, "left": {}, "right": {{"value": 0.1}}}}'
+    return json.dumps(manifest).replace('"@"', _nested(990, '{"value": 0.2}', split))
+
+
+@pytest.mark.parametrize("nest", [_deep_history, _deep_first_tree], ids=["history", "tree"])
+def test_deeply_nested_manifest_exits_three(
+    tmp_path, trained_model_dir, small_csv, nest, capsys
+):
+    model = tmp_path / "model"
+    shutil.copytree(trained_model_dir, model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    (model / "manifest.json").write_text(nest(manifest), encoding="utf-8")
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(small_csv),
+        "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "model store error: malformed manifest" in err and "recursion" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_config_exits_one(tmp_path, small_csv, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text('{"seed": ' + _nested(100_000, "", "[{}]") + "}", encoding="utf-8")
+    code = run_cli([
+        "train", "--data", str(small_csv), "--config", str(config),
+        "--out", str(tmp_path / "m"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "deep.json is not valid JSON" in err and "recursion" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists()
+
+
+# the values a manifest mutation puts in place of a JSON value
+_SWAPS = (None, 5, -1, "x", [], {}, True, 1e308, [1], 2**70)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A 20-row input and room for the mutated bundles and their output."""
+    root = tmp_path_factory.mktemp("fuzz")
+    synth.write_fixture(root / "input.csv", n_rows=20, seed=3)
+    return root
+
+
+def _json_paths(value, path):
+    """The path of value and of every value inside it."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    bundle=st.sampled_from(["rf", "gbm", "lgbt"]),
+    section=st.integers(0, 2**16),
+    at=st.integers(0, 2**32),
+    value=st.sampled_from(_SWAPS),
+)
+def test_mutated_tree_manifest_predicts_or_exits_three(
+    tree_bundles, fuzz_dir, bundle, section, at, value
+):
+    """A tree bundle's manifest with one value swapped, at a JSON path
+    drawn evenly from one of its top-level fields, either still predicts,
+    with a well-formed output CSV, or exits 3 as a bad bundle; no exception
+    escapes and stderr has no traceback."""
+    manifest = json.loads((tree_bundles[bundle] / "manifest.json").read_text(encoding="utf-8"))
+    field = list(manifest)[section % len(manifest)]
+    paths = list(_json_paths(manifest[field], (field,)))
+    path = paths[at % len(paths)]
+    parent = manifest
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    model = fuzz_dir / "model"
+    shutil.copytree(tree_bundles[bundle], model, dirs_exist_ok=True)
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    out = fuzz_dir / "p.csv"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli([
+            "predict", "--model", str(model), "--input", str(fuzz_dir / "input.csv"),
+            "--out", str(out),
+        ])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("model store error: ") and not out.exists()
+        return
+    assert code == 0, err
+    header, rows = ingest.read_csv(out)
+    assert header[-2:] == ["probability", "predicted_label"] and len(rows) == 20
+    for row in rows:
+        assert 0.0 <= float(row[-2]) <= 1.0 and row[-1] in ("0", "1")
 
 
 def test_integer_base_score_predicts_like_float(tmp_path, trained_model_dir, small_csv):

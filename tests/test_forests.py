@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -10,11 +11,9 @@ from jobfraud import features, forests
 from jobfraud.config import GbmSection, LeafwiseSection, RandomForestSection, RunConfig
 from jobfraud.errors import ShapeError
 from jobfraud.forests import (
-    EnsembleModel,
     GradientBoosting,
     LeafwiseGradientBoosting,
     RandomForest,
-    TreeNode,
     best_split,
     build_tabular,
     compute_bins,
@@ -28,7 +27,6 @@ from jobfraud.forests import (
     fit_tree,
     presort,
     rank_codes,
-    tree_predict,
 )
 from jobfraud.ndgrad import _sigmoid_values
 from jobfraud.rng import SplitMix64
@@ -38,6 +36,7 @@ from tree_reference import (
     reference_best_split,
     reference_fit_gbm,
     reference_fit_random_forest,
+    reference_predict,
 )
 
 
@@ -189,23 +188,42 @@ def brute_force_best_gain(X, y, min_leaf, exact_gain):
 # fit_tree
 # --------------------------------------------------------------------------
 
+def _fit_one_tree(X, y, **params):
+    """fit_tree's tree, as the nested JSON of a bundle."""
+    model = forests.EnsembleModel("random_forest", X.shape[1])
+    fit_tree(X, y, model, **params)
+    return ensemble_to_dict(model)["trees"][0]
+
+
+def _leaf_rows(tree, X, rows):
+    """(leaf, rows) of every leaf of a nested-JSON tree that rows of X reach."""
+    if "feature" not in tree:
+        return [(tree, rows)]
+    mask = X[rows, tree["feature"]] <= tree["threshold"]
+    return _leaf_rows(tree["left"], X, rows[mask]) + _leaf_rows(tree["right"], X, rows[~mask])
+
+
+def _depth(tree):
+    return 0 if "feature" not in tree else 1 + max(_depth(tree["left"]), _depth(tree["right"]))
+
+
 def test_tree_simple_split_to_pure_leaves():
     X = np.array([[0.0], [1.0], [0.0], [1.0]])
     y = np.array([0, 1, 0, 1])
-    tree = fit_tree(X, y)
-    assert tree.feature == 0 and tree.threshold == 0.5
-    assert tree.left.is_leaf and tree.left.value == 0.0
-    assert tree.right.is_leaf and tree.right.value == 1.0
+    tree = _fit_one_tree(X, y)
+    assert tree["feature"] == 0 and tree["threshold"] == 0.5
+    assert tree["left"] == {"value": 0.0}
+    assert tree["right"] == {"value": 1.0}
 
 
 def test_tree_pure_labels_single_leaf():
-    tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([1, 1, 1]))
-    assert tree.is_leaf and tree.value == 1.0
+    tree = _fit_one_tree(np.array([[1.0], [2.0], [3.0]]), np.array([1, 1, 1]))
+    assert tree == {"value": 1.0}
 
 
 def test_tree_constant_features_mixed_labels_single_leaf():
-    tree = fit_tree(np.ones((6, 3)), np.array([0, 1, 0, 1, 1, 0]))
-    assert tree.is_leaf and tree.value == 0.5
+    tree = _fit_one_tree(np.ones((6, 3)), np.array([0, 1, 0, 1, 1, 0]))
+    assert tree == {"value": 0.5}
 
 
 def test_tree_tie_breaks_lowest_feature_then_threshold():
@@ -339,29 +357,17 @@ def test_rank_codes_are_unique_inverses():
 def test_tree_respects_min_samples_leaf():
     X = np.arange(10.0).reshape(-1, 1)
     y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    tree = fit_tree(X, y, min_samples_leaf=3)
-
-    def check(node, rows):
-        if node.is_leaf:
-            assert len(rows) >= 3
-            return
-        mask = X[rows, node.feature] <= node.threshold
-        check(node.left, rows[mask])
-        check(node.right, rows[~mask])
-
-    check(tree, np.arange(10))
+    tree = _fit_one_tree(X, y, min_samples_leaf=3)
+    for _, rows in _leaf_rows(tree, X, np.arange(10)):
+        assert len(rows) >= 3
 
 
 def test_tree_max_depth():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] + X[:, 1] > 0).astype(int)
-    tree = fit_tree(X, y, max_depth=2)
-
-    def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-    assert depth(tree) <= 2
+    tree = _fit_one_tree(X, y, max_depth=2)
+    assert _depth(tree) <= 2
 
 
 # --------------------------------------------------------------------------
@@ -388,8 +394,11 @@ def test_single_tree_no_bootstrap_equals_fit_tree():
     model = fit_random_forest(
         X, y, n_trees=1, bootstrap=False, feature_subsample=4, max_depth=25, seed=9,
     )
-    direct = fit_tree(X, y.astype(float), max_depth=25, min_samples_leaf=1)
-    assert np.array_equal(ensemble_predict(model, X), tree_predict(direct, X))
+    direct = _fit_one_tree(X, y.astype(float), max_depth=25, min_samples_leaf=1)
+    assert ensemble_to_dict(model)["trees"] == [direct]
+    assert np.array_equal(
+        ensemble_predict(model, X), tree_reference.tree_predict(tree_reference.tree_from_dict(direct), X)
+    )
 
 
 def test_forest_same_seed_identical():
@@ -402,10 +411,8 @@ def test_forest_same_seed_identical():
 def test_forest_probability_permutation_invariant():
     X, y = _separable()
     model = fit_random_forest(X, y, n_trees=7, seed=1)
-    shuffled = EnsembleModel(
-        kind=model.kind, trees=tuple(reversed(model.trees)),
-        n_features=model.n_features,
-    )
+    data = ensemble_to_dict(model)
+    shuffled = ensemble_from_dict({**data, "trees": data["trees"][::-1]})
     assert np.allclose(ensemble_predict(model, X), ensemble_predict(shuffled, X))
 
 
@@ -417,7 +424,7 @@ def test_gbm_degenerate_labels():
     X = np.random.default_rng(0).normal(size=(12, 2))
     model = fit_gbm(X, np.ones(12, dtype=int), n_rounds=5)
     assert model.base_score == 10.0
-    assert len(model.trees) == 0
+    assert len(model.roots) == 0
     assert (ensemble_predict(model, X) > 0.999).all()
 
 
@@ -457,9 +464,9 @@ def test_gbm_training_log_loss_non_increasing():
 def test_leafwise_max_leaves_two_is_single_split():
     X, y = _separable(n=80)
     model = fit_leafwise_gbm(X, y, n_rounds=3, max_leaves=2, min_samples_leaf=5)
-    for tree in model.trees:
-        assert not tree.is_leaf
-        assert tree.left.is_leaf and tree.right.is_leaf
+    for tree in ensemble_to_dict(model)["trees"]:
+        assert "feature" in tree
+        assert "feature" not in tree["left"] and "feature" not in tree["right"]
 
 
 def test_leafwise_histogram_gain_matches_exact_on_small_instances():
@@ -577,7 +584,7 @@ def _assert_same_trees(monkeypatch, fast, reference):
     fast_calls = _count_calls(monkeypatch, forests, "best_split")
     got = ensemble_to_dict(fast())
     reference_calls = _count_calls(monkeypatch, tree_reference, "reference_best_split")
-    assert got == ensemble_to_dict(reference())
+    assert got == reference()
     assert len(fast_calls) == len(reference_calls) > 0
 
 
@@ -652,32 +659,31 @@ def test_leafwise_learns_separable():
 def test_leafwise_respects_min_samples_leaf():
     X, y = _separable(n=60)
     model = fit_leafwise_gbm(X, y, n_rounds=2, min_samples_leaf=10)
-
-    def check(node, rows):
-        if node.is_leaf:
+    for tree in ensemble_to_dict(model)["trees"]:
+        for _, rows in _leaf_rows(tree, X, np.arange(60)):
             assert len(rows) >= 10
-            return
-        mask = X[rows, node.feature] <= node.threshold
-        check(node.left, rows[mask])
-        check(node.right, rows[~mask])
-
-    for tree in model.trees:
-        check(tree, np.arange(60))
 
 
 # --------------------------------------------------------------------------
 # ensemble_predict
 # --------------------------------------------------------------------------
 
+def _ensemble(kind, trees, n_features, learning_rate=None, base_score=None):
+    return ensemble_from_dict({
+        "kind": kind, "n_features": n_features, "learning_rate": learning_rate,
+        "base_score": base_score, "trees": trees,
+    })
+
+
 def test_predict_forest_of_identical_stumps():
-    stump = TreeNode(feature=0, threshold=0.5, left=TreeNode(value=0.2), right=TreeNode(value=0.9))
-    model = EnsembleModel(kind="random_forest", trees=(stump, stump, stump), n_features=1)
+    stump = {"feature": 0, "threshold": 0.5, "left": {"value": 0.2}, "right": {"value": 0.9}}
+    model = _ensemble("random_forest", [stump, stump, stump], n_features=1)
     out = ensemble_predict(model, np.array([[0.0], [1.0]]))
     assert np.allclose(out, [0.2, 0.9])
 
 
 def test_predict_zero_rounds_is_constant_sigmoid():
-    model = EnsembleModel(kind="gbm", trees=(), n_features=2, learning_rate=0.1, base_score=-1.3)
+    model = _ensemble("gbm", [], n_features=2, learning_rate=0.1, base_score=-1.3)
     out = ensemble_predict(model, np.zeros((4, 2)))
     assert np.allclose(out, _sigmoid_values(np.array([-1.3])))
 
@@ -694,7 +700,7 @@ def test_predict_probabilities_in_range():
 
 
 def test_predict_width_mismatch():
-    model = EnsembleModel(kind="random_forest", trees=(TreeNode(value=0.5),), n_features=3)
+    model = _ensemble("random_forest", [{"value": 0.5}], n_features=3)
     with pytest.raises(ShapeError):
         ensemble_predict(model, np.zeros((2, 4)))
 
@@ -704,6 +710,40 @@ def test_tree_serialization_round_trip():
     model = fit_gbm(X, y, n_rounds=3)
     clone = ensemble_from_dict(ensemble_to_dict(model))
     assert np.array_equal(ensemble_predict(model, X), ensemble_predict(clone, X))
+    assert ensemble_to_dict(clone) == ensemble_to_dict(model)
+
+
+def _rows_on_thresholds(model, X):
+    """One row per split of the model, copied from X with the split's
+    feature set exactly to its threshold."""
+    feature, threshold = np.array(model.feature), np.array(model.threshold)
+    splits = np.flatnonzero(feature >= 0)
+    rows = X[np.arange(splits.shape[0]) % X.shape[0]].copy()
+    rows[np.arange(splits.shape[0]), feature[splits]] = threshold[splits]
+    return rows
+
+
+@pytest.mark.parametrize("walk_pairs", [forests._WALK_PAIRS, 50])
+def test_predict_equals_recursive_reference(fixture_matrix, monkeypatch, walk_pairs):
+    """The level-wise walk gives the recursive per-tree predictor's
+    probabilities bit for bit, for all three kinds, on the fixture's rows
+    and on rows that lie exactly on a split threshold, in one block of rows
+    and in many (50 pairs make blocks of 5 rows, the last one shorter)."""
+    X, y = fixture_matrix
+    monkeypatch.setattr(forests, "_WALK_PAIRS", walk_pairs)
+    for model in (
+        fit_random_forest(X, y, n_trees=10, max_depth=8, seed=2),
+        fit_gbm(X, y, n_rounds=10),
+        fit_leafwise_gbm(X, y, n_rounds=10, min_samples_leaf=5),
+    ):
+        data = json.loads(json.dumps(ensemble_to_dict(model)))
+        loaded = ensemble_from_dict(data)
+        on_thresholds = _rows_on_thresholds(loaded, X)
+        assert on_thresholds.shape[0] > 20
+        for rows in (X, on_thresholds):
+            expected = reference_predict(data, rows)
+            assert np.array_equal(ensemble_predict(model, rows), expected), model.kind
+            assert np.array_equal(ensemble_predict(loaded, rows), expected), model.kind
 
 
 # --------------------------------------------------------------------------

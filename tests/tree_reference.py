@@ -1,24 +1,118 @@
-"""Reference exact tree learners for the tests in test_forests.py.
+"""Reference exact tree learners and predictor for the tests in
+test_forests.py.
 
 `reference_best_split` is the one-numpy-scan-per-feature CART search that
 the batched `forests.best_split` replaced. The fits are the learners as
-they were before the node gathers and the boosting root presort: every
-node copies its rows of X (`X[rows]`), every boosting round sorts its root
-again, and every forest tree copies its bootstrap rows. The fits call
-`reference_best_split` through this module's global, so a test can count
-the calls. The fast learners must grow the same trees, byte for byte.
+they were before the node gathers, the boosting root presort and the flat
+node arrays: every node copies its rows of X (`X[rows]`), every boosting
+round sorts its root again, every forest tree copies its bootstrap rows,
+and trees are linked `TreeNode` objects whose GBM leaves get their Newton
+values by routing the rows again. The fits call `reference_best_split`
+through this module's global, so a test can count the calls, and return
+the nested JSON of `forests.ensemble_to_dict`. The fast learners must grow
+the same trees, byte for byte. `reference_predict` is the recursive
+per-tree predictor that the level-wise `forests.ensemble_predict`
+replaced; it reads the same nested JSON.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from jobfraud.forests import (
-    EnsembleModel,
-    TreeNode,
-    _clamped_log_odds,
-    _newtonize,
-)
+from jobfraud.forests import _NEWTON_EPS, _clamped_log_odds
 from jobfraud.ndgrad import _sigmoid_values
 from jobfraud.rng import SplitMix64
+
+
+@dataclass(slots=True)
+class TreeNode:
+    """Internal node (feature/threshold/left/right) or leaf (value).
+
+    Rows with X[:, feature] <= threshold route left.
+    """
+
+    value: float = 0.0
+    feature: int | None = None
+    threshold: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def tree_predict(root: TreeNode, X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0])
+
+    def route(node, idx):
+        if node.is_leaf:
+            out[idx] = node.value
+            return
+        mask = X[idx, node.feature] <= node.threshold
+        route(node.left, idx[mask])
+        route(node.right, idx[~mask])
+
+    route(root, np.arange(X.shape[0]))
+    return out
+
+
+def tree_to_dict(node: TreeNode) -> dict:
+    if node.is_leaf:
+        return {"value": node.value}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": tree_to_dict(node.left),
+        "right": tree_to_dict(node.right),
+    }
+
+
+def tree_from_dict(data: dict) -> TreeNode:
+    if "feature" not in data:
+        return TreeNode(data["value"])
+    return TreeNode(
+        0.0, data["feature"], data["threshold"],
+        tree_from_dict(data["left"]), tree_from_dict(data["right"]),
+    )
+
+
+def _ensemble_dict(kind, trees, n_features, learning_rate=None, base_score=None):
+    return {
+        "kind": kind,
+        "n_features": n_features,
+        "learning_rate": learning_rate,
+        "base_score": base_score,
+        "trees": [tree_to_dict(t) for t in trees],
+    }
+
+
+def reference_predict(data: dict, X) -> np.ndarray:
+    """Class-1 probability per row of the ensemble in nested JSON `data`,
+    one recursive tree at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    trees = [tree_from_dict(t) for t in data["trees"]]
+    if data["kind"] == "random_forest":
+        total = np.zeros(X.shape[0])
+        for tree in trees:
+            total += tree_predict(tree, X)
+        return total / len(trees)
+    scores = np.full(X.shape[0], data["base_score"])
+    for tree in trees:
+        scores += data["learning_rate"] * tree_predict(tree, X)
+    return _sigmoid_values(scores)
+
+
+def _newtonize(node: TreeNode, X, rows, residual, hessian, out) -> None:
+    """Replace leaf means with Newton steps and emit per-row predictions."""
+    if node.is_leaf:
+        node.value = float(residual[rows].sum() / (hessian[rows].sum() + _NEWTON_EPS))
+        out[rows] = node.value
+        return
+    mask = X[rows, node.feature] <= node.threshold
+    _newtonize(node.left, X, rows[mask], residual, hessian, out)
+    _newtonize(node.right, X, rows[~mask], residual, hessian, out)
 
 
 def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion):
@@ -123,7 +217,7 @@ def reference_fit_random_forest(
             Xi, yi, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
             criterion="gini", feature_subsample=per_node, rng=rng,
         ))
-    return EnsembleModel(kind="random_forest", trees=tuple(trees), n_features=n_features)
+    return _ensemble_dict("random_forest", trees, n_features)
 
 
 def reference_fit_gbm(X, y, n_rounds=100, learning_rate=0.1, max_depth=3, min_samples_leaf=1):
@@ -145,7 +239,4 @@ def reference_fit_gbm(X, y, n_rounds=100, learning_rate=0.1, max_depth=3, min_sa
         _newtonize(tree, X, all_rows, residual, hessian, step)
         scores += learning_rate * step
         trees.append(tree)
-    return EnsembleModel(
-        kind="gbm", trees=tuple(trees), n_features=X.shape[1],
-        learning_rate=learning_rate, base_score=base,
-    )
+    return _ensemble_dict("gbm", trees, X.shape[1], learning_rate, base)
