@@ -8,10 +8,14 @@ like ordinary tokens; there is no masking and no dropout.
 
 The encoder (`bilstm_encode`) is one fused autodiff op with a hand-written
 backprop through time, in the manner of cuDNN's RNN kernels (Appleyard et
-al. 2016). Rows are right-padded, so every row's reverse pass begins with
-the same PAD trajectory from the zero state: it runs once, shared. The
-forward pass reads a row's PADs after its text, from that row's own state,
-so it runs every position.
+al. 2016): the input projection is a per-token table gathered outside the
+recurrence (in one take per training batch), the pointwise gate math runs
+over whole contiguous gate blocks, and the weight gradients are a few
+large GEMMs after the backward loop, where the PAD (id 0) rows' input-side
+terms collapse to one column sum. Rows are right-padded, so every row's
+reverse pass begins with the same PAD trajectory from the zero state: it
+runs once, shared. The forward pass reads a row's PADs after its text,
+from that row's own state, so it runs every position.
 """
 
 from dataclasses import dataclass
@@ -173,8 +177,9 @@ def params_from_arrays(cfg: ModelConfig, lookup) -> ModelParams:
 # Forward computation
 # --------------------------------------------------------------------------
 
-# flat rows per weight-gradient chunk: bounds the copies gathered from the
-# strided direction blocks (2048 rows of 4H = 256 gate values is 4 MB)
+# flat rows per weight-gradient chunk: bounds the buffers that rows are
+# gathered into from the strided direction blocks (2048 rows of 4H = 256
+# gate values is 4 MB)
 _GRADIENT_CHUNK = 2048
 
 
@@ -235,7 +240,16 @@ def _plan(ids, vocab: int):
     return order, real, offsets, index, fwd_rows, rev_rows
 
 
-def _cell(z, c_prev, c, tanh_c, h_out):
+def _gate_constants(hidden: int):
+    """Per-column (scale, shift) of the gate affine in kernel order
+    (i, f, o, g): they take tanh(x / 2) to sigmoid(x) on the three sigmoid
+    blocks and leave the candidate block as it is (x * 1 and x + -0.0 are
+    exact), so one contiguous affine covers every gate."""
+    is_candidate = np.arange(4 * hidden) >= 3 * hidden
+    return np.where(is_candidate, 1.0, 0.5), np.where(is_candidate, -0.0, 0.5)
+
+
+def _cell(z, c_prev, c, tanh_c, h_out, scale, shift):
     """One step of both directions, written into c, tanh_c and h_out.
 
     On entry z (rows, 4H) holds the halved pre-activations in kernel
@@ -243,21 +257,20 @@ def _cell(z, c_prev, c, tanh_c, h_out):
     """
     h = c.shape[-1]
     np.tanh(z, out=z)
-    sigmoids = z[..., : 3 * h]
-    sigmoids *= 0.5
-    sigmoids += 0.5
+    z *= scale
+    z += shift
     np.multiply(z[..., h : 2 * h], c_prev, out=c)
     c += z[..., :h] * z[..., 3 * h :]
     np.tanh(c, out=tanh_c)
     np.multiply(z[..., 2 * h : 3 * h], tanh_c, out=h_out)
 
 
-def _cell_backward(z, c_prev, tanh_c, dh, dc):
+def _cell_backward(z, c_prev, tanh_c, dh, dc, upstream):
     """Backprop one step of both directions, in place.
 
     On entry z holds the step's gate values, dh and dc the gradients of
-    its h and c. On exit z holds the gradients of the (unhalved)
-    pre-activations and dc that of c_prev.
+    its h and c; upstream is scratch of z's shape. On exit z holds the
+    gradients of the (unhalved) pre-activations and dc that of c_prev.
     """
     h = dc.shape[-1]
     i, f, o, g = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
@@ -266,15 +279,15 @@ def _cell_backward(z, c_prev, tanh_c, dh, dc):
     through_tanh *= o
     through_tanh *= dh
     dc += through_tanh
-    upstream = np.empty_like(z)  # gradient of each gate value
+    # gradient of each gate value
     np.multiply(dc, g, out=upstream[..., :h])
     np.multiply(dc, c_prev, out=upstream[..., h : 2 * h])
     np.multiply(dh, tanh_c, out=upstream[..., 2 * h : 3 * h])
     np.multiply(dc, i, out=upstream[..., 3 * h :])
     dc *= f
-    local = z * z  # s (1 - s) for the sigmoid gates, 1 - g^2 for the candidate
-    np.subtract(z[..., : 3 * h], local[..., : 3 * h], out=local[..., : 3 * h])
-    np.subtract(1.0, local[..., 3 * h :], out=local[..., 3 * h :])
+    square = z * z
+    local = z - square  # s (1 - s) for the sigmoid gates
+    np.subtract(1.0, square[..., 3 * h :], out=local[..., 3 * h :])  # 1 - g^2 for the candidate
     np.multiply(upstream, local, out=z)
 
 
@@ -287,6 +300,7 @@ def _encode(ids, params: ModelParams, keep_states: bool):
     wx_t, wh_t, bias_half = _halved(wx, wh, bias)
     embedding = params.embedding.values
     vocab, hidden = embedding.shape[0], wh.shape[2]
+    scale, shift = _gate_constants(hidden)
     # each token's input term per direction, (2V, 4H): row V + v is v's reverse term
     table = (embedding @ wx_t + bias_half[:, None, :]).reshape(2 * vocab, -1)
     order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
@@ -297,14 +311,21 @@ def _encode(ids, params: ModelParams, keep_states: bool):
     hs = np.zeros((rows, hidden))
     cs = np.zeros_like(hs)
     tanh_cs = np.empty_like(hs)
+    # one step's recurrent products; the backward's gate-value gradients
+    step_block = np.empty((2 * batch + 1, 4 * hidden))
+    if keep_states:  # every step's input terms in one gather
+        np.take(table, index, axis=0, out=gates[: offsets[-1]], mode="clip")
     for t in range(length):
         here, there, size = slots[t], slots[t + 1], offsets[t + 1] - offsets[t]
         z = gates[here : here + size]
-        np.take(table, index[offsets[t] : offsets[t + 1]], axis=0, out=z, mode="clip")
-        z[:batch] += hs[here : here + batch] @ wh_t[0]
-        z[batch:] += hs[here + batch : here + size] @ wh_t[1]
+        if not keep_states:
+            np.take(table, index[offsets[t] : offsets[t + 1]], axis=0, out=z, mode="clip")
+        recurrent = step_block[:size]
+        np.matmul(hs[here : here + batch], wh_t[0], out=recurrent[:batch])
+        np.matmul(hs[here + batch : here + size], wh_t[1], out=recurrent[batch:])
+        z += recurrent
         _cell(z, cs[here : here + size], cs[there : there + size],
-              tanh_cs[here : here + size], hs[there : there + size])
+              tanh_cs[here : here + size], hs[there : there + size], scale, shift)
         if t + 1 < length and real[t + 1] > real[t]:  # these rows' text begins at t + 1
             entering = np.s_[there + size : there + batch + 1 + real[t + 1]]
             hs[entering] = hs[there + batch]
@@ -327,25 +348,45 @@ def _encode(ids, params: ModelParams, keep_states: bool):
             start, stop = offsets[t], offsets[t + 1]
             size = stop - start
             z = gates[start:stop]
-            _cell_backward(z, cs[start:stop], tanh_cs[start:stop], dh[:size], dc[:size])
+            _cell_backward(z, cs[start:stop], tanh_cs[start:stop], dh[:size], dc[:size],
+                           step_block[:size])
             np.matmul(z[:batch], wh[0], out=dh[:batch])
             np.matmul(z[batch:], wh[1], out=dh[batch:size])
             if t and real[t] > real[t - 1]:  # rows entering at t began from the shared state
                 entered = batch + 1 + real[t - 1]
                 dh[batch] += dh[entered:size].sum(axis=0)
                 dc[batch] += dc[entered:size].sum(axis=0)
-        # gates now hold the pre-activation gradients of every flat row
+        # gates now hold the pre-activation gradients of every flat row. Every
+        # row that reads id 0 (PAD, or a mid-text 0) has input embedding[0],
+        # so their input-side gradients need only the sum of their dz.
         tokens = index % vocab
         d_wx, d_wh, d_bias = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(bias)
         d_embedding = np.zeros_like(embedding)
-        for d, flat in enumerate((fwd_rows, rev_rows)):
+        dz_rows = np.empty((_GRADIENT_CHUNK, 4 * hidden))
+        h_rows = np.empty((_GRADIENT_CHUNK, hidden))
+
+        def chunks(flat):
+            """(flat rows, their dz, their h inputs) per chunk of at most
+            _GRADIENT_CHUNK rows, gathered into the same two buffers."""
             for lo in range(0, flat.size, _GRADIENT_CHUNK):
                 part = flat[lo : lo + _GRADIENT_CHUNK]
-                dz = gates[part]
+                dz = np.take(gates, part, axis=0, out=dz_rows[: part.size], mode="clip")
+                yield part, dz, np.take(hs, part, axis=0, out=h_rows[: part.size], mode="clip")
+
+        for d, flat in enumerate((fwd_rows, rev_rows)):
+            pad = tokens[flat] == 0
+            pad_sum = np.zeros(4 * hidden)
+            for _, dz, h_in in chunks(flat[pad]):
+                d_wh[d] += dz.T @ h_in
+                pad_sum += dz.sum(axis=0)
+            for part, dz, h_in in chunks(flat[~pad]):
+                d_wh[d] += dz.T @ h_in
                 d_wx[d] += dz.T @ embedding[tokens[part]]
-                d_wh[d] += dz.T @ hs[part]
                 d_bias[d] += dz.sum(axis=0)
                 np.add.at(d_embedding, tokens[part], dz @ wx[d])
+            d_wx[d] += np.outer(pad_sum, embedding[0])
+            d_bias[d] += pad_sum
+            d_embedding[0] += pad_sum @ wx[d]
         ndgrad.accumulate(params.embedding, d_embedding)
         for d, lstm in enumerate((params.forward_lstm, params.backward_lstm)):
             ndgrad.accumulate(lstm.wx, d_wx[d][gate_order])

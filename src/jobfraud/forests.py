@@ -517,8 +517,9 @@ def ensemble_predict(model: EnsembleModel, X) -> np.ndarray:
     """Class-1 probability per row.
 
     Each step moves all the (tree, row) pairs not yet at a leaf one level
-    down, then the trees' leaf values are added in tree order. Rows go in
-    blocks of at most _WALK_PAIRS pairs, which bounds the walk's memory.
+    down, then the trees' leaf values are added in tree order into the
+    block's rows of the running sums. Rows go in blocks of at most
+    _WALK_PAIRS pairs, which bounds the walk's memory.
     """
     X = check_matrix(X)
     if X.shape[1] != model.n_features:
@@ -535,9 +536,11 @@ def ensemble_predict(model: EnsembleModel, X) -> np.ndarray:
     tree = np.searchsorted(roots, np.arange(feature.shape[0]), side="right") - 1
     shift = np.searchsorted(used, feature) - tree
     children = np.stack([right, left], axis=1).ravel()  # 2 * node + went left
+    forest = model.kind == "random_forest"
+    total = np.zeros(X.shape[0]) if forest else np.full(X.shape[0], model.base_score)
     step = max(1, _WALK_PAIRS // max(1, roots.shape[0]))
-    per_block = []
-    for block in np.split(X, range(step, X.shape[0], step)):
+    for lo in range(0, X.shape[0], step):
+        block = X[lo : lo + step]
         columns, offset = block.T[used].ravel(), shift * block.shape[0]
         node = np.repeat(roots, block.shape[0])
         walking = np.flatnonzero(feature[node] >= 0)
@@ -546,17 +549,12 @@ def ensemble_predict(model: EnsembleModel, X) -> np.ndarray:
             go_left = columns[walking + offset[at]] <= threshold[at]
             node[walking] = moved = children[2 * at + go_left]
             walking = walking[feature[moved] >= 0]
-        per_block.append(value[node].reshape(roots.shape[0], block.shape[0]))
-    values = np.hstack(per_block)
-    if model.kind == "random_forest":
-        total = np.zeros(X.shape[0])
-        for tree_values in values:
-            total += tree_values
-        return total / values.shape[0]
-    scores = np.full(X.shape[0], model.base_score)
-    for tree_values in values:
-        scores += model.learning_rate * tree_values
-    return _sigmoid_values(scores)
+        sums = total[lo : lo + block.shape[0]]
+        for tree_values in value[node].reshape(roots.shape[0], block.shape[0]):
+            sums += tree_values if forest else model.learning_rate * tree_values
+    if forest:
+        return total / roots.shape[0]
+    return _sigmoid_values(total)
 
 
 # --------------------------------------------------------------------------

@@ -149,11 +149,11 @@ class DetectionPipeline:
             isinstance(categories, dict)
             and sorted(categories) == sorted(CATEGORICAL_COLUMNS)
             and all(isinstance(v, list) and all(isinstance(c, str) for c in v)
-                    for v in categories.values())
+                    and len(set(v)) == len(v) for v in categories.values())
         ):
             raise ModelStoreError(
                 f"encoder_categories must map {', '.join(CATEGORICAL_COLUMNS)} "
-                f"to lists of strings, got {categories!r:.80}"
+                f"to lists of distinct strings, got {categories!r:.80}"
             )
         encoder = CategoricalEncoder()
         encoder.categories_ = categories

@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from jobfraud import ingest, synth
+
+# hypothesis imports this module lazily, while it reports a failing example;
+# under `-W error` a DeprecationWarning raised by one of its imports
+# (mypy_extensions.TypedDict) would then replace the report with an
+# INTERNALERROR. Importing it once here, with that warning ignored, keeps
+# the falsifying example in the output.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,10 @@ shape ops it needs (`slice_columns`, `reshape`, `transpose`), defined
 here on the public `ndgrad.record` and `ndgrad.accumulate`. The package
 itself never calls them: `bilstm.bilstm_encode` is tested against
 `tape_encode`.
+
+`strided_cell` and `strided_cell_backward` are the kernel's earlier step
+functions, which ran the gate math block by block on strided column
+views; the kernel's contiguous versions must give their exact bits.
 """
 
 import numpy as np
@@ -97,3 +101,39 @@ def tape_encode(ids, params: ModelParams) -> Tensor:
             h, c = lstm_cell(x_t, h, c, lstm)
         finals.append(h)
     return ndgrad.concat(*finals)
+
+
+def strided_cell(z, c_prev, c, tanh_c, h_out):
+    """One kernel step, as `bilstm._cell` but with the sigmoid affine on
+    the strided first 3H columns only."""
+    h = c.shape[-1]
+    np.tanh(z, out=z)
+    sigmoids = z[..., : 3 * h]
+    sigmoids *= 0.5
+    sigmoids += 0.5
+    np.multiply(z[..., h : 2 * h], c_prev, out=c)
+    c += z[..., :h] * z[..., 3 * h :]
+    np.tanh(c, out=tanh_c)
+    np.multiply(z[..., 2 * h : 3 * h], tanh_c, out=h_out)
+
+
+def strided_cell_backward(z, c_prev, tanh_c, dh, dc):
+    """One kernel step's backprop, as `bilstm._cell_backward` but with the
+    activation derivative written block by block."""
+    h = dc.shape[-1]
+    i, f, o, g = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
+    through_tanh = tanh_c * tanh_c
+    np.subtract(1.0, through_tanh, out=through_tanh)
+    through_tanh *= o
+    through_tanh *= dh
+    dc += through_tanh
+    upstream = np.empty_like(z)  # gradient of each gate value
+    np.multiply(dc, g, out=upstream[..., :h])
+    np.multiply(dc, c_prev, out=upstream[..., h : 2 * h])
+    np.multiply(dh, tanh_c, out=upstream[..., 2 * h : 3 * h])
+    np.multiply(dc, i, out=upstream[..., 3 * h :])
+    dc *= f
+    local = z * z  # s (1 - s) for the sigmoid gates, 1 - g^2 for the candidate
+    np.subtract(z[..., : 3 * h], local[..., : 3 * h], out=local[..., : 3 * h])
+    np.subtract(1.0, local[..., 3 * h :], out=local[..., 3 * h :])
+    np.multiply(upstream, local, out=z)

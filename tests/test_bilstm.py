@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobfraud import ndgrad
+from jobfraud import bilstm, ndgrad
 from jobfraud.bilstm import (
     BiLstmClassifier,
     ModelConfig,
@@ -18,7 +18,7 @@ from jobfraud.bilstm import (
 from jobfraud.config import BilstmSection, FeatureSection, RunConfig, TrainSection
 from jobfraud.errors import ShapeError
 from jobfraud.ndgrad import Tensor
-from tape_reference import lstm_cell, tape_encode
+from tape_reference import lstm_cell, strided_cell, strided_cell_backward, tape_encode
 
 
 TINY = ModelConfig(
@@ -265,6 +265,69 @@ def test_fused_encoder_matches_tape_on_random_pad_runs(shape, seed):
     params = random_params(cfg, rng)
     ids = right_padded(rng, [length - run for run in pad_runs], length, cfg.vocab_size)
     assert_matches_tape(ids, params, rng.normal(size=(len(pad_runs), 2 * cfg.hidden_units)))
+
+
+def test_fused_gradients_match_tape_across_gradient_chunks(monkeypatch):
+    """With 5-row weight-gradient chunks, chunk boundaries fall inside both
+    the rows that read id 0 and the text rows of both directions."""
+    monkeypatch.setattr(bilstm, "_GRADIENT_CHUNK", 5)
+    cfg = ModelConfig(vocab_size=9, embedding_dim=4, hidden_units=3, seed=5)
+    rng = np.random.default_rng(cfg.seed)
+    params = random_params(cfg, rng)
+    ids = right_padded(rng, [6, 3, 1, 0, 9], 12, cfg.vocab_size)
+    ids[0, 2] = 0  # a mid-text id 0 is text, not PAD, but reads embedding[0]
+    _, _, _, index, fwd_rows, rev_rows = bilstm._plan(ids, cfg.vocab_size)
+    tokens = index % cfg.vocab_size
+    assert np.count_nonzero(tokens == 0) > np.count_nonzero(tokens)
+    for flat in (fwd_rows, rev_rows):
+        pad = np.count_nonzero(tokens[flat] == 0)
+        assert pad > 5 and flat.size - pad > 5
+    assert_matches_tape(ids, params, rng.normal(size=(ids.shape[0], 2 * cfg.hidden_units)))
+
+
+def _gate_block(rng, rows, width):
+    """Normal values with exact +0.0 and -0.0 entries and some large
+    enough that tanh saturates to exactly +-1."""
+    block = rng.normal(scale=3.0, size=(rows, width))
+    draw = rng.random(block.shape)
+    block[draw < 0.15] = 0.0
+    block[(draw >= 0.15) & (draw < 0.25)] = -0.0
+    block[draw > 0.95] *= 40.0
+    return block
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [1, 33, 65])
+def test_contiguous_gate_math_matches_strided_reference(rows):
+    """The kernel's one-block gate affine and derivative give the strided
+    reference's exact bits, signed zeros included."""
+    hidden = 7
+    rng = np.random.default_rng(rows)
+    pre, c_prev, dh, dc = (_gate_block(rng, rows, w) for w in (4 * hidden, hidden, hidden, hidden))
+    # a sigmoid gate of exactly 0, a candidate of exactly -1 and one of -0.0
+    pre[0, [0, 3 * hidden, 3 * hidden + 1]] = -50.0, -50.0, -0.0
+    scale, shift = bilstm._gate_constants(hidden)
+    kernels = [
+        (lambda *states: bilstm._cell(*states, scale, shift),
+         lambda z, *states: bilstm._cell_backward(z, *states, np.empty_like(z))),
+        (strided_cell, strided_cell_backward),
+    ]
+    outputs = []
+    for cell, cell_backward in kernels:
+        z = pre.copy()
+        c, tanh_c, h_out = (np.empty((rows, hidden)) for _ in range(3))
+        cell(z, c_prev, c, tanh_c, h_out)
+        gates, d_c = z.copy(), dc.copy()
+        cell_backward(z, c_prev, tanh_c, dh, d_c)
+        outputs.append((gates, c, tanh_c, h_out, z, d_c))
+    fused, strided = outputs
+    assert strided[0][0, 0] == 0.0 and strided[0][0, 3 * hidden] == -1.0
+    assert np.signbit(strided[0][0, 3 * hidden + 1])
+    for got, want in zip(fused, strided):
+        assert _same_bits(got, want)
 
 
 def test_encoding_ignores_row_order_at_full_length():

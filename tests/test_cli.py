@@ -501,6 +501,12 @@ def _rename_category(config):
     categories["sector"] = categories.pop("industry")  # same width, unknown column
 
 
+def _repeat_category(config):
+    """A category listed twice: same width, every later one-hot column shifted."""
+    industry = config["encoder_categories"]["industry"]
+    industry[1] = industry[0]
+
+
 @pytest.mark.parametrize("edit", [
     _swap_category(["Retail"]),
     _swap_category({}),
@@ -509,8 +515,9 @@ def _rename_category(config):
     _rename_category,
     lambda c: c["encoder_categories"].pop("country"),
     lambda c: c.update(encoder_categories=list(c["encoder_categories"])),
+    _repeat_category,
 ], ids=["entry-list", "entry-object", "entry-number", "value-string", "key-renamed",
-        "key-missing", "not-an-object"])
+        "key-missing", "not-an-object", "entry-repeated"])
 @pytest.mark.parametrize("bundle", ["gbm", "rf", "bilstm"])
 def test_ill_typed_encoder_categories_exit_three(
     tmp_path, trained_model_dir, trained_rf_dir, strict_bilstm_dir, small_csv, bundle, edit, capsys
