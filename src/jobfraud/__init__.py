@@ -4,7 +4,6 @@ baselines, and the evaluation tooling to compare them."""
 from .bilstm import BiLstmClassifier
 from .config import RunConfig
 from .features import CategoricalEncoder, TextVectorizer
-from .forests import GradientBoosting, LeafwiseGradientBoosting, RandomForest
 from .ingest import assemble_dataset, load_dataset, normalize_text, parse_csv
 from .metrics import compute_report, roc_auc
 from .pipeline import DetectionPipeline, prepare, train_pipeline
@@ -16,9 +15,6 @@ __all__ = [
     "BiLstmClassifier",
     "CategoricalEncoder",
     "DetectionPipeline",
-    "GradientBoosting",
-    "LeafwiseGradientBoosting",
-    "RandomForest",
     "RunConfig",
     "TextVectorizer",
     "assemble_dataset",

@@ -1,45 +1,12 @@
-"""Estimator base classes and input validation helpers.
+"""Input validation shared by the model fits.
 
-``fit`` stores fitted state in attributes with a trailing underscore. A
-classifier is built from the ``RunConfig`` and reads its hyperparameters
-from its own section of it, so each is declared once, in ``config.py``.
-``X`` is the input the model reads: the tabular matrix for a tree
-ensemble, the ``(ids, numeric)`` pair for the BiLSTM. ``decision_scores``
-gives the fraud probability of each row, and ``predict`` labels a score at
-or above ``cfg.threshold`` as 1.
+``check_matrix`` and ``check_labels`` coerce a fit's inputs to the arrays
+the learners read and reject a wrong shape or a non-0/1 label.
 """
 
 import numpy as np
 
 from .errors import DataError, ShapeError
-
-
-class NotFittedError(RuntimeError):
-    """Estimator method called before fit()."""
-
-
-class Estimator:
-    """Fitted state lives in attributes with a trailing underscore."""
-
-    def _check_fitted(self, attr):
-        if not hasattr(self, attr):
-            raise NotFittedError(
-                f"{type(self).__name__} instance is not fitted yet"
-            )
-
-
-class Classifier(Estimator):
-    """Holds the run's ``cfg``; prediction over a subclass's ``decision_scores``."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    def predict_proba(self, X) -> np.ndarray:
-        scores = self.decision_scores(X)
-        return np.column_stack([1.0 - scores, scores])
-
-    def predict(self, X) -> np.ndarray:
-        return (self.decision_scores(X) >= self.cfg.threshold).astype(np.int64)
 
 
 def check_matrix(X, name="X") -> np.ndarray:

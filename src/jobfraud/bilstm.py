@@ -16,6 +16,10 @@ terms collapse to one column sum. Rows are right-padded, so every row's
 reverse pass begins with the same PAD trajectory from the zero state: it
 runs once, shared. The forward pass reads a row's PADs after its text,
 from that row's own state, so it runs every position.
+
+A trained model is one BiLstmClassifier record of its ModelConfig and its
+weights; BiLstmClassifier.fit trains and builds it whole, and a bundle
+load builds it from the stored config and tensors.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndgrad, trainer
-from .base import Classifier, check_labels
+from .base import check_labels
 from .config import RunConfig
 from .errors import DataError, ShapeError
 from .ndgrad import Tensor
@@ -454,65 +458,69 @@ def predict_scores(ids, numeric, params: ModelParams, chunk: int = 256) -> np.nd
 
 
 # --------------------------------------------------------------------------
-# Estimator
+# The trained model
 # --------------------------------------------------------------------------
 
-class BiLstmClassifier(Classifier):
-    """Binary classifier over the model's two inputs.
+def _inputs(X, length: int):
+    """The (ids, numeric) pair as arrays, after checking their shapes."""
+    ids, numeric = map(np.asarray, X)
+    if ids.ndim != 2 or numeric.ndim != 2 or ids.shape != (numeric.shape[0], length):
+        raise ShapeError(
+            f"X must be ids (rows, {length}) and numeric (rows, width), "
+            f"got shapes {ids.shape} and {numeric.shape}"
+        )
+    if ids.shape[0] == 0:
+        raise DataError("X has no rows")
+    return ids, numeric
+
+
+class BiLstmClassifier:
+    """A trained BiLSTM: its ModelConfig, its weights and, when it was
+    trained in this process, the training history.
 
     ``X`` is the pair ``(ids, numeric)``: an int64 matrix of
     ``sequence_length`` token ids per row and a float64 matrix of the
-    numeric feature block, row for row. The model shape comes from
-    ``cfg.bilstm``, ``cfg.features.sequence_length`` and ``cfg.seed``;
-    ``vocab_size`` is the fitted vocabulary's size. Training
-    (``trainer.train``, reading ``cfg.train``) minimizes binary
-    cross-entropy with Adam and early-stops on ``validation_data``'s
-    loss, restoring the best epoch's weights. ``predict`` and the
-    validation accuracy label a score at or above ``cfg.threshold`` as 1.
+    numeric feature block, row for row. ``decision_scores`` gives the fraud
+    probability of each row.
     """
 
-    def __init__(self, cfg: RunConfig, vocab_size: int):
-        super().__init__(cfg)
-        self.vocab_size = vocab_size  # of the fitted vocabulary, not configured
+    def __init__(self, config: ModelConfig, params: ModelParams, history=None):
+        self.config = config
+        self.params = params
+        self.history = history
 
-    def _inputs(self, X):
-        """The (ids, numeric) pair as arrays, after checking their shapes."""
-        ids, numeric = map(np.asarray, X)
-        length = self.cfg.features.sequence_length
-        if ids.ndim != 2 or numeric.ndim != 2 or ids.shape != (numeric.shape[0], length):
-            raise ShapeError(
-                f"X must be ids (rows, {length}) and numeric (rows, width), "
-                f"got shapes {ids.shape} and {numeric.shape}"
-            )
-        if ids.shape[0] == 0:
-            raise DataError("X has no rows")
-        return ids, numeric
-
-    def fit(self, X, y, validation_data):
-        ids, numeric = self._inputs(X)
+    @classmethod
+    def fit(cls, cfg: RunConfig, vocab_size: int, X, y, validation_data) -> "BiLstmClassifier":
+        """Train a model on X, y. Its shape comes from ``cfg.bilstm``,
+        ``cfg.features.sequence_length`` and ``cfg.seed``; ``vocab_size`` is
+        the fitted vocabulary's size. Training (``trainer.train``, reading
+        ``cfg.train``) minimizes binary cross-entropy with Adam and
+        early-stops on ``validation_data``'s loss, restoring the best
+        epoch's weights; the validation accuracy labels a score at or above
+        ``cfg.threshold`` as 1."""
+        length = cfg.features.sequence_length
+        ids, numeric = _inputs(X, length)
         y = check_labels(y, ids.shape[0])
         X_val, y_val = validation_data
-        ids_val, numeric_val = self._inputs(X_val)
+        ids_val, numeric_val = _inputs(X_val, length)
         y_val = check_labels(y_val, ids_val.shape[0])
 
-        self.config_ = ModelConfig(
-            vocab_size=self.vocab_size,
-            **vars(self.cfg.bilstm),
-            sequence_length=self.cfg.features.sequence_length,
+        config = ModelConfig(
+            vocab_size=vocab_size,
+            **vars(cfg.bilstm),
+            sequence_length=length,
             numeric_width=numeric.shape[1],
-            seed=self.cfg.seed,
+            seed=cfg.seed,
         )
-        self.params_ = init_params(self.config_)
-        self.history_ = trainer.train(
-            self.params_.named_tensors(),
-            lambda b_ids, b_num: model_forward(b_ids, b_num, self.params_),
+        params = init_params(config)
+        history = trainer.train(
+            params.named_tensors(),
+            lambda b_ids, b_num: model_forward(b_ids, b_num, params),
             (ids, numeric, y),
             (ids_val, numeric_val, y_val),
-            self.cfg,
+            cfg,
         )
-        self.classes_ = np.array([0, 1])
-        return self
+        return cls(config, params, history)
 
     def decision_scores(self, X) -> np.ndarray:
-        self._check_fitted("params_")
-        return predict_scores(*self._inputs(X), self.params_)
+        return predict_scores(*_inputs(X, self.config.sequence_length), self.params)

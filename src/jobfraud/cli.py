@@ -85,7 +85,14 @@ def _load_run_config(path, seed=None, model=None) -> RunConfig:
     return cfg
 
 
+def _check_out_dir(out) -> None:
+    """Refuse an output file whose directory does not exist, before any work."""
+    if not Path(out).parent.is_dir():
+        raise UsageError(f"--out {out}: directory {Path(out).parent} does not exist")
+
+
 def _cmd_eda(args) -> int:
+    _check_out_dir(args.out)
     dataset = load_dataset(args.data)
     report = eda_report(dataset, args.top_k)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -135,6 +142,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_out_dir(args.out)
     pipe = DetectionPipeline.load(args.model)
     header, raw_rows = read_csv(args.input)
     dataset = assemble_dataset(postings_from_records(header, raw_rows, args.input))
@@ -150,6 +158,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_out_dir(args.out)
     cfg = _load_run_config(args.config)
     dataset = load_dataset(args.data)
     prepared = prepare(dataset, cfg, kinds=MODEL_KINDS)

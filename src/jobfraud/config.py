@@ -26,12 +26,16 @@ MODEL_KINDS = ("bilstm", "random_forest", "gbm", "leafwise_gbm")
 
 class _Section:
     """Range checks shared by the sections: the fields named in `_positive`
-    must be greater than zero (so not NaN, which JSON input may carry), and
-    each (field, least) pair in `_at_least` must be at least `least`.
-    Messages begin with the field name."""
+    must be greater than zero (so not NaN, which JSON input may carry), each
+    (field, least) pair in `_at_least` must be at least `least`, and each
+    (field, most) pair in `_at_most` at most `most`. Every count and size
+    has such a cap, far above its default, so that a huge value is refused
+    at load rather than failing inside a fit (an int64 overflow, an array
+    too large to allocate). Messages begin with the field name."""
 
     _positive = ()
     _at_least = ()
+    _at_most = ()
 
     def __post_init__(self):
         for name in self._positive:
@@ -40,12 +44,17 @@ class _Section:
         for name, least in self._at_least:
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        for name, most in self._at_most:
+            if not getattr(self, name) <= most:
+                raise ValueError(f"{name} must be at most {most}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
 class FeatureSection(_Section):
     _positive = ("sequence_length", "tabular_terms")
     _at_least = (("max_tokens", 3),)  # PAD, OOV and one token
+    _at_most = (("max_tokens", 10_000_000), ("sequence_length", 10_000),
+                ("tabular_terms", 100_000))
 
     max_tokens: int = 10000
     sequence_length: int = 256
@@ -55,6 +64,7 @@ class FeatureSection(_Section):
 @dataclass(frozen=True)
 class BilstmSection(_Section):
     _positive = ("embedding_dim", "hidden_units", "dense_units")
+    _at_most = (("embedding_dim", 4096), ("hidden_units", 4096), ("dense_units", 4096))
 
     embedding_dim: int = 32
     hidden_units: int = 64
@@ -64,6 +74,7 @@ class BilstmSection(_Section):
 @dataclass(frozen=True)
 class TrainSection(_Section):
     _positive = ("max_epochs", "batch_size", "learning_rate", "eps", "patience")
+    _at_most = (("max_epochs", 10_000), ("batch_size", 1_000_000), ("patience", 10_000))
 
     max_epochs: int = 25
     batch_size: int = 32
@@ -87,6 +98,7 @@ class TrainSection(_Section):
 @dataclass(frozen=True)
 class RandomForestSection(_Section):
     _positive = ("n_trees", "max_depth", "min_samples_leaf")
+    _at_most = (("n_trees", 100_000), ("max_depth", 200), ("min_samples_leaf", 10_000_000))
 
     n_trees: int = 100
     max_depth: int = 25
@@ -97,6 +109,7 @@ class RandomForestSection(_Section):
 @dataclass(frozen=True)
 class GbmSection(_Section):
     _positive = ("max_depth", "min_samples_leaf")
+    _at_most = (("n_rounds", 100_000), ("max_depth", 200), ("min_samples_leaf", 10_000_000))
 
     n_rounds: int = 100
     learning_rate: float = 0.1
@@ -108,6 +121,8 @@ class GbmSection(_Section):
 class LeafwiseSection(_Section):
     _positive = ("min_samples_leaf",)
     _at_least = (("max_leaves", 2), ("n_bins", 2))  # a tree that can split
+    _at_most = (("n_rounds", 100_000), ("max_leaves", 100_000), ("n_bins", 1_000_000),
+                ("min_samples_leaf", 10_000_000))
 
     n_rounds: int = 100
     learning_rate: float = 0.1

@@ -1,8 +1,10 @@
 """Feature construction: vocabulary, sequence encoding, one-hot numerics, EDA.
 
-Everything here is fit on the training split only and applied unchanged to
-validation/test rows, so no leakage flows backward through the vocabulary
-or the category lists.
+The two featurizers are frozen records built whole from the training
+split: a TextVectorizer from the Vocabulary of the training texts' token
+ranking, a CategoricalEncoder from CategoricalEncoder.fit of the training
+postings. Each ``transform`` applies that state unchanged to any rows, so
+no leakage flows backward through the vocabulary or the category lists.
 """
 
 import itertools
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Estimator
 from .errors import DataError
 
 PAD_ID = 0
@@ -144,7 +145,6 @@ class Vocabulary:
 
     token_to_id: dict
     id_to_token: tuple
-    max_size: int
 
     def __len__(self):
         return len(self.id_to_token)
@@ -156,55 +156,28 @@ class Vocabulary:
             raise DataError(f"max_size must be at least 3, got {max_size}")
         id_to_token = (PAD_TOKEN, OOV_TOKEN, *(token for token, _ in ranked[: max_size - 2]))
         token_to_id = {token: i for i, token in enumerate(id_to_token)}
-        return cls(token_to_id, id_to_token, max_size)
+        return cls(token_to_id, id_to_token)
 
 
-def build_vocabulary(corpus, max_size: int = 10000) -> Vocabulary:
-    """Rank tokens by corpus frequency (ties broken lexicographically).
+@dataclass(frozen=True)
+class TextVectorizer:
+    """Maps normalized text to fixed-length integer id sequences: longer
+    texts are truncated to `sequence_length`, shorter ones padded with PAD
+    on the right, and a token outside `vocabulary` becomes OOV."""
 
-    Keeps the top max_size - 2 tokens; ids 0 and 1 are PAD and OOV. An
-    empty corpus yields just the two reserved entries.
-    """
-    return Vocabulary.from_ranking(rank_tokens(corpus), max_size)
-
-
-class TextVectorizer(Estimator):
-    """Maps normalized text to fixed-length integer id sequences.
-
-    Parameters
-    ----------
-    max_tokens : vocabulary capacity including the PAD/OOV slots.
-    sequence_length : output length; longer texts are truncated, shorter
-        ones padded with PAD on the right.
-    """
-
-    def __init__(self, max_tokens=10000, sequence_length=256):
-        self.max_tokens = max_tokens
-        self.sequence_length = sequence_length
-
-    def fit(self, texts):
-        self.vocabulary_ = build_vocabulary(texts, self.max_tokens)
-        return self
-
-    def fit_ranking(self, ranked):
-        """Fit on the rank_tokens list of the training texts."""
-        self.vocabulary_ = Vocabulary.from_ranking(ranked, self.max_tokens)
-        return self
+    vocabulary: Vocabulary
+    sequence_length: int
 
     def transform(self, texts) -> np.ndarray:
-        self._check_fitted("vocabulary_")
         length = self.sequence_length
         out = np.zeros((len(texts), length), dtype=np.int64)  # PAD_ID until written
         positions = np.arange(length)
         for rows, lengths, ids in coded_chunks(
-            texts, self.vocabulary_.token_to_id, OOV_ID, limit=length
+            texts, self.vocabulary.token_to_id, OOV_ID, limit=length
         ):
             # a boolean mask assigns in row-major order, the order of ids
             out[rows][positions < lengths[:, None]] = ids
         return out
-
-    def fit_transform(self, texts):
-        return self.fit(texts).transform(texts)
 
 
 def country_of(location: str) -> str:
@@ -216,18 +189,6 @@ def _column_value(posting, column: str) -> str:
     if column == "country":
         return country_of(posting.location)
     return getattr(posting, column)
-
-
-def fit_categorical_encoders(postings) -> dict:
-    """Sorted category list per column, from nonempty training values only."""
-    if not postings:
-        raise DataError("cannot fit encoders on an empty split")
-    categories = {}
-    for column in CATEGORICAL_COLUMNS:
-        seen = {_column_value(p, column) for p in postings}
-        seen.discard("")
-        categories[column] = sorted(seen)
-    return categories
 
 
 def encode_numeric(postings, categories: dict) -> np.ndarray:
@@ -266,20 +227,31 @@ def encode_numeric(postings, categories: dict) -> np.ndarray:
     return out
 
 
-class CategoricalEncoder(Estimator):
-    """Posting -> numeric feature vector (flags + salary + one-hot blocks)."""
+@dataclass(frozen=True)
+class CategoricalEncoder:
+    """Posting -> numeric feature vector (flags + salary + one-hot blocks),
+    with the category list of each column in CATEGORICAL_COLUMNS."""
 
-    def fit(self, postings):
-        self.categories_ = fit_categorical_encoders(postings)
-        self.width_ = 4 + sum(len(v) for v in self.categories_.values())
-        return self
+    categories: dict
+
+    @classmethod
+    def fit(cls, postings) -> "CategoricalEncoder":
+        """Sorted category list per column, from nonempty training values only."""
+        if not postings:
+            raise DataError("cannot fit encoders on an empty split")
+        categories = {}
+        for column in CATEGORICAL_COLUMNS:
+            seen = {_column_value(p, column) for p in postings}
+            seen.discard("")
+            categories[column] = sorted(seen)
+        return cls(categories)
+
+    @property
+    def width(self) -> int:
+        return 4 + sum(len(v) for v in self.categories.values())
 
     def transform(self, postings) -> np.ndarray:
-        self._check_fitted("categories_")
-        return encode_numeric(postings, self.categories_)
-
-    def fit_transform(self, postings):
-        return self.fit(postings).transform(postings)
+        return encode_numeric(postings, self.categories)
 
 
 # --------------------------------------------------------------------------

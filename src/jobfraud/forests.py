@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import features as features_mod
-from .base import Classifier, check_labels, check_matrix
+from .base import check_labels, check_matrix
 from .errors import ModelStoreError, ShapeError
 from .ndgrad import _sigmoid_values
 from .rng import SplitMix64
@@ -76,6 +76,9 @@ class EnsembleModel:
         self.feature[node], self.threshold[node] = feature, threshold
         self.left[node], self.right[node] = left, self.leaf()
         return left
+
+    def decision_scores(self, X) -> np.ndarray:
+        return ensemble_predict(self, X)
 
 
 # --------------------------------------------------------------------------
@@ -686,44 +689,3 @@ def build_tabular(numeric, texts, terms) -> np.ndarray:
     out[:, :width] = numeric
     count_terms(texts, terms, out=out[:, width:])
     return out
-
-
-# --------------------------------------------------------------------------
-# Estimators
-# --------------------------------------------------------------------------
-
-class _EnsembleEstimator(Classifier):
-    """Fits one ensemble with the settings of its ``RunConfig`` section."""
-
-    def _fit_model(self, X, y) -> EnsembleModel:
-        raise NotImplementedError
-
-    def fit(self, X, y):
-        self.model_ = self._fit_model(X, y)
-        self.classes_ = np.array([0, 1])
-        return self
-
-    def decision_scores(self, X) -> np.ndarray:
-        self._check_fitted("model_")
-        return ensemble_predict(self.model_, X)
-
-
-class RandomForest(_EnsembleEstimator):
-    """Votes of bootstrapped Gini trees with sqrt feature subsampling."""
-
-    def _fit_model(self, X, y):
-        return fit_random_forest(X, y, seed=self.cfg.seed, **vars(self.cfg.random_forest))
-
-
-class GradientBoosting(_EnsembleEstimator):
-    """Depth-wise logistic-loss boosting with exact split search."""
-
-    def _fit_model(self, X, y):
-        return fit_gbm(X, y, **vars(self.cfg.gbm))
-
-
-class LeafwiseGradientBoosting(_EnsembleEstimator):
-    """Leaf-wise histogram boosting (highest-gain leaf splits first)."""
-
-    def _fit_model(self, X, y):
-        return fit_leafwise_gbm(X, y, **vars(self.cfg.leafwise_gbm))

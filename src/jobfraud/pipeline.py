@@ -36,7 +36,7 @@ def prepare(dataset: Dataset, cfg: RunConfig, kinds=("bilstm",)) -> PreparedData
     splits = trainer.split_dataset(len(postings), cfg.seed)
     train_postings = [postings[i] for i in splits.train]
     labels = np.array([p.fraudulent for p in postings], dtype=np.int64)
-    encoder = CategoricalEncoder().fit(train_postings)
+    encoder = CategoricalEncoder.fit(train_postings)
     prepared = PreparedData(
         dataset=dataset,
         splits=splits,
@@ -50,9 +50,9 @@ def prepare(dataset: Dataset, cfg: RunConfig, kinds=("bilstm",)) -> PreparedData
     ranked = texts.rank(splits.train)
     if "bilstm" in kinds:
         prepared.vectorizer = TextVectorizer(
-            max_tokens=cfg.features.max_tokens,
-            sequence_length=cfg.features.sequence_length,
-        ).fit_ranking(ranked)
+            Vocabulary.from_ranking(ranked, cfg.features.max_tokens),
+            cfg.features.sequence_length,
+        )
         prepared.ids = prepared.vectorizer.transform(texts)
     if any(k != "bilstm" for k in kinds):
         prepared.terms = [token for token, _ in ranked[: cfg.features.tabular_terms]]
@@ -60,16 +60,19 @@ def prepare(dataset: Dataset, cfg: RunConfig, kinds=("bilstm",)) -> PreparedData
     return prepared
 
 
-# Tree-ensemble kind -> estimator class; each reads its own RunConfig section.
-_ENSEMBLES = {
-    "random_forest": forests.RandomForest,
-    "gbm": forests.GradientBoosting,
-    "leafwise_gbm": forests.LeafwiseGradientBoosting,
+# Tree-ensemble kind -> its fit on (X, y), with the settings of its RunConfig section.
+_FIT_ENSEMBLE = {
+    "random_forest": lambda X, y, cfg: forests.fit_random_forest(
+        X, y, seed=cfg.seed, **vars(cfg.random_forest)),
+    "gbm": lambda X, y, cfg: forests.fit_gbm(X, y, **vars(cfg.gbm)),
+    "leafwise_gbm": lambda X, y, cfg: forests.fit_leafwise_gbm(X, y, **vars(cfg.leafwise_gbm)),
 }
 
 
 class DetectionPipeline:
-    """A fitted featurizer stack plus one trained classifier."""
+    """A fitted featurizer stack plus one trained model: a BiLstmClassifier,
+    or the EnsembleModel of a tree kind; each scores rows with
+    ``decision_scores``."""
 
     def __init__(self, kind: str, cfg: RunConfig, encoder, model, fingerprint,
                  vectorizer=None, terms=None, history=None, test_metrics=None):
@@ -102,16 +105,16 @@ class DetectionPipeline:
     def to_bundle(self) -> bundle_mod.ModelBundle:
         config = {
             "run_config": self.cfg.to_dict(),
-            "encoder_categories": self.encoder.categories_,
+            "encoder_categories": self.encoder.categories,
         }
         extra = {}
         tensors = ()
         if self.kind == "bilstm":
-            config["model_config"] = asdict(self.model.config_)
-            extra["vocabulary"] = list(self.vectorizer.vocabulary_.id_to_token)
-            tensors = [(name, t.values) for name, t in self.model.params_.named_tensors()]
+            config["model_config"] = asdict(self.model.config)
+            extra["vocabulary"] = list(self.vectorizer.vocabulary.id_to_token)
+            tensors = [(name, t.values) for name, t in self.model.params.named_tensors()]
         else:
-            extra["ensemble"] = forests.ensemble_to_dict(self.model.model_)
+            extra["ensemble"] = forests.ensemble_to_dict(self.model)
             extra["terms"] = list(self.terms)
         extra["dataset_fingerprint"] = self.fingerprint
         return bundle_mod.make_bundle(
@@ -155,15 +158,12 @@ class DetectionPipeline:
                 f"encoder_categories must map {', '.join(CATEGORICAL_COLUMNS)} "
                 f"to lists of distinct strings, got {categories!r:.80}"
             )
-        encoder = CategoricalEncoder()
-        encoder.categories_ = categories
-        encoder.width_ = 4 + sum(len(v) for v in encoder.categories_.values())
+        encoder = CategoricalEncoder(categories)
         stored = manifest["dataset_fingerprint"]
         fingerprint = {"rows": int(stored["rows"]), "job_id_crc32": int(stored["job_id_crc32"])}
 
         if kind == "bilstm":
-            mc = manifest["config"]["model_config"]
-            model_cfg = bilstm.ModelConfig(**mc)
+            model_cfg = bilstm.ModelConfig(**manifest["config"]["model_config"])
             tokens = manifest["vocabulary"]
             token_to_id = {t: i for i, t in enumerate(tokens)}
             if len(tokens) != model_cfg.vocab_size or len(token_to_id) != len(tokens):
@@ -171,9 +171,9 @@ class DetectionPipeline:
                     f"vocabulary has {len(tokens)} tokens ({len(token_to_id)} distinct), "
                     f"the model expects {model_cfg.vocab_size} distinct tokens"
                 )
-            if model_cfg.numeric_width != encoder.width_:
+            if model_cfg.numeric_width != encoder.width:
                 raise ModelStoreError(
-                    f"encoder categories give {encoder.width_} numeric features, "
+                    f"encoder categories give {encoder.width} numeric features, "
                     f"the model expects {model_cfg.numeric_width}"
                 )
             if model_cfg.sequence_length != cfg.features.sequence_length:
@@ -181,16 +181,10 @@ class DetectionPipeline:
                     f"run config gives sequence_length {cfg.features.sequence_length}, "
                     f"the model expects {model_cfg.sequence_length}"
                 )
-            vocab = Vocabulary(token_to_id, tuple(tokens), cfg.features.max_tokens)
-            vectorizer = TextVectorizer(
-                max_tokens=cfg.features.max_tokens,
-                sequence_length=model_cfg.sequence_length,
-            )
-            vectorizer.vocabulary_ = vocab
-            model = bilstm.BiLstmClassifier(cfg, mc["vocab_size"])
-            model.params_ = bilstm.params_from_arrays(model_cfg, bundle.tensor)
-            model.config_ = model_cfg
-            model.classes_ = np.array([0, 1])
+            vectorizer = TextVectorizer(Vocabulary(token_to_id, tuple(tokens)),
+                                        model_cfg.sequence_length)
+            model = bilstm.BiLstmClassifier(model_cfg,
+                                            bilstm.params_from_arrays(model_cfg, bundle.tensor))
             return cls(kind, cfg, encoder, model, fingerprint, vectorizer=vectorizer)
 
         if manifest["ensemble"]["kind"] != kind:
@@ -200,15 +194,12 @@ class DetectionPipeline:
         terms = manifest["terms"]
         if not isinstance(terms, list) or len({t for t in terms if isinstance(t, str)}) != len(terms):
             raise ModelStoreError(f"terms must be a list of distinct strings, got {terms!r:.80}")
-        if ensemble.n_features != encoder.width_ + len(terms):
+        if ensemble.n_features != encoder.width + len(terms):
             raise ModelStoreError(
                 f"ensemble has {ensemble.n_features} features, the encoder and "
-                f"{len(terms)} terms give {encoder.width_ + len(terms)}"
+                f"{len(terms)} terms give {encoder.width + len(terms)}"
             )
-        model = _ENSEMBLES[kind](cfg)
-        model.model_ = ensemble
-        model.classes_ = np.array([0, 1])
-        return cls(kind, cfg, encoder, model, fingerprint, terms=terms)
+        return cls(kind, cfg, encoder, ensemble, fingerprint, terms=terms)
 
     @classmethod
     def load(cls, directory) -> "DetectionPipeline":
@@ -235,12 +226,12 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
         return prepared.tabular[idx]
 
     if kind == "bilstm":
-        model = bilstm.BiLstmClassifier(cfg, len(prepared.vectorizer.vocabulary_))
-        model.fit(rows(train_idx), y[train_idx], validation_data=(rows(val_idx), y[val_idx]))
-        history = model.history_
+        model = bilstm.BiLstmClassifier.fit(cfg, len(prepared.vectorizer.vocabulary),
+                                            rows(train_idx), y[train_idx],
+                                            validation_data=(rows(val_idx), y[val_idx]))
+        history = model.history
     else:
-        model = _ENSEMBLES[kind](cfg)
-        model.fit(rows(train_idx), y[train_idx])
+        model = _FIT_ENSEMBLE[kind](rows(train_idx), y[train_idx], cfg)
         history = None
 
     test_scores = model.decision_scores(rows(test_idx))

@@ -412,7 +412,7 @@ def test_full_model_gradient_check_two_examples():
 
 
 # --------------------------------------------------------------------------
-# Estimator
+# The trained model
 # --------------------------------------------------------------------------
 
 def test_classifier_fit_predict_roundtrip(toy_separable):
@@ -423,19 +423,11 @@ def test_classifier_fit_predict_roundtrip(toy_separable):
         bilstm=BilstmSection(embedding_dim=4, hidden_units=6, dense_units=6),
         train=TrainSection(learning_rate=1e-2, batch_size=8, max_epochs=40, patience=39),
     )
-    clf = BiLstmClassifier(cfg, vocab_size=6)
-    clf.fit(X, y, validation_data=(X, y))
-    assert (clf.predict(X) == y).all()
-    proba = clf.predict_proba(X)
-    assert proba.shape == (len(y), 2)
-    assert np.allclose(proba.sum(axis=1), 1.0)
-
-
-def test_classifier_requires_fit():
-    cfg = RunConfig(features=FeatureSection(sequence_length=4))
-    with pytest.raises(Exception):
-        BiLstmClassifier(cfg, vocab_size=10000).predict(
-            (np.zeros((1, 4), dtype=np.int64), np.zeros((1, 2))))
+    clf = BiLstmClassifier.fit(cfg, 6, X, y, validation_data=(X, y))
+    scores = clf.decision_scores(X)
+    assert scores.shape == (len(y),)
+    assert ((scores >= 0.0) & (scores <= 1.0)).all()
+    assert ((scores >= cfg.threshold) == y).all()
 
 
 @pytest.mark.parametrize("ids, numeric", [
@@ -449,6 +441,6 @@ def test_classifier_rejects_mismatched_inputs(ids, numeric):
     good = (np.zeros((2, 4), dtype=np.int64), np.zeros((2, 2)))
     y = np.array([0, 1])
     with pytest.raises(ShapeError, match=r"X must be ids \(rows, 4\)"):
-        BiLstmClassifier(cfg, vocab_size=10).fit((ids, numeric), y, validation_data=(good, y))
+        BiLstmClassifier.fit(cfg, 10, (ids, numeric), y, validation_data=(good, y))
     with pytest.raises(ShapeError):
-        BiLstmClassifier(cfg, vocab_size=10).fit(good, y, validation_data=((ids, numeric), y))
+        BiLstmClassifier.fit(cfg, 10, good, y, validation_data=((ids, numeric), y))

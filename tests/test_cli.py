@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import shutil
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as reference
-from jobfraud import ingest, synth
+from jobfraud import cli, ingest, synth
 from jobfraud.cli import run_cli
+from jobfraud.config import RunConfig
 
 # a fast configuration for end-to-end runs on the 300-row fixture
 FAST_CONFIG = {
@@ -32,10 +34,10 @@ def fast_config(tmp_path):
     return path
 
 
-def _train_bundle(tmp_path_factory, small_csv, model):
+def _train_bundle(tmp_path_factory, small_csv, model, run_config=FAST_CONFIG):
     out = tmp_path_factory.mktemp("model") / model
     config = tmp_path_factory.mktemp("cfg") / "config.json"
-    config.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    config.write_text(json.dumps(run_config), encoding="utf-8")
     code = run_cli([
         "train", "--data", str(small_csv), "--config", str(config),
         "--out", str(out), "--model", model,
@@ -224,18 +226,24 @@ def test_predict_pads_short_records(tmp_path, trained_model_dir):
     assert rows[0][:4] == ["5", "Data Engineer", "", ""] and len(rows[0]) == 6
 
 
-def test_predict_labels_use_bundle_threshold(tmp_path, strict_bilstm_dir, small_csv):
-    out = tmp_path / "preds.csv"
-    code = run_cli([
-        "predict", "--model", str(strict_bilstm_dir),
-        "--input", str(small_csv), "--out", str(out),
-    ])
-    assert code == 0
-    _, rows = ingest.read_csv(out)
-    probs = np.array([float(r[-2]) for r in rows])
-    labels = np.array([int(r[-1]) for r in rows])
-    assert ((probs >= 0.5) & (probs < 0.9)).any()  # rows the threshold decides
-    assert np.array_equal(labels, (probs >= 0.9).astype(int))
+def test_predict_labels_use_bundle_threshold(tmp_path_factory, tmp_path, strict_bilstm_dir,
+                                             small_csv):
+    """Every kind labels a score at or above its bundle's threshold 0.9 as 1."""
+    strict = {**FAST_CONFIG, "threshold": 0.9}
+    bundles = [strict_bilstm_dir] + [_train_bundle(tmp_path_factory, small_csv, model, strict)
+                                     for model in ("rf", "gbm", "lgbt")]
+    for bundle in bundles:
+        out = tmp_path / f"preds-{bundle.name}.csv"
+        code = run_cli([
+            "predict", "--model", str(bundle),
+            "--input", str(small_csv), "--out", str(out),
+        ])
+        assert code == 0
+        _, rows = ingest.read_csv(out)
+        probs = np.array([float(r[-2]) for r in rows])
+        labels = np.array([int(r[-1]) for r in rows])
+        assert ((probs >= 0.5) & (probs < 0.9)).any(), bundle.name  # rows the threshold decides
+        assert np.array_equal(labels, (probs >= 0.9).astype(int)), bundle.name
 
 
 def test_evaluate_threshold_defaults_to_bundle(strict_bilstm_dir, small_csv, capsys):
@@ -373,6 +381,52 @@ def test_config_bad_value_exits_one(tmp_path, small_csv, config, model, key, cap
     assert code == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+# every integer count and size of the config; the seed takes any integer
+INT_FIELDS = [
+    f"{section.name}.{f.name}"
+    for section in dataclasses.fields(RunConfig) if dataclasses.is_dataclass(section.type)
+    for f in dataclasses.fields(section.type) if f.type is int
+]
+
+
+@pytest.mark.parametrize("key", INT_FIELDS)
+def test_config_int_beyond_its_cap_exits_one(tmp_path, small_csv, key, capsys):
+    section, field = key.split(".")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({section: {field: 2**70}}), encoding="utf-8")
+    code = run_cli([
+        "train", "--data", str(small_csv), "--config", str(path),
+        "--out", str(tmp_path / "m"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config key '{key}' must be at most" in err and "Traceback" not in err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["eda", "predict", "compare"])
+def test_out_in_missing_directory_exits_one(tmp_path, small_csv, trained_model_dir, command,
+                                            monkeypatch, capsys):
+    """An --out whose directory does not exist is refused before any input is read."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    for name in ("load_dataset", "read_csv"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.DetectionPipeline, "load", no_work)
+    out = tmp_path / "missing" / "out.csv"
+    argv = {
+        "eda": ["eda", "--data", str(small_csv), "--out", str(out)],
+        "predict": ["predict", "--model", str(trained_model_dir), "--input", str(small_csv),
+                    "--out", str(out)],
+        "compare": ["compare", "--data", str(small_csv), "--out", str(out)],
+    }[command]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --out {out}: directory {out.parent} does not exist" in err
+    assert "Traceback" not in err and not out.parent.exists()
 
 
 @pytest.mark.parametrize("manifest, message", [

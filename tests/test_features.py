@@ -13,9 +13,8 @@ from jobfraud.features import (
     CategoricalEncoder,
     SplitTexts,
     TextVectorizer,
-    build_vocabulary,
+    Vocabulary,
     encode_numeric,
-    fit_categorical_encoders,
     rank_tokens,
     term_frequencies,
 )
@@ -26,6 +25,11 @@ from conftest import make_posting
 # --------------------------------------------------------------------------
 # Vocabulary
 # --------------------------------------------------------------------------
+
+def build_vocabulary(corpus, max_size):
+    """The vocabulary of a corpus: its token ranking, cut to max_size."""
+    return Vocabulary.from_ranking(rank_tokens(corpus), max_size)
+
 
 def test_build_vocabulary_frequency_and_ties():
     # hand count: b=2, a=1, c=1; tie a<c lexicographic
@@ -68,7 +72,7 @@ def test_vocabulary_order_independent_of_doc_order(docs):
 
 def encode_sequence(text, corpus, length, max_tokens=10):
     """The id row a vectorizer fit on corpus gives one text."""
-    vec = TextVectorizer(max_tokens=max_tokens, sequence_length=length).fit(corpus)
+    vec = TextVectorizer(build_vocabulary(corpus, max_tokens), sequence_length=length)
     return vec.transform([text])[0].tolist()
 
 
@@ -96,7 +100,7 @@ def test_encode_sequence_length_and_range(text, length):
 
 
 def test_text_vectorizer_transform_shape():
-    tv = TextVectorizer(max_tokens=10, sequence_length=5).fit(["a b", "b c"])
+    tv = TextVectorizer(build_vocabulary(["a b", "b c"], 10), sequence_length=5)
     out = tv.transform(["a", "b c d"])
     assert out.shape == (2, 5)
     assert out.dtype == np.int64
@@ -128,14 +132,13 @@ def test_vectorizer_equals_reference(train, other, unseen, max_tokens, length, c
     train_rows = range(len(texts) - len(train), len(texts))
     with mock.patch.object(features, "CHUNK_ROWS", chunk_rows):
         split = SplitTexts(texts)
-        fitted = TextVectorizer(max_tokens=max_tokens, sequence_length=length).fit(train)
-        ranked = TextVectorizer(max_tokens=max_tokens, sequence_length=length).fit_ranking(
-            split.rank(train_rows))
+        fitted = TextVectorizer(build_vocabulary(train, max_tokens), length)
+        ranked = TextVectorizer(Vocabulary.from_ranking(split.rank(train_rows), max_tokens), length)
         outputs = [fitted.transform(texts), ranked.transform(split), ranked.transform(texts)]
     id_to_token, token_to_id = text_reference.build_vocabulary(train, max_tokens)
     for vec in (fitted, ranked):
-        assert vec.vocabulary_.id_to_token == id_to_token
-        assert vec.vocabulary_.token_to_id == token_to_id
+        assert vec.vocabulary.id_to_token == id_to_token
+        assert vec.vocabulary.token_to_id == token_to_id
     expected = text_reference.encode_sequences(texts, token_to_id, length)
     for ids in outputs:
         assert ids.dtype == np.int64 and np.array_equal(ids, expected)
@@ -162,9 +165,9 @@ def test_vectorizer_around_the_chunk_size(extra):
     texts = [" ".join(["a", "b", "c", "d"][: 1 + i % 4] * (1 + i % 3)) for i in range(rows)]
     texts[-1] = "d d unseen " * 4
     split = SplitTexts(texts)
-    vec = TextVectorizer(max_tokens=4, sequence_length=7).fit_ranking(split.rank(range(0, rows, 2)))
+    vec = TextVectorizer(Vocabulary.from_ranking(split.rank(range(0, rows, 2)), 4), 7)
     _, token_to_id = text_reference.build_vocabulary(texts[::2], 4)
-    assert vec.vocabulary_.token_to_id == token_to_id
+    assert vec.vocabulary.token_to_id == token_to_id
     expected = text_reference.encode_sequences(texts, token_to_id, 7)
     assert np.array_equal(vec.transform(texts), expected)
     assert np.array_equal(vec.transform(split), expected)
@@ -174,12 +177,13 @@ def test_vectorizer_around_the_chunk_size(extra):
 # Categorical / numeric encoding
 # --------------------------------------------------------------------------
 
+
 def test_categories_sorted_lexicographically():
     postings = [
         make_posting(job_id=1, employment_type="Full-time"),
         make_posting(job_id=2, employment_type="Contract"),
     ]
-    cats = fit_categorical_encoders(postings)
+    cats = CategoricalEncoder.fit(postings).categories
     assert cats["employment_type"] == ["Contract", "Full-time"]
 
 
@@ -191,7 +195,7 @@ def test_country_from_location():
 
 def test_empty_values_excluded_from_categories():
     postings = [make_posting(job_id=1, industry=""), make_posting(job_id=2, industry="Retail")]
-    assert fit_categorical_encoders(postings)["industry"] == ["Retail"]
+    assert CategoricalEncoder.fit(postings).categories["industry"] == ["Retail"]
 
 
 def test_encode_numeric_layout():
@@ -199,7 +203,7 @@ def test_encode_numeric_layout():
         make_posting(job_id=1, employment_type="Contract"),
         make_posting(job_id=2, employment_type="Full-time"),
     ]
-    cats = fit_categorical_encoders(postings)
+    cats = CategoricalEncoder.fit(postings).categories
     p = make_posting(
         job_id=3, telecommuting=1, has_company_logo=0, has_questions=1,
         salary_range="", employment_type="Part-time", required_experience="zz",
@@ -211,7 +215,7 @@ def test_encode_numeric_layout():
 
 
 def test_encode_numeric_salary_flag():
-    cats = fit_categorical_encoders([make_posting()])
+    cats = CategoricalEncoder.fit([make_posting()]).categories
     p = make_posting(telecommuting=0, has_company_logo=0, has_questions=0,
                      salary_range="40000-50000")
     assert encode_numeric([p], cats)[0, 3] == 1.0
@@ -222,7 +226,7 @@ def test_encode_numeric_known_unit_vector():
         make_posting(job_id=1, employment_type="Contract"),
         make_posting(job_id=2, employment_type="Full-time"),
     ]
-    cats = fit_categorical_encoders(postings)
+    cats = CategoricalEncoder.fit(postings).categories
     p = make_posting(employment_type="Full-time")
     block = encode_numeric([p], cats)[0, 4:6]
     assert list(block) == [0.0, 1.0]
@@ -256,31 +260,31 @@ def test_encode_numeric_equals_reference(fields, categories):
 
 def test_encoder_transform_equals_reference(fixture_dataset):
     postings = fixture_dataset.postings
-    enc = CategoricalEncoder().fit(postings[:1000])
-    expected = np.array([reference.encode_numeric(p, enc.categories_) for p in postings])
+    enc = CategoricalEncoder.fit(postings[:1000])
+    expected = np.array([reference.encode_numeric(p, enc.categories) for p in postings])
     assert np.array_equal(enc.transform(postings), expected)
 
 
 def test_one_hot_blocks_sum_at_most_one(fixture_dataset):
     postings = fixture_dataset.postings[:200]
-    enc = CategoricalEncoder().fit(postings[:100])
+    enc = CategoricalEncoder.fit(postings[:100])
     X = enc.transform(postings)
     offset = 4
     for column in features.CATEGORICAL_COLUMNS:
-        width = len(enc.categories_[column])
+        width = len(enc.categories[column])
         block = X[:, offset : offset + width]
         assert (block.sum(axis=1) <= 1.0).all()
         offset += width
-    assert offset == enc.width_
+    assert offset == enc.width
 
 
 def test_encoder_fit_on_train_only_matches_refit(fixture_dataset):
     """Leakage check: the pipeline state equals a train-only refit."""
     postings = fixture_dataset.postings
     train = postings[:800]
-    a = CategoricalEncoder().fit(train)
-    b = CategoricalEncoder().fit(list(train))
-    assert a.categories_ == b.categories_
+    a = CategoricalEncoder.fit(train)
+    b = CategoricalEncoder.fit(list(train))
+    assert a.categories == b.categories
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,6 @@ from jobfraud import features, forests
 from jobfraud.config import GbmSection, LeafwiseSection, RandomForestSection, RunConfig
 from jobfraud.errors import ShapeError
 from jobfraud.forests import (
-    GradientBoosting,
-    LeafwiseGradientBoosting,
-    RandomForest,
     best_split,
     build_tabular,
     compute_bins,
@@ -29,6 +26,7 @@ from jobfraud.forests import (
     rank_codes,
 )
 from jobfraud.ndgrad import _sigmoid_values
+from jobfraud.pipeline import _FIT_ENSEMBLE
 from jobfraud.rng import SplitMix64
 import features_reference
 import tree_reference
@@ -821,34 +819,18 @@ def test_count_terms_around_the_chunk_size(extra):
 
 
 def test_estimator_wrappers_fit_predict():
+    """Each tree kind's entry of the pipeline's fit table reads its own
+    config section and gives an ensemble that scores rows."""
     X, y = _separable(n=80)
-    for est in (
-        RandomForest(RunConfig(seed=1, random_forest=RandomForestSection(n_trees=10))),
-        GradientBoosting(RunConfig(gbm=GbmSection(n_rounds=10))),
-        LeafwiseGradientBoosting(
-            RunConfig(leafwise_gbm=LeafwiseSection(n_rounds=10, min_samples_leaf=5))
-        ),
+    for kind, cfg in (
+        ("random_forest", RunConfig(seed=1, random_forest=RandomForestSection(n_trees=10))),
+        ("gbm", RunConfig(gbm=GbmSection(n_rounds=10))),
+        ("leafwise_gbm",
+         RunConfig(leafwise_gbm=LeafwiseSection(n_rounds=10, min_samples_leaf=5))),
     ):
-        est.fit(X, y)
-        proba = est.predict_proba(X)
-        assert proba.shape == (80, 2)
-        assert ((est.predict(X) == 0) | (est.predict(X) == 1)).all()
-        assert (est.predict(X) == y).mean() > 0.9
-
-
-def test_estimator_predict_uses_threshold():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(80, 4))
-    y = (X[:, 2] + rng.normal(size=80) > 0).astype(int)  # noisy: scores between 0 and 1
-    for est in (
-        RandomForest(RunConfig(
-            seed=1, threshold=0.7, random_forest=RandomForestSection(n_trees=5)
-        )),
-        GradientBoosting(RunConfig(threshold=0.7, gbm=GbmSection(n_rounds=3))),
-        LeafwiseGradientBoosting(RunConfig(
-            threshold=0.7, leafwise_gbm=LeafwiseSection(n_rounds=3, min_samples_leaf=5)
-        )),
-    ):
-        scores = est.fit(X, y).decision_scores(X)
-        assert ((scores >= 0.5) & (scores < 0.7)).any()  # rows the threshold decides
-        assert np.array_equal(est.predict(X), (scores >= 0.7).astype(np.int64))
+        model = _FIT_ENSEMBLE[kind](X, y, cfg)
+        assert model.kind == kind and len(model.roots) == 10
+        scores = model.decision_scores(X)
+        assert scores.shape == (80,)
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        assert ((scores >= cfg.threshold) == y).mean() > 0.9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import features_reference
-from jobfraud import features, forests
+from jobfraud import bilstm, features, forests
 from jobfraud.config import (
     BilstmSection,
     FeatureSection,
@@ -14,7 +14,7 @@ from jobfraud.config import (
     TrainSection,
 )
 from jobfraud.errors import DataError
-from jobfraud.features import CategoricalEncoder, TextVectorizer
+from jobfraud.features import CategoricalEncoder, Vocabulary, rank_tokens
 from jobfraud.pipeline import DetectionPipeline, prepare, train_pipeline
 
 FAST = RunConfig(
@@ -44,13 +44,11 @@ def test_prepare_fits_featurizers_on_train_only(small_dataset, prepared):
     """Leakage check: refitting on the train rows reproduces the state."""
     train_postings = [small_dataset.postings[i] for i in prepared.splits.train]
     train_texts = [p.full_text for p in train_postings]
-    vec = TextVectorizer(
-        max_tokens=FAST.features.max_tokens,
-        sequence_length=FAST.features.sequence_length,
-    ).fit(train_texts)
-    assert vec.vocabulary_.id_to_token == prepared.vectorizer.vocabulary_.id_to_token
-    enc = CategoricalEncoder().fit(train_postings)
-    assert enc.categories_ == prepared.encoder.categories_
+    vocab = Vocabulary.from_ranking(rank_tokens(train_texts), FAST.features.max_tokens)
+    assert vocab.id_to_token == prepared.vectorizer.vocabulary.id_to_token
+    assert prepared.vectorizer.sequence_length == FAST.features.sequence_length
+    enc = CategoricalEncoder.fit(train_postings)
+    assert enc.categories == prepared.encoder.categories
     assert features_reference.select_terms(train_texts, FAST.features.tabular_terms) == prepared.terms
 
 
@@ -79,7 +77,7 @@ def test_prepare_equals_reference(request, data, cfg, kinds):
     prepared = prepare(dataset, cfg, kinds=kinds)
     expected = features_reference.prepare_text(
         dataset.postings, prepared.splits.train, prepared.numeric, cfg.features, kinds)
-    vocabulary = prepared.vectorizer and prepared.vectorizer.vocabulary_.id_to_token
+    vocabulary = prepared.vectorizer and prepared.vectorizer.vocabulary.id_to_token
     assert vocabulary == expected["vocabulary"]
     assert prepared.terms == expected["terms"]
     for name in ("ids", "tabular"):
@@ -90,27 +88,33 @@ def test_prepare_equals_reference(request, data, cfg, kinds):
 
 def test_featurizers_keep_their_traced_names(small_dataset, prepared, monkeypatch):
     """The benchmark traces TextVectorizer.transform (its result is the id
-    matrix, its argument the texts) and forests.build_tabular by name:
-    prepare and featurize must keep calling both."""
+    matrix, its argument the texts), CategoricalEncoder.transform,
+    forests.build_tabular and BiLstmClassifier.fit by the name its caller
+    looks up, each defined on its own class: prepare, featurize and
+    train_pipeline must keep calling them."""
     calls = []
 
-    def spy(owner, name):
+    def spy(owner, name, label):
+        assert name in vars(owner), label
         original = getattr(owner, name)
 
         def traced(*args, **kwargs):
             result = original(*args, **kwargs)
-            calls.append((name, args, result))
+            calls.append((label, args, result))
             return result
 
         monkeypatch.setattr(owner, name, traced)
 
-    spy(features.TextVectorizer, "transform")
-    spy(forests, "build_tabular")
+    spy(features.TextVectorizer, "transform", "vectorize")
+    spy(features.CategoricalEncoder, "transform", "encode")
+    spy(forests, "build_tabular", "tabular")
+    spy(bilstm.BiLstmClassifier, "fit", "fit")
     postings = small_dataset.postings
 
     prepare(small_dataset, FAST, kinds=MODEL_KINDS)
-    assert [c[0] for c in calls] == ["transform", "build_tabular"]
-    (_, args, ids), (_, _, tabular) = calls
+    assert [c[0] for c in calls] == ["encode", "vectorize", "tabular"]
+    (_, _, numeric), (_, args, ids), (_, _, tabular) = calls
+    assert numeric.shape[0] == len(postings)
     assert len(args[1]) == len(postings) and ids.shape == (len(postings), 48)
     assert tabular.shape[0] == len(postings)
 
@@ -118,8 +122,12 @@ def test_featurizers_keep_their_traced_names(small_dataset, prepared, monkeypatc
     kwargs = dict(cfg=FAST, encoder=prepared.encoder, model=None, fingerprint=None)
     DetectionPipeline("bilstm", vectorizer=prepared.vectorizer, **kwargs).featurize(postings[:9])
     DetectionPipeline("gbm", terms=prepared.terms, **kwargs).featurize(postings[:9])
-    assert [c[0] for c in calls] == ["transform", "build_tabular"]
-    assert len(calls[0][1][1]) == 9 and np.array_equal(calls[0][2], prepared.ids[:9])
+    assert [c[0] for c in calls] == ["encode", "vectorize", "encode", "tabular"]
+    assert len(calls[1][1][1]) == 9 and np.array_equal(calls[1][2], prepared.ids[:9])
+
+    calls.clear()
+    pipe = train_pipeline(small_dataset, FAST, "bilstm", prepared=prepared)
+    assert [c[0] for c in calls] == ["fit"] and calls[0][2] is pipe.model
 
 
 def test_models_share_test_indices(small_dataset, prepared):

@@ -262,6 +262,6 @@ def test_train_passes_configured_adam_settings(small_csv, monkeypatch):
     weights = []
     for cfg in (base, custom):
         model = pipeline.train_pipeline(dataset, cfg, "bilstm").model
-        weights.append([t.values for _, t in model.params_.named_tensors()])
+        weights.append([t.values for _, t in model.params.named_tensors()])
     assert seen == [(0.9, 0.999, 1e-8), (0.5, 0.999, 0.1)]
     assert not all(np.array_equal(a, b) for a, b in zip(*weights))
