@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobfraud import features, forests
+from jobfraud import features, forests, metrics
 from jobfraud.config import GbmSection, LeafwiseSection, RandomForestSection, RunConfig
 from jobfraud.errors import ShapeError
 from jobfraud.forests import (
@@ -834,3 +834,27 @@ def test_estimator_wrappers_fit_predict():
         assert scores.shape == (80,)
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
         assert ((scores >= cfg.threshold) == y).mean() > 0.9
+
+
+def test_estimator_predict_uses_threshold():
+    """A tree kind's scores are labelled at the config's threshold, not at 0.5."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(80, 4))
+    y = (X[:, 2] + rng.normal(size=80) > 0).astype(int)  # noisy: scores between 0 and 1
+    for kind, cfg in (
+        ("random_forest", RunConfig(
+            seed=1, threshold=0.7, random_forest=RandomForestSection(n_trees=5)
+        )),
+        ("gbm", RunConfig(threshold=0.7, gbm=GbmSection(n_rounds=3))),
+        ("leafwise_gbm", RunConfig(
+            threshold=0.7, leafwise_gbm=LeafwiseSection(n_rounds=3, min_samples_leaf=5)
+        )),
+    ):
+        scores = _FIT_ENSEMBLE[kind](X, y, cfg).decision_scores(X)
+        assert ((scores >= 0.5) & (scores < 0.7)).any()  # rows the threshold decides
+        predicted = scores >= 0.7
+        actual = y == 1
+        assert metrics.confusion_at(y, scores, cfg.threshold) == metrics.ConfusionMatrix(
+            tn=int((~predicted & ~actual).sum()), fp=int((predicted & ~actual).sum()),
+            fn=int((~predicted & actual).sum()), tp=int((predicted & actual).sum()),
+        )
