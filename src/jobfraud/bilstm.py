@@ -9,13 +9,21 @@ like ordinary tokens; there is no masking and no dropout.
 The encoder (`bilstm_encode`) is one fused autodiff op with a hand-written
 backprop through time, in the manner of cuDNN's RNN kernels (Appleyard et
 al. 2016): the input projection is a per-token table gathered outside the
-recurrence (in one take per training batch), the pointwise gate math runs
-over whole contiguous gate blocks, and the weight gradients are a few
-large GEMMs after the backward loop, where the PAD (id 0) rows' input-side
-terms collapse to one column sum. Rows are right-padded, so every row's
-reverse pass begins with the same PAD trajectory from the zero state: it
-runs once, shared. The forward pass reads a row's PADs after its text,
-from that row's own state, so it runs every position.
+recurrence (in one take per training batch), and the weight gradients are
+a few large GEMMs after the backward loop, where the PAD (id 0) rows'
+input-side terms collapse to one column sum. Each step's gates are
+gate-major, a (4, rows, H) block in which every gate is one contiguous
+slab, so the pointwise gate math runs on whole slabs with scalar
+operands; the backward writes each step's pre-activation gradients back
+over its block row-major, (rows, 4H), the layout the GEMMs read. Rows are
+right-padded, so every row's reverse pass begins with the same PAD
+trajectory from the zero state: it runs once, shared. The forward pass
+reads a row's PADs after its text, from that row's own state, so it runs
+every position.
+
+The recorded gates and states of a training batch fill a Workspace: a fit
+passes one to every batch, so the batches reuse memory that is already
+paged in, and drops it when it returns.
 
 A trained model is one BiLstmClassifier record of its ModelConfig and its
 weights; BiLstmClassifier.fit trains and builds it whole, and a bundle
@@ -205,15 +213,20 @@ def _kernel_weights(params: ModelParams):
     return wx, wh, bias, order
 
 
-def _halved(wx, wh, bias):
-    """Transposed weights with the sigmoid gates' columns halved, so one
-    tanh covers every gate: sigma(x) = 0.5 + 0.5 tanh(x / 2). Scaling by
-    a power of two is exact."""
-    h = wh.shape[2]
-    scale = np.repeat([0.5, 1.0], [3 * h, h])
-    wx_t = np.ascontiguousarray((wx * scale[:, None]).transpose(0, 2, 1))  # (2, E, 4H)
-    wh_t = np.ascontiguousarray((wh * scale[:, None]).transpose(0, 2, 1))  # (2, H, 4H)
-    return wx_t, wh_t, bias * scale
+def _gate_major(wx, wh, bias):
+    """The kernel-order weights split by gate and transposed, with the
+    sigmoid gates halved so one tanh covers every gate: sigma(x) = 0.5 +
+    0.5 tanh(x / 2). Scaling by a power of two is exact.
+
+    Returns wx (4, 2, E, H), wh (2, 4, H, H) and bias (4, 2, 1, H):
+    h @ wh[d] is direction d's (4, rows, H) gate block.
+    """
+    h, e = wh.shape[2], wx.shape[2]
+    scale = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+    wx_g = np.ascontiguousarray((wx.reshape(2, 4, h, e) * scale).transpose(1, 0, 3, 2))
+    wh_g = np.ascontiguousarray((wh.reshape(2, 4, h, h) * scale).transpose(0, 1, 3, 2))
+    bias_g = (bias.reshape(2, 4, 1, h) * scale).transpose(1, 0, 2, 3)
+    return wx_g, wh_g, bias_g
 
 
 def _plan(ids, vocab: int):
@@ -244,92 +257,146 @@ def _plan(ids, vocab: int):
     return order, real, offsets, index, fwd_rows, rev_rows
 
 
-def _gate_constants(hidden: int):
-    """Per-column (scale, shift) of the gate affine in kernel order
-    (i, f, o, g): they take tanh(x / 2) to sigmoid(x) on the three sigmoid
-    blocks and leave the candidate block as it is (x * 1 and x + -0.0 are
-    exact), so one contiguous affine covers every gate."""
-    is_candidate = np.arange(4 * hidden) >= 3 * hidden
-    return np.where(is_candidate, 1.0, 0.5), np.where(is_candidate, -0.0, 0.5)
+def _gate_rows(offsets, index, vocab: int):
+    """The input-table row of each row of the recorded gates' (4N, H)
+    view, for one take in that order from the (4 * 2V, H) table.
+
+    Step t's gates are the (4, size_t, H) block that starts at row
+    4 * offsets[t], so gate k of flat row f in step t is row
+    3 * offsets[t] + f + k * size_t.
+    """
+    sizes = np.diff(offsets)
+    gate = np.arange(4)[:, None]
+    dest = 3 * np.repeat(offsets[:-1], sizes) + np.arange(offsets[-1]) \
+        + gate * np.repeat(sizes, sizes)
+    rows = np.empty(4 * offsets[-1], dtype=np.int64)
+    rows[dest] = gate * (2 * vocab) + index
+    return rows
 
 
-def _cell(z, c_prev, c, tanh_c, h_out, scale, shift):
+def _allocate(shape) -> np.ndarray:
+    """An uninitialized float64 buffer. Every buffer of the kernel comes
+    from here, and the kernel writes each value before it reads it."""
+    return np.empty(shape)
+
+
+class Workspace:
+    """The gate and state buffers of the kernel, reused across calls.
+
+    A fit passes one Workspace to every forward, so each batch writes into
+    memory the earlier batches already paged in. The buffers grow only
+    when a call needs more rows; the old ones are dropped before the
+    larger ones are allocated. Their contents between calls are
+    unspecified.
+    """
+
+    def __init__(self):
+        self._buffers = None
+
+    def states(self, rows: int, hidden: int):
+        """(gates, hs, cs, tanh_cs): a flat buffer of at least
+        4 * rows * hidden gate values and three state buffers of at least
+        `rows` rows of `hidden` values."""
+        held = self._buffers
+        if held is None or held[1].shape[0] < rows or held[1].shape[1] != hidden:
+            held = self._buffers = None  # never two sets alive at once
+            held = self._buffers = (
+                _allocate(4 * rows * hidden),
+                *(_allocate((rows, hidden)) for _ in range(3)),
+            )
+        return held
+
+
+def _cell(z, c_prev, c, tanh_c, h_out):
     """One step of both directions, written into c, tanh_c and h_out.
 
-    On entry z (rows, 4H) holds the halved pre-activations in kernel
-    order; on exit it holds the gate values.
+    On entry z (4, rows, H) holds the halved pre-activations, gate-major
+    in kernel order; on exit it holds the gate values.
     """
-    h = c.shape[-1]
     np.tanh(z, out=z)
-    z *= scale
-    z += shift
-    np.multiply(z[..., h : 2 * h], c_prev, out=c)
-    c += z[..., :h] * z[..., 3 * h :]
+    sigmoids = z[:3]
+    sigmoids *= 0.5
+    sigmoids += 0.5
+    i, f, o, g = z
+    np.multiply(f, c_prev, out=c)
+    c += i * g
     np.tanh(c, out=tanh_c)
-    np.multiply(z[..., 2 * h : 3 * h], tanh_c, out=h_out)
+    np.multiply(o, tanh_c, out=h_out)
 
 
-def _cell_backward(z, c_prev, tanh_c, dh, dc, upstream):
-    """Backprop one step of both directions, in place.
+def _cell_backward(z, c_prev, tanh_c, dh, dc, upstream, local):
+    """Backprop one step of both directions.
 
-    On entry z holds the step's gate values, dh and dc the gradients of
-    its h and c; upstream is scratch of z's shape. On exit z holds the
-    gradients of the (unhalved) pre-activations and dc that of c_prev.
+    On entry z (4, rows, H) holds the step's gate values, gate-major, and
+    dh and dc the gradients of its h and c; upstream and local are scratch
+    of z's shape. Returns the gradients of the (unhalved) pre-activations,
+    row-major (rows, 4H), written over z's memory; dc then holds the
+    gradient of c_prev.
     """
-    h = dc.shape[-1]
-    i, f, o, g = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
+    i, f, o, g = z
     through_tanh = tanh_c * tanh_c
     np.subtract(1.0, through_tanh, out=through_tanh)
     through_tanh *= o
     through_tanh *= dh
     dc += through_tanh
     # gradient of each gate value
-    np.multiply(dc, g, out=upstream[..., :h])
-    np.multiply(dc, c_prev, out=upstream[..., h : 2 * h])
-    np.multiply(dh, tanh_c, out=upstream[..., 2 * h : 3 * h])
-    np.multiply(dc, i, out=upstream[..., 3 * h :])
+    np.multiply(dc, g, out=upstream[0])
+    np.multiply(dc, c_prev, out=upstream[1])
+    np.multiply(dh, tanh_c, out=upstream[2])
+    np.multiply(dc, i, out=upstream[3])
     dc *= f
-    square = z * z
-    local = z - square  # s (1 - s) for the sigmoid gates
-    np.subtract(1.0, square[..., 3 * h :], out=local[..., 3 * h :])  # 1 - g^2 for the candidate
-    np.multiply(upstream, local, out=z)
+    np.multiply(z, z, out=local)
+    np.subtract(z[:3], local[:3], out=local[:3])  # s (1 - s) for the sigmoid gates
+    np.subtract(1.0, local[3], out=local[3])  # 1 - g^2 for the candidate
+    rows, hidden = dc.shape
+    dz = z.reshape(rows, 4 * hidden)
+    np.multiply(upstream, local, out=dz.reshape(rows, 4, hidden).transpose(1, 0, 2))
+    return dz
 
 
-def _encode(ids, params: ModelParams, keep_states: bool):
+def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace):
     """The encoding (B, 2H) and, when keep_states, the backward_fn that
     backprops through time from its gradient; otherwise the steps share
-    one buffer and no per-step state is kept."""
+    one slot of the buffers and no per-step state is kept."""
     batch, length = ids.shape
     wx, wh, bias, gate_order = _kernel_weights(params)
-    wx_t, wh_t, bias_half = _halved(wx, wh, bias)
+    wx_g, wh_g, bias_g = _gate_major(wx, wh, bias)
     embedding = params.embedding.values
     vocab, hidden = embedding.shape[0], wh.shape[2]
-    scale, shift = _gate_constants(hidden)
-    # each token's input term per direction, (2V, 4H): row V + v is v's reverse term
-    table = (embedding @ wx_t + bias_half[:, None, :]).reshape(2 * vocab, -1)
+    # each token's input term per gate, (4, 2V, H): row V + v is v's reverse term
+    table = np.matmul(embedding, wx_g)
+    table += bias_g
+    table = table.reshape(4, 2 * vocab, hidden)
     order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
-    # step t reads its states at slots[t] and writes them at slots[t + 1]
+    # step t reads its states at slots[t] and writes them at slots[t + 1];
+    # its gates are the (4, size, H) block at row 4 * slots[t] of the flat gates
     slots = offsets if keep_states else np.zeros_like(offsets)
-    rows = slots[-1] + 2 * batch + 1
-    gates = np.empty((rows, 4 * hidden))
-    hs = np.zeros((rows, hidden))
-    cs = np.zeros_like(hs)
-    tanh_cs = np.empty_like(hs)
+    widest = offsets[-1] - offsets[-2]  # steps only grow
+    gates, hs, cs, tanh_cs = workspace.states(slots[-1] + widest, hidden)
+    hs[: offsets[1]] = 0.0
+    cs[: offsets[1]] = 0.0
     # one step's recurrent products; the backward's gate-value gradients
-    step_block = np.empty((2 * batch + 1, 4 * hidden))
+    # and activation derivatives
+    scratch = _allocate((2 if keep_states else 1, 4 * widest * hidden))
+
+    def block(flat, start, size):
+        """The (4, size, H) gate-major block at row 4 * start of flat."""
+        return flat[4 * hidden * start : 4 * hidden * (start + size)].reshape(4, size, hidden)
+
     if keep_states:  # every step's input terms in one gather
-        np.take(table, index, axis=0, out=gates[: offsets[-1]], mode="clip")
+        np.take(table.reshape(-1, hidden), _gate_rows(offsets, index, vocab), axis=0,
+                out=gates[: 4 * hidden * offsets[-1]].reshape(-1, hidden), mode="clip")
     for t in range(length):
         here, there, size = slots[t], slots[t + 1], offsets[t + 1] - offsets[t]
-        z = gates[here : here + size]
+        z = block(gates, here, size)
         if not keep_states:
-            np.take(table, index[offsets[t] : offsets[t + 1]], axis=0, out=z, mode="clip")
-        recurrent = step_block[:size]
-        np.matmul(hs[here : here + batch], wh_t[0], out=recurrent[:batch])
-        np.matmul(hs[here + batch : here + size], wh_t[1], out=recurrent[batch:])
+            np.take(table, index[offsets[t] : offsets[t + 1]], axis=1, out=z, mode="clip")
+        recurrent = block(scratch[0], 0, size)
+        np.matmul(hs[here : here + batch], wh_g[0], out=recurrent[:, :batch])
+        np.matmul(hs[here + batch : here + size], wh_g[1], out=recurrent[:, batch:])
         z += recurrent
         _cell(z, cs[here : here + size], cs[there : there + size],
-              tanh_cs[here : here + size], hs[there : there + size], scale, shift)
+              tanh_cs[here : here + size], hs[there : there + size])
         if t + 1 < length and real[t + 1] > real[t]:  # these rows' text begins at t + 1
             entering = np.s_[there + size : there + batch + 1 + real[t + 1]]
             hs[entering] = hs[there + batch]
@@ -351,18 +418,19 @@ def _encode(ids, params: ModelParams, keep_states: bool):
         for t in reversed(range(length)):
             start, stop = offsets[t], offsets[t + 1]
             size = stop - start
-            z = gates[start:stop]
-            _cell_backward(z, cs[start:stop], tanh_cs[start:stop], dh[:size], dc[:size],
-                           step_block[:size])
-            np.matmul(z[:batch], wh[0], out=dh[:batch])
-            np.matmul(z[batch:], wh[1], out=dh[batch:size])
+            dz = _cell_backward(block(gates, start, size), cs[start:stop], tanh_cs[start:stop],
+                                dh[:size], dc[:size],
+                                block(scratch[0], 0, size), block(scratch[1], 0, size))
+            np.matmul(dz[:batch], wh[0], out=dh[:batch])
+            np.matmul(dz[batch:], wh[1], out=dh[batch:size])
             if t and real[t] > real[t - 1]:  # rows entering at t began from the shared state
                 entered = batch + 1 + real[t - 1]
                 dh[batch] += dh[entered:size].sum(axis=0)
                 dc[batch] += dc[entered:size].sum(axis=0)
-        # gates now hold the pre-activation gradients of every flat row. Every
-        # row that reads id 0 (PAD, or a mid-text 0) has input embedding[0],
-        # so their input-side gradients need only the sum of their dz.
+        # the gates now hold, row-major, the pre-activation gradients of every
+        # flat row. Every row that reads id 0 (PAD, or a mid-text 0) has input
+        # embedding[0], so their input-side gradients need only the sum of their dz.
+        pre_grads = gates[: 4 * hidden * offsets[-1]].reshape(-1, 4 * hidden)
         tokens = index % vocab
         d_wx, d_wh, d_bias = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(bias)
         d_embedding = np.zeros_like(embedding)
@@ -374,7 +442,7 @@ def _encode(ids, params: ModelParams, keep_states: bool):
             _GRADIENT_CHUNK rows, gathered into the same two buffers."""
             for lo in range(0, flat.size, _GRADIENT_CHUNK):
                 part = flat[lo : lo + _GRADIENT_CHUNK]
-                dz = np.take(gates, part, axis=0, out=dz_rows[: part.size], mode="clip")
+                dz = np.take(pre_grads, part, axis=0, out=dz_rows[: part.size], mode="clip")
                 yield part, dz, np.take(hs, part, axis=0, out=h_rows[: part.size], mode="clip")
 
         for d, flat in enumerate((fwd_rows, rev_rows)):
@@ -400,14 +468,16 @@ def _encode(ids, params: ModelParams, keep_states: bool):
     return encoded, backward_fn
 
 
-def bilstm_encode(ids, params: ModelParams) -> Tensor:
+def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None) -> Tensor:
     """Concatenated final hidden states of both directions, (batch, 2H).
 
     One fused op over both directions and every time step, recorded as a
-    single tape node. Input terms are gathered from a per-direction table
-    of embedding @ Wx^T + b, and one _cell call per step covers both
-    directions. While a Graph records the op, every step's gates and
-    states are kept for a hand-written backprop through time.
+    single tape node. Input terms are gathered from a per-gate,
+    per-direction table of embedding @ Wx^T + b, and one _cell call per
+    step covers both directions. While a Graph records the op, every
+    step's gates and states are kept for a hand-written backprop through
+    time. They live in `workspace`'s buffers, or in fresh ones when it is
+    None; the tape node reads them until its backward has run.
 
     The reverse pass reads a right-padded row's PAD run first, from the
     zero state, so that stretch is the same for every row: it runs once,
@@ -429,19 +499,22 @@ def bilstm_encode(ids, params: ModelParams) -> Tensor:
     for lstm in (params.forward_lstm, params.backward_lstm):
         inputs += [lstm.wx, lstm.wh, lstm.bias]
     recording = ndgrad.recording(inputs)
-    encoded, backward_fn = _encode(ids, params, keep_states=recording)
+    if workspace is None:
+        workspace = Workspace()
+    encoded, backward_fn = _encode(ids, params, recording, workspace)
     out = Tensor(encoded)
     if recording:
         ndgrad.record(out, inputs, backward_fn)
     return out
 
 
-def model_forward(ids, numeric, params: ModelParams) -> Tensor:
-    """Per-example fraud probability, shape (batch, 1), each value in (0, 1)."""
+def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None) -> Tensor:
+    """Per-example fraud probability, shape (batch, 1), each value in (0, 1).
+    The encoder runs in `workspace`'s buffers, or in fresh ones."""
     numeric = np.asarray(numeric, dtype=np.float64)
     if numeric.ndim == 1:
         numeric = numeric[np.newaxis, :]
-    encoded = bilstm_encode(ids, params)
+    encoded = bilstm_encode(ids, params, workspace)
     merged = ndgrad.concat(encoded, Tensor(numeric))
     hidden = ndgrad.relu(ndgrad.add(ndgrad.matmul(merged, params.dense_w), params.dense_b))
     return ndgrad.sigmoid(ndgrad.add(ndgrad.matmul(hidden, params.out_w), params.out_b))
@@ -513,9 +586,10 @@ class BiLstmClassifier:
             seed=cfg.seed,
         )
         params = init_params(config)
+        workspace = Workspace()  # every batch's recorded states; dropped on return
         history = trainer.train(
             params.named_tensors(),
-            lambda b_ids, b_num: model_forward(b_ids, b_num, params),
+            lambda b_ids, b_num: model_forward(b_ids, b_num, params, workspace),
             (ids, numeric, y),
             (ids_val, numeric_val, y_val),
             cfg,

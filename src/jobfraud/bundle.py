@@ -77,9 +77,10 @@ def make_bundle(
     return ModelBundle(manifest=manifest, weights=blob)
 
 
-def _replace_file(path: Path, data: bytes) -> None:
+def replace_file(path, data: bytes) -> None:
     """Write `data` to a temporary file beside `path`, then rename it over
     `path`: a reader sees the old file or the new one, never a part."""
+    path = Path(path)
     temp = path.with_name(f".{path.name}.tmp")
     try:
         with open(temp, "wb") as fh:
@@ -94,11 +95,11 @@ def save_model(bundle: ModelBundle, directory) -> None:
     between the two leaves new weights under the old manifest, which load
     refuses on the checksum."""
     directory = Path(directory)
-    manifest = json.dumps(bundle.manifest, indent=2) + "\n"
+    manifest = json.dumps(bundle.manifest, separators=(",", ":")) + "\n"
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        _replace_file(directory / WEIGHTS_NAME, bundle.weights)
-        _replace_file(directory / MANIFEST_NAME, manifest.encode("utf-8"))
+        replace_file(directory / WEIGHTS_NAME, bundle.weights)
+        replace_file(directory / MANIFEST_NAME, manifest.encode("utf-8"))
     except OSError as exc:
         raise ModelStoreError(f"cannot write bundle to {directory}: {exc}") from exc
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bundle import replace_file
 from .config import MODEL_ALIASES, MODEL_KINDS, RunConfig, load_config
 from .errors import (
     CsvParseError,
@@ -85,19 +86,22 @@ def _load_run_config(path, seed=None, model=None) -> RunConfig:
     return cfg
 
 
-def _check_out_dir(out) -> None:
-    """Refuse an output file whose directory does not exist, before any work."""
-    if not Path(out).parent.is_dir():
-        raise UsageError(f"--out {out}: directory {Path(out).parent} does not exist")
+def _check_out_dir(out, *beside) -> None:
+    """Refuse, before any work, an output file whose directory does not
+    exist, or when it or a file written `beside` it names a directory."""
+    out = Path(out)
+    if not out.parent.is_dir():
+        raise UsageError(f"--out {out}: directory {out.parent} does not exist")
+    for path in (out, *beside):
+        if path.is_dir():
+            raise UsageError(f"--out {out}: {path} is a directory")
 
 
 def _cmd_eda(args) -> int:
     _check_out_dir(args.out)
     dataset = load_dataset(args.data)
     report = eda_report(dataset, args.top_k)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    replace_file(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     return 0
 
 
@@ -158,7 +162,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_out_dir(args.out)
+    out_path = Path(args.out)
+    _check_out_dir(out_path, out_path.with_suffix(".json"))
     cfg = _load_run_config(args.config)
     dataset = load_dataset(args.data)
     prepared = prepare(dataset, cfg, kinds=MODEL_KINDS)
@@ -171,13 +176,10 @@ def _cmd_compare(args) -> int:
         if pipe.history is not None:
             histories[kind] = pipe.history.to_dict()
     table_text, payload = report_tables(results)
-    out_path = Path(args.out)
-    out_path.write_text(table_text, encoding="utf-8")
-    json_payload = {"reports": payload, "histories": histories}
-    out_path.with_suffix(".json").write_text(
-        json.dumps(json_payload, indent=2) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(json_payload, indent=2))
+    replace_file(out_path, table_text.encode("utf-8"))
+    payload_text = json.dumps({"reports": payload, "histories": histories}, indent=2)
+    replace_file(out_path.with_suffix(".json"), (payload_text + "\n").encode("utf-8"))
+    print(payload_text)
     return 0
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import features as features_mod
 from .base import check_labels, check_matrix
-from .errors import ModelStoreError, ShapeError
+from .errors import ModelStoreError, NumericError, ShapeError
 from .ndgrad import _sigmoid_values
 from .rng import SplitMix64
 
@@ -315,14 +315,21 @@ def _boost(kind, X, y, n_rounds, learning_rate, grow) -> EnsembleModel:
         logger.warning("degenerate labels (all %d): base score clamped, no boosting rounds", int(y[0]))
         return model
     scores = np.full(X.shape[0], base)
-    for _ in range(n_rounds):
+    for round_number in range(1, n_rounds + 1):
         p = _sigmoid_values(scores)
         residual = y - p
         hessian = p * (1.0 - p)
-        for leaf, rows in grow(residual, model).items():
-            value = float(residual[rows].sum() / (hessian[rows].sum() + _NEWTON_EPS))
-            model.value[leaf] = value
-            scores[rows] += learning_rate * value
+        leaves = grow(residual, model)
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            for leaf, rows in leaves.items():
+                value = float(residual[rows].sum() / (hessian[rows].sum() + _NEWTON_EPS))
+                model.value[leaf] = value
+                scores[rows] += learning_rate * value
+        if not np.isfinite(scores).all():
+            raise NumericError(
+                f"boosting round {round_number}: training scores are no longer finite "
+                f"(learning_rate {learning_rate})"
+            )
     return model
 
 

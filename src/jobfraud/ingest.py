@@ -21,6 +21,7 @@ import re
 import zlib
 from dataclasses import dataclass
 
+from .bundle import replace_file
 from .errors import CsvParseError, DataError
 
 logger = logging.getLogger(__name__)
@@ -150,9 +151,9 @@ def format_csv(header, rows) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write string records as format_csv lays them out."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_csv(header, rows))
+    """Write string records as format_csv lays them out, through a
+    temporary file renamed over `path`."""
+    replace_file(path, format_csv(header, rows).encode("utf-8"))
 
 
 # --------------------------------------------------------------------------

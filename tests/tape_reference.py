@@ -8,7 +8,8 @@ itself never calls them: `bilstm.bilstm_encode` is tested against
 
 `strided_cell` and `strided_cell_backward` are the kernel's earlier step
 functions, which ran the gate math block by block on strided column
-views; the kernel's contiguous versions must give their exact bits.
+views of row-major (rows, 4H) gate blocks; the kernel's gate-major
+versions must give their exact bits.
 """
 
 import numpy as np
@@ -104,8 +105,9 @@ def tape_encode(ids, params: ModelParams) -> Tensor:
 
 
 def strided_cell(z, c_prev, c, tanh_c, h_out):
-    """One kernel step, as `bilstm._cell` but with the sigmoid affine on
-    the strided first 3H columns only."""
+    """One kernel step on a row-major (rows, 4H) block, as `bilstm._cell`
+    on a gate-major one, with the sigmoid affine on the strided first 3H
+    columns."""
     h = c.shape[-1]
     np.tanh(z, out=z)
     sigmoids = z[..., : 3 * h]
@@ -118,8 +120,9 @@ def strided_cell(z, c_prev, c, tanh_c, h_out):
 
 
 def strided_cell_backward(z, c_prev, tanh_c, dh, dc):
-    """One kernel step's backprop, as `bilstm._cell_backward` but with the
-    activation derivative written block by block."""
+    """One kernel step's backprop on a row-major (rows, 4H) block, as
+    `bilstm._cell_backward` on a gate-major one, with the activation
+    derivative written block by block."""
     h = dc.shape[-1]
     i, f, o, g = z[..., :h], z[..., h : 2 * h], z[..., 2 * h : 3 * h], z[..., 3 * h :]
     through_tanh = tanh_c * tanh_c

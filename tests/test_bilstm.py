@@ -1,4 +1,5 @@
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -302,32 +303,75 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("rows", [1, 33, 65])
 def test_contiguous_gate_math_matches_strided_reference(rows):
-    """The kernel's one-block gate affine and derivative give the strided
-    reference's exact bits, signed zeros included."""
+    """The kernel's gate-major step gives the strided row-major
+    reference's exact bits, transposed, signed zeros and saturation
+    included; its backward writes the pre-activation gradients row-major."""
     hidden = 7
     rng = np.random.default_rng(rows)
     pre, c_prev, dh, dc = (_gate_block(rng, rows, w) for w in (4 * hidden, hidden, hidden, hidden))
     # a sigmoid gate of exactly 0, a candidate of exactly -1 and one of -0.0
     pre[0, [0, 3 * hidden, 3 * hidden + 1]] = -50.0, -50.0, -0.0
-    scale, shift = bilstm._gate_constants(hidden)
-    kernels = [
-        (lambda *states: bilstm._cell(*states, scale, shift),
-         lambda z, *states: bilstm._cell_backward(z, *states, np.empty_like(z))),
-        (strided_cell, strided_cell_backward),
-    ]
+
+    def gate_major(block):
+        return np.ascontiguousarray(block.reshape(rows, 4, hidden).transpose(1, 0, 2))
+
+    def fused(z, c, tanh_c, h_out, d_c):
+        z = gate_major(z)
+        bilstm._cell(z, c_prev, c, tanh_c, h_out)
+        gates = z.transpose(1, 0, 2).reshape(rows, 4 * hidden).copy()
+        scratch = [np.full_like(z, np.nan) for _ in range(2)]
+        dz = bilstm._cell_backward(z, c_prev, tanh_c, dh, d_c, *scratch)
+        assert np.shares_memory(dz, z) and dz.flags.c_contiguous
+        return gates, dz
+
+    def strided(z, c, tanh_c, h_out, d_c):
+        strided_cell(z, c_prev, c, tanh_c, h_out)
+        gates = z.copy()
+        strided_cell_backward(z, c_prev, tanh_c, dh, d_c)
+        return gates, z
+
     outputs = []
-    for cell, cell_backward in kernels:
-        z = pre.copy()
+    for kernel in (fused, strided):
         c, tanh_c, h_out = (np.empty((rows, hidden)) for _ in range(3))
-        cell(z, c_prev, c, tanh_c, h_out)
-        gates, d_c = z.copy(), dc.copy()
-        cell_backward(z, c_prev, tanh_c, dh, d_c)
-        outputs.append((gates, c, tanh_c, h_out, z, d_c))
-    fused, strided = outputs
-    assert strided[0][0, 0] == 0.0 and strided[0][0, 3 * hidden] == -1.0
-    assert np.signbit(strided[0][0, 3 * hidden + 1])
-    for got, want in zip(fused, strided):
+        d_c = dc.copy()
+        gates, dz = kernel(pre.copy(), c, tanh_c, h_out, d_c)
+        outputs.append((gates, c, tanh_c, h_out, dz, d_c))
+    fused_out, strided_out = outputs
+    assert strided_out[0][0, 0] == 0.0 and strided_out[0][0, 3 * hidden] == -1.0
+    assert np.signbit(strided_out[0][0, 3 * hidden + 1])
+    for got, want in zip(fused_out, strided_out):
         assert _same_bits(got, want)
+
+
+def test_workspace_grows_only_when_a_call_needs_more_rows():
+    """Smaller calls reuse the buffers; a larger one replaces them, and
+    the old set is released, not kept beside the new one."""
+    workspace = bilstm.Workspace()
+    first = workspace.states(10, 3)
+    assert first[0].size >= 4 * 10 * 3 and all(s.shape == (10, 3) for s in first[1:])
+    assert all(a is b for a, b in zip(workspace.states(7, 3), first))
+    old = [weakref.ref(buffer) for buffer in first]
+    del first
+    grown = workspace.states(11, 3)
+    assert all(s.shape[0] >= 11 for s in grown[1:])
+    assert all(ref() is None for ref in old)
+
+
+def test_encoding_ignores_workspace_reuse():
+    """Encodings and gradients are bit-identical in fresh buffers and in
+    one workspace that calls of other shapes filled before."""
+    cfg = ModelConfig(vocab_size=30, embedding_dim=5, hidden_units=4, sequence_length=9, seed=8)
+    rng = np.random.default_rng(cfg.seed)
+    params = random_params(cfg, rng)
+    workspace = bilstm.Workspace()
+    for rows in (6, 2, 9, 1):
+        ids = right_padded(rng, rng.integers(0, cfg.sequence_length + 1, size=rows),
+                           cfg.sequence_length, cfg.vocab_size)
+        weights = rng.normal(size=(rows, 2 * cfg.hidden_units))
+        fresh = encode_with_grads(bilstm_encode, ids, params, weights)
+        reused = encode_with_grads(
+            lambda i, p: bilstm_encode(i, p, workspace), ids, params, weights)
+        assert all(map(_same_bits, fresh[:2] + tuple(fresh[3]), reused[:2] + tuple(reused[3])))
 
 
 def test_encoding_ignores_row_order_at_full_length():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as reference
-from jobfraud import cli, ingest, synth
+from jobfraud import bundle, cli, ingest, synth
 from jobfraud.cli import run_cli
 from jobfraud.config import RunConfig
 
@@ -427,6 +427,72 @@ def test_out_in_missing_directory_exits_one(tmp_path, small_csv, trained_model_d
     err = capsys.readouterr().err
     assert f"usage error: --out {out}: directory {out.parent} does not exist" in err
     assert "Traceback" not in err and not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["eda", "predict", "compare", "compare-json"])
+def test_out_naming_a_directory_exits_one(tmp_path, small_csv, trained_model_dir, command,
+                                          monkeypatch, capsys):
+    """An --out that names a directory, or whose JSON report beside it
+    would, is refused before any input is read; the directory stays."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    for name in ("load_dataset", "read_csv"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.DetectionPipeline, "load", no_work)
+    out = tmp_path / "report.txt"
+    directory = out.with_suffix(".json") if command == "compare-json" else out
+    directory.mkdir()
+    argv = {
+        "eda": ["eda", "--data", str(small_csv), "--out", str(out)],
+        "predict": ["predict", "--model", str(trained_model_dir), "--input", str(small_csv),
+                    "--out", str(out)],
+        "compare": ["compare", "--data", str(small_csv), "--out", str(out)],
+        "compare-json": ["compare", "--data", str(small_csv), "--out", str(out)],
+    }[command]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --out {out}: {directory} is a directory" in err
+    assert "Traceback" not in err
+    assert directory.is_dir() and not any(directory.iterdir())
+
+
+def test_predict_replaces_output_through_a_temp_file(tmp_path, trained_model_dir, small_csv,
+                                                     monkeypatch):
+    """predict writes beside --out and renames into place: a failed
+    rename leaves the old output whole and no temp file behind."""
+    out = tmp_path / "scored.csv"
+    out.write_text("old\n", encoding="utf-8")
+
+    def failing_replace(source, target):
+        assert source.parent == out.parent and source.read_bytes().startswith(b"job_id,")
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(bundle.os, "replace", failing_replace)
+    argv = ["predict", "--model", str(trained_model_dir), "--input", str(small_csv),
+            "--out", str(out)]
+    with pytest.raises(OSError, match="rename failed"):
+        run_cli(argv)
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scored.csv"]
+    monkeypatch.undo()
+    assert run_cli(argv) == 0 and out.read_text(encoding="utf-8").startswith("job_id,")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, section", [("gbm", "gbm"), ("lgbt", "leafwise_gbm")])
+def test_overflowing_boosting_step_exits_four(tmp_path, small_csv, model, section, capsys):
+    """A learning rate that drives the training scores to inf is a numeric
+    error naming the round, not a bundle that load refuses."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {"learning_rate": 1e308}}), encoding="utf-8")
+    out = tmp_path / "m"
+    argv = ["train", "--data", str(small_csv), "--config", str(config), "--model", model,
+            "--out", str(out)]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert "numeric error: boosting round 1: training scores are no longer finite" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("manifest, message", [

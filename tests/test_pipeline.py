@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,25 @@ def test_ensemble_bundle_round_trip(tmp_path, small_dataset, prepared):
     assert loaded.kind == "leafwise_gbm"
     assert np.array_equal(loaded.predict_scores(small_dataset.postings[:40]), scores)
     assert loaded.cfg == pipe.cfg
+
+
+def test_bilstm_bundle_ignores_workspace_contents(tmp_path, small_dataset, prepared, monkeypatch):
+    """Every kernel buffer is written before it is read: a fit whose
+    buffers start out NaN saves the same bytes, and none of them outlives
+    the fit."""
+    pipe = train_pipeline(small_dataset, FAST, "bilstm", prepared=prepared)
+    pipe.save(tmp_path / "clean")
+    allocated = []
+
+    def poisoned(shape):
+        buffer = np.full(shape, np.nan)
+        allocated.append(weakref.ref(buffer))
+        return buffer
+
+    monkeypatch.setattr(bilstm, "_allocate", poisoned)
+    pipe = train_pipeline(small_dataset, FAST, "bilstm", prepared=prepared)
+    pipe.save(tmp_path / "poisoned")
+    assert allocated and not any(ref() is not None for ref in allocated)
+    for name in ("manifest.json", "weights.bin"):
+        clean, poisoned_bytes = ((tmp_path / d / name).read_bytes() for d in ("clean", "poisoned"))
+        assert clean == poisoned_bytes, name
