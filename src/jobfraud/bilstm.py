@@ -9,17 +9,17 @@ like ordinary tokens; there is no masking and no dropout.
 The encoder (`bilstm_encode`) is one fused autodiff op with a hand-written
 backprop through time, in the manner of cuDNN's RNN kernels (Appleyard et
 al. 2016): the input projection is a per-token table gathered outside the
-recurrence (in one take per training batch), and the weight gradients are
-a few large GEMMs after the backward loop, where the PAD (id 0) rows'
-input-side terms collapse to one column sum. Each step's gates are
-gate-major, a (4, rows, H) block in which every gate is one contiguous
-slab, so the pointwise gate math runs on whole slabs with scalar
-operands; the backward writes each step's pre-activation gradients back
-over its block row-major, (rows, 4H), the layout the GEMMs read. Rows are
-right-padded, so every row's reverse pass begins with the same PAD
-trajectory from the zero state: it runs once, shared. The forward pass
-reads a row's PADs after its text, from that row's own state, so it runs
-every position.
+recurrence, one take per step, and the weight gradients are a few large
+GEMMs after the backward loop, where the PAD (id 0) rows' input-side terms
+collapse to one column sum. Each step's gates are gate-major, a (4, rows,
+H) block in which every gate is one contiguous slab, so the pointwise gate
+math runs on whole slabs with scalar operands; the backward writes each
+step's pre-activation gradients back over its block row-major, (rows, 4H),
+the layout the GEMMs read. Training and scoring run the same step loop;
+scoring keeps no per-step state. Rows are right-padded, so every row's
+reverse pass begins with the same PAD trajectory from the zero state: it
+runs once, shared. The forward pass reads a row's PADs after its text,
+from that row's own state, so it runs every position.
 
 The recorded gates and states of a training batch fill a Workspace: a fit
 passes one to every batch, so the batches reuse memory that is already
@@ -257,23 +257,6 @@ def _plan(ids, vocab: int):
     return order, real, offsets, index, fwd_rows, rev_rows
 
 
-def _gate_rows(offsets, index, vocab: int):
-    """The input-table row of each row of the recorded gates' (4N, H)
-    view, for one take in that order from the (4 * 2V, H) table.
-
-    Step t's gates are the (4, size_t, H) block that starts at row
-    4 * offsets[t], so gate k of flat row f in step t is row
-    3 * offsets[t] + f + k * size_t.
-    """
-    sizes = np.diff(offsets)
-    gate = np.arange(4)[:, None]
-    dest = 3 * np.repeat(offsets[:-1], sizes) + np.arange(offsets[-1]) \
-        + gate * np.repeat(sizes, sizes)
-    rows = np.empty(4 * offsets[-1], dtype=np.int64)
-    rows[dest] = gate * (2 * vocab) + index
-    return rows
-
-
 def _allocate(shape) -> np.ndarray:
     """An uninitialized float64 buffer. Every buffer of the kernel comes
     from here, and the kernel writes each value before it reads it."""
@@ -383,14 +366,10 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace):
         """The (4, size, H) gate-major block at row 4 * start of flat."""
         return flat[4 * hidden * start : 4 * hidden * (start + size)].reshape(4, size, hidden)
 
-    if keep_states:  # every step's input terms in one gather
-        np.take(table.reshape(-1, hidden), _gate_rows(offsets, index, vocab), axis=0,
-                out=gates[: 4 * hidden * offsets[-1]].reshape(-1, hidden), mode="clip")
     for t in range(length):
         here, there, size = slots[t], slots[t + 1], offsets[t + 1] - offsets[t]
         z = block(gates, here, size)
-        if not keep_states:
-            np.take(table, index[offsets[t] : offsets[t + 1]], axis=1, out=z, mode="clip")
+        np.take(table, index[offsets[t] : offsets[t + 1]], axis=1, out=z, mode="clip")
         recurrent = block(scratch[0], 0, size)
         np.matmul(hs[here : here + batch], wh_g[0], out=recurrent[:, :batch])
         np.matmul(hs[here + batch : here + size], wh_g[1], out=recurrent[:, batch:])
@@ -488,10 +467,8 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None) -> Tens
     PADs last, each from its row's own state, so it shares nothing.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[np.newaxis, :]
     if ids.ndim != 2:
-        raise ShapeError(f"ids must be 1-D or 2-D, got shape {ids.shape}")
+        raise ShapeError(f"ids must be 2-D, got shape {ids.shape}")
     vocab = params.embedding.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(f"token id out of range for an embedding with {vocab} rows")
@@ -511,22 +488,18 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None) -> Tens
 def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None) -> Tensor:
     """Per-example fraud probability, shape (batch, 1), each value in (0, 1).
     The encoder runs in `workspace`'s buffers, or in fresh ones."""
-    numeric = np.asarray(numeric, dtype=np.float64)
-    if numeric.ndim == 1:
-        numeric = numeric[np.newaxis, :]
     encoded = bilstm_encode(ids, params, workspace)
     merged = ndgrad.concat(encoded, Tensor(numeric))
     hidden = ndgrad.relu(ndgrad.add(ndgrad.matmul(merged, params.dense_w), params.dense_b))
     return ndgrad.sigmoid(ndgrad.add(ndgrad.matmul(hidden, params.out_w), params.out_b))
 
 
-def predict_scores(ids, numeric, params: ModelParams, chunk: int = 256) -> np.ndarray:
+def predict_scores(ids, numeric, params: ModelParams) -> np.ndarray:
     """Fraud probabilities without recording gradients, in eval chunks."""
     return trainer._evaluate(
         lambda b_ids, b_num: model_forward(b_ids, b_num, params),
         np.asarray(ids, dtype=np.int64),
         np.asarray(numeric, dtype=np.float64),
-        chunk,
     )
 
 

@@ -6,6 +6,7 @@ to stderr. Exit codes: 0 success, 1 usage, 2 data/parse, 3 model store,
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -97,11 +98,22 @@ def _check_out_dir(out, *beside) -> None:
             raise UsageError(f"--out {out}: {path} is a directory")
 
 
+@contextlib.contextmanager
+def _writing(out):
+    """Turn an OSError while writing the output files of `--out` into a
+    usage error (exit 1) that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"--out {out}: cannot write: {exc}") from exc
+
+
 def _cmd_eda(args) -> int:
     _check_out_dir(args.out)
     dataset = load_dataset(args.data)
     report = eda_report(dataset, args.top_k)
-    replace_file(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
+    with _writing(args.out):
+        replace_file(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     return 0
 
 
@@ -157,13 +169,19 @@ def _cmd_predict(args) -> int:
         record + [""] * (width - len(record)) + [f"{score:.6f}", "1" if score >= threshold else "0"]
         for record, score in zip(raw_rows, scores)
     ]
-    write_csv(args.out, [h.strip() for h in header] + ["probability", "predicted_label"], out_rows)
+    with _writing(args.out):
+        write_csv(args.out, [h.strip() for h in header] + ["probability", "predicted_label"],
+                  out_rows)
     return 0
 
 
 def _cmd_compare(args) -> int:
     out_path = Path(args.out)
-    _check_out_dir(out_path, out_path.with_suffix(".json"))
+    json_path = out_path.with_suffix(".json")
+    if json_path == out_path:
+        raise UsageError(f"--out {out_path}: the table and its JSON report {json_path} "
+                         "would be one file; give the table another suffix")
+    _check_out_dir(out_path, json_path)
     cfg = _load_run_config(args.config)
     dataset = load_dataset(args.data)
     prepared = prepare(dataset, cfg, kinds=MODEL_KINDS)
@@ -176,9 +194,10 @@ def _cmd_compare(args) -> int:
         if pipe.history is not None:
             histories[kind] = pipe.history.to_dict()
     table_text, payload = report_tables(results)
-    replace_file(out_path, table_text.encode("utf-8"))
     payload_text = json.dumps({"reports": payload, "histories": histories}, indent=2)
-    replace_file(out_path.with_suffix(".json"), (payload_text + "\n").encode("utf-8"))
+    with _writing(out_path):
+        replace_file(out_path, table_text.encode("utf-8"))
+        replace_file(json_path, (payload_text + "\n").encode("utf-8"))
     print(payload_text)
     return 0
 

@@ -96,16 +96,9 @@ def roc_auc(labels, scores) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC AUC is undefined when only one class is present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.shape[0])
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2.0)[group]  # average 1-based rank of each tie group
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -78,15 +78,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
 
 def param(values) -> Tensor:
     """A trainable leaf tensor."""

@@ -19,6 +19,9 @@ from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
 
+# rows per forward-only call when scoring: validation and predict alike
+EVAL_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -122,15 +125,12 @@ def early_stop_check(val_losses, patience: int = 2):
     return all(stalled[-patience:]), best_index
 
 
-def _bce_values(scores: np.ndarray, labels: np.ndarray) -> float:
-    p = np.clip(scores, ndgrad.BCE_EPS, 1.0 - ndgrad.BCE_EPS)
-    return float(-(labels * np.log(p) + (1 - labels) * np.log1p(-p)).mean())
-
-
-def _evaluate(forward_fn, ids, numeric, chunk=256) -> np.ndarray:
+def _evaluate(forward_fn, ids, numeric) -> np.ndarray:
+    """forward_fn's scores of every row, EVAL_CHUNK rows per call."""
     parts = []
-    for start in range(0, ids.shape[0], chunk):
-        out = forward_fn(ids[start : start + chunk], numeric[start : start + chunk])
+    for start in range(0, ids.shape[0], EVAL_CHUNK):
+        stop = start + EVAL_CHUNK
+        out = forward_fn(ids[start:stop], numeric[start:stop])
         parts.append(out.values[:, 0])
     return np.concatenate(parts)
 
@@ -183,7 +183,7 @@ def train(named_params, forward_fn, train_data, val_data, cfg: RunConfig) -> His
 
         history.train_loss.append(float(np.mean(batch_losses)))
         val_scores = _evaluate(forward_fn, ids_val, numeric_val)
-        val_loss = _bce_values(val_scores, labels_val)
+        val_loss = ndgrad.bce_loss(ndgrad.Tensor(val_scores[:, None]), labels_val[:, None]).item()
         history.val_loss.append(val_loss)
         history.val_accuracy.append(float(((val_scores >= cfg.threshold) == labels_val).mean()))
         logger.info(

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import weakref
 
 import numpy as np
@@ -224,10 +225,9 @@ def assert_matches_tape(ids, params: ModelParams, weights):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.parametrize("length", [1, 2, 17])
-@pytest.mark.parametrize("batch", [1, 3, 32])
-def test_fused_encoder_matches_tape_reference(batch, length, tied):
+def reference_cases(batch, length, tied):
+    """(params, ids, loss weights) for random ids, right-padded rows and
+    all-PAD rows of one batch shape."""
     cfg = ModelConfig(vocab_size=7, embedding_dim=5, hidden_units=3, seed=batch * 100 + length)
     rng = np.random.default_rng(cfg.seed)
     params = random_params(cfg, rng, tied)
@@ -247,7 +247,25 @@ def test_fused_encoder_matches_tape_reference(batch, length, tied):
     if length > 2:
         padded[0, length // 2] = 0  # a mid-text id 0 is text, not PAD
     for case in (ids, padded, np.zeros_like(ids)):  # the last: every row all-PAD
-        assert_matches_tape(case, params, rng.normal(size=(batch, 2 * cfg.hidden_units)))
+        yield params, case, rng.normal(size=(batch, 2 * cfg.hidden_units))
+
+
+reference_shapes = pytest.mark.parametrize(
+    "batch, length, tied", list(itertools.product([1, 3, 32], [1, 2, 17], [False, True])))
+
+
+@reference_shapes
+def test_fused_encoder_matches_tape_reference(batch, length, tied):
+    for params, ids, weights in reference_cases(batch, length, tied):
+        assert_matches_tape(ids, params, weights)
+
+
+@reference_shapes
+def test_forward_only_encoding_matches_recorded_bits(batch, length, tied):
+    """Scoring and training run one step loop: the same bits either way."""
+    for params, ids, weights in reference_cases(batch, length, tied):
+        forward_only, recorded, _, _ = encode_with_grads(bilstm_encode, ids, params, weights)
+        assert _same_bits(forward_only, recorded)
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,7 +406,7 @@ def test_encoding_ignores_row_order_at_full_length():
         with ndgrad.Graph() if recording else contextlib.nullcontext():
             batch = bilstm_encode(ids, params).values
             permuted = bilstm_encode(ids[perm], params).values
-            singles = np.vstack([bilstm_encode(row, params).values for row in ids])
+            singles = np.vstack([bilstm_encode(row[None], params).values for row in ids])
         assert np.abs(permuted - batch[perm]).max() <= 1e-12
         assert np.abs(singles - batch).max() <= 1e-12
 

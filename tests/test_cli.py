@@ -458,9 +458,10 @@ def test_out_naming_a_directory_exits_one(tmp_path, small_csv, trained_model_dir
 
 
 def test_predict_replaces_output_through_a_temp_file(tmp_path, trained_model_dir, small_csv,
-                                                     monkeypatch):
+                                                     monkeypatch, capsys):
     """predict writes beside --out and renames into place: a failed
-    rename leaves the old output whole and no temp file behind."""
+    rename exits 1 naming --out, and leaves the old output whole and no
+    temp file behind."""
     out = tmp_path / "scored.csv"
     out.write_text("old\n", encoding="utf-8")
 
@@ -471,12 +472,46 @@ def test_predict_replaces_output_through_a_temp_file(tmp_path, trained_model_dir
     monkeypatch.setattr(bundle.os, "replace", failing_replace)
     argv = ["predict", "--model", str(trained_model_dir), "--input", str(small_csv),
             "--out", str(out)]
-    with pytest.raises(OSError, match="rename failed"):
-        run_cli(argv)
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"--out {out}: cannot write: rename failed" in err and "Traceback" not in err
     assert out.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scored.csv"]
     monkeypatch.undo()
     assert run_cli(argv) == 0 and out.read_text(encoding="utf-8").startswith("job_id,")
+
+
+def test_eda_output_that_cannot_be_written_exits_one(tmp_path, small_csv, monkeypatch, capsys):
+    """An OSError while eda writes --out exits 1 naming --out and the
+    error; the old output stays whole."""
+    out = tmp_path / "eda.json"
+    out.write_text("old\n", encoding="utf-8")
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "replace_file", full_disk)
+    assert run_cli(["eda", "--data", str(small_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--out {out}: cannot write: [Errno 28] No space left on device" in err
+    assert "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "old\n"
+
+
+def test_compare_refuses_out_that_is_its_json_report(tmp_path, small_csv, monkeypatch, capsys):
+    """compare writes its JSON report at --out with a .json suffix; an
+    --out that already ends in .json would be overwritten by it, so it is
+    refused before any work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    monkeypatch.setattr(cli, "prepare", no_work)
+    monkeypatch.setattr(cli, "load_dataset", no_work)
+    out = tmp_path / "report.json"
+    assert run_cli(["compare", "--data", str(small_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --out {out}: the table and its JSON report {out} would be one file" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

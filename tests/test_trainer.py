@@ -216,7 +216,7 @@ def test_train_restores_best_epoch_weights():
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     scores = bilstm.predict_scores(ids, numeric, params)
-    restored_loss = trainer._bce_values(scores, y)
+    restored_loss = ndgrad.bce_loss(ndgrad.Tensor(scores[:, None]), y[:, None]).item()
     assert restored_loss == pytest.approx(min(history.val_loss), abs=1e-12)
     assert history.best_epoch == int(np.argmin(history.val_loss)) + 1
     assert history.best_epoch <= history.stopped_epoch
