@@ -23,7 +23,9 @@ from that row's own state, so it runs every position.
 
 The recorded gates and states of a training batch fill a Workspace: a fit
 passes one to every batch, so the batches reuse memory that is already
-paged in, and drops it when it returns.
+paged in, and drops it when it returns. Scoring passes one Workspace and
+one KernelWeights, the weights laid out for the kernel once, to all its
+eval chunks.
 
 A trained model is one BiLstmClassifier record of its ModelConfig and its
 weights; BiLstmClassifier.fit trains and builds it whole, and a bundle
@@ -31,6 +33,7 @@ load builds it from the stored config and tensors.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,7 +198,7 @@ def params_from_arrays(cfg: ModelConfig, lookup) -> ModelParams:
 _GRADIENT_CHUNK = 2048
 
 
-def _kernel_weights(params: ModelParams):
+def _stacked(params: ModelParams):
     """Both directions' (wx, wh, bias) stacked on a leading axis, with the
     gate blocks in the kernel's order (i, f, o, g), and that row order.
 
@@ -227,6 +230,38 @@ def _gate_major(wx, wh, bias):
     wh_g = np.ascontiguousarray((wh.reshape(2, 4, h, h) * scale).transpose(0, 1, 3, 2))
     bias_g = (bias.reshape(2, 4, 1, h) * scale).transpose(1, 0, 2, 3)
     return wx_g, wh_g, bias_g
+
+
+class KernelWeights(NamedTuple):
+    """One ModelParams' weights in the layouts the kernel reads.
+
+    wx (2, 4H, E), wh (2, 4H, H) and bias (2, 4H) are both directions'
+    weights in kernel gate order and `order` that row order, for the
+    backward; wh_g (2, 4, H, H) are the gate-major recurrent weights and
+    table (4, 2V, H) each token's input term per gate, row V + v being v's
+    reverse term.
+    """
+
+    wx: np.ndarray
+    wh: np.ndarray
+    bias: np.ndarray
+    order: np.ndarray
+    wh_g: np.ndarray
+    table: np.ndarray
+
+
+def kernel_weights(params: ModelParams) -> KernelWeights:
+    """params' current weights in the kernel's layouts, as new arrays that
+    do not follow later changes to params: scoring builds them once and
+    passes them to every chunk, while each training batch builds its own,
+    since every Adam step changes params."""
+    wx, wh, bias, order = _stacked(params)
+    wx_g, wh_g, bias_g = _gate_major(wx, wh, bias)
+    embedding = params.embedding.values
+    vocab, hidden = embedding.shape[0], wh.shape[2]
+    table = np.matmul(embedding, wx_g)
+    table += bias_g
+    return KernelWeights(wx, wh, bias, order, wh_g, table.reshape(4, 2 * vocab, hidden))
 
 
 def _plan(ids, vocab: int):
@@ -337,19 +372,15 @@ def _cell_backward(z, c_prev, tanh_c, dh, dc, upstream, local):
     return dz
 
 
-def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace):
+def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
+            kernel: KernelWeights):
     """The encoding (B, 2H) and, when keep_states, the backward_fn that
     backprops through time from its gradient; otherwise the steps share
     one slot of the buffers and no per-step state is kept."""
     batch, length = ids.shape
-    wx, wh, bias, gate_order = _kernel_weights(params)
-    wx_g, wh_g, bias_g = _gate_major(wx, wh, bias)
+    wx, wh, bias, gate_order, wh_g, table = kernel
     embedding = params.embedding.values
     vocab, hidden = embedding.shape[0], wh.shape[2]
-    # each token's input term per gate, (4, 2V, H): row V + v is v's reverse term
-    table = np.matmul(embedding, wx_g)
-    table += bias_g
-    table = table.reshape(4, 2 * vocab, hidden)
     order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
     # step t reads its states at slots[t] and writes them at slots[t + 1];
     # its gates are the (4, size, H) block at row 4 * slots[t] of the flat gates
@@ -447,7 +478,8 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace):
     return encoded, backward_fn
 
 
-def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None) -> Tensor:
+def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None,
+                  kernel: KernelWeights = None) -> Tensor:
     """Concatenated final hidden states of both directions, (batch, 2H).
 
     One fused op over both directions and every time step, recorded as a
@@ -456,7 +488,9 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None) -> Tens
     step covers both directions. While a Graph records the op, every
     step's gates and states are kept for a hand-written backprop through
     time. They live in `workspace`'s buffers, or in fresh ones when it is
-    None; the tape node reads them until its backward has run.
+    None; the tape node reads them until its backward has run. `kernel`
+    holds params' weights in the kernel's layouts (kernel_weights), built
+    here when it is None.
 
     The reverse pass reads a right-padded row's PAD run first, from the
     zero state, so that stretch is the same for every row: it runs once,
@@ -478,26 +512,32 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None) -> Tens
     recording = ndgrad.recording(inputs)
     if workspace is None:
         workspace = Workspace()
-    encoded, backward_fn = _encode(ids, params, recording, workspace)
+    if kernel is None:
+        kernel = kernel_weights(params)
+    encoded, backward_fn = _encode(ids, params, recording, workspace, kernel)
     out = Tensor(encoded)
     if recording:
         ndgrad.record(out, inputs, backward_fn)
     return out
 
 
-def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None) -> Tensor:
+def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None,
+                  kernel: KernelWeights = None) -> Tensor:
     """Per-example fraud probability, shape (batch, 1), each value in (0, 1).
-    The encoder runs in `workspace`'s buffers, or in fresh ones."""
-    encoded = bilstm_encode(ids, params, workspace)
+    The encoder runs in `workspace`'s buffers, or in fresh ones, on
+    `kernel`, or on weights laid out from params."""
+    encoded = bilstm_encode(ids, params, workspace, kernel)
     merged = ndgrad.concat(encoded, Tensor(numeric))
     hidden = ndgrad.relu(ndgrad.add(ndgrad.matmul(merged, params.dense_w), params.dense_b))
     return ndgrad.sigmoid(ndgrad.add(ndgrad.matmul(hidden, params.out_w), params.out_b))
 
 
 def predict_scores(ids, numeric, params: ModelParams) -> np.ndarray:
-    """Fraud probabilities without recording gradients, in eval chunks."""
+    """Fraud probabilities without recording gradients, in eval chunks
+    that share one Workspace and one KernelWeights."""
+    workspace, kernel = Workspace(), kernel_weights(params)
     return trainer._evaluate(
-        lambda b_ids, b_num: model_forward(b_ids, b_num, params),
+        lambda b_ids, b_num: model_forward(b_ids, b_num, params, workspace, kernel),
         np.asarray(ids, dtype=np.int64),
         np.asarray(numeric, dtype=np.float64),
     )

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -89,10 +90,13 @@ def _load_run_config(path, seed=None, model=None) -> RunConfig:
 
 def _check_out_dir(out, *beside) -> None:
     """Refuse, before any work, an output file whose directory does not
-    exist, or when it or a file written `beside` it names a directory."""
+    exist or this process cannot write, or when it or a file written
+    `beside` it names a directory."""
     out = Path(out)
     if not out.parent.is_dir():
         raise UsageError(f"--out {out}: directory {out.parent} does not exist")
+    if not os.access(out.parent, os.W_OK | os.X_OK):
+        raise UsageError(f"--out {out}: directory {out.parent} is not writable")
     for path in (out, *beside):
         if path.is_dir():
             raise UsageError(f"--out {out}: {path} is a directory")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobfraud import bilstm, ndgrad
+from jobfraud import bilstm, ndgrad, trainer
 from jobfraud.bilstm import (
     BiLstmClassifier,
     ModelConfig,
@@ -390,6 +390,26 @@ def test_encoding_ignores_workspace_reuse():
         reused = encode_with_grads(
             lambda i, p: bilstm_encode(i, p, workspace), ids, params, weights)
         assert all(map(_same_bits, fresh[:2] + tuple(fresh[3]), reused[:2] + tuple(reused[3])))
+
+
+def test_predict_scores_lays_out_the_weights_once(monkeypatch):
+    """predict_scores builds the kernel's weights once per call, however
+    many eval chunks it runs, and scores the rows as model_forward does."""
+    cfg = ModelConfig(vocab_size=30, embedding_dim=5, hidden_units=4, sequence_length=9,
+                      numeric_width=2, seed=8)
+    rng = np.random.default_rng(cfg.seed)
+    params = random_params(cfg, rng)
+    ids = right_padded(rng, rng.integers(0, cfg.sequence_length + 1, size=20),
+                       cfg.sequence_length, cfg.vocab_size)
+    numeric = rng.normal(size=(20, cfg.numeric_width))
+    expected = model_forward(ids, numeric, params).values[:, 0]
+    built = []
+    lay_out = bilstm.kernel_weights
+    monkeypatch.setattr(bilstm, "kernel_weights", lambda p: built.append(p) or lay_out(p))
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 3)
+    scores = bilstm.predict_scores(ids, numeric, params)
+    assert built == [params]
+    assert np.abs(scores - expected).max() <= 1e-12
 
 
 def test_encoding_ignores_row_order_at_full_length():

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
 import zlib
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as reference
-from jobfraud import bundle, cli, ingest, synth
+from jobfraud import bundle, cli, ingest, synth, trainer
 from jobfraud.cli import run_cli
 from jobfraud.config import RunConfig
 
@@ -254,6 +255,21 @@ def test_evaluate_threshold_defaults_to_bundle(strict_bilstm_dir, small_csv, cap
     assert json.loads(capsys.readouterr().out)["threshold"] == 0.5
 
 
+def test_bilstm_predict_csv_does_not_depend_on_eval_chunk(tmp_path, strict_bilstm_dir,
+                                                         small_csv, monkeypatch):
+    """The printed probabilities are the same bytes whatever the eval
+    chunk: one row per call, 7, the default, and the whole file in one."""
+    rows = len(ingest.read_csv(small_csv)[1])
+    outputs = {}
+    for chunk in (1, 7, trainer.EVAL_CHUNK, rows):
+        monkeypatch.setattr(trainer, "EVAL_CHUNK", chunk)
+        out = tmp_path / f"scored-{chunk}.csv"
+        assert run_cli(["predict", "--model", str(strict_bilstm_dir), "--input",
+                        str(small_csv), "--out", str(out)]) == 0
+        outputs[chunk] = out.read_bytes()
+    assert len(set(outputs.values())) == 1
+
+
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 def test_manifest_missing_field_exits_three(
     tmp_path, trained_model_dir, strict_bilstm_dir, small_csv, command, capsys
@@ -406,23 +422,29 @@ def test_config_int_beyond_its_cap_exits_one(tmp_path, small_csv, key, capsys):
     assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("command", ["eda", "predict", "compare"])
-def test_out_in_missing_directory_exits_one(tmp_path, small_csv, trained_model_dir, command,
-                                            monkeypatch, capsys):
-    """An --out whose directory does not exist is refused before any input is read."""
+def _out_argv(command, out, small_csv, model_dir, monkeypatch):
+    """The argv of `command` writing `out`, with every read of its inputs
+    made to fail the test."""
     def no_work(*args, **kwargs):
         raise AssertionError("work began before --out was checked")
 
     for name in ("load_dataset", "read_csv"):
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.setattr(cli.DetectionPipeline, "load", no_work)
-    out = tmp_path / "missing" / "out.csv"
-    argv = {
+    return {
         "eda": ["eda", "--data", str(small_csv), "--out", str(out)],
-        "predict": ["predict", "--model", str(trained_model_dir), "--input", str(small_csv),
+        "predict": ["predict", "--model", str(model_dir), "--input", str(small_csv),
                     "--out", str(out)],
         "compare": ["compare", "--data", str(small_csv), "--out", str(out)],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["eda", "predict", "compare"])
+def test_out_in_missing_directory_exits_one(tmp_path, small_csv, trained_model_dir, command,
+                                            monkeypatch, capsys):
+    """An --out whose directory does not exist is refused before any input is read."""
+    out = tmp_path / "missing" / "out.csv"
+    argv = _out_argv(command, out, small_csv, trained_model_dir, monkeypatch)
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert f"usage error: --out {out}: directory {out.parent} does not exist" in err
@@ -434,27 +456,37 @@ def test_out_naming_a_directory_exits_one(tmp_path, small_csv, trained_model_dir
                                           monkeypatch, capsys):
     """An --out that names a directory, or whose JSON report beside it
     would, is refused before any input is read; the directory stays."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("work began before --out was checked")
-
-    for name in ("load_dataset", "read_csv"):
-        monkeypatch.setattr(cli, name, no_work)
-    monkeypatch.setattr(cli.DetectionPipeline, "load", no_work)
     out = tmp_path / "report.txt"
     directory = out.with_suffix(".json") if command == "compare-json" else out
     directory.mkdir()
-    argv = {
-        "eda": ["eda", "--data", str(small_csv), "--out", str(out)],
-        "predict": ["predict", "--model", str(trained_model_dir), "--input", str(small_csv),
-                    "--out", str(out)],
-        "compare": ["compare", "--data", str(small_csv), "--out", str(out)],
-        "compare-json": ["compare", "--data", str(small_csv), "--out", str(out)],
-    }[command]
+    argv = _out_argv(command.removesuffix("-json"), out, small_csv, trained_model_dir,
+                     monkeypatch)
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert f"usage error: --out {out}: {directory} is a directory" in err
     assert "Traceback" not in err
     assert directory.is_dir() and not any(directory.iterdir())
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root writes into a directory whatever its permissions")
+@pytest.mark.parametrize("command", ["eda", "predict", "compare"])
+def test_out_in_unwritable_directory_exits_one(tmp_path, small_csv, trained_model_dir, command,
+                                               monkeypatch, capsys):
+    """An --out in a directory this process cannot write is refused before
+    any input is read."""
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out.csv"
+    argv = _out_argv(command, out, small_csv, trained_model_dir, monkeypatch)
+    locked.chmod(0o555)
+    try:
+        assert run_cli(argv) == 1
+    finally:
+        locked.chmod(0o755)
+    err = capsys.readouterr().err
+    assert f"usage error: --out {out}: directory {locked} is not writable" in err
+    assert "Traceback" not in err and not any(locked.iterdir())
 
 
 def test_predict_replaces_output_through_a_temp_file(tmp_path, trained_model_dir, small_csv,

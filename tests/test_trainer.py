@@ -146,6 +146,46 @@ def test_early_stop_empty_error():
 
 
 # --------------------------------------------------------------------------
+# _evaluate (eval chunking)
+# --------------------------------------------------------------------------
+
+def _recording_forward(calls):
+    """A forward_fn that records each call's row count and scores a row by
+    its first id."""
+    def forward(ids, numeric):
+        assert numeric.shape[0] == ids.shape[0]
+        calls.append(ids.shape[0])
+        return ndgrad.Tensor(ids[:, :1].astype(np.float64))
+    return forward
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (1, [1]), (128, [128]), (129, [64, 65]), (257, [85, 86, 86]), (300, [100, 100, 100]),
+])
+def test_evaluate_scores_in_fewest_balanced_calls(n, sizes):
+    """At the default EVAL_CHUNK, n rows go in the fewest calls of at most
+    EVAL_CHUNK rows, whose sizes differ by at most one, and the scores come
+    back in row order."""
+    calls = []
+    ids = np.arange(n)[:, None]
+    scores = trainer._evaluate(_recording_forward(calls), ids, np.zeros((n, 2)))
+    assert calls == sizes
+    assert np.array_equal(scores, np.arange(n))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_evaluate_chunks_balance_for_every_row_count(chunk, monkeypatch):
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", chunk)
+    for n in range(1, 400):
+        calls = []
+        scores = trainer._evaluate(_recording_forward(calls), np.arange(n)[:, None],
+                                   np.zeros((n, 1)))
+        assert len(calls) == -(-n // chunk) and sum(calls) == n
+        assert max(calls) <= chunk and max(calls) - min(calls) <= 1
+        assert np.array_equal(scores, np.arange(n))
+
+
+# --------------------------------------------------------------------------
 # train()
 # --------------------------------------------------------------------------
 
