@@ -21,11 +21,15 @@ reverse pass begins with the same PAD trajectory from the zero state: it
 runs once, shared. The forward pass reads a row's PADs after its text,
 from that row's own state, so it runs every position.
 
-The recorded gates and states of a training batch fill a Workspace: a fit
-passes one to every batch, so the batches reuse memory that is already
-paged in, and drops it when it returns. Scoring passes one Workspace and
-one KernelWeights, the weights laid out for the kernel once, to all its
-eval chunks.
+A training batch records each step's gates, c and tanh(c), 6H values per
+flat row, in a Workspace; h lives in one step slot, as in scoring. The
+backward rebuilds each step's h input, o * tanh(c), over the c record,
+whose values it no longer needs, and gathers the weight-gradient chunks
+into the tanh(c) record once the loop is done with it. A fit passes one
+Workspace to every batch and validation pass, so they reuse memory that
+is already paged in, and drops it when it returns. Scoring, and each
+validation pass, lays the weights out for the kernel once (KernelWeights)
+for all its eval chunks.
 
 A trained model is one BiLstmClassifier record of its ModelConfig and its
 weights; BiLstmClassifier.fit trains and builds it whole, and a bundle
@@ -299,26 +303,45 @@ def _allocate(shape) -> np.ndarray:
 
 
 class Workspace:
-    """The gate and state buffers of the kernel, reused across calls.
+    """The kernel's buffers, reused across calls: a record and a step slot.
 
-    A fit passes one Workspace to every forward, so each batch writes into
-    memory the earlier batches already paged in. The buffers grow only
-    when a call needs more rows; the old ones are dropped before the
-    larger ones are allocated. Their contents between calls are
-    unspecified.
+    The record holds a training call's gates and c and tanh(c) states, 6H
+    values per recorded row; the step slot holds one step's gates and
+    states, which a forward-only call runs in, and the h of a recorded
+    call. A fit passes one Workspace to every batch and validation pass, so
+    each writes into memory earlier calls already paged in. Each part grows
+    only when a call needs more of it, so a validation pass with wider
+    steps keeps the training record; the old buffers are dropped before
+    the larger ones are allocated. Contents between calls are unspecified.
     """
 
     def __init__(self):
-        self._buffers = None
+        self._record = None
+        self._step = None
 
-    def states(self, rows: int, hidden: int):
-        """(gates, hs, cs, tanh_cs): a flat buffer of at least
-        4 * rows * hidden gate values and three state buffers of at least
-        `rows` rows of `hidden` values."""
-        held = self._buffers
+    def record(self, gate_rows: int, state_rows: int, hidden: int):
+        """(gates, cs, tanh_cs): a flat buffer of at least
+        4 * gate_rows * hidden gate values and two state buffers of at
+        least `state_rows` rows of `hidden` values."""
+        held = self._record
+        if (held is None or held[0].size < 4 * gate_rows * hidden
+                or held[1].shape[0] < state_rows or held[1].shape[1] != hidden):
+            held = self._record = None  # never two records alive at once
+            held = self._record = (
+                _allocate(4 * gate_rows * hidden),
+                _allocate((state_rows, hidden)),
+                _allocate((state_rows, hidden)),
+            )
+        return held
+
+    def step(self, rows: int, hidden: int):
+        """(gates, cs, tanh_cs, hs): one step slot, 4 * rows * hidden gate
+        values and three state buffers of at least `rows` rows of
+        `hidden` values."""
+        held = self._step
         if held is None or held[1].shape[0] < rows or held[1].shape[1] != hidden:
-            held = self._buffers = None  # never two sets alive at once
-            held = self._buffers = (
+            held = self._step = None
+            held = self._step = (
                 _allocate(4 * rows * hidden),
                 *(_allocate((rows, hidden)) for _ in range(3)),
             )
@@ -376,17 +399,24 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
             kernel: KernelWeights):
     """The encoding (B, 2H) and, when keep_states, the backward_fn that
     backprops through time from its gradient; otherwise the steps share
-    one slot of the buffers and no per-step state is kept."""
+    one slot of the buffers and no per-step state is kept. h always lives
+    in one step slot: the backward rebuilds the h it needs."""
     batch, length = ids.shape
     wx, wh, bias, gate_order, wh_g, table = kernel
     embedding = params.embedding.values
     vocab, hidden = embedding.shape[0], wh.shape[2]
     order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
-    # step t reads its states at slots[t] and writes them at slots[t + 1];
-    # its gates are the (4, size, H) block at row 4 * slots[t] of the flat gates
-    slots = offsets if keep_states else np.zeros_like(offsets)
+    # step t reads its c at slots[t] and writes it at slots[t + 1]; its gates
+    # are the (4, size, H) block at row 4 * slots[t] of the flat gates, and
+    # tanh(c) the rows at slots[t]
     widest = offsets[-1] - offsets[-2]  # steps only grow
-    gates, hs, cs, tanh_cs = workspace.states(slots[-1] + widest, hidden)
+    gates, cs, tanh_cs, hs = workspace.step(widest, hidden)
+    slots = offsets if keep_states else np.zeros_like(offsets)
+    if keep_states:
+        # the weight-gradient chunks are gathered into tanh(c) once the
+        # backward loop is done with it
+        gates, cs, tanh_cs = workspace.record(
+            offsets[-1], max(offsets[-1] + widest, 5 * _GRADIENT_CHUNK), hidden)
     hs[: offsets[1]] = 0.0
     cs[: offsets[1]] = 0.0
     # one step's recurrent products; the backward's gate-value gradients
@@ -402,20 +432,19 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
         z = block(gates, here, size)
         np.take(table, index[offsets[t] : offsets[t + 1]], axis=1, out=z, mode="clip")
         recurrent = block(scratch[0], 0, size)
-        np.matmul(hs[here : here + batch], wh_g[0], out=recurrent[:, :batch])
-        np.matmul(hs[here + batch : here + size], wh_g[1], out=recurrent[:, batch:])
+        np.matmul(hs[:batch], wh_g[0], out=recurrent[:, :batch])
+        np.matmul(hs[batch:size], wh_g[1], out=recurrent[:, batch:])
         z += recurrent
         _cell(z, cs[here : here + size], cs[there : there + size],
-              tanh_cs[here : here + size], hs[there : there + size])
+              tanh_cs[here : here + size], hs[:size])
         if t + 1 < length and real[t + 1] > real[t]:  # these rows' text begins at t + 1
-            entering = np.s_[there + size : there + batch + 1 + real[t + 1]]
-            hs[entering] = hs[there + batch]
-            cs[entering] = cs[there + batch]
+            grown = batch + 1 + real[t + 1]
+            hs[size:grown] = hs[batch]
+            cs[there + size : there + grown] = cs[there + batch]
     final_cols = np.full(batch, batch)  # rows with no text end on the shared row
     final_cols[: real[-1]] += 1 + np.arange(real[-1])
-    h_last = hs[slots[-1] :]
     encoded = np.empty((batch, 2 * hidden))
-    encoded[order] = np.hstack([h_last[:batch], h_last[final_cols]])
+    encoded[order] = np.hstack([hs[:batch], hs[final_cols]])
     if not keep_states:
         return encoded, None
 
@@ -428,7 +457,14 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
         for t in reversed(range(length)):
             start, stop = offsets[t], offsets[t + 1]
             size = stop - start
-            dz = _cell_backward(block(gates, start, size), cs[start:stop], tanh_cs[start:stop],
+            z = block(gates, start, size)
+            if t + 1 < length:
+                # step t + 1's h input, o * tanh(c) as the forward made it, goes
+                # over c_t, which step t + 1 has read as c_prev and step t never reads
+                h_next = cs[stop : offsets[t + 2]]
+                np.multiply(z[2], tanh_cs[start:stop], out=h_next[:size])
+                h_next[size:] = h_next[batch]  # rows entering at t + 1
+            dz = _cell_backward(z, cs[start:stop], tanh_cs[start:stop],
                                 dh[:size], dc[:size],
                                 block(scratch[0], 0, size), block(scratch[1], 0, size))
             np.matmul(dz[:batch], wh[0], out=dh[:batch])
@@ -438,14 +474,17 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
                 dh[batch] += dh[entered:size].sum(axis=0)
                 dc[batch] += dc[entered:size].sum(axis=0)
         # the gates now hold, row-major, the pre-activation gradients of every
-        # flat row. Every row that reads id 0 (PAD, or a mid-text 0) has input
-        # embedding[0], so their input-side gradients need only the sum of their dz.
+        # flat row, and the c record every flat row's h input. Every row that
+        # reads id 0 (PAD, or a mid-text 0) has input embedding[0], so their
+        # input-side gradients need only the sum of their dz.
         pre_grads = gates[: 4 * hidden * offsets[-1]].reshape(-1, 4 * hidden)
         tokens = index % vocab
         d_wx, d_wh, d_bias = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(bias)
         d_embedding = np.zeros_like(embedding)
-        dz_rows = np.empty((_GRADIENT_CHUNK, 4 * hidden))
-        h_rows = np.empty((_GRADIENT_CHUNK, hidden))
+        spare = tanh_cs.reshape(-1)
+        dz_rows = spare[: 4 * hidden * _GRADIENT_CHUNK].reshape(_GRADIENT_CHUNK, 4 * hidden)
+        h_rows = spare[4 * hidden * _GRADIENT_CHUNK : 5 * hidden * _GRADIENT_CHUNK]
+        h_rows = h_rows.reshape(_GRADIENT_CHUNK, hidden)
 
         def chunks(flat):
             """(flat rows, their dz, their h inputs) per chunk of at most
@@ -453,7 +492,7 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
             for lo in range(0, flat.size, _GRADIENT_CHUNK):
                 part = flat[lo : lo + _GRADIENT_CHUNK]
                 dz = np.take(pre_grads, part, axis=0, out=dz_rows[: part.size], mode="clip")
-                yield part, dz, np.take(hs, part, axis=0, out=h_rows[: part.size], mode="clip")
+                yield part, dz, np.take(cs, part, axis=0, out=h_rows[: part.size], mode="clip")
 
         for d, flat in enumerate((fwd_rows, rev_rows)):
             pad = tokens[flat] == 0
@@ -486,11 +525,11 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None,
     single tape node. Input terms are gathered from a per-gate,
     per-direction table of embedding @ Wx^T + b, and one _cell call per
     step covers both directions. While a Graph records the op, every
-    step's gates and states are kept for a hand-written backprop through
-    time. They live in `workspace`'s buffers, or in fresh ones when it is
-    None; the tape node reads them until its backward has run. `kernel`
-    holds params' weights in the kernel's layouts (kernel_weights), built
-    here when it is None.
+    step's gates, c and tanh(c) are kept for a hand-written backprop
+    through time, which rebuilds h from them. They live in `workspace`'s
+    buffers, or in fresh ones when it is None; the tape node reads them
+    until its backward has run. `kernel` holds params' weights in the
+    kernel's layouts (kernel_weights), built here when it is None.
 
     The reverse pass reads a right-padded row's PAD run first, from the
     zero state, so that stretch is the same for every row: it runs once,
@@ -532,10 +571,12 @@ def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None
     return ndgrad.sigmoid(ndgrad.add(ndgrad.matmul(hidden, params.out_w), params.out_b))
 
 
-def predict_scores(ids, numeric, params: ModelParams) -> np.ndarray:
+def predict_scores(ids, numeric, params: ModelParams, workspace: Workspace = None) -> np.ndarray:
     """Fraud probabilities without recording gradients, in eval chunks
-    that share one Workspace and one KernelWeights."""
-    workspace, kernel = Workspace(), kernel_weights(params)
+    that share one KernelWeights and `workspace`, or a fresh Workspace."""
+    if workspace is None:
+        workspace = Workspace()
+    kernel = kernel_weights(params)
     return trainer._evaluate(
         lambda b_ids, b_num: model_forward(b_ids, b_num, params, workspace, kernel),
         np.asarray(ids, dtype=np.int64),
@@ -599,10 +640,11 @@ class BiLstmClassifier:
             seed=cfg.seed,
         )
         params = init_params(config)
-        workspace = Workspace()  # every batch's recorded states; dropped on return
+        workspace = Workspace()  # every batch's and validation pass's; dropped on return
         history = trainer.train(
             params.named_tensors(),
             lambda b_ids, b_num: model_forward(b_ids, b_num, params, workspace),
+            lambda v_ids, v_num: predict_scores(v_ids, v_num, params, workspace),
             (ids, numeric, y),
             (ids_val, numeric_val, y_val),
             cfg,

@@ -274,7 +274,7 @@ def fit_random_forest(
         rng = SplitMix64(seed + i)
         rows = None
         if bootstrap:
-            rows = np.fromiter((rng.randrange(n) for _ in range(n)), np.int64, n)
+            rows = rng.randrange_array(n, n)
         fit_tree(
             X,
             y,

@@ -37,8 +37,8 @@ class SplitMix64:
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
 
-    def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
-        """The next `size` uniform(low, high) draws, bit for bit, at once.
+    def _block(self, size: int) -> np.ndarray:
+        """The next `size` next_uint64 draws, bit for bit, at once.
 
         The k-th output is mix(state + k * gamma), so the whole block is
         computed in wrapping uint64 arithmetic; the state ends where `size`
@@ -50,11 +50,21 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
         self._state = (self._state + size * _GAMMA) & _MASK64
+        return z
+
+    def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
+        """The next `size` uniform(low, high) draws, bit for bit, at once."""
+        z = self._block(size)
         return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * _TO_UNIT)
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n) via modulo reduction."""
         return self.next_uint64() % n
+
+    def randrange_array(self, n: int, size: int) -> np.ndarray:
+        """The next `size` randrange(n) draws, bit for bit, at once, as
+        int64 (so n is at most 2**63)."""
+        return (self._block(size) % np.uint64(n)).astype(np.int64)
 
     def shuffle(self, seq) -> None:
         """In-place Fisher-Yates: i from n-1 down to 1, j = next() mod (i+1)."""

@@ -144,13 +144,16 @@ def _evaluate(forward_fn, ids, numeric) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def train(named_params, forward_fn, train_data, val_data, cfg: RunConfig) -> History:
+def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConfig) -> History:
     """Mini-batch Adam with early stopping on validation loss.
 
     Reads `cfg.train`, shuffles the training indices each epoch with fresh
     draws from the `cfg.seed` stream, minimizes mean binary cross-entropy,
     scores validation accuracy at `cfg.threshold`, and restores the
     parameters of the best-validation-loss epoch before returning.
+    forward_fn(ids, numeric) gives a batch's probabilities as a (rows, 1)
+    Tensor for the tape; score_fn(ids, numeric) gives each epoch's
+    validation scores as an array.
     """
     ids, numeric, labels = train_data
     ids_val, numeric_val, labels_val = val_data
@@ -191,7 +194,7 @@ def train(named_params, forward_fn, train_data, val_data, cfg: RunConfig) -> His
                 batch_losses.append(loss.item())
 
         history.train_loss.append(float(np.mean(batch_losses)))
-        val_scores = _evaluate(forward_fn, ids_val, numeric_val)
+        val_scores = score_fn(ids_val, numeric_val)
         val_loss = ndgrad.bce_loss(ndgrad.Tensor(val_scores[:, None]), labels_val[:, None]).item()
         history.val_loss.append(val_loss)
         history.val_accuracy.append(float(((val_scores >= cfg.threshold) == labels_val).mean()))

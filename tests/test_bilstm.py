@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -362,17 +363,69 @@ def test_contiguous_gate_math_matches_strided_reference(rows):
 
 
 def test_workspace_grows_only_when_a_call_needs_more_rows():
-    """Smaller calls reuse the buffers; a larger one replaces them, and
-    the old set is released, not kept beside the new one."""
+    """The record and the step slot each grow only when a call needs more
+    of it: a wider step keeps the record, and more recorded rows keep the
+    step slot. A replaced part is released, not kept beside the new one."""
     workspace = bilstm.Workspace()
-    first = workspace.states(10, 3)
-    assert first[0].size >= 4 * 10 * 3 and all(s.shape == (10, 3) for s in first[1:])
-    assert all(a is b for a, b in zip(workspace.states(7, 3), first))
-    old = [weakref.ref(buffer) for buffer in first]
-    del first
-    grown = workspace.states(11, 3)
-    assert all(s.shape[0] >= 11 for s in grown[1:])
-    assert all(ref() is None for ref in old)
+    record = workspace.record(10, 12, 3)
+    assert record[0].size >= 4 * 10 * 3 and all(s.shape == (12, 3) for s in record[1:])
+    step = workspace.step(5, 3)
+    assert step[0].size >= 4 * 5 * 3 and all(s.shape == (5, 3) for s in step[1:])
+    assert all(a is b for a, b in zip(workspace.record(7, 12, 3), record))
+    assert all(a is b for a, b in zip(workspace.step(4, 3), step))
+    old_step = [weakref.ref(buffer) for buffer in step]
+    del step
+    wider = workspace.step(9, 3)  # a validation chunk's wider steps
+    assert wider[0].size >= 4 * 9 * 3 and all(s.shape[0] >= 9 for s in wider[1:])
+    assert all(ref() is None for ref in old_step)
+    assert all(a is b for a, b in zip(workspace.record(10, 12, 3), record))
+    for needs in ((11, 12), (10, 13)):  # more gate rows, more state rows
+        old = [weakref.ref(buffer) for buffer in record]
+        del record
+        record = workspace.record(*needs, 3)
+        assert record[0].size >= 4 * needs[0] * 3
+        assert all(s.shape[0] >= needs[1] for s in record[1:])
+        assert all(ref() is None for ref in old)
+    assert all(a is b for a, b in zip(workspace.step(9, 3), wider))
+
+
+def test_recorded_call_keeps_six_values_per_row_and_gathers_in_place():
+    """Once a first call has sized the Workspace, a recorded forward and
+    backward at B=32, T=256 allocates no (_GRADIENT_CHUNK, 4H) gather
+    buffer (its traced peak stays below one): the backward rebuilds h over
+    the c record and gathers the weight-gradient chunks into the spent
+    tanh(c) record. The Workspace holds 6H values per recorded row (gates,
+    c, tanh(c)) plus one step slot, and a forward-only call with wider
+    steps keeps the record."""
+    cfg = ModelConfig(vocab_size=50, embedding_dim=4, hidden_units=32, seed=20)
+    rng = np.random.default_rng(cfg.seed)
+    params = random_params(cfg, rng)
+    ids = right_padded(rng, rng.integers(60, 257, size=32), 256, cfg.vocab_size)
+    weights = rng.normal(size=(32, 2 * cfg.hidden_units))
+    workspace = bilstm.Workspace()
+    encode = lambda i, p: bilstm_encode(i, p, workspace)
+    first = encode_with_grads(encode, ids, params, weights)
+    chunk_bytes = bilstm._GRADIENT_CHUNK * 4 * cfg.hidden_units * 8  # one dz chunk
+    tracemalloc.start()
+    try:
+        again = encode_with_grads(encode, ids, params, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < chunk_bytes
+    assert all(map(_same_bits, first[:2] + tuple(first[3]), again[:2] + tuple(again[3])))
+
+    _, _, offsets, _, _, _ = bilstm._plan(ids, cfg.vocab_size)
+    rows, widest, hidden = offsets[-1], offsets[-1] - offsets[-2], cfg.hidden_units
+    assert rows + widest >= 5 * bilstm._GRADIENT_CHUNK
+    record, step = workspace.record(1, 1, hidden), workspace.step(1, hidden)
+    assert record[0].size == 4 * hidden * rows
+    assert all(s.shape == (rows + widest, hidden) for s in record[1:])
+    assert step[0].size == 4 * hidden * widest
+    assert all(s.shape == (widest, hidden) for s in step[1:])
+    bilstm_encode(np.ones((100, 256), dtype=np.int64), params, workspace)
+    assert all(a is b for a, b in zip(workspace.record(1, 1, hidden), record))
+    assert workspace.step(1, hidden)[1].shape == (201, hidden)
 
 
 def test_encoding_ignores_workspace_reuse():
@@ -410,6 +463,28 @@ def test_predict_scores_lays_out_the_weights_once(monkeypatch):
     scores = bilstm.predict_scores(ids, numeric, params)
     assert built == [params]
     assert np.abs(scores - expected).max() <= 1e-12
+
+
+def test_fit_lays_out_the_weights_once_per_batch_and_validation_pass(monkeypatch):
+    """Each training batch lays out its own weights; each epoch's
+    validation lays them out once, however many eval chunks it runs."""
+    cfg = RunConfig(
+        seed=4,
+        features=FeatureSection(sequence_length=6),
+        bilstm=BilstmSection(embedding_dim=3, hidden_units=4, dense_units=4),
+        train=TrainSection(batch_size=4, max_epochs=3, patience=2),
+    )
+    rng = np.random.default_rng(4)
+    ids, numeric = rng.integers(0, 9, size=(15, 6)), rng.normal(size=(15, 2))
+    y = np.arange(15) % 2
+    built = []
+    lay_out = bilstm.kernel_weights
+    monkeypatch.setattr(bilstm, "kernel_weights", lambda p: built.append(p) or lay_out(p))
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 2)  # 5 validation rows: 3 chunks
+    model = BiLstmClassifier.fit(cfg, 9, (ids[:10], numeric[:10]), y[:10],
+                                 validation_data=((ids[10:], numeric[10:]), y[10:]))
+    # per epoch: 3 batches of the 10 training rows, 1 validation pass
+    assert len(built) == model.history.stopped_epoch * (3 + 1)
 
 
 def test_encoding_ignores_row_order_at_full_length():

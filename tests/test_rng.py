@@ -74,3 +74,17 @@ def test_uniform_array_matches_scalar_draws():
             want = np.array([scalar.uniform(-bound, bound) for _ in range(size)])
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             assert block.next_uint64() == scalar.next_uint64()
+
+
+def test_randrange_array_matches_scalar_draws():
+    """The block gives the scalar draws' values, and the stream goes on
+    from where those draws leave it."""
+    for n in (1, 7, 192, 1280, 11440, 2**40 + 3):
+        for size in (0, 1, n % 1000 + 2):
+            block, scalar = SplitMix64(n), SplitMix64(n)
+            scalar.next_uint64()
+            block.next_uint64()  # start mid-stream
+            got = block.randrange_array(n, size)
+            want = [scalar.randrange(n) for _ in range(size)]
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert block.next_uint64() == scalar.next_uint64()

@@ -203,7 +203,8 @@ def _toy_model_and_data(seed=3):
     )
     params = bilstm.init_params(cfg)
     forward = lambda b_ids, b_num: bilstm.model_forward(b_ids, b_num, params)
-    return params, forward, ids, numeric, y
+    score = lambda b_ids, b_num: bilstm.predict_scores(b_ids, b_num, params)
+    return params, forward, score, ids, numeric, y
 
 
 def _run_config(seed, **train):
@@ -211,11 +212,11 @@ def _run_config(seed, **train):
 
 
 def test_train_reaches_full_accuracy_on_separable_toy():
-    params, forward, ids, numeric, y = _toy_model_and_data()
+    params, forward, score, ids, numeric, y = _toy_model_and_data()
     # patience effectively disabled
     cfg = _run_config(3, max_epochs=200, batch_size=8, learning_rate=1e-2, patience=199)
     history = train(
-        params.named_tensors(), forward,
+        params.named_tensors(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     scores = bilstm.predict_scores(ids, numeric, params)
@@ -224,17 +225,17 @@ def test_train_reaches_full_accuracy_on_separable_toy():
 
 
 def test_train_first_epoch_loss_below_ln2():
-    params, forward, ids, numeric, y = _toy_model_and_data()
+    params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(3, max_epochs=2, batch_size=4, learning_rate=1e-3, patience=1)
     history = train(
-        params.named_tensors(), forward,
+        params.named_tensors(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     assert history.train_loss[0] < np.log(2)
 
 
 def test_train_frozen_batch_loss_decreases_over_first_steps():
-    params, forward, ids, numeric, y = _toy_model_and_data()
+    params, forward, _, ids, numeric, y = _toy_model_and_data()
     adam = Adam(params.named_tensors(), learning_rate=1e-3)
     losses = []
     for _ in range(6):
@@ -249,10 +250,10 @@ def test_train_frozen_batch_loss_decreases_over_first_steps():
 
 
 def test_train_restores_best_epoch_weights():
-    params, forward, ids, numeric, y = _toy_model_and_data()
+    params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(3, max_epochs=30, batch_size=8, learning_rate=5e-2, patience=4)
     history = train(
-        params.named_tensors(), forward,
+        params.named_tensors(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     scores = bilstm.predict_scores(ids, numeric, params)
@@ -263,18 +264,18 @@ def test_train_restores_best_epoch_weights():
 
 
 def test_train_empty_split_is_error():
-    params, forward, ids, numeric, y = _toy_model_and_data()
+    params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(0, max_epochs=2, patience=1)
     with pytest.raises(DataError):
-        train(params.named_tensors(), forward, (ids[:0], numeric[:0], y[:0]),
+        train(params.named_tensors(), forward, score, (ids[:0], numeric[:0], y[:0]),
               (ids, numeric, y), cfg)
 
 
 def test_train_histories_aligned():
-    params, forward, ids, numeric, y = _toy_model_and_data()
+    params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(3, max_epochs=5, batch_size=8, learning_rate=1e-2, patience=4)
     history = train(
-        params.named_tensors(), forward,
+        params.named_tensors(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     n = history.stopped_epoch
