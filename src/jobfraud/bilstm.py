@@ -33,9 +33,15 @@ for all its eval chunks.
 
 A trained model is one BiLstmClassifier record of its ModelConfig and its
 weights; BiLstmClassifier.fit trains and builds it whole, and a bundle
-load builds it from the stored config and tensors.
+load builds it from the stored config and tensors. weight_table declares
+every trainable tensor's name and shape once, in the one order of the
+initial draws, of named_tensors and of a bundle's tensor directory; a load
+checks each stored tensor against it, shape and finite values, before it
+wraps the stored arrays.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,7 +50,7 @@ import numpy as np
 from . import ndgrad, trainer
 from .base import check_labels
 from .config import RunConfig
-from .errors import DataError, ShapeError
+from .errors import DataError, ModelStoreError, ShapeError
 from .ndgrad import Tensor
 from .rng import SplitMix64
 
@@ -61,6 +67,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
 
@@ -86,110 +94,75 @@ class ModelParams:
     out_b: Tensor  # (1,)
 
     def named_tensors(self) -> list:
-        """Canonical (name, tensor) order; also the serialization order."""
-        return [
-            ("embedding", self.embedding),
-            ("forward_lstm.wx", self.forward_lstm.wx),
-            ("forward_lstm.wh", self.forward_lstm.wh),
-            ("forward_lstm.bias", self.forward_lstm.bias),
-            ("backward_lstm.wx", self.backward_lstm.wx),
-            ("backward_lstm.wh", self.backward_lstm.wh),
-            ("backward_lstm.bias", self.backward_lstm.bias),
-            ("dense_w", self.dense_w),
-            ("dense_b", self.dense_b),
-            ("out_w", self.out_w),
-            ("out_b", self.out_b),
-        ]
+        """(name, tensor) in weight_table order."""
+        return [(name, operator.attrgetter(name)(self)) for name in _NAMES]
 
     def tensors(self) -> list:
         return [t for _, t in self.named_tensors()]
 
 
-def parameter_count(cfg: ModelConfig) -> int:
+# the trainable tensors in canonical order; weight_table pairs each with its shape
+_NAMES = ("embedding", *(f"{way}.{name}" for way in ("forward_lstm", "backward_lstm")
+                         for name in ("wx", "wh", "bias")),
+          "dense_w", "dense_b", "out_w", "out_b")
+
+
+def weight_table(cfg: ModelConfig) -> list:
+    """(name, shape) of every trainable tensor, in the one canonical order:
+    that of named_tensors, of a bundle's tensor directory and of the
+    initial draws."""
     v, e, h = cfg.vocab_size, cfg.embedding_dim, cfg.hidden_units
     u, d = cfg.dense_units, cfg.numeric_width
-    return v * e + 2 * (4 * h * e + 4 * h * h + 4 * h) + (2 * h + d) * u + u + u + 1
+    lstm = [(4 * h, e), (4 * h, h), (4 * h,)]
+    return list(zip(_NAMES, [(v, e), *lstm, *lstm, (2 * h + d, u), (u,), (u, 1), (1,)]))
 
 
-def _draw_uniform(rng: SplitMix64, shape, bound: float) -> np.ndarray:
-    return rng.uniform_array(-bound, bound, int(np.prod(shape))).reshape(shape)
+def parameter_count(cfg: ModelConfig) -> int:
+    return sum(math.prod(shape) for _, shape in weight_table(cfg))
 
 
-def _glorot(rng: SplitMix64, rows: int, cols: int) -> Tensor:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return ndgrad.param(_draw_uniform(rng, (rows, cols), bound))
-
-
-def _lstm_bias(hidden: int) -> Tensor:
-    bias = np.zeros(4 * hidden)
-    bias[hidden : 2 * hidden] = 1.0  # forget gate starts open
-    return ndgrad.param(bias)
+def _params(arrays: dict) -> ModelParams:
+    """ModelParams whose trainable tensors wrap the arrays, by table name."""
+    t = {name: ndgrad.param(values) for name, values in arrays.items()}
+    forward, backward = (LstmParams(t[f"{way}.wx"], t[f"{way}.wh"], t[f"{way}.bias"])
+                         for way in ("forward_lstm", "backward_lstm"))
+    return ModelParams(t["embedding"], forward, backward,
+                       t["dense_w"], t["dense_b"], t["out_w"], t["out_b"])
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
-    """Glorot-uniform weights from one seeded stream, zero biases except a
-    +1 forget-gate block.
-
-    Matrices are drawn row-major in a fixed order (embedding, forward wx,
-    forward wh, backward wx, backward wh, dense, output) so a seed pins
-    every initial weight.
-    """
+    """Initial weights from one seeded stream, walking weight_table: the
+    embedding is drawn U(+-0.05) and every other matrix Glorot-uniform,
+    row-major, in table order, so a seed pins every initial weight; 1-D
+    tensors are zero except the LSTM biases' +1 forget-gate block."""
     rng = SplitMix64(cfg.seed)
-    e, h = cfg.embedding_dim, cfg.hidden_units
-    embedding = ndgrad.param(_draw_uniform(rng, (cfg.vocab_size, e), 0.05))
-    directions = []
-    for _ in range(2):
-        wx = _glorot(rng, 4 * h, e)
-        wh = _glorot(rng, 4 * h, h)
-        directions.append(LstmParams(wx=wx, wh=wh, bias=_lstm_bias(h)))
-    dense_w = _glorot(rng, 2 * h + cfg.numeric_width, cfg.dense_units)
-    dense_b = ndgrad.param(np.zeros(cfg.dense_units))
-    out_w = _glorot(rng, cfg.dense_units, 1)
-    out_b = ndgrad.param(np.zeros(1))
-    return ModelParams(
-        embedding=embedding,
-        forward_lstm=directions[0],
-        backward_lstm=directions[1],
-        dense_w=dense_w,
-        dense_b=dense_b,
-        out_w=out_w,
-        out_b=out_b,
-    )
-
-
-def empty_params(cfg: ModelConfig) -> ModelParams:
-    """Zero-valued trainable tensors with the model's shapes."""
-    e, h = cfg.embedding_dim, cfg.hidden_units
-    u, d = cfg.dense_units, cfg.numeric_width
-
-    def zeros(*shape):
-        return ndgrad.param(np.zeros(shape))
-
-    return ModelParams(
-        embedding=zeros(cfg.vocab_size, e),
-        forward_lstm=LstmParams(wx=zeros(4 * h, e), wh=zeros(4 * h, h), bias=zeros(4 * h)),
-        backward_lstm=LstmParams(wx=zeros(4 * h, e), wh=zeros(4 * h, h), bias=zeros(4 * h)),
-        dense_w=zeros(2 * h + d, u),
-        dense_b=zeros(u),
-        out_w=zeros(u, 1),
-        out_b=zeros(1),
-    )
+    h = cfg.hidden_units
+    arrays = {}
+    for name, shape in weight_table(cfg):
+        if len(shape) == 2:
+            bound = 0.05 if name == "embedding" else np.sqrt(6.0 / sum(shape))
+            values = rng.uniform_array(-bound, bound, shape[0] * shape[1]).reshape(shape)
+        else:
+            values = np.zeros(shape)
+            if name.endswith(".bias"):
+                values[h : 2 * h] = 1.0  # forget gate starts open
+        arrays[name] = values
+    return _params(arrays)
 
 
 def params_from_arrays(cfg: ModelConfig, lookup) -> ModelParams:
-    """Rebuild ModelParams from stored arrays, validating every shape.
-
-    `lookup` maps the canonical tensor names to ndarrays.
-    """
-    params = empty_params(cfg)
-    for name, tensor in params.named_tensors():
-        stored = np.asarray(lookup(name), dtype=np.float64)
-        if stored.shape != tensor.values.shape:
-            raise ShapeError(
-                f"tensor {name!r} has shape {stored.shape}, expected {tensor.values.shape}"
-            )
-        tensor.values[...] = stored
-    return params
+    """ModelParams around stored arrays: `lookup` maps each weight_table
+    name to an ndarray, which must have its table shape and finite values.
+    Every array is checked before any tensor is built."""
+    arrays = {}
+    for name, shape in weight_table(cfg):
+        values = np.asarray(lookup(name), dtype=np.float64)
+        if values.shape != shape:
+            raise ShapeError(f"tensor {name!r} has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise ModelStoreError(f"tensor {name!r} holds a value that is not finite")
+        arrays[name] = values
+    return _params(arrays)
 
 
 # --------------------------------------------------------------------------
@@ -316,36 +289,32 @@ class Workspace:
     """
 
     def __init__(self):
-        self._record = None
-        self._step = None
+        self._parts = {}
+
+    def _part(self, name: str, *shapes):
+        """Part `name`'s buffers, kept while each has at least its shape's
+        leading size and the rest of its shape, else replaced at `shapes`."""
+        held = self._parts.pop(name, None)
+        if held is None or any(buffer.shape[0] < shape[0] or buffer.shape[1:] != shape[1:]
+                               for buffer, shape in zip(held, shapes)):
+            held = None  # never two copies of a part alive at once
+            held = tuple(map(_allocate, shapes))
+        self._parts[name] = held
+        return held
 
     def record(self, gate_rows: int, state_rows: int, hidden: int):
         """(gates, cs, tanh_cs): a flat buffer of at least
         4 * gate_rows * hidden gate values and two state buffers of at
         least `state_rows` rows of `hidden` values."""
-        held = self._record
-        if (held is None or held[0].size < 4 * gate_rows * hidden
-                or held[1].shape[0] < state_rows or held[1].shape[1] != hidden):
-            held = self._record = None  # never two records alive at once
-            held = self._record = (
-                _allocate(4 * gate_rows * hidden),
-                _allocate((state_rows, hidden)),
-                _allocate((state_rows, hidden)),
-            )
-        return held
+        state = (state_rows, hidden)
+        return self._part("record", (4 * gate_rows * hidden,), state, state)
 
     def step(self, rows: int, hidden: int):
         """(gates, cs, tanh_cs, hs): one step slot, 4 * rows * hidden gate
         values and three state buffers of at least `rows` rows of
         `hidden` values."""
-        held = self._step
-        if held is None or held[1].shape[0] < rows or held[1].shape[1] != hidden:
-            held = self._step = None
-            held = self._step = (
-                _allocate(4 * rows * hidden),
-                *(_allocate((rows, hidden)) for _ in range(3)),
-            )
-        return held
+        state = (rows, hidden)
+        return self._part("step", (4 * rows * hidden,), state, state, state)
 
 
 def _cell(z, c_prev, c, tanh_c, h_out):

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,7 @@ def _cmd_train(args) -> int:
     pipe.save(args.out)
     payload = {
         "model": cfg.model,
-        "history": pipe.history.to_dict() if pipe.history else None,
+        "history": asdict(pipe.history) if pipe.history else None,
         "test_metrics": pipe.test_metrics.to_dict(),
     }
     print(json.dumps(payload, indent=2))
@@ -196,7 +197,7 @@ def _cmd_compare(args) -> int:
         pipe = train_pipeline(dataset, cfg, kind, prepared=prepared)
         results.append((kind, pipe.test_metrics))
         if pipe.history is not None:
-            histories[kind] = pipe.history.to_dict()
+            histories[kind] = asdict(pipe.history)
     table_text, payload = report_tables(results)
     payload_text = json.dumps({"reports": payload, "histories": histories}, indent=2)
     with _writing(out_path):

@@ -1,10 +1,11 @@
 """Feature construction: vocabulary, sequence encoding, one-hot numerics, EDA.
 
-The two featurizers are frozen records built whole from the training
-split: a TextVectorizer from the Vocabulary of the training texts' token
-ranking, a CategoricalEncoder from CategoricalEncoder.fit of the training
-postings. Each ``transform`` applies that state unchanged to any rows, so
-no leakage flows backward through the vocabulary or the category lists.
+The two featurizers are records built whole from the training split: a
+TextVectorizer, which holds the vocabulary, from
+TextVectorizer.from_ranking of the training texts' token ranking, and a
+CategoricalEncoder from CategoricalEncoder.fit of the training postings.
+Each ``transform`` applies that state unchanged to any rows, so no leakage
+flows backward through the vocabulary or the category lists.
 """
 
 import itertools
@@ -139,42 +140,34 @@ def coded_chunks(texts, index: dict, default: int, limit=None):
         yield slice(start, start + len(tokens)), lengths, codes
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Frequency-ranked token ids; 0/1 are reserved for PAD/OOV."""
-
-    token_to_id: dict
-    id_to_token: tuple
-
-    def __len__(self):
-        return len(self.id_to_token)
-
-    @classmethod
-    def from_ranking(cls, ranked, max_size: int) -> "Vocabulary":
-        """PAD, OOV, then the first max_size - 2 tokens of a rank_tokens list."""
-        if max_size < 3:
-            raise DataError(f"max_size must be at least 3, got {max_size}")
-        id_to_token = (PAD_TOKEN, OOV_TOKEN, *(token for token, _ in ranked[: max_size - 2]))
-        token_to_id = {token: i for i, token in enumerate(id_to_token)}
-        return cls(token_to_id, id_to_token)
-
-
-@dataclass(frozen=True)
 class TextVectorizer:
     """Maps normalized text to fixed-length integer id sequences: longer
     texts are truncated to `sequence_length`, shorter ones padded with PAD
-    on the right, and a token outside `vocabulary` becomes OOV."""
+    on the right, and a token outside `tokens` becomes OOV.
 
-    vocabulary: Vocabulary
-    sequence_length: int
+    `tokens` is the vocabulary, token i having id i: PAD, OOV, then tokens
+    by descending training frequency. Its token -> id `index` is derived
+    once, here.
+    """
+
+    def __init__(self, tokens, sequence_length: int):
+        self.tokens = tuple(tokens)
+        self.sequence_length = sequence_length
+        self.index = {token: i for i, token in enumerate(self.tokens)}
+
+    @classmethod
+    def from_ranking(cls, ranked, max_size: int, sequence_length: int) -> "TextVectorizer":
+        """PAD, OOV, then the first max_size - 2 tokens of a rank_tokens list."""
+        if max_size < 3:
+            raise DataError(f"max_size must be at least 3, got {max_size}")
+        return cls((PAD_TOKEN, OOV_TOKEN, *(token for token, _ in ranked[: max_size - 2])),
+                   sequence_length)
 
     def transform(self, texts) -> np.ndarray:
         length = self.sequence_length
         out = np.zeros((len(texts), length), dtype=np.int64)  # PAD_ID until written
         positions = np.arange(length)
-        for rows, lengths, ids in coded_chunks(
-            texts, self.vocabulary.token_to_id, OOV_ID, limit=length
-        ):
+        for rows, lengths, ids in coded_chunks(texts, self.index, OOV_ID, limit=length):
             # a boolean mask assigns in row-major order, the order of ids
             out[rows][positions < lengths[:, None]] = ids
         return out

@@ -5,7 +5,7 @@ threshold counts as a positive prediction; precision/recall/F1 fall back
 to 0 when their denominators are empty.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,9 +23,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tn + self.fp + self.fn + self.tp
 
-    def to_dict(self) -> dict:
-        return {"tn": self.tn, "fp": self.fp, "fn": self.fn, "tp": self.tp}
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -40,7 +37,7 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {
             "threshold": self.threshold,
-            "confusion": self.confusion.to_dict(),
+            "confusion": asdict(self.confusion),
             "accuracy": self.accuracy,
             "precision": self.precision,
             "recall": self.recall,

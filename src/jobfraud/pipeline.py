@@ -13,7 +13,7 @@ import numpy as np
 from . import bilstm, bundle as bundle_mod, forests, metrics, trainer
 from .config import MODEL_KINDS, RunConfig, config_from_dict
 from .errors import DataError, ModelStoreError, UsageError
-from .features import CATEGORICAL_COLUMNS, CategoricalEncoder, SplitTexts, TextVectorizer, Vocabulary
+from .features import CATEGORICAL_COLUMNS, CategoricalEncoder, SplitTexts, TextVectorizer
 from .ingest import Dataset, dataset_fingerprint
 
 
@@ -49,15 +49,18 @@ def prepare(dataset: Dataset, cfg: RunConfig, kinds=("bilstm",)) -> PreparedData
     texts = SplitTexts([p.full_text for p in postings])
     ranked = texts.rank(splits.train)
     if "bilstm" in kinds:
-        prepared.vectorizer = TextVectorizer(
-            Vocabulary.from_ranking(ranked, cfg.features.max_tokens),
-            cfg.features.sequence_length,
-        )
+        prepared.vectorizer = TextVectorizer.from_ranking(
+            ranked, cfg.features.max_tokens, cfg.features.sequence_length)
         prepared.ids = prepared.vectorizer.transform(texts)
     if any(k != "bilstm" for k in kinds):
         prepared.terms = [token for token, _ in ranked[: cfg.features.tabular_terms]]
         prepared.tabular = forests.build_tabular(prepared.numeric, texts, prepared.terms)
     return prepared
+
+
+def _distinct_strings(stored) -> bool:
+    """Whether a stored manifest value is a list of distinct strings."""
+    return isinstance(stored, list) and len({s for s in stored if isinstance(s, str)}) == len(stored)
 
 
 # Tree-ensemble kind -> its fit on (X, y), with the settings of its RunConfig section.
@@ -111,7 +114,7 @@ class DetectionPipeline:
         tensors = ()
         if self.kind == "bilstm":
             config["model_config"] = asdict(self.model.config)
-            extra["vocabulary"] = list(self.vectorizer.vocabulary.id_to_token)
+            extra["vocabulary"] = list(self.vectorizer.tokens)
             tensors = [(name, t.values) for name, t in self.model.params.named_tensors()]
         else:
             extra["ensemble"] = forests.ensemble_to_dict(self.model)
@@ -122,7 +125,7 @@ class DetectionPipeline:
             config=config,
             tensors=tensors,
             extra=extra,
-            history=self.history.to_dict() if self.history else None,
+            history=asdict(self.history) if self.history else None,
             test_metrics=self.test_metrics.to_dict() if self.test_metrics else None,
         )
 
@@ -148,12 +151,8 @@ class DetectionPipeline:
             raise ModelStoreError(f"bundle holds unknown model kind {kind!r}")
         cfg = config_from_dict(manifest["config"]["run_config"])
         categories = manifest["config"]["encoder_categories"]
-        if not (
-            isinstance(categories, dict)
-            and sorted(categories) == sorted(CATEGORICAL_COLUMNS)
-            and all(isinstance(v, list) and all(isinstance(c, str) for c in v)
-                    and len(set(v)) == len(v) for v in categories.values())
-        ):
+        if not (isinstance(categories, dict) and sorted(categories) == sorted(CATEGORICAL_COLUMNS)
+                and all(map(_distinct_strings, categories.values()))):
             raise ModelStoreError(
                 f"encoder_categories must map {', '.join(CATEGORICAL_COLUMNS)} "
                 f"to lists of distinct strings, got {categories!r:.80}"
@@ -165,11 +164,10 @@ class DetectionPipeline:
         if kind == "bilstm":
             model_cfg = bilstm.ModelConfig(**manifest["config"]["model_config"])
             tokens = manifest["vocabulary"]
-            token_to_id = {t: i for i, t in enumerate(tokens)}
-            if len(tokens) != model_cfg.vocab_size or len(token_to_id) != len(tokens):
+            if not (_distinct_strings(tokens) and len(tokens) == model_cfg.vocab_size):
                 raise ModelStoreError(
-                    f"vocabulary has {len(tokens)} tokens ({len(token_to_id)} distinct), "
-                    f"the model expects {model_cfg.vocab_size} distinct tokens"
+                    f"vocabulary must be a list of strings (all distinct), the model expects "
+                    f"{model_cfg.vocab_size} of them, got {tokens!r:.80}"
                 )
             if model_cfg.numeric_width != encoder.width:
                 raise ModelStoreError(
@@ -181,8 +179,7 @@ class DetectionPipeline:
                     f"run config gives sequence_length {cfg.features.sequence_length}, "
                     f"the model expects {model_cfg.sequence_length}"
                 )
-            vectorizer = TextVectorizer(Vocabulary(token_to_id, tuple(tokens)),
-                                        model_cfg.sequence_length)
+            vectorizer = TextVectorizer(tokens, model_cfg.sequence_length)
             model = bilstm.BiLstmClassifier(model_cfg,
                                             bilstm.params_from_arrays(model_cfg, bundle.tensor))
             return cls(kind, cfg, encoder, model, fingerprint, vectorizer=vectorizer)
@@ -192,7 +189,7 @@ class DetectionPipeline:
             raise ModelStoreError(f"bundle of model {kind!r} holds a {stored!r:.40} ensemble")
         ensemble = forests.ensemble_from_dict(manifest["ensemble"])
         terms = manifest["terms"]
-        if not isinstance(terms, list) or len({t for t in terms if isinstance(t, str)}) != len(terms):
+        if not _distinct_strings(terms):
             raise ModelStoreError(f"terms must be a list of distinct strings, got {terms!r:.80}")
         if ensemble.n_features != encoder.width + len(terms):
             raise ModelStoreError(
@@ -226,7 +223,7 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
         return prepared.tabular[idx]
 
     if kind == "bilstm":
-        model = bilstm.BiLstmClassifier.fit(cfg, len(prepared.vectorizer.vocabulary),
+        model = bilstm.BiLstmClassifier.fit(cfg, len(prepared.vectorizer.tokens),
                                             rows(train_idx), y[train_idx],
                                             validation_data=(rows(val_idx), y[val_idx]))
         history = model.history

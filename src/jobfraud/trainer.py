@@ -63,15 +63,6 @@ class History:
     stopped_epoch: int = 0
     best_epoch: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-            "stopped_epoch": self.stopped_epoch,
-            "best_epoch": self.best_epoch,
-        }
-
 
 class Adam:
     """Adam with bias correction; one step consumes the current grads."""
@@ -153,7 +144,8 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
     parameters of the best-validation-loss epoch before returning.
     forward_fn(ids, numeric) gives a batch's probabilities as a (rows, 1)
     Tensor for the tape; score_fn(ids, numeric) gives each epoch's
-    validation scores as an array.
+    validation scores as an array. A non-finite gradient or validation
+    loss raises NumericError, naming the epoch.
     """
     ids, numeric, labels = train_data
     ids_val, numeric_val, labels_val = val_data
@@ -177,7 +169,9 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
     for epoch in range(1, opts.max_epochs + 1):
         rng.shuffle(order)
         batch_losses = []
-        with ndgrad.gc_paused():
+        # float errors stay quiet where a check follows: Adam refuses a
+        # non-finite gradient, and the validation loss is checked below
+        with ndgrad.gc_paused(), np.errstate(all="ignore"):
             for start in range(0, len(order), opts.batch_size):
                 batch = order[start : start + opts.batch_size]
                 adam.zero_grad()
@@ -194,8 +188,12 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
                 batch_losses.append(loss.item())
 
         history.train_loss.append(float(np.mean(batch_losses)))
-        val_scores = score_fn(ids_val, numeric_val)
-        val_loss = ndgrad.bce_loss(ndgrad.Tensor(val_scores[:, None]), labels_val[:, None]).item()
+        with np.errstate(all="ignore"):
+            val_scores = score_fn(ids_val, numeric_val)
+            val_loss = ndgrad.bce_loss(ndgrad.Tensor(val_scores[:, None]),
+                                       labels_val[:, None]).item()
+        if not np.isfinite(val_loss):
+            raise NumericError(f"epoch {epoch}: validation loss is {val_loss}")
         history.val_loss.append(val_loss)
         history.val_accuracy.append(float(((val_scores >= cfg.threshold) == labels_val).mean()))
         logger.info(

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import shutil
@@ -562,6 +563,88 @@ def test_overflowing_boosting_step_exits_four(tmp_path, small_csv, model, sectio
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.fixture(scope="module")
+def half_fake_csv(tmp_path_factory):
+    """A 40-row file, half of it fake: one training batch of 26 rows."""
+    path = tmp_path_factory.mktemp("data") / "half-fake.csv"
+    synth.write_fixture(path, n_rows=40, seed=3, fraud_rate=0.5)
+    return path
+
+
+# a tiny configuration for sweeps on the 40-row file: one batch per epoch
+TINY_CONFIG = {
+    "features": {"max_tokens": 50, "sequence_length": 16, "tabular_terms": 10},
+    "bilstm": {"embedding_dim": 4, "hidden_units": 4, "dense_units": 4},
+    "train": {"max_epochs": 2, "batch_size": 40, "patience": 1},
+    "random_forest": {"n_trees": 2, "max_depth": 3},
+    "gbm": {"n_rounds": 2},
+    "leafwise_gbm": {"n_rounds": 2, "min_samples_leaf": 2},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [1e308, float("inf")])
+@pytest.mark.parametrize("data, run_config", [("half_fake_csv", TINY_CONFIG),
+                                              ("small_csv", FAST_CONFIG)],
+                         ids=["one-batch", "many-batches"])
+def test_huge_bilstm_learning_rate_exits_four(request, tmp_path, data, run_config, rate, capsys):
+    """A BiLSTM step too large for float64 is a numeric error naming the
+    epoch, from Adam's gradient check or from the validation loss, with no
+    float warning on the way and no bundle saved."""
+    config = {**run_config, "train": {**run_config["train"], "learning_rate": rate}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")  # inf: Infinity
+    out = tmp_path / "m"
+    code = run_cli(["train", "--data", str(request.getfixturevalue(data)), "--config",
+                    str(tmp_path / "config.json"), "--model", "bilstm", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("numeric error: epoch 1")
+    assert "Traceback" not in err and not out.exists()
+
+
+# every value a config sweep sets a field to
+_SWEEP_VALUES = (0, -1, 0.5, 1e-320, 1e308, -1e308, float("nan"), float("inf"), 2**62, True,
+                 "x", None)
+_TREE_MODELS = {"random_forest": "rf", "gbm": "gbm", "leafwise_gbm": "lgbt"}
+
+
+def _config_fields():
+    """(section or None, name) of every RunConfig field."""
+    for f in dataclasses.fields(RunConfig):
+        if dataclasses.is_dataclass(f.type):
+            yield from ((f.name, g.name) for g in dataclasses.fields(f.type))
+        else:
+            yield None, f.name
+
+
+@pytest.mark.filterwarnings("error")
+def test_config_sweep_exits_zero_to_four_without_a_traceback(tmp_path, half_fake_csv, capsys):
+    """Every RunConfig field set to each sweep value in turn, one train per
+    config on the 40-row file, of the section's model (the BiLSTM for a
+    field outside the tree sections): each run exits 0-4 and writes no
+    traceback."""
+    fields = list(_config_fields())
+    assert len(fields) == 29
+    failures = []
+    for run, ((section, name), value) in enumerate(itertools.product(fields, _SWEEP_VALUES)):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        (config.setdefault(section, {}) if section else config)[name] = value
+        path = tmp_path / f"config-{run}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["train", "--data", str(half_fake_csv), "--config", str(path),
+                "--out", str(tmp_path / f"m{run}")]
+        if section in _TREE_MODELS:
+            argv += ["--model", _TREE_MODELS[section]]
+        try:
+            code = run_cli(argv)
+        except Exception as exc:  # it would reach the user as a traceback
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in range(5) or "Traceback" in err:
+            failures.append((section, name, value, code))
+    assert failures == []
+
+
 @pytest.mark.parametrize("manifest, message", [
     (b'{"format_version": "\xe9"}', "can't decode byte 0xe9 in position 20"),
     (b"[]", "not a JSON object"),
@@ -757,6 +840,92 @@ def test_ill_typed_terms_exit_three(tmp_path, tree_bundles, small_csv, bundle, e
     assert not (tmp_path / "p.csv").exists()
 
 
+def _refused_bilstm_edit(tmp_path, source, data, edit, capsys) -> str:
+    """stderr of a predict with the BiLSTM bundle at source, its manifest
+    changed by edit, after checking that it exits 3 with no traceback and
+    no output."""
+    model = tmp_path / "model"
+    shutil.copytree(source, model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    edit(manifest)
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(data), "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+    return err
+
+
+def _set_token(value):
+    def edit(manifest):
+        manifest["vocabulary"][2] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_token(5),
+    _set_token(None),
+    _set_token(1.5),
+    _set_token(True),
+    _set_token(["sales"]),
+    lambda m: m["vocabulary"].__setitem__(3, m["vocabulary"][2]),
+], ids=["token-number", "token-null", "token-float", "token-bool", "token-list",
+        "token-repeated"])
+def test_ill_typed_vocabulary_exits_three(tmp_path, strict_bilstm_dir, small_csv, edit, capsys):
+    """A BiLSTM bundle's vocabulary is distinct strings; any other entry
+    would turn its token into OOV, or another token's id."""
+    err = _refused_bilstm_edit(tmp_path, strict_bilstm_dir, small_csv, edit, capsys)
+    assert "model store error: vocabulary must be a list of strings (all distinct)" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hidden_units", 10**7, "tensor 'forward_lstm.wx' has shape (48, 8), expected (40000000, 8)"),
+    ("embedding_dim", 10**7, "tensor 'embedding' has shape"),
+    ("dense_units", 10**9, "tensor 'dense_w' has shape"),
+    ("sequence_length", 64.0, "sequence_length must be an integer, got 64.0"),
+    ("hidden_units", 12.0, "hidden_units must be an integer, got 12.0"),
+], ids=["hidden-units-huge", "embedding-dim-huge", "dense-units-huge", "sequence-length-float",
+        "hidden-units-float"])
+def test_bad_model_config_exits_three(tmp_path, strict_bilstm_dir, small_csv, field, value,
+                                      message, capsys):
+    """model_config sizes are integers, and a claim of tensors far larger
+    than the stored ones is refused on the first stored shape that differs,
+    before anything of the claimed size is allocated. (Each huge claim is
+    past any machine's memory: 10**7 dense units are only a few GB of
+    zeros.)"""
+    err = _refused_bilstm_edit(tmp_path, strict_bilstm_dir, small_csv,
+                               lambda m: m["config"]["model_config"].update({field: value}), capsys)
+    assert f"model store error: bundle manifest is malformed: {message}" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tensor, value", [("out_b", np.nan), ("embedding", -np.inf)])
+def test_non_finite_weight_exits_three(tmp_path, strict_bilstm_dir, small_csv, tensor, value,
+                                       capsys):
+    """A stored weight that is not finite, under a recomputed checksum, is
+    refused at load rather than scored as NaN."""
+    model = tmp_path / "model"
+    shutil.copytree(strict_bilstm_dir, model)
+    manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
+    blob = bytearray((model / "weights.bin").read_bytes())
+    blob[entry["offset"] : entry["offset"] + 8] = np.array([value], dtype="<f8").tobytes()
+    manifest["weights_crc32"] = zlib.crc32(blob)
+    (model / "weights.bin").write_bytes(blob)
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code = run_cli([
+        "predict", "--model", str(model), "--input", str(small_csv),
+        "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"model store error: tensor {tensor!r} holds a value that is not finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def _nested(levels, inner, wrap):
     """`inner` wrapped `levels` times by the format string `wrap`."""
     for _ in range(levels):
@@ -808,7 +977,7 @@ def test_deeply_nested_config_exits_one(tmp_path, small_csv, capsys):
 
 
 # the values a manifest mutation puts in place of a JSON value
-_SWAPS = (None, 5, -1, "x", [], {}, True, 1e308, [1], 2**70)
+_SWAPS = (None, 5, -1, "x", [], {}, True, 1e308, [1], 2**70, 10**7)
 
 
 @pytest.fixture(scope="module")
@@ -830,21 +999,12 @@ def _json_paths(value, path):
         yield from _json_paths(child, path + (key,))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(
-    bundle=st.sampled_from(["rf", "gbm", "lgbt"]),
-    section=st.integers(0, 2**16),
-    at=st.integers(0, 2**32),
-    value=st.sampled_from(_SWAPS),
-)
-def test_mutated_tree_manifest_predicts_or_exits_three(
-    tree_bundles, fuzz_dir, bundle, section, at, value
-):
-    """A tree bundle's manifest with one value swapped, at a JSON path
-    drawn evenly from one of its top-level fields, either still predicts,
-    with a well-formed output CSV, or exits 3 as a bad bundle; no exception
-    escapes and stderr has no traceback."""
-    manifest = json.loads((tree_bundles[bundle] / "manifest.json").read_text(encoding="utf-8"))
+def _predicts_or_exits_three(source, fuzz_dir, section, at, value):
+    """The bundle at `source` with one manifest value swapped, at a JSON
+    path drawn evenly from one of its top-level fields, either still
+    predicts, with a well-formed output CSV, or exits 3 as a bad bundle; no
+    exception escapes and stderr has no traceback."""
+    manifest = json.loads((source / "manifest.json").read_text(encoding="utf-8"))
     field = list(manifest)[section % len(manifest)]
     paths = list(_json_paths(manifest[field], (field,)))
     path = paths[at % len(paths)]
@@ -853,7 +1013,7 @@ def test_mutated_tree_manifest_predicts_or_exits_three(
         parent = parent[key]
     parent[path[-1]] = value
     model = fuzz_dir / "model"
-    shutil.copytree(tree_bundles[bundle], model, dirs_exist_ok=True)
+    shutil.copytree(source, model, dirs_exist_ok=True)
     (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     out = fuzz_dir / "p.csv"
     out.unlink(missing_ok=True)
@@ -873,6 +1033,27 @@ def test_mutated_tree_manifest_predicts_or_exits_three(
     assert header[-2:] == ["probability", "predicted_label"] and len(rows) == 20
     for row in rows:
         assert 0.0 <= float(row[-2]) <= 1.0 and row[-1] in ("0", "1")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    bundle=st.sampled_from(["rf", "gbm", "lgbt"]),
+    section=st.integers(0, 2**16),
+    at=st.integers(0, 2**32),
+    value=st.sampled_from(_SWAPS),
+)
+def test_mutated_tree_manifest_predicts_or_exits_three(
+    tree_bundles, fuzz_dir, bundle, section, at, value
+):
+    _predicts_or_exits_three(tree_bundles[bundle], fuzz_dir, section, at, value)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(section=st.integers(0, 2**16), at=st.integers(0, 2**32), value=st.sampled_from(_SWAPS))
+def test_mutated_bilstm_manifest_predicts_or_exits_three(
+    strict_bilstm_dir, fuzz_dir, section, at, value
+):
+    _predicts_or_exits_three(strict_bilstm_dir, fuzz_dir, section, at, value)
 
 
 def test_integer_base_score_predicts_like_float(tmp_path, trained_model_dir, small_csv):

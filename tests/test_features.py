@@ -13,7 +13,6 @@ from jobfraud.features import (
     CategoricalEncoder,
     SplitTexts,
     TextVectorizer,
-    Vocabulary,
     encode_numeric,
     rank_tokens,
     term_frequencies,
@@ -26,24 +25,24 @@ from conftest import make_posting
 # Vocabulary
 # --------------------------------------------------------------------------
 
-def build_vocabulary(corpus, max_size):
-    """The vocabulary of a corpus: its token ranking, cut to max_size."""
-    return Vocabulary.from_ranking(rank_tokens(corpus), max_size)
+def build_vocabulary(corpus, max_size, sequence_length=1):
+    """The vectorizer of a corpus' vocabulary: its token ranking, cut to max_size."""
+    return TextVectorizer.from_ranking(rank_tokens(corpus), max_size, sequence_length)
 
 
 def test_build_vocabulary_frequency_and_ties():
     # hand count: b=2, a=1, c=1; tie a<c lexicographic
     vocab = build_vocabulary(["a b b", "b c"], max_size=10)
-    assert vocab.token_to_id == {"<pad>": 0, "<oov>": 1, "b": 2, "a": 3, "c": 4}
+    assert vocab.index == {"<pad>": 0, "<oov>": 1, "b": 2, "a": 3, "c": 4}
 
 
 def test_build_vocabulary_empty_corpus():
-    assert len(build_vocabulary([], max_size=50)) == 2
+    assert len(build_vocabulary([], max_size=50).tokens) == 2
 
 
 def test_build_vocabulary_capacity_cut():
     vocab = build_vocabulary(["x x x y"], max_size=3)
-    assert vocab.id_to_token == ("<pad>", "<oov>", "x")
+    assert vocab.tokens == ("<pad>", "<oov>", "x")
 
 
 def test_build_vocabulary_min_size():
@@ -53,8 +52,8 @@ def test_build_vocabulary_min_size():
 
 def test_vocabulary_inverse_maps():
     vocab = build_vocabulary(["q w e r t y"], max_size=10)
-    for token, idx in vocab.token_to_id.items():
-        assert vocab.id_to_token[idx] == token
+    for token, idx in vocab.index.items():
+        assert vocab.tokens[idx] == token
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,7 +62,7 @@ def test_vocabulary_order_independent_of_doc_order(docs):
     corpus = [" ".join(d) for d in docs]
     v1 = build_vocabulary(corpus, 10)
     v2 = build_vocabulary(list(reversed(corpus)), 10)
-    assert v1.id_to_token == v2.id_to_token
+    assert v1.tokens == v2.tokens
 
 
 # --------------------------------------------------------------------------
@@ -72,7 +71,7 @@ def test_vocabulary_order_independent_of_doc_order(docs):
 
 def encode_sequence(text, corpus, length, max_tokens=10):
     """The id row a vectorizer fit on corpus gives one text."""
-    vec = TextVectorizer(build_vocabulary(corpus, max_tokens), sequence_length=length)
+    vec = build_vocabulary(corpus, max_tokens, sequence_length=length)
     return vec.transform([text])[0].tolist()
 
 
@@ -100,7 +99,7 @@ def test_encode_sequence_length_and_range(text, length):
 
 
 def test_text_vectorizer_transform_shape():
-    tv = TextVectorizer(build_vocabulary(["a b", "b c"], 10), sequence_length=5)
+    tv = build_vocabulary(["a b", "b c"], 10, sequence_length=5)
     out = tv.transform(["a", "b c d"])
     assert out.shape == (2, 5)
     assert out.dtype == np.int64
@@ -132,13 +131,13 @@ def test_vectorizer_equals_reference(train, other, unseen, max_tokens, length, c
     train_rows = range(len(texts) - len(train), len(texts))
     with mock.patch.object(features, "CHUNK_ROWS", chunk_rows):
         split = SplitTexts(texts)
-        fitted = TextVectorizer(build_vocabulary(train, max_tokens), length)
-        ranked = TextVectorizer(Vocabulary.from_ranking(split.rank(train_rows), max_tokens), length)
+        fitted = build_vocabulary(train, max_tokens, length)
+        ranked = TextVectorizer.from_ranking(split.rank(train_rows), max_tokens, length)
         outputs = [fitted.transform(texts), ranked.transform(split), ranked.transform(texts)]
     id_to_token, token_to_id = text_reference.build_vocabulary(train, max_tokens)
     for vec in (fitted, ranked):
-        assert vec.vocabulary.id_to_token == id_to_token
-        assert vec.vocabulary.token_to_id == token_to_id
+        assert vec.tokens == id_to_token
+        assert vec.index == token_to_id
     expected = text_reference.encode_sequences(texts, token_to_id, length)
     for ids in outputs:
         assert ids.dtype == np.int64 and np.array_equal(ids, expected)
@@ -165,9 +164,9 @@ def test_vectorizer_around_the_chunk_size(extra):
     texts = [" ".join(["a", "b", "c", "d"][: 1 + i % 4] * (1 + i % 3)) for i in range(rows)]
     texts[-1] = "d d unseen " * 4
     split = SplitTexts(texts)
-    vec = TextVectorizer(Vocabulary.from_ranking(split.rank(range(0, rows, 2)), 4), 7)
+    vec = TextVectorizer.from_ranking(split.rank(range(0, rows, 2)), 4, 7)
     _, token_to_id = text_reference.build_vocabulary(texts[::2], 4)
-    assert vec.vocabulary.token_to_id == token_to_id
+    assert vec.index == token_to_id
     expected = text_reference.encode_sequences(texts, token_to_id, 7)
     assert np.array_equal(vec.transform(texts), expected)
     assert np.array_equal(vec.transform(split), expected)

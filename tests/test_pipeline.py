@@ -16,7 +16,7 @@ from jobfraud.config import (
     TrainSection,
 )
 from jobfraud.errors import DataError
-from jobfraud.features import CategoricalEncoder, Vocabulary, rank_tokens
+from jobfraud.features import CategoricalEncoder, TextVectorizer, rank_tokens
 from jobfraud.pipeline import DetectionPipeline, prepare, train_pipeline
 
 FAST = RunConfig(
@@ -46,8 +46,9 @@ def test_prepare_fits_featurizers_on_train_only(small_dataset, prepared):
     """Leakage check: refitting on the train rows reproduces the state."""
     train_postings = [small_dataset.postings[i] for i in prepared.splits.train]
     train_texts = [p.full_text for p in train_postings]
-    vocab = Vocabulary.from_ranking(rank_tokens(train_texts), FAST.features.max_tokens)
-    assert vocab.id_to_token == prepared.vectorizer.vocabulary.id_to_token
+    vocab = TextVectorizer.from_ranking(rank_tokens(train_texts), FAST.features.max_tokens,
+                                        FAST.features.sequence_length)
+    assert vocab.tokens == prepared.vectorizer.tokens
     assert prepared.vectorizer.sequence_length == FAST.features.sequence_length
     enc = CategoricalEncoder.fit(train_postings)
     assert enc.categories == prepared.encoder.categories
@@ -79,7 +80,7 @@ def test_prepare_equals_reference(request, data, cfg, kinds):
     prepared = prepare(dataset, cfg, kinds=kinds)
     expected = features_reference.prepare_text(
         dataset.postings, prepared.splits.train, prepared.numeric, cfg.features, kinds)
-    vocabulary = prepared.vectorizer and prepared.vectorizer.vocabulary.id_to_token
+    vocabulary = prepared.vectorizer and prepared.vectorizer.tokens
     assert vocabulary == expected["vocabulary"]
     assert prepared.terms == expected["terms"]
     for name in ("ids", "tabular"):
