@@ -33,11 +33,13 @@ for all its eval chunks.
 
 A trained model is one BiLstmClassifier record of its ModelConfig and its
 weights; BiLstmClassifier.fit trains and builds it whole, and a bundle
-load builds it from the stored config and tensors. weight_table declares
-every trainable tensor's name and shape once, in the one order of the
-initial draws, of named_tensors and of a bundle's tensor directory; a load
-checks each stored tensor against it, shape and finite values, before it
-wraps the stored arrays.
+load builds it from the stored tensors. Both derive the ModelConfig in
+one way, ModelConfig.of_run, from the run config, the vocabulary's size
+and the encoder's width, so a bundle stores no copy of it. weight_table
+declares every trainable tensor's name and shape once, in the one order
+of the initial draws, of named_tensors and of a bundle's tensor
+directory; a load checks each stored tensor against it, shape and finite
+values, before it wraps the stored arrays.
 """
 
 import math
@@ -65,12 +67,12 @@ class ModelConfig:
     numeric_width: int = 4
     seed: int = 42
 
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+    @classmethod
+    def of_run(cls, cfg: RunConfig, vocab_size: int, numeric_width: int) -> "ModelConfig":
+        """The shape a run config gives a model of vocab_size tokens and
+        numeric_width numeric features: fit's, and a bundle load's."""
+        return cls(vocab_size, **vars(cfg.bilstm), sequence_length=cfg.features.sequence_length,
+                   numeric_width=numeric_width, seed=cfg.seed)
 
 
 @dataclass
@@ -587,13 +589,12 @@ class BiLstmClassifier:
 
     @classmethod
     def fit(cls, cfg: RunConfig, vocab_size: int, X, y, validation_data) -> "BiLstmClassifier":
-        """Train a model on X, y. Its shape comes from ``cfg.bilstm``,
-        ``cfg.features.sequence_length`` and ``cfg.seed``; ``vocab_size`` is
-        the fitted vocabulary's size. Training (``trainer.train``, reading
-        ``cfg.train``) minimizes binary cross-entropy with Adam and
-        early-stops on ``validation_data``'s loss, restoring the best
-        epoch's weights; the validation accuracy labels a score at or above
-        ``cfg.threshold`` as 1."""
+        """Train a model on X, y, of shape ``ModelConfig.of_run``, where
+        ``vocab_size`` is the fitted vocabulary's size. Training
+        (``trainer.train``, reading ``cfg.train``) minimizes binary
+        cross-entropy with Adam and early-stops on ``validation_data``'s
+        loss, restoring the best epoch's weights; the validation accuracy
+        labels a score at or above ``cfg.threshold`` as 1."""
         length = cfg.features.sequence_length
         ids, numeric = _inputs(X, length)
         y = check_labels(y, ids.shape[0])
@@ -601,13 +602,7 @@ class BiLstmClassifier:
         ids_val, numeric_val = _inputs(X_val, length)
         y_val = check_labels(y_val, ids_val.shape[0])
 
-        config = ModelConfig(
-            vocab_size=vocab_size,
-            **vars(cfg.bilstm),
-            sequence_length=length,
-            numeric_width=numeric.shape[1],
-            seed=cfg.seed,
-        )
+        config = ModelConfig.of_run(cfg, vocab_size, numeric.shape[1])
         params = init_params(config)
         workspace = Workspace()  # every batch's and validation pass's; dropped on return
         history = trainer.train(

@@ -103,6 +103,18 @@ def _check_out_dir(out, *beside) -> None:
             raise UsageError(f"--out {out}: {path} is a directory")
 
 
+def _check_bundle_out(out) -> None:
+    """Refuse, before any work, a bundle directory that names a file, or
+    whose nearest existing ancestor (it, or a parent that save creates it
+    in) is not a directory this process can write."""
+    out = Path(out)
+    existing = next(path for path in (out, *out.parents) if os.path.exists(path))
+    if not existing.is_dir():
+        raise UsageError(f"--out {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise UsageError(f"--out {out}: directory {existing} is not writable")
+
+
 @contextlib.contextmanager
 def _writing(out):
     """Turn an OSError while writing the output files of `--out` into a
@@ -123,6 +135,7 @@ def _cmd_eda(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_bundle_out(args.out)
     cfg = _load_run_config(args.config, args.seed, args.model)
     dataset = load_dataset(args.data)
     pipe = train_pipeline(dataset, cfg, cfg.model)

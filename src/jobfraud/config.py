@@ -108,7 +108,7 @@ class RandomForestSection(_Section):
 
 @dataclass(frozen=True)
 class GbmSection(_Section):
-    _positive = ("max_depth", "min_samples_leaf")
+    _positive = ("n_rounds", "learning_rate", "max_depth", "min_samples_leaf")
     _at_most = (("n_rounds", 100_000), ("max_depth", 200), ("min_samples_leaf", 10_000_000))
 
     n_rounds: int = 100
@@ -119,7 +119,7 @@ class GbmSection(_Section):
 
 @dataclass(frozen=True)
 class LeafwiseSection(_Section):
-    _positive = ("min_samples_leaf",)
+    _positive = ("n_rounds", "learning_rate", "min_samples_leaf")
     _at_least = (("max_leaves", 2), ("n_bins", 2))  # a tree that can split
     _at_most = (("n_rounds", 100_000), ("max_leaves", 100_000), ("n_bins", 1_000_000),
                 ("min_samples_leaf", 10_000_000))

@@ -113,7 +113,6 @@ class DetectionPipeline:
         extra = {}
         tensors = ()
         if self.kind == "bilstm":
-            config["model_config"] = asdict(self.model.config)
             extra["vocabulary"] = list(self.vectorizer.tokens)
             tensors = [(name, t.values) for name, t in self.model.params.named_tensors()]
         else:
@@ -162,24 +161,13 @@ class DetectionPipeline:
         fingerprint = {"rows": int(stored["rows"]), "job_id_crc32": int(stored["job_id_crc32"])}
 
         if kind == "bilstm":
-            model_cfg = bilstm.ModelConfig(**manifest["config"]["model_config"])
             tokens = manifest["vocabulary"]
-            if not (_distinct_strings(tokens) and len(tokens) == model_cfg.vocab_size):
+            if not _distinct_strings(tokens):
                 raise ModelStoreError(
-                    f"vocabulary must be a list of strings (all distinct), the model expects "
-                    f"{model_cfg.vocab_size} of them, got {tokens!r:.80}"
-                )
-            if model_cfg.numeric_width != encoder.width:
-                raise ModelStoreError(
-                    f"encoder categories give {encoder.width} numeric features, "
-                    f"the model expects {model_cfg.numeric_width}"
-                )
-            if model_cfg.sequence_length != cfg.features.sequence_length:
-                raise ModelStoreError(
-                    f"run config gives sequence_length {cfg.features.sequence_length}, "
-                    f"the model expects {model_cfg.sequence_length}"
-                )
-            vectorizer = TextVectorizer(tokens, model_cfg.sequence_length)
+                    f"vocabulary must be a list of strings (all distinct), got {tokens!r:.80}")
+            # the stored tensors' shapes must be the ones fit gives these featurizers
+            model_cfg = bilstm.ModelConfig.of_run(cfg, len(tokens), encoder.width)
+            vectorizer = TextVectorizer(tokens, cfg.features.sequence_length)
             model = bilstm.BiLstmClassifier(model_cfg,
                                             bilstm.params_from_arrays(model_cfg, bundle.tensor))
             return cls(kind, cfg, encoder, model, fingerprint, vectorizer=vectorizer)

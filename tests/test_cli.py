@@ -4,7 +4,9 @@ import io
 import itertools
 import json
 import os
+import re
 import shutil
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,6 +18,7 @@ import ingest_reference as reference
 from jobfraud import bundle, cli, ingest, synth, trainer
 from jobfraud.cli import run_cli
 from jobfraud.config import RunConfig
+from jobfraud.pipeline import DetectionPipeline
 
 # a fast configuration for end-to-end runs on the 300-row fixture
 FAST_CONFIG = {
@@ -437,6 +440,7 @@ def _out_argv(command, out, small_csv, model_dir, monkeypatch):
         "predict": ["predict", "--model", str(model_dir), "--input", str(small_csv),
                     "--out", str(out)],
         "compare": ["compare", "--data", str(small_csv), "--out", str(out)],
+        "train": ["train", "--data", str(small_csv), "--out", str(out)],
     }[command]
 
 
@@ -471,11 +475,12 @@ def test_out_naming_a_directory_exits_one(tmp_path, small_csv, trained_model_dir
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                     reason="root writes into a directory whatever its permissions")
-@pytest.mark.parametrize("command", ["eda", "predict", "compare"])
+@pytest.mark.parametrize("command", ["eda", "predict", "compare", "train"])
 def test_out_in_unwritable_directory_exits_one(tmp_path, small_csv, trained_model_dir, command,
                                                monkeypatch, capsys):
     """An --out in a directory this process cannot write is refused before
-    any input is read."""
+    any input is read; for train, a bundle directory that does not exist
+    yet."""
     locked = tmp_path / "locked"
     locked.mkdir()
     out = locked / "out.csv"
@@ -488,6 +493,31 @@ def test_out_in_unwritable_directory_exits_one(tmp_path, small_csv, trained_mode
     err = capsys.readouterr().err
     assert f"usage error: --out {out}: directory {locked} is not writable" in err
     assert "Traceback" not in err and not any(locked.iterdir())
+
+
+@pytest.mark.parametrize("where", ["out", "parent"])
+def test_train_out_naming_a_file_exits_one(tmp_path, small_csv, trained_model_dir, where,
+                                           monkeypatch, capsys):
+    """A bundle --out that is a file, or lies under one, is refused before
+    the data is read; the file stays."""
+    file = tmp_path / "taken"
+    file.write_text("kept\n", encoding="utf-8")
+    out = file if where == "out" else file / "model"
+    argv = _out_argv("train", out, small_csv, trained_model_dir, monkeypatch)
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --out {out}: {file} is not a directory" in err
+    assert "Traceback" not in err and file.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_train_creates_missing_bundle_directories(tmp_path, half_fake_csv, capsys):
+    """The --out check lets train create the missing parents of its bundle."""
+    out = tmp_path / "a" / "b" / "model"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    assert run_cli(["train", "--data", str(half_fake_csv), "--config", str(config),
+                    "--model", "gbm", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "weights.bin"]
 
 
 def test_predict_replaces_output_through_a_temp_file(tmp_path, trained_model_dir, small_csv,
@@ -560,6 +590,24 @@ def test_overflowing_boosting_step_exits_four(tmp_path, small_csv, model, sectio
     assert run_cli(argv) == 4
     err = capsys.readouterr().err
     assert "numeric error: boosting round 1: training scores are no longer finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["n_rounds", "learning_rate"])
+@pytest.mark.parametrize("model, section", [("gbm", "gbm"), ("lgbt", "leafwise_gbm")])
+def test_boosting_rounds_and_rate_must_be_positive(tmp_path, small_csv, model, section, field,
+                                                   value, capsys):
+    """A boosted ensemble of no rounds, or of steps that do not descend,
+    is a config error, not a bundle."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {field: value}}), encoding="utf-8")
+    out = tmp_path / "m"
+    argv = ["train", "--data", str(small_csv), "--config", str(config), "--model", model,
+            "--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: config key '{section}.{field}' must be positive, got {value}" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -732,18 +780,18 @@ def _repeat_token(manifest):
     ("gbm", lambda m: m["ensemble"].update(n_features=600), "ensemble has 600 features"),
     ("gbm", lambda m: m["terms"].pop(), "the encoder and 149 terms give"),
     ("gbm", lambda m: _drop_category(m["config"]), "terms give 198"),
-    ("bilstm", lambda m: _drop_category(m["config"]), "the model expects"),
-    ("bilstm", lambda m: m.update(vocabulary=m["vocabulary"][:-5]), "the model expects"),
-    ("bilstm", _repeat_token, "distinct), the model expects"),
-    ("bilstm", lambda m: m["config"]["run_config"]["features"].update(sequence_length=200),
-     "run config gives sequence_length 200, the model expects 64"),
+    ("bilstm", lambda m: _drop_category(m["config"]), "tensor 'dense_w' has shape"),
+    ("bilstm", lambda m: m.update(vocabulary=m["vocabulary"][:-5]),
+     "tensor 'embedding' has shape"),
+    ("bilstm", _repeat_token, "vocabulary must be a list of strings (all distinct)"),
 ], ids=["gbm-n-features", "gbm-term-dropped", "gbm-category-dropped",
-        "bilstm-category-dropped", "bilstm-tokens-dropped", "bilstm-token-repeated",
-        "bilstm-sequence-length"])
+        "bilstm-category-dropped", "bilstm-tokens-dropped", "bilstm-token-repeated"])
 def test_mismatched_bundle_parts_exit_three(
     tmp_path, trained_model_dir, strict_bilstm_dir, small_csv, bundle, edit, message, capsys
 ):
-    """The featurizers a bundle stores must give the input its model reads."""
+    """The featurizers a bundle stores must give the input its model reads:
+    a BiLSTM's tensor shapes follow from its run config, vocabulary and
+    encoder width, as in its fit."""
     model = tmp_path / "model"
     shutil.copytree(trained_model_dir if bundle == "gbm" else strict_bilstm_dir, model)
     manifest = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
@@ -880,24 +928,58 @@ def test_ill_typed_vocabulary_exits_three(tmp_path, strict_bilstm_dir, small_csv
     assert "model store error: vocabulary must be a list of strings (all distinct)" in err
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("hidden_units", 10**7, "tensor 'forward_lstm.wx' has shape (48, 8), expected (40000000, 8)"),
-    ("embedding_dim", 10**7, "tensor 'embedding' has shape"),
-    ("dense_units", 10**9, "tensor 'dense_w' has shape"),
-    ("sequence_length", 64.0, "sequence_length must be an integer, got 64.0"),
-    ("hidden_units", 12.0, "hidden_units must be an integer, got 12.0"),
-], ids=["hidden-units-huge", "embedding-dim-huge", "dense-units-huge", "sequence-length-float",
-        "hidden-units-float"])
-def test_bad_model_config_exits_three(tmp_path, strict_bilstm_dir, small_csv, field, value,
+@pytest.mark.parametrize("key, value, message", [
+    ("bilstm.hidden_units", 4096,
+     "tensor 'forward_lstm.wx' has shape (48, 8), expected (16384, 8)"),
+    ("bilstm.embedding_dim", 4096, "tensor 'embedding' has shape"),
+    ("bilstm.dense_units", 4096, "tensor 'dense_w' has shape"),
+    ("bilstm.hidden_units", 10**7, "config key 'bilstm.hidden_units' must be at most 4096"),
+    ("features.sequence_length", 64.0,
+     "config key 'features.sequence_length' must be int, got 64.0"),
+    ("bilstm.hidden_units", 12.0, "config key 'bilstm.hidden_units' must be int, got 12.0"),
+], ids=["hidden-units-huge", "embedding-dim-huge", "dense-units-huge", "hidden-units-past-cap",
+        "sequence-length-float", "hidden-units-float"])
+def test_bad_model_config_exits_three(tmp_path, strict_bilstm_dir, small_csv, key, value,
                                       message, capsys):
-    """model_config sizes are integers, and a claim of tensors far larger
-    than the stored ones is refused on the first stored shape that differs,
-    before anything of the claimed size is allocated. (Each huge claim is
-    past any machine's memory: 10**7 dense units are only a few GB of
-    zeros.)"""
-    err = _refused_bilstm_edit(tmp_path, strict_bilstm_dir, small_csv,
-                               lambda m: m["config"]["model_config"].update({field: value}), capsys)
+    """A BiLSTM's sizes are read from its run config, typed and capped like
+    any config, and a claim of tensors larger than the stored ones is
+    refused on the first stored shape that differs, before anything of the
+    claimed size is allocated: the load's peak stays below half of the
+    smallest claimed model here (the dense claim, 2.4 MiB)."""
+    section, field = key.split(".")
+
+    def edit(manifest):
+        manifest["config"]["run_config"][section][field] = value
+
+    tracemalloc.start()
+    try:
+        err = _refused_bilstm_edit(tmp_path, strict_bilstm_dir, small_csv, edit, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert f"model store error: bundle manifest is malformed: {message}" in err
+    assert peak < 2**20
+
+
+def test_bundle_with_a_stored_model_config_predicts_the_same(tmp_path, strict_bilstm_dir,
+                                                            small_csv):
+    """Older bundles also store the model's shape as config.model_config.
+    A bundle stores it no more, and load ignores that member: put back,
+    it changes no output byte."""
+    manifest = json.loads((strict_bilstm_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert "model_config" not in manifest["config"]
+    model = tmp_path / "model"
+    shutil.copytree(strict_bilstm_dir, model)
+    shape = DetectionPipeline.load(strict_bilstm_dir).model.config
+    manifest["config"]["model_config"] = dataclasses.asdict(shape)
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    outputs = []
+    for source in (strict_bilstm_dir, model):
+        out = tmp_path / f"{source.name}.csv"
+        assert run_cli(["predict", "--model", str(source), "--input", str(small_csv),
+                        "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -999,6 +1081,43 @@ def _json_paths(value, path):
         yield from _json_paths(child, path + (key,))
 
 
+# the messages that begin stderr on each refusal exit code
+_REFUSALS = {2: ("parse error: ", "data error: "), 3: ("model store error: ",)}
+
+
+def _exits_zero_or(refusal, argv, out) -> bool:
+    """Whether run_cli(argv) exits 0, after checking that no exception
+    escapes, stderr has no traceback, and any other exit is `refusal`, with
+    its class's message and nothing written at `out`."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        return True
+    assert code == refusal and err.startswith(_REFUSALS[refusal]) and not out.exists(), err
+    return False
+
+
+def _check_scored(out, rows=None) -> None:
+    """A well-formed predict output, of `rows` records when given."""
+    header, records = ingest.read_csv(out)
+    assert header[-2:] == ["probability", "predicted_label"] and rows in (None, len(records))
+    for row in records:
+        assert 0.0 <= float(row[-2]) <= 1.0 and row[-1] in ("0", "1")
+
+
+def _fuzz_predict(model, fuzz_dir) -> None:
+    """The bundle at `model` scores fuzz_dir's 20 rows or exits 3."""
+    out = fuzz_dir / "p.csv"
+    argv = ["predict", "--model", str(model), "--input", str(fuzz_dir / "input.csv"),
+            "--out", str(out)]
+    if _exits_zero_or(3, argv, out):
+        _check_scored(out, rows=20)
+
+
 def _predicts_or_exits_three(source, fuzz_dir, section, at, value):
     """The bundle at `source` with one manifest value swapped, at a JSON
     path drawn evenly from one of its top-level fields, either still
@@ -1015,24 +1134,7 @@ def _predicts_or_exits_three(source, fuzz_dir, section, at, value):
     model = fuzz_dir / "model"
     shutil.copytree(source, model, dirs_exist_ok=True)
     (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    out = fuzz_dir / "p.csv"
-    out.unlink(missing_ok=True)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = run_cli([
-            "predict", "--model", str(model), "--input", str(fuzz_dir / "input.csv"),
-            "--out", str(out),
-        ])
-    err = err.getvalue()
-    assert "Traceback" not in err
-    if code == 3:
-        assert err.startswith("model store error: ") and not out.exists()
-        return
-    assert code == 0, err
-    header, rows = ingest.read_csv(out)
-    assert header[-2:] == ["probability", "predicted_label"] and len(rows) == 20
-    for row in rows:
-        assert 0.0 <= float(row[-2]) <= 1.0 and row[-1] in ("0", "1")
+    _fuzz_predict(model, fuzz_dir)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1054,6 +1156,69 @@ def test_mutated_bilstm_manifest_predicts_or_exits_three(
     strict_bilstm_dir, fuzz_dir, section, at, value
 ):
     _predicts_or_exits_three(strict_bilstm_dir, fuzz_dir, section, at, value)
+
+
+# the float64 words a damaged blob may gain
+_WORDS = (np.nan, np.inf, -np.inf, np.finfo(np.float64).max, -np.finfo(np.float64).max)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(damage=st.sampled_from(["overwrite", "truncate", "extend", "word"]),
+       at=st.integers(0, 2**32), data=st.binary(min_size=1, max_size=64),
+       word=st.sampled_from(_WORDS))
+def test_damaged_bilstm_weights_predict_or_exit_three(strict_bilstm_dir, fuzz_dir, damage, at,
+                                                      data, word):
+    """A BiLSTM bundle's weights.bin with bytes overwritten, cut off or
+    appended, or one aligned word set to a non-finite or extreme float,
+    under a recomputed checksum, either still predicts, with a well-formed
+    output CSV, or exits 3 as a bad bundle."""
+    blob = bytearray((strict_bilstm_dir / "weights.bin").read_bytes())
+    i = at % len(blob)
+    if damage == "overwrite":
+        blob[i : i + len(data)] = data[: len(blob) - i]
+    elif damage == "truncate":
+        del blob[i:]
+    elif damage == "extend":
+        blob += data
+    else:
+        i -= i % 8
+        blob[i : i + 8] = np.array([word], dtype="<f8").tobytes()
+    manifest = json.loads((strict_bilstm_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest["weights_crc32"] = zlib.crc32(blob)
+    model = fuzz_dir / "model"
+    shutil.copytree(strict_bilstm_dir, model, dirs_exist_ok=True)
+    (model / "weights.bin").write_bytes(blob)
+    (model / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    _fuzz_predict(model, fuzz_dir)
+
+
+# the bytes a CSV mutation writes, inserts or deletes: NUL, bytes that are
+# not UTF-8, CSV syntax, line ends and a byte order mark
+_CSV_BYTES = (b"\x00", b"\xff", b"\xc3", b'"', b",", b"\r", b"\n", b"\xef\xbb\xbf")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(edit=st.sampled_from(["overwrite", "insert", "delete"]),
+       token=st.sampled_from(_CSV_BYTES), at=st.integers(0, 2**32))
+def test_mutated_csv_bytes_score_or_exit_two(trained_model_dir, fuzz_dir, edit, token, at):
+    """fuzz_dir's input with a token written over its bytes at a position,
+    inserted there, or deleted (one of its occurrences, else as many bytes
+    at the position): predict with a tree bundle and eda each exit 0 with
+    well-formed output, or exit 2 as bad data with none."""
+    data = (fuzz_dir / "input.csv").read_bytes()
+    found = [m.start() for m in re.finditer(re.escape(token), data)]
+    i = found[at % len(found)] if edit == "delete" and found else at % len(data)
+    cut = 0 if edit == "insert" else len(token)
+    mutated = fuzz_dir / "mutated.csv"
+    mutated.write_bytes(data[:i] + (b"" if edit == "delete" else token) + data[i + cut :])
+    out = fuzz_dir / "scored.csv"
+    if _exits_zero_or(2, ["predict", "--model", str(trained_model_dir), "--input",
+                          str(mutated), "--out", str(out)], out):
+        _check_scored(out)
+    out = fuzz_dir / "eda.json"
+    if _exits_zero_or(2, ["eda", "--data", str(mutated), "--out", str(out)], out):
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert set(report) == {"binary_distribution", "title_terms", "full_text_terms"}
 
 
 def test_integer_base_score_predicts_like_float(tmp_path, trained_model_dir, small_csv):

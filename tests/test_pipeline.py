@@ -168,7 +168,7 @@ def test_bundle_config_tensor_mismatch_is_store_error(tmp_path, small_dataset, p
     pipe.save(tmp_path / "m")
     manifest_path = tmp_path / "m" / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["config"]["model_config"]["hidden_units"] = 99  # no longer matches tensors
+    manifest["config"]["run_config"]["bilstm"]["hidden_units"] = 99  # no longer matches tensors
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(ModelStoreError):
         DetectionPipeline.load(tmp_path / "m")
