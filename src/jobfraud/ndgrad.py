@@ -7,6 +7,12 @@ reverse and accumulates (+=) into ``grad`` buffers, so parameters shared
 across many steps (the recurrent weights) sum their contributions; callers
 zero grads between optimizer steps.
 
+Each op states its forward value and one pullback per input: the output's
+gradient carried back to that input. One rule (``_op``) records the node,
+for the inputs that need a gradient only, and adds their pullbacks in input
+order. ``gather`` scatter-adds in place instead, and an op outside this
+module records through ``record`` and ``accumulate``.
+
 Broadcasting is deliberately limited to row-vector bias addition; any other
 shape mismatch raises ShapeError.
 """
@@ -49,6 +55,11 @@ def _graph_stack():
     if stack is None:
         stack = _tls.stack = []
     return stack
+
+
+def _active():
+    stack = _graph_stack()
+    return stack[-1] if stack else None
 
 
 class Tensor:
@@ -117,11 +128,8 @@ def recording(inputs) -> bool:
 def record(out: Tensor, inputs, backward_fn):
     """Append `out` and its backward_fn(grad) to the active Graph when any
     input needs a gradient there; ops outside this module use it too."""
-    stack = _graph_stack()
-    if not stack:
-        return
-    g = stack[-1]
-    if any(_wants_grad(t, g) for t in inputs):
+    g = _active()
+    if g is not None and any(_wants_grad(t, g) for t in inputs):
         out.graph_id = g._id
         g._nodes.append((out, backward_fn))
 
@@ -134,9 +142,22 @@ def accumulate(t: Tensor, grad):
         t.grad += grad
 
 
-def _active():
-    stack = _graph_stack()
-    return stack[-1] if stack else None
+def _op(values, *rules) -> Tensor:
+    """The output Tensor of an op, from its value and one (input, pullback)
+    rule per input. While a Graph records, the inputs that need a gradient
+    there share one node, whose backward adds each one's pullback(grad) in
+    rule order; an op with no such input records nothing."""
+    out = Tensor(values)
+    g = _active()
+    if g is not None:
+        kept = [(t, pullback) for t, pullback in rules if _wants_grad(t, g)]
+
+        def backward_fn(grad):
+            for t, pullback in kept:
+                accumulate(t, pullback(grad))
+
+        record(out, [t for t, _ in kept], backward_fn)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -144,22 +165,10 @@ def _active():
 # --------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(f"matmul needs (m,k)x(k,n), got {a.values.shape} and {b.values.shape}")
-    out = Tensor(a.values @ b.values)
-    g = _active()
-    if g is not None:
-        av, bv = a.values, b.values
-        take_a, take_b = _wants_grad(a, g), _wants_grad(b, g)
-
-        def backward_fn(grad):
-            if take_a:
-                accumulate(a, grad @ bv.T)
-            if take_b:
-                accumulate(b, av.T @ grad)
-
-        record(out, (a, b), backward_fn)
-    return out
+    av, bv = a.values, b.values
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul needs (m,k)x(k,n), got {av.shape} and {bv.shape}")
+    return _op(av @ bv, (a, lambda grad: grad @ bv.T), (b, lambda grad: av.T @ grad))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -174,50 +183,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             bias = True  # row-vector bias broadcast over rows
         else:
             raise ShapeError(f"add shapes differ: {a.values.shape} vs {b.values.shape}")
-    out = Tensor(a.values + b.values)
-    g = _active()
-    if g is not None:
-        take_a, take_b = _wants_grad(a, g), _wants_grad(b, g)
-        b_shape = b.values.shape
-
-        def backward_fn(grad):
-            if take_a:
-                accumulate(a, grad)
-            if take_b:
-                accumulate(b, grad.sum(axis=0).reshape(b_shape) if bias else grad)
-
-        record(out, (a, b), backward_fn)
-    return out
+    return _op(
+        a.values + b.values,
+        (a, lambda grad: grad),
+        (b, lambda grad: grad.sum(axis=0).reshape(b.values.shape) if bias else grad),
+    )
 
 
 def multiply(a: Tensor, b) -> Tensor:
     """Elementwise product with an equal-shape tensor or a python scalar."""
+    av = a.values
     if isinstance(b, Tensor):
-        if a.values.shape != b.values.shape:
-            raise ShapeError(f"multiply shapes differ: {a.values.shape} vs {b.values.shape}")
-        out = Tensor(a.values * b.values)
-        g = _active()
-        if g is not None:
-            av, bv = a.values, b.values
-            take_a, take_b = _wants_grad(a, g), _wants_grad(b, g)
-
-            def backward_fn(grad):
-                if take_a:
-                    accumulate(a, grad * bv)
-                if take_b:
-                    accumulate(b, grad * av)
-
-            record(out, (a, b), backward_fn)
-        return out
-
+        bv = b.values
+        if av.shape != bv.shape:
+            raise ShapeError(f"multiply shapes differ: {av.shape} vs {bv.shape}")
+        return _op(av * bv, (a, lambda grad: grad * bv), (b, lambda grad: grad * av))
     c = float(b)
-    out = Tensor(a.values * c)
-
-    def backward_scale(grad):
-        accumulate(a, grad * c)
-
-    record(out, (a,), backward_scale)
-    return out
+    return _op(av * c, (a, lambda grad: grad * c))
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -226,24 +208,16 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat needs matching 1-D or 2-D, got {a.values.shape} and {b.values.shape}")
     if a.values.ndim == 2 and a.values.shape[0] != b.values.shape[0]:
         raise ShapeError(f"concat row counts differ: {a.values.shape} vs {b.values.shape}")
-    out = Tensor(np.concatenate((a.values, b.values), axis=-1))
-    g = _active()
-    if g is not None:
-        width = a.values.shape[-1]
-        take_a, take_b = _wants_grad(a, g), _wants_grad(b, g)
-
-        def backward_fn(grad):
-            if take_a:
-                accumulate(a, grad[..., :width])
-            if take_b:
-                accumulate(b, grad[..., width:])
-
-        record(out, (a, b), backward_fn)
-    return out
+    width = a.values.shape[-1]
+    return _op(
+        np.concatenate((a.values, b.values), axis=-1),
+        (a, lambda grad: grad[..., :width]),
+        (b, lambda grad: grad[..., width:]),
+    )
 
 
 def gather(table: Tensor, ids) -> Tensor:
-    """Row lookup; backward scatter-adds into the table."""
+    """Row lookup; backward scatter-adds into the table in place."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError(f"gather ids must be 1-D, got shape {ids.shape}")
@@ -251,15 +225,13 @@ def gather(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         raise IndexError(f"gather id out of range for table with {n_rows} rows")
     out = Tensor(table.values[ids])
-    g = _active()
-    if g is not None and _wants_grad(table, g):
 
-        def backward_fn(grad):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.values)
-            np.add.at(table.grad, ids, grad)
+    def backward_fn(grad):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.values)
+        np.add.at(table.grad, ids, grad)
 
-        record(out, (table,), backward_fn)
+    record(out, (table,), backward_fn)
     return out
 
 
@@ -270,36 +242,18 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(_sigmoid_values(x.values))
-    ov = out.values
-
-    def backward_fn(grad):
-        accumulate(x, grad * ov * (1.0 - ov))
-
-    record(out, (x,), backward_fn)
-    return out
+    ov = _sigmoid_values(x.values)
+    return _op(ov, (x, lambda grad: grad * ov * (1.0 - ov)))
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = Tensor(np.tanh(x.values))
-    ov = out.values
-
-    def backward_fn(grad):
-        accumulate(x, grad * (1.0 - ov * ov))
-
-    record(out, (x,), backward_fn)
-    return out
+    ov = np.tanh(x.values)
+    return _op(ov, (x, lambda grad: grad * (1.0 - ov * ov)))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.values, 0.0))
     mask = x.values > 0  # derivative 0 at exactly 0
-
-    def backward_fn(grad):
-        accumulate(x, grad * mask)
-
-    record(out, (x,), backward_fn)
-    return out
+    return _op(np.maximum(x.values, 0.0), (x, lambda grad: grad * mask))
 
 
 _ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
@@ -314,24 +268,12 @@ def activation(kind: str, x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.values.sum())
-
-    def backward_fn(grad):
-        accumulate(x, np.full_like(x.values, float(grad)))
-
-    record(out, (x,), backward_fn)
-    return out
+    return _op(x.values.sum(), (x, lambda grad: np.full_like(x.values, float(grad))))
 
 
 def mean_all(x: Tensor) -> Tensor:
     size = x.values.size
-    out = Tensor(x.values.mean())
-
-    def backward_fn(grad):
-        accumulate(x, np.full_like(x.values, float(grad) / size))
-
-    record(out, (x,), backward_fn)
-    return out
+    return _op(x.values.mean(), (x, lambda grad: np.full_like(x.values, float(grad) / size)))
 
 
 def bce_loss(p: Tensor, y) -> Tensor:
@@ -343,16 +285,14 @@ def bce_loss(p: Tensor, y) -> Tensor:
     y = np.broadcast_to(np.asarray(y, dtype=np.float64), p.values.shape)
     clamped = np.clip(p.values, BCE_EPS, 1.0 - BCE_EPS)
     losses = -(y * np.log(clamped) + (1.0 - y) * np.log1p(-clamped))
-    out = Tensor(losses.mean())
     size = p.values.size
     inside = (p.values > BCE_EPS) & (p.values < 1.0 - BCE_EPS)
 
-    def backward_fn(grad):
+    def pullback(grad):
         dp = np.where(inside, (clamped - y) / (clamped * (1.0 - clamped)), 0.0)
-        accumulate(p, dp * (float(grad) / size))
+        return dp * (float(grad) / size)
 
-    record(out, (p,), backward_fn)
-    return out
+    return _op(losses.mean(), (p, pullback))
 
 
 # --------------------------------------------------------------------------

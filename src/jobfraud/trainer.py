@@ -101,25 +101,16 @@ class Adam:
 
 
 def early_stop_check(val_losses, patience: int = 2):
-    """(stop, best_index): stop when the last `patience` epochs all failed
-    to strictly improve on the running minimum before them. The first epoch
-    counts as no improvement (there is nothing to improve on); best_index
-    is the argmin, first occurrence on ties."""
+    """(stop, best_index): best_index is the argmin, first occurrence on
+    ties. Stop once `patience` epochs have passed since the best one; the
+    first epoch counts as no improvement (there is nothing to improve on),
+    so a best first epoch stops as soon as `patience` losses exist."""
     if not val_losses:
         raise DataError("early_stop_check needs at least one loss value")
-    best_index = 0
-    for i, loss in enumerate(val_losses):
-        if loss < val_losses[best_index]:
-            best_index = i
-    if len(val_losses) < patience:
-        return False, best_index
-    running_min = np.inf
-    stalled = []
-    for loss in val_losses:
-        stalled.append(not loss < running_min)
-        running_min = min(running_min, loss)
-    stalled[0] = True
-    return all(stalled[-patience:]), best_index
+    best_index = min(range(len(val_losses)), key=val_losses.__getitem__)
+    waited = len(val_losses) - 1 - best_index
+    stop = len(val_losses) >= patience and (best_index == 0 or waited >= patience)
+    return stop, best_index
 
 
 def _evaluate(forward_fn, ids, numeric) -> np.ndarray:
@@ -163,8 +154,6 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
     )
     history = History()
     order = list(range(ids.shape[0]))
-    best_loss = np.inf
-    best_snapshot = None
 
     for epoch in range(1, opts.max_epochs + 1):
         rng.shuffle(order)
@@ -201,17 +190,16 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
             epoch, history.train_loss[-1], val_loss, history.val_accuracy[-1],
         )
 
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_snapshot = {name: t.values.copy() for name, t in named_params}
         stop, best_index = early_stop_check(history.val_loss, opts.patience)
+        if best_index == epoch - 1:
+            best_snapshot = {name: t.values.copy() for name, t in named_params}
         history.stopped_epoch = epoch
         history.best_epoch = best_index + 1
         if stop:
             logger.info("early stop at epoch %d (best epoch %d)", epoch, best_index + 1)
             break
 
-    if best_snapshot is not None:
-        for name, t in named_params:
-            t.values[...] = best_snapshot[name]
+    # the first epoch is the best when it ends, so a snapshot always exists
+    for name, t in named_params:
+        t.values[...] = best_snapshot[name]
     return history

@@ -693,6 +693,59 @@ def test_config_sweep_exits_zero_to_four_without_a_traceback(tmp_path, half_fake
     assert failures == []
 
 
+# the JSON of every value a structural config mutation sets a section or a
+# field to: none is a size within its cap
+_CONFIG_VALUES = ("null", "true", "false", "[]", "[1]", "{}", '{"x": 1}', '"x"', "NaN",
+                  "Infinity", "-Infinity", "1e308", str(2**70), str(-(2**70)))
+# the path of every RunConfig section and field
+_CONFIG_PATHS = [(f.name,) for f in dataclasses.fields(RunConfig) if dataclasses.is_dataclass(f.type)]
+_CONFIG_PATHS += [(section, name) if section else (name,) for section, name in _config_fields()]
+
+
+def _mutate_config(config: dict, edit: str, at: int, value) -> None:
+    """Set a section or field of `config` to the JSON `value`, add an
+    unknown key with that value to it or to one of its sections, or delete
+    one of its top-level keys."""
+    value = json.loads(value)
+    if edit == "set":
+        *section, name = _CONFIG_PATHS[at % len(_CONFIG_PATHS)]
+        parent = config
+        if section:
+            if not isinstance(config.get(section[0]), dict):
+                config[section[0]] = {}
+            parent = config[section[0]]
+        parent[name] = value
+    elif edit == "add":
+        objects = [config, *(v for v in config.values() if isinstance(v, dict))]
+        objects[at % len(objects)]["unknown"] = value
+    else:  # TINY_CONFIG has more sections than an example makes edits
+        del config[list(config)[at % len(config)]]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(model=st.sampled_from(["bilstm", "rf", "gbm", "lgbt"]),
+       edits=st.lists(st.tuples(st.sampled_from(["set", "add", "delete"]),
+                                st.integers(0, 2**16), st.sampled_from(_CONFIG_VALUES)),
+                      min_size=1, max_size=3))
+def test_mutated_config_trains_or_exits_without_a_traceback(half_fake_csv, fuzz_dir, model, edits):
+    """TINY_CONFIG with one to three structural mutations trains `model` on
+    the 40-row file, or refuses it, with an exit code of 0-4 and no
+    traceback on stderr."""
+    config = json.loads(json.dumps(TINY_CONFIG))
+    for edit in edits:
+        _mutate_config(config, *edit)
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")  # NaN and ±inf as NaN, ±Infinity
+    out = fuzz_dir / "trained"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(["train", "--data", str(half_fake_csv), "--config", str(path),
+                        "--model", model, "--out", str(out)])
+    assert code in range(5) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+
+
 @pytest.mark.parametrize("manifest, message", [
     (b'{"format_version": "\xe9"}', "can't decode byte 0xe9 in position 20"),
     (b"[]", "not a JSON object"),

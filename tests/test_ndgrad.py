@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jobfraud import ndgrad
+from jobfraud import bilstm, ndgrad
 from jobfraud.errors import NumericError, ShapeError
 from jobfraud.ndgrad import Graph, Tensor, backward, grad_check, param
 from tape_reference import reshape, slice_columns, transpose
@@ -300,6 +300,43 @@ def test_gradient_accumulates_without_zeroing():
             loss = ndgrad.sum_all(ndgrad.multiply(w, 3.0))
         backward(g, loss)
     assert w.grad[0] == pytest.approx(6.0)  # two backwards, no zero_grad
+
+
+def test_graph_records_one_node_per_op_with_a_gradient_input(monkeypatch):
+    cfg = bilstm.ModelConfig(vocab_size=12, embedding_dim=3, hidden_units=4, dense_units=5,
+                             sequence_length=4, numeric_width=3, seed=9)
+    params = bilstm.init_params(cfg)
+    ids = np.array([[1, 2, 0, 0], [3, 4, 5, 6]])
+    numeric = np.ones((2, 3))
+    concatenated, concat = [], ndgrad.concat
+
+    def spy_concat(a, b):
+        concatenated.append(b)
+        return concat(a, b)
+
+    monkeypatch.setattr(ndgrad, "concat", spy_concat)
+    with Graph() as g:
+        probs = bilstm.model_forward(ids, numeric, params)
+        loss = ndgrad.bce_loss(probs, np.array([[0.0], [1.0]]))
+    monkeypatch.undo()
+    # the encoder, concat, two matmul + add pairs, relu, sigmoid and the loss
+    assert len(g) == 9
+    backward(g, loss)
+    (numeric_tensor,) = concatenated
+    assert numeric_tensor.grad is None
+
+    plain = Tensor(np.ones((2, 2)))
+    with Graph() as g:
+        ndgrad.matmul(plain, Tensor(np.ones((2, 3))))
+    assert len(g) == 0
+
+    w = param(np.zeros((2, 3)))
+    with Graph() as g:
+        loss = ndgrad.sum_all(ndgrad.concat(w, plain))
+    assert len(g) == 2
+    backward(g, loss)
+    assert np.array_equal(w.grad, np.ones((2, 3)))
+    assert plain.grad is None
 
 
 # --------------------------------------------------------------------------
