@@ -42,7 +42,6 @@ directory; a load checks each stored tensor against it, shape and finite
 values, before it wraps the stored arrays.
 """
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -117,10 +116,6 @@ def weight_table(cfg: ModelConfig) -> list:
     u, d = cfg.dense_units, cfg.numeric_width
     lstm = [(4 * h, e), (4 * h, h), (4 * h,)]
     return list(zip(_NAMES, [(v, e), *lstm, *lstm, (2 * h + d, u), (u,), (u, 1), (1,)]))
-
-
-def parameter_count(cfg: ModelConfig) -> int:
-    return sum(math.prod(shape) for _, shape in weight_table(cfg))
 
 
 def _params(arrays: dict) -> ModelParams:

@@ -1,8 +1,8 @@
 """Command-line entry points: eda, train, evaluate, predict, compare.
 
 stdout carries only machine-readable payloads (JSON, CSV); diagnostics go
-to stderr. Exit codes: 0 success, 1 usage, 2 data/parse, 3 model store,
-4 numeric failure.
+to stderr. Exit codes: 0 success, else the code the error family declares
+(errors.py): 1 usage, 2 data/parse, 3 model store, 4 numeric failure.
 """
 
 import argparse
@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import replace_file
+from .bundle import replace_file, save_model
 from .config import MODEL_ALIASES, MODEL_KINDS, RunConfig, load_config
 from .errors import (
-    CsvParseError,
     DataError,
     ModelStoreError,
     NumericError,
@@ -92,7 +91,9 @@ def _load_run_config(path, seed=None, model=None) -> RunConfig:
 def _check_out_dir(out, *beside) -> None:
     """Refuse, before any work, an output file whose directory does not
     exist or this process cannot write, or when it or a file written
-    `beside` it names a directory."""
+    `beside` it names a directory, as a trailing separator does."""
+    if not os.path.basename(out):  # Path(out) would drop the separator
+        raise UsageError(f"--out {out}: a trailing separator names a directory, not a file")
     out = Path(out)
     if not out.parent.is_dir():
         raise UsageError(f"--out {out}: directory {out.parent} does not exist")
@@ -138,14 +139,10 @@ def _cmd_train(args) -> int:
     _check_bundle_out(args.out)
     cfg = _load_run_config(args.config, args.seed, args.model)
     dataset = load_dataset(args.data)
-    pipe = train_pipeline(dataset, cfg, cfg.model)
-    pipe.save(args.out)
-    payload = {
-        "model": cfg.model,
-        "history": asdict(pipe.history) if pipe.history else None,
-        "test_metrics": pipe.test_metrics.to_dict(),
-    }
-    print(json.dumps(payload, indent=2))
+    bundle = train_pipeline(dataset, cfg, cfg.model).to_bundle()
+    save_model(bundle, args.out)
+    print(json.dumps({key: bundle.manifest[key] for key in ("model", "history", "test_metrics")},
+                     indent=2))
     return 0
 
 
@@ -199,7 +196,7 @@ def _cmd_compare(args) -> int:
     if json_path == out_path:
         raise UsageError(f"--out {out_path}: the table and its JSON report {json_path} "
                          "would be one file; give the table another suffix")
-    _check_out_dir(out_path, json_path)
+    _check_out_dir(args.out, json_path)
     cfg = _load_run_config(args.config)
     dataset = load_dataset(args.data)
     prepared = prepare(dataset, cfg, kinds=MODEL_KINDS)
@@ -238,22 +235,11 @@ def run_cli(argv) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except CsvParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ModelStoreError as exc:
-        print(f"model store error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericError, ShapeError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
+    except (UsageError, DataError, ModelStoreError, NumericError, ShapeError) as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            parser.print_usage(sys.stderr)
+        return exc.exit_code
 
 
 def main() -> None:

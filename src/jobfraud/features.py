@@ -178,46 +178,12 @@ def country_of(location: str) -> str:
     return location.split(",", 1)[0].strip().upper()
 
 
-def _column_value(posting, column: str) -> str:
+def _column_values(postings, column: str) -> list:
+    """Each posting's value of a categorical column; `country` is read
+    from the location."""
     if column == "country":
-        return country_of(posting.location)
-    return getattr(posting, column)
-
-
-def encode_numeric(postings, categories: dict) -> np.ndarray:
-    """One row per posting: flags, a has-salary indicator, then the one-hot
-    blocks.
-
-    A known category value sets its column inside its block; unknown or
-    empty values leave the block all zeros.
-    """
-    width = 4 + sum(len(categories[column]) for column in CATEGORICAL_COLUMNS)
-    out = np.zeros((len(postings), width), dtype=np.float64)
-    if not postings:
-        return out
-    out[:, :4] = [
-        (p.telecommuting, p.has_company_logo, p.has_questions, p.salary_range != "")
-        for p in postings
-    ]
-    # column of each posting's value in each block, -1 for unknown or empty
-    codes = []
-    offset = 4
-    for column in CATEGORICAL_COLUMNS:
-        index = {}
-        for col, value in enumerate(categories[column], start=offset):
-            index.setdefault(value, col)  # a repeated value keeps its first column
-        index.pop("", None)
-        if column == "country":
-            values = [country_of(p.location) for p in postings]
-        else:
-            values = map(operator.attrgetter(column), postings)
-        codes.append(list(map(index.get, values, itertools.repeat(-1))))
-        offset += len(categories[column])
-    codes = np.array(codes, dtype=np.int64)
-    rows = np.broadcast_to(np.arange(len(postings)), codes.shape)
-    known = codes >= 0
-    out[rows[known], codes[known]] = 1.0
-    return out
+        return [country_of(p.location) for p in postings]
+    return list(map(operator.attrgetter(column), postings))
 
 
 @dataclass(frozen=True)
@@ -234,7 +200,7 @@ class CategoricalEncoder:
             raise DataError("cannot fit encoders on an empty split")
         categories = {}
         for column in CATEGORICAL_COLUMNS:
-            seen = {_column_value(p, column) for p in postings}
+            seen = set(_column_values(postings, column))
             seen.discard("")
             categories[column] = sorted(seen)
         return cls(categories)
@@ -244,7 +210,35 @@ class CategoricalEncoder:
         return 4 + sum(len(v) for v in self.categories.values())
 
     def transform(self, postings) -> np.ndarray:
-        return encode_numeric(postings, self.categories)
+        """One row per posting: flags, a has-salary indicator, then the
+        one-hot blocks.
+
+        A known category value sets its column inside its block; unknown or
+        empty values leave the block all zeros.
+        """
+        out = np.zeros((len(postings), self.width), dtype=np.float64)
+        if not postings:
+            return out
+        out[:, :4] = [
+            (p.telecommuting, p.has_company_logo, p.has_questions, p.salary_range != "")
+            for p in postings
+        ]
+        # column of each posting's value in each block, -1 for unknown or empty
+        codes = []
+        offset = 4
+        for column in CATEGORICAL_COLUMNS:
+            index = {}
+            for col, value in enumerate(self.categories[column], start=offset):
+                index.setdefault(value, col)  # a repeated value keeps its first column
+            index.pop("", None)
+            codes.append(list(map(index.get, _column_values(postings, column),
+                                  itertools.repeat(-1))))
+            offset += len(self.categories[column])
+        codes = np.array(codes, dtype=np.int64)
+        rows = np.broadcast_to(np.arange(len(postings)), codes.shape)
+        known = codes >= 0
+        out[rows[known], codes[known]] = 1.0
+        return out
 
 
 # --------------------------------------------------------------------------

@@ -26,24 +26,18 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """A scored set; the field order is the order of its JSON form."""
+
+    threshold: float
     confusion: ConfusionMatrix
     accuracy: float
     precision: float
     recall: float
     f1: float
     auroc: float
-    threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "confusion": asdict(self.confusion),
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auroc": self.auroc,
-        }
+        return asdict(self)
 
 
 def _check_pair(labels, scores):
@@ -102,16 +96,8 @@ def roc_auc(labels, scores) -> float:
 
 def compute_report(labels, scores, threshold: float = 0.5) -> MetricsReport:
     cm = confusion_at(labels, scores, threshold)
-    summary = classification_scores(cm)
-    return MetricsReport(
-        confusion=cm,
-        accuracy=summary["accuracy"],
-        precision=summary["precision"],
-        recall=summary["recall"],
-        f1=summary["f1"],
-        auroc=roc_auc(labels, scores),
-        threshold=threshold,
-    )
+    return MetricsReport(threshold=threshold, confusion=cm, **classification_scores(cm),
+                         auroc=roc_auc(labels, scores))
 
 
 def report_tables(named_reports) -> tuple:

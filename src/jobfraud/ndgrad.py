@@ -271,11 +271,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _op(x.values.sum(), (x, lambda grad: np.full_like(x.values, float(grad))))
 
 
-def mean_all(x: Tensor) -> Tensor:
-    size = x.values.size
-    return _op(x.values.mean(), (x, lambda grad: np.full_like(x.values, float(grad) / size)))
-
-
 def bce_loss(p: Tensor, y) -> Tensor:
     """Mean binary cross-entropy of probabilities against 0/1 targets.
 

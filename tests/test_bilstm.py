@@ -16,7 +16,6 @@ from jobfraud.bilstm import (
     bilstm_encode,
     init_params,
     model_forward,
-    parameter_count,
 )
 from jobfraud.config import BilstmSection, FeatureSection, RunConfig, TrainSection
 from jobfraud.errors import ShapeError
@@ -80,11 +79,6 @@ def test_init_bias_layout():
     assert np.array_equal(bias[h : 2 * h], np.ones(h))  # forget block
     assert np.array_equal(np.delete(bias, np.s_[h : 2 * h]), np.zeros(3 * h))
     assert np.array_equal(params.dense_b.values, np.zeros(TINY.dense_units))
-
-
-def test_parameter_count_matches_tensors():
-    total = sum(t.values.size for _, t in init_params(TINY).named_tensors())
-    assert total == parameter_count(TINY)
 
 
 def test_all_trainable_tensors_require_grad():

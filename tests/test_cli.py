@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import tempfile
 import tracemalloc
 import zlib
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as reference
-from jobfraud import bundle, cli, ingest, synth, trainer
+from jobfraud import bundle, cli, errors, ingest, synth, trainer
 from jobfraud.cli import run_cli
 from jobfraud.config import RunConfig
 from jobfraud.pipeline import DetectionPipeline
@@ -403,6 +404,28 @@ def test_config_bad_value_exits_one(tmp_path, small_csv, config, model, key, cap
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("error, code, line", [
+    (errors.UsageError("bad flag"), 1, "usage error: bad flag"),
+    (errors.CsvParseError("unterminated quote", 7), 2, "parse error: record 7: unterminated quote"),
+    (errors.DataError("no rows"), 2, "data error: no rows"),
+    (errors.ModelStoreError("no bundle"), 3, "model store error: no bundle"),
+    (errors.NumericError("not finite"), 4, "numeric error: not finite"),
+    (errors.ShapeError("bad shape"), 4, "numeric error: bad shape"),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_error_family_sets_exit_code_and_prefix(error, code, line, monkeypatch, capsys):
+    """A command that raises an error family exits with its code and one
+    stderr line with its prefix; only a usage error adds the usage line."""
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "eda", fail)
+    assert run_cli(["eda", "--data", "in.csv", "--out", "out.json"]) == code
+    captured = capsys.readouterr()
+    usage = "usage: jobfraud [-h] {eda,train,evaluate,predict,compare} ...\n"
+    assert captured.err == line + "\n" + (usage if code == 1 else "")
+    assert captured.out == ""
+
+
 # every integer count and size of the config; the seed takes any integer
 INT_FIELDS = [
     f"{section.name}.{f.name}"
@@ -575,6 +598,72 @@ def test_compare_refuses_out_that_is_its_json_report(tmp_path, small_csv, monkey
     err = capsys.readouterr().err
     assert f"usage error: --out {out}: the table and its JSON report {out} would be one file" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def _build_out(base, segments) -> str:
+    """`base` followed by each segment: a directory made there, a name that
+    does not exist, a file made there (each made only where the path so
+    far is a directory), or a separator."""
+    out = str(base)
+    for i, segment in enumerate(segments):
+        if segment == "sep":
+            out += os.sep
+            continue
+        made = os.path.isdir(out)
+        out = os.path.join(out, f"s{i}.out")
+        if made and segment == "dir":
+            os.mkdir(out)
+        elif made and segment == "file":
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write("kept\n")
+    return out
+
+
+def _writable_dir(path) -> bool:
+    return os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)
+
+
+def _out_accepted(command, out) -> bool:
+    """Whether the filesystem lets `command` write `out`: a bundle is made,
+    parents included, under its nearest existing ancestor, which must be a
+    writable directory; an output file needs a name (no trailing
+    separator), a writable directory to hold it and no directory in its
+    place, nor in that of the JSON report compare writes beside it."""
+    if command == "train":
+        existing = out
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        return _writable_dir(existing)
+    files = [out]
+    if command == "compare":
+        files.append(os.path.splitext(out)[0] + ".json")
+    return (not out.endswith(os.sep) and _writable_dir(os.path.dirname(out))
+            and not any(map(os.path.isdir, files)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["eda", "predict", "compare", "train"]),
+       segments=st.lists(st.sampled_from(["dir", "missing", "file", "sep"]),
+                         min_size=1, max_size=3))
+def test_composed_out_paths_are_checked_before_any_work(fuzz_dir, small_csv, trained_model_dir,
+                                                         command, segments):
+    """An --out of one to three segments either passes the path checks and
+    reaches the input read, or, where the filesystem would refuse it, exits
+    1 as a usage error naming --out, with no traceback and nothing made."""
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as base, pytest.MonkeyPatch.context() as mp:
+        out = _build_out(base, segments)
+        before = sorted(os.walk(base))
+        argv = _out_argv(command, out, small_csv, trained_model_dir, mp)
+        if _out_accepted(command, out):
+            with pytest.raises(AssertionError, match="work began before --out was checked"):
+                run_cli(argv)
+        else:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run_cli(argv) == 1, out
+            assert err.getvalue().startswith("usage error: --out "), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert sorted(os.walk(base)) == before
 
 
 @pytest.mark.filterwarnings("error")

@@ -13,7 +13,6 @@ from jobfraud.features import (
     CategoricalEncoder,
     SplitTexts,
     TextVectorizer,
-    encode_numeric,
     rank_tokens,
     term_frequencies,
 )
@@ -208,7 +207,7 @@ def test_encode_numeric_layout():
         salary_range="", employment_type="Part-time", required_experience="zz",
         required_education="zz", industry="zz", function="zz", location="ZZ",
     )
-    vec = encode_numeric([p], cats)[0]
+    vec = CategoricalEncoder(cats).transform([p])[0]
     assert vec[0] == 1 and vec[1] == 0 and vec[2] == 1 and vec[3] == 0
     assert vec[4:].sum() == 0  # all categoricals unknown -> zero blocks
 
@@ -217,7 +216,7 @@ def test_encode_numeric_salary_flag():
     cats = CategoricalEncoder.fit([make_posting()]).categories
     p = make_posting(telecommuting=0, has_company_logo=0, has_questions=0,
                      salary_range="40000-50000")
-    assert encode_numeric([p], cats)[0, 3] == 1.0
+    assert CategoricalEncoder(cats).transform([p])[0, 3] == 1.0
 
 
 def test_encode_numeric_known_unit_vector():
@@ -227,7 +226,7 @@ def test_encode_numeric_known_unit_vector():
     ]
     cats = CategoricalEncoder.fit(postings).categories
     p = make_posting(employment_type="Full-time")
-    block = encode_numeric([p], cats)[0, 4:6]
+    block = CategoricalEncoder(cats).transform([p])[0, 4:6]
     assert list(block) == [0.0, 1.0]
 
 
@@ -251,7 +250,7 @@ _category = st.sampled_from(["", "A", "B", "Full-time", "US", "us"])
 def test_encode_numeric_equals_reference(fields, categories):
     """Unknown, empty and repeated categories included."""
     postings = [make_posting(job_id=i, **f) for i, f in enumerate(fields)]
-    got = encode_numeric(postings, categories)
+    got = CategoricalEncoder(categories).transform(postings)
     expected = [reference.encode_numeric(p, categories) for p in postings]
     assert got.dtype == np.float64 and got.shape[0] == len(postings)
     assert np.array_equal(got, np.array(expected).reshape(got.shape))
