@@ -28,8 +28,10 @@ whose values it no longer needs, and gathers the weight-gradient chunks
 into the tanh(c) record once the loop is done with it. A fit passes one
 Workspace to every batch and validation pass, so they reuse memory that
 is already paged in, and drops it when it returns. Scoring, and each
-validation pass, lays the weights out for the kernel once (KernelWeights)
-for all its eval chunks.
+validation pass, lays the weights out for the kernel once for all its
+eval chunks: kernel_weights is the one function that builds every layout
+the kernel reads (KernelWeights), from stacking and gate order to the
+gate-major copies and the input table.
 
 A trained model is one BiLstmClassifier record of its ModelConfig and its
 weights; BiLstmClassifier.fit trains and builds it whole, and a bundle
@@ -172,53 +174,17 @@ def params_from_arrays(cfg: ModelConfig, lookup) -> ModelParams:
 _GRADIENT_CHUNK = 2048
 
 
-def _stacked(params: ModelParams):
-    """Both directions' (wx, wh, bias) stacked on a leading axis, with the
-    gate blocks in the kernel's order (i, f, o, g), and that row order.
-
-    The stored order is (i, f, g, o). Swapping the last two blocks is its
-    own inverse, so indexing kernel-order gradients by the same order maps
-    them back to the stored layout.
-    """
-    h = params.forward_lstm.wh.shape[1]
-    order = np.r_[0 : 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
-    lstms = (params.forward_lstm, params.backward_lstm)
-    wx, wh, bias = (
-        np.stack([getattr(lstm, name).values[order] for lstm in lstms])
-        for name in ("wx", "wh", "bias")
-    )
-    return wx, wh, bias, order
-
-
-def _gate_major(wx, wh, bias):
-    """The kernel-order weights split by gate and transposed, with the
-    sigmoid gates halved so one tanh covers every gate: sigma(x) = 0.5 +
-    0.5 tanh(x / 2). Scaling by a power of two is exact.
-
-    Returns wx (4, 2, E, H), wh (2, 4, H, H) and bias (4, 2, 1, H):
-    h @ wh[d] is direction d's (4, rows, H) gate block.
-    """
-    h, e = wh.shape[2], wx.shape[2]
-    scale = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
-    wx_g = np.ascontiguousarray((wx.reshape(2, 4, h, e) * scale).transpose(1, 0, 3, 2))
-    wh_g = np.ascontiguousarray((wh.reshape(2, 4, h, h) * scale).transpose(0, 1, 3, 2))
-    bias_g = (bias.reshape(2, 4, 1, h) * scale).transpose(1, 0, 2, 3)
-    return wx_g, wh_g, bias_g
-
-
 class KernelWeights(NamedTuple):
     """One ModelParams' weights in the layouts the kernel reads.
 
-    wx (2, 4H, E), wh (2, 4H, H) and bias (2, 4H) are both directions'
-    weights in kernel gate order and `order` that row order, for the
-    backward; wh_g (2, 4, H, H) are the gate-major recurrent weights and
-    table (4, 2V, H) each token's input term per gate, row V + v being v's
-    reverse term.
+    wx (2, 4H, E) and wh (2, 4H, H) are both directions' weights in kernel
+    gate order and `order` that row order, for the backward; wh_g (2, 4,
+    H, H) are the gate-major recurrent weights and table (4, 2V, H) each
+    token's input term per gate, row V + v being v's reverse term.
     """
 
     wx: np.ndarray
     wh: np.ndarray
-    bias: np.ndarray
     order: np.ndarray
     wh_g: np.ndarray
     table: np.ndarray
@@ -228,14 +194,31 @@ def kernel_weights(params: ModelParams) -> KernelWeights:
     """params' current weights in the kernel's layouts, as new arrays that
     do not follow later changes to params: scoring builds them once and
     passes them to every chunk, while each training batch builds its own,
-    since every Adam step changes params."""
-    wx, wh, bias, order = _stacked(params)
-    wx_g, wh_g, bias_g = _gate_major(wx, wh, bias)
+    since every Adam step changes params.
+
+    Both directions' weights are stacked on a leading axis with the gate
+    blocks in the kernel's order (i, f, o, g). The stored order is (i, f,
+    g, o); swapping the last two blocks is its own inverse, so indexing
+    kernel-order gradients by the same order maps them back. The
+    gate-major copies halve the sigmoid gates, so one tanh covers every
+    gate: sigma(x) = 0.5 + 0.5 tanh(x / 2). Scaling by a power of two is
+    exact. h @ wh_g[d] is direction d's (4, rows, H) gate block.
+    """
+    h = params.forward_lstm.wh.shape[1]
+    order = np.r_[0 : 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
+    lstms = (params.forward_lstm, params.backward_lstm)
+    wx, wh, bias = (
+        np.stack([getattr(lstm, name).values[order] for lstm in lstms])
+        for name in ("wx", "wh", "bias")
+    )
     embedding = params.embedding.values
-    vocab, hidden = embedding.shape[0], wh.shape[2]
+    vocab, e = embedding.shape
+    scale = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+    wx_g = np.ascontiguousarray((wx.reshape(2, 4, h, e) * scale).transpose(1, 0, 3, 2))
+    wh_g = np.ascontiguousarray((wh.reshape(2, 4, h, h) * scale).transpose(0, 1, 3, 2))
     table = np.matmul(embedding, wx_g)
-    table += bias_g
-    return KernelWeights(wx, wh, bias, order, wh_g, table.reshape(4, 2 * vocab, hidden))
+    table += (bias.reshape(2, 4, 1, h) * scale).transpose(1, 0, 2, 3)
+    return KernelWeights(wx, wh, order, wh_g, table.reshape(4, 2 * vocab, h))
 
 
 def _plan(ids, vocab: int):
@@ -368,7 +351,7 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
     one slot of the buffers and no per-step state is kept. h always lives
     in one step slot: the backward rebuilds the h it needs."""
     batch, length = ids.shape
-    wx, wh, bias, gate_order, wh_g, table = kernel
+    wx, wh, gate_order, wh_g, table = kernel
     embedding = params.embedding.values
     vocab, hidden = embedding.shape[0], wh.shape[2]
     order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
@@ -445,7 +428,7 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
         # input-side gradients need only the sum of their dz.
         pre_grads = gates[: 4 * hidden * offsets[-1]].reshape(-1, 4 * hidden)
         tokens = index % vocab
-        d_wx, d_wh, d_bias = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(bias)
+        d_wx, d_wh, d_bias = np.zeros_like(wx), np.zeros_like(wh), np.zeros((2, 4 * hidden))
         d_embedding = np.zeros_like(embedding)
         spare = tanh_cs.reshape(-1)
         dz_rows = spare[: 4 * hidden * _GRADIENT_CHUNK].reshape(_GRADIENT_CHUNK, 4 * hidden)
@@ -521,8 +504,7 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None,
         kernel = kernel_weights(params)
     encoded, backward_fn = _encode(ids, params, recording, workspace, kernel)
     out = Tensor(encoded)
-    if recording:
-        ndgrad.record(out, inputs, backward_fn)
+    ndgrad.record(out, inputs, backward_fn)
     return out
 
 
@@ -567,6 +549,7 @@ def _inputs(X, length: int):
     return ids, numeric
 
 
+@dataclass(eq=False)
 class BiLstmClassifier:
     """A trained BiLSTM: its ModelConfig, its weights and, when it was
     trained in this process, the training history.
@@ -577,10 +560,9 @@ class BiLstmClassifier:
     probability of each row.
     """
 
-    def __init__(self, config: ModelConfig, params: ModelParams, history=None):
-        self.config = config
-        self.params = params
-        self.history = history
+    config: ModelConfig
+    params: ModelParams
+    history: trainer.History | None = None
 
     @classmethod
     def fit(cls, cfg: RunConfig, vocab_size: int, X, y, validation_data) -> "BiLstmClassifier":

@@ -88,17 +88,26 @@ def _load_run_config(path, seed=None, model=None) -> RunConfig:
     return cfg
 
 
+def _check_writable_dir(out, existing) -> None:
+    """Refuse `--out out` unless the path `existing`, which exists, is a
+    directory this process can write."""
+    if not existing.is_dir():
+        raise UsageError(f"--out {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise UsageError(f"--out {out}: directory {existing} is not writable")
+
+
 def _check_out_dir(out, *beside) -> None:
     """Refuse, before any work, an output file whose directory does not
-    exist or this process cannot write, or when it or a file written
-    `beside` it names a directory, as a trailing separator does."""
+    exist or is not a directory this process can write, or when it or a
+    file written `beside` it names a directory, as a trailing separator
+    does."""
     if not os.path.basename(out):  # Path(out) would drop the separator
         raise UsageError(f"--out {out}: a trailing separator names a directory, not a file")
     out = Path(out)
-    if not out.parent.is_dir():
+    if not out.parent.exists():
         raise UsageError(f"--out {out}: directory {out.parent} does not exist")
-    if not os.access(out.parent, os.W_OK | os.X_OK):
-        raise UsageError(f"--out {out}: directory {out.parent} is not writable")
+    _check_writable_dir(out, out.parent)
     for path in (out, *beside):
         if path.is_dir():
             raise UsageError(f"--out {out}: {path} is a directory")
@@ -109,11 +118,7 @@ def _check_bundle_out(out) -> None:
     whose nearest existing ancestor (it, or a parent that save creates it
     in) is not a directory this process can write."""
     out = Path(out)
-    existing = next(path for path in (out, *out.parents) if os.path.exists(path))
-    if not existing.is_dir():
-        raise UsageError(f"--out {out}: {existing} is not a directory")
-    if not os.access(existing, os.W_OK | os.X_OK):
-        raise UsageError(f"--out {out}: directory {existing} is not writable")
+    _check_writable_dir(out, next(p for p in (out, *out.parents) if os.path.exists(p)))
 
 
 @contextlib.contextmanager
@@ -127,6 +132,8 @@ def _writing(out):
 
 
 def _cmd_eda(args) -> int:
+    if args.top_k < 0:
+        raise UsageError(f"--top-k must be at least 0, got {args.top_k}")
     _check_out_dir(args.out)
     dataset = load_dataset(args.data)
     report = eda_report(dataset, args.top_k)
@@ -155,6 +162,11 @@ def _split_indices(split: str, n: int, seed: int):
 
 def _cmd_evaluate(args) -> int:
     pipe = DetectionPipeline.load(args.model)
+    if args.threshold is not None:
+        try:
+            pipe.cfg = pipe.cfg.replace(threshold=args.threshold)
+        except ValueError as exc:  # the message begins with the field name
+            raise UsageError(f"--{exc}") from exc
     dataset = load_dataset(args.data)
     found = dataset_fingerprint(dataset.postings)
     if args.split != "all" and found != pipe.fingerprint:
@@ -166,8 +178,7 @@ def _cmd_evaluate(args) -> int:
     postings = [dataset.postings[i] for i in indices]
     labels = np.array([p.fraudulent for p in postings])
     scores = pipe.predict_scores(postings)
-    threshold = pipe.cfg.threshold if args.threshold is None else args.threshold
-    report = compute_report(labels, scores, threshold)
+    report = compute_report(labels, scores, pipe.cfg.threshold)
     print(json.dumps({"model": pipe.kind, "split": args.split, **report.to_dict()}, indent=2))
     return 0
 

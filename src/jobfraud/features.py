@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .ingest import FLAG_COLUMNS
 
 PAD_ID = 0
 OOV_ID = 1
@@ -252,9 +253,8 @@ def term_frequencies(texts, top_k: int) -> list:
 
 def binary_feature_distribution(dataset) -> dict:
     """Exact 0/1 counts for the three flags and the label."""
-    flags = ("telecommuting", "has_company_logo", "has_questions", "fraudulent")
     out = {}
-    for flag in flags:
+    for flag in FLAG_COLUMNS:
         ones = sum(getattr(p, flag) for p in dataset.postings)
         out[flag] = {"zeros": len(dataset.postings) - ones, "ones": ones}
     return out

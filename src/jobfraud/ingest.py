@@ -69,11 +69,11 @@ class Dataset:
 
 
 # the CSV columns: every Posting field but full_text
-_COLUMN_NAMES = [f.name for f in dataclasses.fields(Posting)][:-1]
-# (position in _COLUMN_NAMES, name) of each flag; job_id is position 0
-_FLAG_SLOTS = [(_COLUMN_NAMES.index(name), name) for name in FLAG_COLUMNS]
+COLUMNS = [f.name for f in dataclasses.fields(Posting)][:-1]
+# (position in COLUMNS, name) of each flag; job_id is position 0
+_FLAG_SLOTS = [(COLUMNS.index(name), name) for name in FLAG_COLUMNS]
 # a record's five text values, in TEXT_CONCAT_FIELDS order
-_text_fields = operator.itemgetter(*[_COLUMN_NAMES.index(name) for name in TEXT_CONCAT_FIELDS])
+_text_fields = operator.itemgetter(*[COLUMNS.index(name) for name in TEXT_CONCAT_FIELDS])
 
 
 # --------------------------------------------------------------------------
@@ -193,8 +193,8 @@ def postings_from_records(header, records, source) -> list:
     width = len(header)
     # a column the header lacks reads index `width`: the empty field that
     # padding appends past a record's end
-    positions = [header.index(name) if name in header else width for name in _COLUMN_NAMES]
-    missing = [name for name, at in zip(_COLUMN_NAMES, positions) if at == width]
+    positions = [header.index(name) if name in header else width for name in COLUMNS]
+    missing = [name for name, at in zip(COLUMNS, positions) if at == width]
     if missing:
         logger.warning("columns missing from %s, treated as empty: %s", source, ", ".join(missing))
     take = operator.itemgetter(*positions)

@@ -72,22 +72,25 @@ _FIT_ENSEMBLE = {
 }
 
 
+@dataclass(eq=False)
 class DetectionPipeline:
     """A fitted featurizer stack plus one trained model: a BiLstmClassifier,
     or the EnsembleModel of a tree kind; each scores rows with
     ``decision_scores``."""
 
-    def __init__(self, kind: str, cfg: RunConfig, encoder, model, fingerprint,
-                 vectorizer=None, terms=None, history=None, test_metrics=None):
-        self.kind = kind
-        self.fingerprint = fingerprint  # of the dataset the split was drawn from
-        self.cfg = cfg
-        self.encoder = encoder
-        self.model = model
-        self.vectorizer = vectorizer
-        self.terms = terms
-        self.history = history
-        self.test_metrics = test_metrics
+    kind: str
+    cfg: RunConfig
+    encoder: CategoricalEncoder
+    model: object
+    fingerprint: dict  # of the dataset the split was drawn from
+    vectorizer: TextVectorizer | None = None
+    terms: list | None = None
+    test_metrics: metrics.MetricsReport | None = None
+
+    @property
+    def history(self):
+        """The model's training history, when it was trained in this process."""
+        return getattr(self.model, "history", None)
 
     # -- prediction ---------------------------------------------------------
 
@@ -214,10 +217,8 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
         model = bilstm.BiLstmClassifier.fit(cfg, len(prepared.vectorizer.tokens),
                                             rows(train_idx), y[train_idx],
                                             validation_data=(rows(val_idx), y[val_idx]))
-        history = model.history
     else:
         model = _FIT_ENSEMBLE[kind](rows(train_idx), y[train_idx], cfg)
-        history = None
 
     test_scores = model.decision_scores(rows(test_idx))
     report = metrics.compute_report(y[test_idx], test_scores, cfg.threshold)
@@ -229,6 +230,5 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
         fingerprint=dataset_fingerprint(prepared.dataset.postings),
         vectorizer=prepared.vectorizer,
         terms=prepared.terms,
-        history=history,
         test_metrics=report,
     )

@@ -6,22 +6,15 @@ distinctive rare tokens (drawn from a long tail too infrequent to surface
 in top-K term counts) and a missing-company-logo bias, with a slice of
 hard rows on both sides so no model can be perfect. Everything derives
 from one splitmix64 stream, so (rows, seed) pins the file byte for byte.
+The header is ``ingest.COLUMNS``, the 18 CSV columns of a ``Posting``.
 
 Generate a file with ``python -m jobfraud.synth out.csv --rows 2000``.
 """
 
 import argparse
 
-from .ingest import format_csv
+from .ingest import COLUMNS, format_csv
 from .rng import SplitMix64
-
-HEADER = [
-    "job_id", "title", "location", "department", "salary_range",
-    "company_profile", "description", "requirements", "benefits",
-    "telecommuting", "has_company_logo", "has_questions", "employment_type",
-    "required_experience", "required_education", "industry", "function",
-    "fraudulent",
-]
 
 _ROLES = (
     ["manager"] * 8 + ["developer"] * 7 + ["engineer"] * 7
@@ -345,7 +338,7 @@ def _fake_row(rng) -> dict:
 
 
 def generate_rows(n_rows: int = 2000, seed: int = 7, fraud_rate: float = 0.10) -> list:
-    """CSV field rows (strings) under HEADER, with round(rate * n) fakes."""
+    """CSV field rows (strings) under COLUMNS, with round(rate * n) fakes."""
     rng = SplitMix64(seed)
     n_fake = round(fraud_rate * n_rows)
     labels = [1] * n_fake + [0] * (n_rows - n_fake)
@@ -359,13 +352,13 @@ def generate_rows(n_rows: int = 2000, seed: int = 7, fraud_rate: float = 0.10) -
         fields["location"] = _location(rng)
         fields["job_id"] = job_id
         fields["fraudulent"] = label
-        rows.append([str(fields[name]) for name in HEADER])
+        rows.append([str(fields[name]) for name in COLUMNS])
     return rows
 
 
 def write_fixture(path, n_rows: int = 2000, seed: int = 7, fraud_rate: float = 0.10) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_csv(HEADER, generate_rows(n_rows, seed, fraud_rate)))
+        fh.write(format_csv(COLUMNS, generate_rows(n_rows, seed, fraud_rate)))
 
 
 def main(argv=None) -> int:

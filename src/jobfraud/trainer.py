@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndgrad
-from .config import RunConfig
+from .config import RunConfig, TrainSection
 from .errors import DataError, NumericError
 from .rng import SplitMix64
 
@@ -65,35 +65,34 @@ class History:
 
 
 class Adam:
-    """Adam with bias correction; one step consumes the current grads."""
+    """Adam with bias correction, at the learning_rate, beta1, beta2 and
+    eps of a TrainSection; one step consumes the current grads."""
 
-    def __init__(self, named_params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_params, opts: TrainSection):
         self._named = list(named_params)
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.opts = opts
         self.t = 0
         self._m = [np.zeros_like(t.values) for _, t in self._named]
         self._v = [np.zeros_like(t.values) for _, t in self._named]
 
     def step(self):
+        opts = self.opts
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - opts.beta1**self.t
+        correct2 = 1.0 - opts.beta2**self.t
         for (name, p), m, v in zip(self._named, self._m, self._v):
             grad = p.grad
             if grad is None:
                 continue
             if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient in tensor {name!r}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= opts.beta1
+            m += (1.0 - opts.beta1) * grad
+            v *= opts.beta2
+            v += (1.0 - opts.beta2) * grad * grad
             m_hat = m / correct1
             v_hat = v / correct2
-            p.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values -= opts.learning_rate * m_hat / (np.sqrt(v_hat) + opts.eps)
 
     def zero_grad(self):
         for _, p in self._named:
@@ -145,13 +144,7 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
 
     opts = cfg.train
     rng = SplitMix64(cfg.seed)
-    adam = Adam(
-        named_params,
-        learning_rate=opts.learning_rate,
-        beta1=opts.beta1,
-        beta2=opts.beta2,
-        eps=opts.eps,
-    )
+    adam = Adam(named_params, opts)
     history = History()
     order = list(range(ids.shape[0]))
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from jobfraud.errors import DataError
 from jobfraud.features import CATEGORICAL_COLUMNS, country_of
-from jobfraud.ingest import _COLUMN_NAMES, FLAG_COLUMNS, TEXT_CONCAT_FIELDS, Posting
+from jobfraud.ingest import COLUMNS, FLAG_COLUMNS, TEXT_CONCAT_FIELDS, Posting
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
@@ -68,9 +68,9 @@ def postings_from_records(header, records, source) -> list:
     header = [h.strip() for h in header]
     col_index = {}
     for idx, name in enumerate(header):
-        if name in _COLUMN_NAMES and name not in col_index:
+        if name in COLUMNS and name not in col_index:
             col_index[name] = idx
-    missing = [name for name in _COLUMN_NAMES if name not in col_index]
+    missing = [name for name in COLUMNS if name not in col_index]
 
     flag_defaults = {}
     rows = []

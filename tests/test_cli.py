@@ -260,6 +260,44 @@ def test_evaluate_threshold_defaults_to_bundle(strict_bilstm_dir, small_csv, cap
     assert json.loads(capsys.readouterr().out)["threshold"] == 0.5
 
 
+def _no_read(*args, **kwargs):
+    raise AssertionError("an input was read before the options were checked")
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.5", "nan", "inf"])
+def test_evaluate_threshold_outside_unit_interval_exits_one(trained_model_dir, small_csv, value,
+                                                           monkeypatch, capsys):
+    """--threshold gets the range check of a config file's threshold,
+    before --data is read."""
+    monkeypatch.setattr(cli, "load_dataset", _no_read)
+    argv = ["evaluate", "--model", str(trained_model_dir), "--data", str(small_csv),
+            "--threshold", value]
+    assert run_cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"usage error: --threshold must lie in [0, 1], got {float(value)!r}\n")
+    assert out == "" and "Traceback" not in err
+
+
+def test_evaluate_threshold_inside_unit_interval_scores(trained_model_dir, small_csv, capsys):
+    argv = ["evaluate", "--model", str(trained_model_dir), "--data", str(small_csv),
+            "--threshold", "0.7"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 0.7
+
+
+def test_eda_negative_top_k_exits_one(tmp_path, small_csv, monkeypatch, capsys):
+    """A negative --top-k is refused before the data is read; 0 keeps working."""
+    out = tmp_path / "eda.json"
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "load_dataset", _no_read)
+        assert run_cli(["eda", "--data", str(small_csv), "--top-k", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --top-k must be at least 0, got -1\n")
+    assert "Traceback" not in err and not out.exists()
+    assert run_cli(["eda", "--data", str(small_csv), "--top-k", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["title_terms"] == []
+
+
 def test_bilstm_predict_csv_does_not_depend_on_eval_chunk(tmp_path, strict_bilstm_dir,
                                                          small_csv, monkeypatch):
     """The printed probabilities are the same bytes whatever the eval
@@ -527,6 +565,21 @@ def test_train_out_naming_a_file_exits_one(tmp_path, small_csv, trained_model_di
     file.write_text("kept\n", encoding="utf-8")
     out = file if where == "out" else file / "model"
     argv = _out_argv("train", out, small_csv, trained_model_dir, monkeypatch)
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --out {out}: {file} is not a directory" in err
+    assert "Traceback" not in err and file.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["eda", "predict", "compare"])
+def test_out_under_a_file_exits_one(tmp_path, small_csv, trained_model_dir, command,
+                                    monkeypatch, capsys):
+    """An output file under a file is refused as such, before any input is
+    read; the file stays."""
+    file = tmp_path / "taken"
+    file.write_text("kept\n", encoding="utf-8")
+    out = file / "out.csv"
+    argv = _out_argv(command, out, small_csv, trained_model_dir, monkeypatch)
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert f"usage error: --out {out}: {file} is not a directory" in err

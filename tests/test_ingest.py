@@ -256,7 +256,7 @@ def test_parse_csv_missing_file():
         ingest.parse_csv("/nonexistent/file.csv")
 
 
-_HEADER_NAMES = ingest._COLUMN_NAMES + ["extra", " title ", ""]
+_HEADER_NAMES = ingest.COLUMNS + ["extra", " title ", ""]
 _cells = st.sampled_from(["", "0", "1", " 7 ", "12", "x", "Chef", "US, NY"])
 
 

@@ -69,7 +69,7 @@ def _single_param(value):
 
 def test_adam_zero_gradient_is_identity():
     p = _single_param(1.5)
-    opt = Adam([("p", p)])
+    opt = Adam([("p", p)], TrainSection())
     p.zero_grad()
     for _ in range(3):
         opt.step()
@@ -79,7 +79,7 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_first_step_magnitude():
     # bias-corrected first step with g=1: update = lr * 1 / (1 + eps)
     p = _single_param(0.0)
-    opt = Adam([("p", p)], learning_rate=0.001)
+    opt = Adam([("p", p)], TrainSection(learning_rate=0.001))
     p.grad[...] = 1.0
     opt.step()
     assert p.values[0] == pytest.approx(-0.001, rel=1e-6)
@@ -87,7 +87,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_constant_gradient_monotone():
     p = _single_param(0.0)
-    opt = Adam([("p", p)], learning_rate=0.01)
+    opt = Adam([("p", p)], TrainSection(learning_rate=0.01))
     values = []
     for _ in range(10):
         p.grad[...] = 2.0
@@ -98,7 +98,7 @@ def test_adam_constant_gradient_monotone():
 
 def test_adam_nonfinite_gradient_names_tensor():
     p = _single_param(0.0)
-    opt = Adam([("dense_w", p)])
+    opt = Adam([("dense_w", p)], TrainSection())
     p.grad[...] = np.nan
     with pytest.raises(NumericError, match="dense_w"):
         opt.step()
@@ -107,7 +107,7 @@ def test_adam_nonfinite_gradient_names_tensor():
 def test_adam_matches_reference_formulas():
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     p = _single_param(0.7)
-    opt = Adam([("p", p)], learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam([("p", p)], TrainSection(learning_rate=lr, beta1=b1, beta2=b2, eps=eps))
     grads = [0.3, -1.2, 0.05]
     theta, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
@@ -236,7 +236,7 @@ def test_train_first_epoch_loss_below_ln2():
 
 def test_train_frozen_batch_loss_decreases_over_first_steps():
     params, forward, _, ids, numeric, y = _toy_model_and_data()
-    adam = Adam(params.named_tensors(), learning_rate=1e-3)
+    adam = Adam(params.named_tensors(), TrainSection(learning_rate=1e-3))
     losses = []
     for _ in range(6):
         adam.zero_grad()
@@ -289,7 +289,7 @@ def test_train_passes_configured_adam_settings(small_csv, monkeypatch):
     class SpyAdam(Adam):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            seen.append((self.beta1, self.beta2, self.eps))
+            seen.append((self.opts.beta1, self.opts.beta2, self.opts.eps))
 
     monkeypatch.setattr(trainer, "Adam", SpyAdam)
     dataset = ingest.load_dataset(small_csv)
