@@ -53,7 +53,7 @@ import numpy as np
 from . import ndgrad, trainer
 from .base import check_labels
 from .config import RunConfig
-from .errors import DataError, ModelStoreError, ShapeError
+from .errors import DataError, ModelStoreError, NumericError, ShapeError
 from .ndgrad import Tensor
 from .rng import SplitMix64
 
@@ -202,7 +202,9 @@ def kernel_weights(params: ModelParams) -> KernelWeights:
     kernel-order gradients by the same order maps them back. The
     gate-major copies halve the sigmoid gates, so one tanh covers every
     gate: sigma(x) = 0.5 + 0.5 tanh(x / 2). Scaling by a power of two is
-    exact. h @ wh_g[d] is direction d's (4, rows, H) gate block.
+    exact. h @ wh_g[d] is direction d's (4, rows, H) gate block. An input
+    table that is not finite (finite weights too large to score) raises
+    NumericError.
     """
     h = params.forward_lstm.wh.shape[1]
     order = np.r_[0 : 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
@@ -218,6 +220,8 @@ def kernel_weights(params: ModelParams) -> KernelWeights:
     wh_g = np.ascontiguousarray((wh.reshape(2, 4, h, h) * scale).transpose(0, 1, 3, 2))
     table = np.matmul(embedding, wx_g)
     table += (bias.reshape(2, 4, 1, h) * scale).transpose(1, 0, 2, 3)
+    if not np.isfinite(table).all():
+        raise NumericError("the BiLSTM input table (embedding @ Wx + b) is not finite")
     return KernelWeights(wx, wh, order, wh_g, table.reshape(4, 2 * vocab, h))
 
 
@@ -512,24 +516,31 @@ def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None
                   kernel: KernelWeights = None) -> Tensor:
     """Per-example fraud probability, shape (batch, 1), each value in (0, 1).
     The encoder runs in `workspace`'s buffers, or in fresh ones, on
-    `kernel`, or on weights laid out from params."""
+    `kernel`, or on weights laid out from params. A pre-sigmoid logit that
+    is not finite raises NumericError."""
     encoded = bilstm_encode(ids, params, workspace, kernel)
     merged = ndgrad.concat(encoded, Tensor(numeric))
     hidden = ndgrad.relu(ndgrad.add(ndgrad.matmul(merged, params.dense_w), params.dense_b))
-    return ndgrad.sigmoid(ndgrad.add(ndgrad.matmul(hidden, params.out_w), params.out_b))
+    logit = ndgrad.add(ndgrad.matmul(hidden, params.out_w), params.out_b)
+    if not np.isfinite(logit.values).all():
+        raise NumericError("a BiLSTM pre-sigmoid logit is not finite")
+    return ndgrad.sigmoid(logit)
 
 
 def predict_scores(ids, numeric, params: ModelParams, workspace: Workspace = None) -> np.ndarray:
     """Fraud probabilities without recording gradients, in eval chunks
-    that share one KernelWeights and `workspace`, or a fresh Workspace."""
+    that share one KernelWeights and `workspace`, or a fresh Workspace.
+    Float errors stay quiet: one that can change a score ends in an input
+    table or a logit that is not finite, which raises NumericError."""
     if workspace is None:
         workspace = Workspace()
-    kernel = kernel_weights(params)
-    return trainer._evaluate(
-        lambda b_ids, b_num: model_forward(b_ids, b_num, params, workspace, kernel),
-        np.asarray(ids, dtype=np.int64),
-        np.asarray(numeric, dtype=np.float64),
-    )
+    with np.errstate(all="ignore"):
+        kernel = kernel_weights(params)
+        return trainer._evaluate(
+            lambda b_ids, b_num: model_forward(b_ids, b_num, params, workspace, kernel),
+            np.asarray(ids, dtype=np.int64),
+            np.asarray(numeric, dtype=np.float64),
+        )
 
 
 # --------------------------------------------------------------------------

@@ -4,19 +4,22 @@ and a leaf-wise histogram-boosting variant.
 Split search is exact greedy CART over midpoints between consecutive
 distinct sorted values (Gini for classification trees, variance reduction
 for regression trees); ties in gain break toward the lowest feature index,
-then the lowest threshold. Each ensemble fit ranks every column's values
-once into small integer codes; a node then scores all candidate features
-together: one stable sort of their codes, one cumulative sum of the sorted
-targets, scores only at value boundaries, one argmax. Nodes work on row
-indices and copy no rows of X: a random-forest node gathers only its
-candidate features' codes, from a feature-major copy made once per fit,
-and a boosting node gathers whole rows of codes. The depth-wise booster
-sorts its root once per fit, since every round splits the same rows on the
-same codes and only the residuals change. The leaf-wise trainer bins
-features into equal-frequency histograms once, from one sort of the whole
-matrix, sizes the histogram grid to the widest feature's real bin count,
-scores only the bin boundaries that carry an edge, and always splits the
-highest-gain leaf.
+then the lowest threshold. Each fit ranks every column's values once
+(rank_codes): integer codes offset by feature, and a table of each
+column's distinct values. A node then scores all candidate features
+together from one histogram per feature of its rows' row counts and
+target sums per distinct value, sorting nothing: with one bin per
+distinct value, the histogram search is the exact search (as XGBoost's
+exact and histogram split finding coincide when no feature has more
+values than bins). Its cost grows with the distinct values per feature,
+which the tabular matrix keeps small (flags, one-hots, term counts). Nodes
+work on row indices and copy no rows of X: a random-forest node gathers
+only its candidate features' codes, from a feature-major copy made once
+per fit, and a depth-wise boosting node gathers whole rows of codes. The
+leaf-wise trainer bins features into equal-frequency histograms once, on
+the same ranking, sizes the histogram grid to the widest feature's real
+bin count, scores only the bin boundaries that carry an edge, and always
+splits the highest-gain leaf.
 
 An ensemble's trees share one set of flat node arrays, which both growers
 append to; the boosters share one boosting loop. Predict walks all rows
@@ -28,6 +31,7 @@ import heapq
 import logging
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,49 +89,62 @@ class EnsembleModel:
 # Exact split search
 # --------------------------------------------------------------------------
 
-def rank_codes(X) -> np.ndarray:
-    """Per-column dense ranks of X's values: equal values share a code, and
-    codes rise with the values (np.unique's inverse, for all columns at once).
+class Ranking(NamedTuple):
+    """X ranked once per fit: values[f, c] is column f's c-th smallest
+    distinct value (its largest fills the row past its last), and
+    flat_codes[i, f] is f * width + c for the c with X[i, f] == values[f, c],
+    so that one bincount of a node's codes counts every (feature, value)."""
 
-    Stable-sorting a column's codes orders its rows exactly as
-    stable-sorting its values does; int16 codes radix-sort.
-    """
+    flat_codes: np.ndarray  # (n, F), of the narrowest integer type that holds 2 * F * width
+    values: np.ndarray  # (F, width): width is the most distinct values of any column
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+
+def rank_codes(X) -> Ranking:
+    """The Ranking of X (at least one row): per-column dense ranks, which
+    are np.unique's inverse for all columns at once, and the distinct
+    values they index."""
     X = np.asarray(X, dtype=np.float64)
+    n, n_features = X.shape
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
-    ranks = np.zeros(X.shape, dtype=np.int16 if X.shape[0] <= 2**15 else np.int32)
-    np.cumsum(xs[1:] != xs[:-1], axis=0, out=ranks[1:])
-    codes = np.empty_like(ranks)
+    first = np.ones(X.shape, dtype=bool)  # where each value's run of sorted rows begins
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    ranks = np.cumsum(first, axis=0, dtype=np.min_scalar_type(n))  # 1 + the rank
+    width = int(ranks[-1].max(initial=1))
+    values = np.repeat(xs[-1:].T, width, axis=1)
+    f, i = np.nonzero(first.T)
+    values[f, ranks[i, f] - 1] = xs[i, f]
+    del xs
+    # narrow codes cut what a node gathers; best_split doubles them in place
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(-2 * n_features * width))
     np.put_along_axis(codes, order, ranks, axis=0)
-    return codes
+    codes += np.arange(n_features, dtype=codes.dtype) * width - 1  # f * width + rank
+    return Ranking(codes, values)
 
 
-def presort(block, min_samples_leaf):
-    """(order, row, at) of a (k, n) code block: each row's stable sort
-    order, and the (row, sorted position) of every value boundary a split
-    may follow while leaving min_samples_leaf rows on each side."""
-    lo, hi = min_samples_leaf - 1, block.shape[1] - min_samples_leaf
-    order = np.argsort(block, axis=1, kind="stable")
-    sorted_codes = np.sort(block, axis=1)
-    row, at = np.nonzero(sorted_codes[:, lo + 1 : hi + 1] != sorted_codes[:, lo:hi])
-    return order, row, at + lo
-
-
-def best_split(
-    X, y, feature_indices, min_samples_leaf, criterion, codes=None, rows=None, presorted=None,
-):
+def best_split(X, y, feature_indices, min_samples_leaf, criterion, ranking=None, rows=None):
     """Best (feature, threshold, gain) over exact midpoint candidates.
 
     Gain is the impurity decrease I(parent) - w_l I(left) - w_r I(right);
     returns None when no candidate strictly decreases impurity while
-    leaving min_samples_leaf rows on each side. `codes` are rank_codes of
+    leaving min_samples_leaf rows on each side. `ranking` is rank_codes of
     X (computed here when absent). `rows` index the node's rows in X and
-    codes (all rows when None), and y holds one target per node row. All
-    candidate features are scanned at once: one stable sort of their
-    codes, one cumulative sum of the sorted targets, scores only at value
-    boundaries, and one argmax whose row-major order breaks ties toward the
-    first candidate feature, then the lowest threshold. `presorted` is the
-    node's presort of the candidates' codes, when the caller already has it.
+    the ranking (all rows when None), and y holds one target per node row.
+
+    One histogram per candidate feature holds each distinct value's row
+    count and target sum. With column-major flat codes, a gini node gathers
+    only its candidates' columns and counts them in one integer bincount of
+    code * 2 + label; otherwise the node gathers whole rows for
+    _leaf_histograms, whose target sums add up each value's rows in row
+    order. A cumulative sum along the values gives every split's left side;
+    a split may follow each of the node's values that leaves
+    min_samples_leaf rows on each side, and its threshold is the midpoint
+    of that value and the node's next one. One argmax, row-major, breaks
+    ties toward the first candidate feature, then the lowest threshold.
     """
     n = y.shape[0]
     total = y.sum()
@@ -141,29 +158,35 @@ def best_split(
     if n < 2 * min_samples_leaf:
         return None
     features = np.asarray(feature_indices, dtype=np.intp)
-    if presorted is None:
-        if codes is None:
-            codes = rank_codes(X)
-        if rows is None:
-            block = codes.T[features]
-        elif codes.flags.f_contiguous:  # column-major: read only the candidate columns
-            block = codes.T[features][:, rows]
-        else:  # whole rows, one contiguous copy of the candidates for the sort
-            block = codes[rows].T[features]
-        presorted = presort(block, min_samples_leaf)
-    order, row, at = presorted
+    if ranking is None:
+        ranking = rank_codes(X)
+    if criterion == "gini" and ranking.flat_codes.flags.f_contiguous:
+        width, k = ranking.width, features.shape[0]
+        block = ranking.flat_codes.T[features]
+        if rows is not None:
+            block = block[:, rows]
+        block -= ((features - np.arange(k)) * width)[:, None]  # candidate j's values at j * width
+        block *= 2
+        block += y.astype(block.dtype)
+        hist = np.bincount(block.ravel("K"), minlength=2 * k * width).reshape(k, width, 2)
+        count, sums = hist[:, :, 0] + hist[:, :, 1], hist[:, :, 1]
+    else:
+        count, sums = _leaf_histograms(ranking, rows, y)
+        count, sums = count[features], sums[features]
+    left_n = count.cumsum(axis=1)
+    valid = (count > 0) & (left_n >= min_samples_leaf) & (left_n <= n - min_samples_leaf)
+    row, lo = np.nonzero(valid)
     if row.shape[0] == 0:
         return None
-    cum = y.take(order)
-    np.cumsum(cum, axis=1, out=cum)  # in place: a second (k, n) buffer costs page faults
-    cum = cum[row, at]
-    left_n = at + 1.0  # a split after sorted position i leaves i + 1 rows on the left
-    right_n = n - left_n
+    # gini's integer sums convert exactly, and only at the candidates
+    cum = sums.cumsum(axis=1)[row, lo].astype(np.float64)
+    left_n_at = left_n[row, lo].astype(np.float64)
+    right_n = n - left_n_at
     if criterion == "gini":
         pos_l, pos_r = cum, total - cum
-        score = -(pos_l * (left_n - pos_l) / left_n + pos_r * (right_n - pos_r) / right_n)
+        score = -(pos_l * (left_n_at - pos_l) / left_n_at + pos_r * (right_n - pos_r) / right_n)
     else:
-        score = cum * cum / left_n + (total - cum) ** 2 / right_n
+        score = cum * cum / left_n_at + (total - cum) ** 2 / right_n
     j = int(np.argmax(score))  # first max: first feature, then lowest threshold
     best_score = score[j]
     if criterion == "gini":
@@ -172,43 +195,29 @@ def best_split(
         gain = (best_score - parent_term) / n
     if gain <= 0.0:
         return None
-    f = int(features[row[j]])
-    a, b = order[row[j], at[j]], order[row[j], at[j] + 1]
-    if rows is not None:
-        a, b = rows[a], rows[b]
-    return f, (X[a, f] + X[b, f]) / 2.0, gain
+    r, a = row[j], lo[j]
+    b = np.searchsorted(left_n[r], left_n[r, a], side="right")  # the node's next value
+    f = int(features[r])
+    return f, (ranking.values[f, a] + ranking.values[f, b]) / 2.0, gain
 
 
-def fit_tree(
-    X,
-    y,
-    model,
-    max_depth=None,
-    min_samples_leaf=1,
-    criterion="gini",
-    feature_subsample=None,
-    rng=None,
-    codes=None,
-    rows=None,
-    root_presort=None,
-):
+def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
+             feature_subsample=None, rng=None, ranking=None, rows=None):
     """Greedy recursive best-split CART tree, appended to the EnsembleModel
     `model`; returns its leaves, each mapped to its rows.
 
     `feature_subsample` is a per-node candidate count (None = all
     features), drawn from `rng`. Leaves carry the class-1 fraction
-    (classification) or the mean target (regression). `codes` are
-    rank_codes of X, computed here when absent; column-major codes let a
-    subsampling node read only its candidate columns. `rows` are the root's
-    rows of X and y (all when None; a bootstrap sample repeats rows).
-    `root_presort` is the root's presort of all features' codes, for
-    callers that fit many trees on the same rows.
+    (classification) or the mean target (regression). `ranking` is
+    rank_codes of X, computed here when absent; column-major flat codes let
+    a subsampling node read only its candidate columns. `rows` are the
+    root's rows of X and y (all when None; a bootstrap sample repeats rows).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
-    if codes is None:
-        codes = rank_codes(X)
+    if ranking is None:
+        ranking = rank_codes(X)
     subsample = feature_subsample is not None and feature_subsample < n_features
     all_features = np.arange(n_features)
     leaves = {}
@@ -227,10 +236,7 @@ def fit_tree(
             candidates = rng.sample_indices(n_features, feature_subsample)
         else:
             candidates = all_features
-        found = best_split(
-            X, yr, candidates, min_samples_leaf, criterion, codes, rows,
-            root_presort if depth == 0 else None,
-        )
+        found = best_split(X, yr, candidates, min_samples_leaf, criterion, ranking, rows)
         if found is None:
             return
         del leaves[node]
@@ -263,8 +269,9 @@ def fit_random_forest(
     X = check_matrix(X)
     y = check_labels(y, X.shape[0])
     n, n_features = X.shape
+    ranking = rank_codes(X)
     # column-major, so a node gathers only its candidate columns' codes
-    codes = np.asfortranarray(rank_codes(X))
+    ranking = ranking._replace(flat_codes=np.asfortranarray(ranking.flat_codes))
     if feature_subsample == "sqrt":
         per_node = max(1, int(np.sqrt(n_features)))
     else:
@@ -275,18 +282,8 @@ def fit_random_forest(
         rows = None
         if bootstrap:
             rows = rng.randrange_array(n, n)
-        fit_tree(
-            X,
-            y,
-            model,
-            max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
-            criterion="gini",
-            feature_subsample=per_node,
-            rng=rng,
-            codes=codes,
-            rows=rows,
-        )
+        fit_tree(X, y, model, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                 criterion="gini", feature_subsample=per_node, rng=rng, ranking=ranking, rows=rows)
     return model
 
 
@@ -344,14 +341,14 @@ def fit_gbm(
     """Boosting on exact regression trees: each round fits a depth-limited
     tree to the residuals."""
     X = check_matrix(X)
-    codes = rank_codes(X)
-    # every round's root splits the same rows on the same codes: sort them once
-    root_presort = presort(codes.T, min_samples_leaf)
+    ranking = rank_codes(X)
+    # bincount counts intp: whole-row gathers of narrower codes would convert twice a node
+    ranking = ranking._replace(flat_codes=ranking.flat_codes.astype(np.intp))
 
     def grow(residual, model):
         return fit_tree(
             X, residual, model, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-            criterion="variance", codes=codes, root_presort=root_presort,
+            criterion="variance", ranking=ranking,
         )
 
     return _boost("gbm", X, y, n_rounds, learning_rate, grow)
@@ -381,30 +378,26 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
     """Equal-frequency bins; features with few distinct values get one bin
     per value, with edges at midpoints.
 
-    A value's bin is the count of edges below it. One sort of the whole
-    matrix gives every column's distinct values, midpoint edges and bins;
-    columns with more than n_bins distinct values take quantile edges, and
-    a column with a midpoint not strictly between its two values (NaN, an
-    infinity, overflow, or adjacent floats) is binned on its own, since its
-    bins need not be its value ranks.
+    A value's bin is the count of edges below it. rank_codes gives every
+    column's distinct values and their ranks, which are the bins, with
+    edges at the midpoints of consecutive values; columns with more than
+    n_bins distinct values take quantile edges, and a column with a
+    midpoint not strictly between its two values (NaN, an infinity,
+    overflow, or adjacent floats) is binned on its own, since its bins need
+    not be its value ranks.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, n_features = X.shape
-    order = np.argsort(X, axis=0)
-    xs = np.take_along_axis(X, order, axis=0)
-    boundary = xs[1:] != xs[:-1]  # between consecutive distinct values
+    n_features = X.shape[1]
+    ranking = rank_codes(X)
+    codes = ranking.flat_codes - np.arange(n_features) * ranking.width
+    values = ranking.values
     with np.errstate(over="ignore", invalid="ignore"):  # such columns are binned on their own
-        mids = (xs[:-1] + xs[1:]) / 2.0
-    ranks = np.zeros((n, n_features), dtype=np.int64)
-    np.cumsum(boundary, axis=0, out=ranks[1:])
-    codes = np.empty_like(ranks)
-    np.put_along_axis(codes, order, ranks, axis=0)
-    n_mids = boundary.sum(axis=0)
-    ends = np.cumsum(n_mids)
-    flat_mids = mids.T[boundary.T]  # feature-major, ascending within a feature
-    edges = [flat_mids[a:b] for a, b in zip(ends - n_mids, ends)]
-    inside = (xs[:-1] < mids) & (mids < xs[1:])
-    own = (n_mids >= n_bins) | (boundary & ~inside).any(axis=0)
+        mids = (values[:, :-1] + values[:, 1:]) / 2.0
+    n_mids = codes.max(axis=0)
+    edges = [row[:m] for row, m in zip(mids, n_mids)]
+    inside = (values[:, :-1] < mids) & (mids < values[:, 1:])
+    between = np.arange(ranking.width - 1) < n_mids[:, None]  # two of the column's values
+    own = (n_mids >= n_bins) | (between & ~inside).any(axis=1)
     for f in np.flatnonzero(own):
         col = X[:, f]
         distinct = np.unique(col)
@@ -426,13 +419,16 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
     )
 
 
-def _leaf_histograms(bins: FeatureBins, rows, residual):
-    n_features = bins.codes.shape[1]
+def _leaf_histograms(bins, rows, targets):
+    """(count, target sum) per (feature, code) of `rows` (all when None) of
+    a FeatureBins or Ranking, whose targets are `targets`: each cell's sum
+    adds its rows in row order."""
+    n_features = bins.flat_codes.shape[1]
     size = n_features * bins.width
-    flat = bins.flat_codes[rows].ravel()
+    flat = (bins.flat_codes if rows is None else bins.flat_codes[rows]).ravel()
     count = np.bincount(flat, minlength=size).reshape(n_features, bins.width)
     grad = np.bincount(
-        flat, weights=np.repeat(residual[rows], n_features), minlength=size
+        flat, weights=np.repeat(targets, n_features), minlength=size
     ).reshape(n_features, bins.width)
     return count.astype(np.float64), grad
 
@@ -485,10 +481,10 @@ def _grow_leafwise(bins: FeatureBins, residual, model, max_leaves, min_samples_l
         left_rows, right_rows = rows[mask], rows[~mask]
         # build the smaller child's histogram, subtract for the sibling
         if left_rows.shape[0] <= right_rows.shape[0]:
-            lc, lg = _leaf_histograms(bins, left_rows, residual)
+            lc, lg = _leaf_histograms(bins, left_rows, residual[left_rows])
             rc, rg = count - lc, grad - lg
         else:
-            rc, rg = _leaf_histograms(bins, right_rows, residual)
+            rc, rg = _leaf_histograms(bins, right_rows, residual[right_rows])
             lc, lg = count - rc, grad - rg
         left = model.split(node, f, float(bins.edges[f][b]))
         push(left, left_rows, lc, lg)

@@ -135,7 +135,8 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
     forward_fn(ids, numeric) gives a batch's probabilities as a (rows, 1)
     Tensor for the tape; score_fn(ids, numeric) gives each epoch's
     validation scores as an array. A non-finite gradient or validation
-    loss raises NumericError, naming the epoch.
+    loss, or a NumericError of a batch or of the validation scores, raises
+    NumericError naming the epoch.
     """
     ids, numeric, labels = train_data
     ids_val, numeric_val, labels_val = val_data
@@ -170,10 +171,11 @@ def train(named_params, forward_fn, score_fn, train_data, val_data, cfg: RunConf
                 batch_losses.append(loss.item())
 
         history.train_loss.append(float(np.mean(batch_losses)))
-        with np.errstate(all="ignore"):
+        try:  # score_fn keeps its own float errors quiet where it checks them
             val_scores = score_fn(ids_val, numeric_val)
-            val_loss = ndgrad.bce_loss(ndgrad.Tensor(val_scores[:, None]),
-                                       labels_val[:, None]).item()
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch} validation: {exc}") from exc
+        val_loss = ndgrad.bce_loss(ndgrad.Tensor(val_scores[:, None]), labels_val[:, None]).item()
         if not np.isfinite(val_loss):
             raise NumericError(f"epoch {epoch}: validation loss is {val_loss}")
         history.val_loss.append(val_loss)

@@ -792,6 +792,62 @@ def test_huge_bilstm_learning_rate_exits_four(request, tmp_path, data, run_confi
     assert "Traceback" not in err and not out.exists()
 
 
+# a step of 1e300 leaves a tiny model finite weights too large to score
+HUGE_STEP_CONFIG = {
+    "train": {"learning_rate": 1e300},
+    "bilstm": {"embedding_dim": 4, "hidden_units": 4, "dense_units": 4},
+    "features": {"sequence_length": 16},
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_bilstm_weights_too_large_to_score_exit_four_before_a_bundle(tmp_path, small_csv,
+                                                                   capsys):
+    """Finite weights whose scoring overflows are a numeric error naming the
+    epoch, with no float warning on the way and no bundle saved, not a
+    bundle that scores every row 0."""
+    (tmp_path / "config.json").write_text(json.dumps(HUGE_STEP_CONFIG), encoding="utf-8")
+    out = tmp_path / "m"
+    code = run_cli(["train", "--data", str(small_csv), "--config", str(tmp_path / "config.json"),
+                    "--model", "bilstm", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("numeric error: epoch 1") and "input table" in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_bilstm_dir(tmp_path_factory, half_fake_csv):
+    return _train_bundle(tmp_path_factory, half_fake_csv, "bilstm", TINY_CONFIG)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("tensors, phase", [
+    (("embedding", "forward_lstm.wx"), "input table"),  # embedding @ Wx overflows
+    (("dense_b", "out_w"), "pre-sigmoid logit"),  # every hidden unit is 1e300
+])
+def test_bilstm_bundle_too_large_to_score_exits_four(tmp_path, tiny_bilstm_dir, half_fake_csv,
+                                                      tensors, phase, command, capsys):
+    """A bundle of finite weights whose scoring overflows exits 4, naming
+    what overflowed, with no float warning and no output file."""
+    pipe = DetectionPipeline.load(tiny_bilstm_dir)
+    for name, tensor in pipe.model.params.named_tensors():
+        if name in tensors:
+            tensor.values[...] = 1e300
+    pipe.save(tmp_path / "huge")
+    scored = tmp_path / "scored.csv"
+    argv = {
+        "predict": ["--input", str(half_fake_csv), "--out", str(scored)],
+        "evaluate": ["--data", str(half_fake_csv), "--split", "test"],
+    }[command]
+    code = run_cli([command, "--model", str(tmp_path / "huge"), *argv])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("numeric error: ") and phase in err, err
+    assert "Traceback" not in err and not scored.exists()
+
+
 # every value a config sweep sets a field to
 _SWEEP_VALUES = (0, -1, 0.5, 1e-320, 1e308, -1e308, float("nan"), float("inf"), 2**62, True,
                  "x", None)

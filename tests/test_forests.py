@@ -22,7 +22,6 @@ from jobfraud.forests import (
     fit_leafwise_gbm,
     fit_random_forest,
     fit_tree,
-    presort,
     rank_codes,
 )
 from jobfraud.ndgrad import _sigmoid_values
@@ -35,6 +34,7 @@ from tree_reference import (
     reference_fit_gbm,
     reference_fit_random_forest,
     reference_predict,
+    sorted_scan_best_split,
 )
 
 
@@ -44,13 +44,13 @@ from tree_reference import (
 # the exact-split references are in tree_reference.py
 # --------------------------------------------------------------------------
 
-def full_grid_histograms(bins, rows, residual):
+def full_grid_histograms(bins, rows, targets):
     n_features = bins.codes.shape[1]
     size = n_features * bins.n_bins
     flat = (bins.codes[rows] + np.arange(n_features) * bins.n_bins).ravel()
     count = np.bincount(flat, minlength=size).reshape(n_features, bins.n_bins)
     grad = np.bincount(
-        flat, weights=np.repeat(residual[rows], n_features), minlength=size
+        flat, weights=np.repeat(targets, n_features), minlength=size
     ).reshape(n_features, bins.n_bins)
     return count.astype(np.float64), grad
 
@@ -292,10 +292,12 @@ def test_batched_split_equals_per_feature_reference(criterion):
         min_leaf = 1 + int(rng.integers(4))
         expected = reference_best_split(X, y, candidates, min_leaf, criterion)
         assert best_split(X, y, candidates, min_leaf, criterion) == expected, f"case {case}"
-        # codes of a larger matrix, restricted to the node's rows, as fit_tree passes them
+        # the ranking of a larger matrix, restricted to the node's rows
         rows = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
         expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion)
-        found = best_split(X[rows], y[rows], candidates, min_leaf, criterion, rank_codes(X)[rows])
+        ranking = rank_codes(X)
+        ranking = ranking._replace(flat_codes=ranking.flat_codes[rows])
+        found = best_split(X[rows], y[rows], candidates, min_leaf, criterion, ranking)
         assert found == expected, f"case {case} (row subset)"
         splits += expected is not None
     assert splits > 500  # most instances have a split to agree on
@@ -327,29 +329,54 @@ def _node_instances(draw):
 @given(_node_instances())
 def test_row_indexed_split_equals_reference_on_copied_rows(instance):
     """best_split on a node's row indices equals the reference search on the
-    node's copied rows, exactly, for both code layouts and a presort."""
+    node's copied rows, exactly, for both code layouts."""
     X, y, rows, candidates, min_leaf, criterion = instance
     expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion)
-    codes = rank_codes(X)
-    for layout in (codes, np.asfortranarray(codes)):  # whole-row and candidate-column gathers
+    ranking = rank_codes(X)
+    column_major = ranking._replace(flat_codes=np.asfortranarray(ranking.flat_codes))
+    for layout in (ranking, column_major):  # whole-row and candidate-column gathers
         found = best_split(X, y[rows], candidates, min_leaf, criterion, layout, rows)
         assert found == expected
-    presorted = presort(codes[rows].T[candidates], min_leaf)
-    found = best_split(X, y[rows], candidates, min_leaf, criterion, rows=rows, presorted=presorted)
-    assert found == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_variance_split_on_dyadic_targets_equals_sorted_scan_and_fractions(data):
+    """With targets in multiples of 1/64 and |y| <= 4, every sum of at most
+    50 of them is exact in any order, so the histogram search's summation
+    order cannot matter: its split equals the sorted-order scan's exactly,
+    and that split's exact gain is the Fraction brute force's maximum."""
+    n = data.draw(st.integers(2, 50))
+    n_features = data.draw(st.integers(1, 4))
+    column = st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.25]), min_size=n, max_size=n)
+    X = np.column_stack([data.draw(column) for _ in range(n_features)])
+    y = np.array(data.draw(st.lists(st.integers(-256, 256), min_size=n, max_size=n))) / 64.0
+    min_leaf = data.draw(st.integers(1, 3))
+    found = best_split(X, y, range(n_features), min_leaf, "variance")
+    assert found == sorted_scan_best_split(X, y, range(n_features), min_leaf, "variance")
+    brute = brute_force_best_gain(X, y, min_leaf, variance_gain_exact)
+    if found is None:
+        assert brute == 0
+    else:
+        assert variance_gain_exact(y, X[:, found[0]] <= found[1]) == brute
 
 
 def test_rank_codes_are_unique_inverses():
     X = np.array([[0.5, -0.0, 3.0], [-1.0, 0.0, 3.0], [0.5, 2.0, 3.0], [2.0, -0.0, 3.0]])
-    codes = rank_codes(X)
-    assert codes.dtype == np.int16
-    assert codes.T.tolist() == [[1, 0, 1, 2], [0, 0, 1, 0], [0, 0, 0, 0]]
+    ranking = rank_codes(X)
+    assert ranking.width == 3  # feature f's codes start at 3 f
+    assert ranking.flat_codes.T.tolist() == [[1, 0, 1, 2], [3, 3, 4, 3], [6, 6, 6, 6]]
+    # each column's distinct values, its largest repeated past its last
+    assert ranking.values.tolist() == [[-1.0, 0.5, 2.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0]]
     rng = np.random.default_rng(6)
     X = _random_columns(rng, 50, 12)
-    expected = [np.unique(X[:, f], return_inverse=True)[1] for f in range(12)]
-    assert np.array_equal(rank_codes(X), np.column_stack(expected))
+    ranking = rank_codes(X)
+    for f in range(12):
+        distinct, inverse = np.unique(X[:, f], return_inverse=True)
+        assert np.array_equal(ranking.flat_codes[:, f], f * ranking.width + inverse)
+        assert np.array_equal(ranking.values[f, : distinct.shape[0]], distinct)
     wide = rank_codes(np.arange(40000.0)[::-1].reshape(-1, 1))
-    assert wide.dtype == np.int32 and np.array_equal(wide[:, 0], np.arange(40000)[::-1])
+    assert np.array_equal(wide.flat_codes[:, 0], np.arange(40000)[::-1])
 
 
 def test_tree_respects_min_samples_leaf():
@@ -502,9 +529,9 @@ def test_leafwise_scan_equals_full_grid_reference():
         assert bins.width <= bins.n_bins
         rows = np.sort(rng.choice(n, size=1 + int(rng.integers(n)), replace=False))
         min_leaf = 1 + int(rng.integers(4))
-        count, grad = forests._leaf_histograms(bins, rows, resid)
+        count, grad = forests._leaf_histograms(bins, rows, resid[rows])
         expected = full_grid_best_hist_split(
-            bins, *full_grid_histograms(bins, rows, resid), min_leaf
+            bins, *full_grid_histograms(bins, rows, resid[rows]), min_leaf
         )
         assert forests._best_hist_split(bins, count, grad, min_leaf) == expected, f"case {case}"
 
@@ -613,8 +640,8 @@ def test_ensembles_equal_reference_search_on_fixture(fixture_matrix, monkeypatch
 @pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
 @pytest.mark.parametrize("max_depth", [2, 3, 4])
 def test_gbm_equals_reference_fit(fixture_matrix, monkeypatch, min_samples_leaf, max_depth):
-    """The root presort and the node gathers grow the reference's trees at
-    every min_samples_leaf and depth, also where the best root split would
+    """The histogram search and the node gathers grow the reference's trees
+    at every min_samples_leaf and depth, also where the best root split would
     leave a single row on one side."""
     rng = np.random.default_rng(8)
     lone_X = rng.normal(size=(40, 5))

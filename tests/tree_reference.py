@@ -1,18 +1,20 @@
 """Reference exact tree learners and predictor for the tests in
 test_forests.py.
 
-`reference_best_split` is the one-numpy-scan-per-feature CART search that
-the batched `forests.best_split` replaced. The fits are the learners as
-they were before the node gathers, the boosting root presort and the flat
-node arrays: every node copies its rows of X (`X[rows]`), every boosting
-round sorts its root again, every forest tree copies its bootstrap rows,
-and trees are linked `TreeNode` objects whose GBM leaves get their Newton
-values by routing the rows again. The fits call `reference_best_split`
-through this module's global, so a test can count the calls, and return
-the nested JSON of `forests.ensemble_to_dict`. The fast learners must grow
-the same trees, byte for byte. `reference_predict` is the recursive
-per-tree predictor that the level-wise `forests.ensemble_predict`
-replaced; it reads the same nested JSON.
+`sorted_scan_best_split` is the one-numpy-scan-per-feature CART search
+that the batched and then the histogram `forests.best_split` replaced;
+`reference_best_split` is that scan with a variance split's sums added in
+the histogram search's order. The fits are the learners as they were
+before the node gathers, the histograms and the flat node arrays: every
+node copies its rows of X (`X[rows]`) and sorts them, every forest tree
+copies its bootstrap rows, and trees are linked `TreeNode` objects whose
+GBM leaves get their Newton values by routing the rows again. The fits
+call `reference_best_split` through this module's global, so a test can
+count the calls, and return the nested JSON of `forests.ensemble_to_dict`.
+The fast learners must grow the same trees, byte for byte.
+`reference_predict` is the recursive per-tree predictor that the
+level-wise `forests.ensemble_predict` replaced; it reads the same nested
+JSON.
 """
 
 from dataclasses import dataclass
@@ -115,7 +117,18 @@ def _newtonize(node: TreeNode, X, rows, residual, hessian, out) -> None:
     _newtonize(node.right, X, rows[~mask], residual, hessian, out)
 
 
-def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion):
+def _per_value_cumsum(xs, ys):
+    """At each sorted position, the running sum over distinct values of
+    each value's targets, which are added up in row order."""
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    per_value = [sum(ys[a:b], 0.0) for a, b in zip(starts, np.r_[starts[1:], xs.shape[0]])]
+    return np.repeat(np.cumsum(per_value), np.diff(np.r_[starts, xs.shape[0]]))
+
+
+def sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion,
+                           cumulative=lambda xs, ys: np.cumsum(ys)):
+    """The per-feature scan: one stable sort of each candidate column and,
+    by default, one running sum of its sorted targets."""
     n = y.shape[0]
     total = y.sum()
     if criterion == "gini":
@@ -137,7 +150,7 @@ def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion):
         boundary = xs[1:] != xs[:-1]
         if not boundary.any():
             continue
-        cum = np.cumsum(ys)[:-1]
+        cum = cumulative(xs, ys)[:-1]
         if criterion == "gini":
             pos_l = cum
             pos_r = total - cum
@@ -163,6 +176,17 @@ def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion):
     if gain <= 0.0:
         return None
     return best_feature, best_threshold, gain
+
+
+def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion):
+    """The per-feature scan in the histogram search's summation order: gini
+    sums are integer counts, exact in any order, and a variance split's
+    left sum adds each value's targets in row order, then runs across the
+    values."""
+    if criterion == "gini":
+        return sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion)
+    return sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion,
+                                  _per_value_cumsum)
 
 
 def reference_fit_tree(
