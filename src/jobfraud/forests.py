@@ -15,11 +15,19 @@ values than bins). Its cost grows with the distinct values per feature,
 which the tabular matrix keeps small (flags, one-hots, term counts). Nodes
 work on row indices and copy no rows of X: a random-forest node gathers
 only its candidate features' codes, from a feature-major copy made once
-per fit, and a depth-wise boosting node gathers whole rows of codes. The
-leaf-wise trainer bins features into equal-frequency histograms once, on
-the same ranking, sizes the histogram grid to the widest feature's real
-bin count, scores only the bin boundaries that carry an edge, and always
-splits the highest-gain leaf.
+per fit. The leaf-wise trainer bins features into equal-frequency
+histograms once, on the same ranking, sizes the histogram grid to the
+widest feature's real bin count, scores only the bin boundaries that carry
+an edge, and always splits the highest-gain leaf.
+
+Both boosters keep their codes once per fit as SparseCodes: each column's
+most frequent code is its default, and a row keeps only its other codes,
+about a tenth of the product's matrix. A boosting node's histograms count
+only its rows' non-default codes and fill each column's default cell from
+the node's row count and target total, as LightGBM fills a sparse
+feature's zero bin. The cost is per non-default code, not per cell, so a
+matrix of continuous columns, where almost every value differs from its
+column's mode, gains nothing and pays for the gather instead.
 
 An ensemble's trees share one set of flat node arrays, which both growers
 append to; the boosters share one boosting loop. Predict walks all rows
@@ -126,7 +134,31 @@ def rank_codes(X) -> Ranking:
     return Ranking(codes, values)
 
 
-def best_split(X, y, feature_indices, min_samples_leaf, criterion, ranking=None, rows=None):
+class SparseCodes(NamedTuple):
+    """Flat codes (n, F) kept by row without each column's default, its
+    most frequent code (the lowest on ties): row i's other codes are
+    codes[indptr[i]:indptr[i + 1]], in column order."""
+
+    default: np.ndarray  # (F,) intp flat code of each column's default
+    indptr: np.ndarray  # (n + 1,) intp
+    codes: np.ndarray  # intp: the non-default flat codes, row after row
+    width: int  # flat codes per feature
+
+
+def sparse_codes(flat_codes, width) -> SparseCodes:
+    """The SparseCodes of (n, F) codes offset by feature * width."""
+    n, n_features = flat_codes.shape
+    count = np.bincount(flat_codes.ravel(), minlength=n_features * width)
+    default = count.reshape(n_features, width).argmax(axis=1)  # first max: lowest code
+    default += np.arange(n_features) * width
+    other = flat_codes != default
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(other.sum(axis=1), out=indptr[1:])
+    return SparseCodes(default, indptr, flat_codes[other].astype(np.intp), width)
+
+
+def best_split(X, y, feature_indices, min_samples_leaf, criterion, ranking=None, rows=None,
+               table=None):
     """Best (feature, threshold, gain) over exact midpoint candidates.
 
     Gain is the impurity decrease I(parent) - w_l I(left) - w_r I(right);
@@ -136,15 +168,17 @@ def best_split(X, y, feature_indices, min_samples_leaf, criterion, ranking=None,
     the ranking (all rows when None), and y holds one target per node row.
 
     One histogram per candidate feature holds each distinct value's row
-    count and target sum. With column-major flat codes, a gini node gathers
-    only its candidates' columns and counts them in one integer bincount of
-    code * 2 + label; otherwise the node gathers whole rows for
-    _leaf_histograms, whose target sums add up each value's rows in row
-    order. A cumulative sum along the values gives every split's left side;
-    a split may follow each of the node's values that leaves
-    min_samples_leaf rows on each side, and its threshold is the midpoint
-    of that value and the node's next one. One argmax, row-major, breaks
-    ties toward the first candidate feature, then the lowest threshold.
+    count and target sum. A gini node gathers only its candidates' columns
+    of the flat codes and counts them in one integer bincount of
+    code * 2 + label. A variance node reads `table`, the sparse_codes of the
+    ranking (built here when absent), through _leaf_histograms, whose
+    non-default sums add up each value's rows in row order. A cumulative
+    sum along the values gives every split's left side; a split may follow
+    each of the node's values that leaves min_samples_leaf rows on each
+    side, and its threshold is the midpoint of that value and the node's
+    next one, or that value itself when the midpoint rounds up to the next
+    (adjacent floats) or overflows. One argmax, row-major, breaks ties
+    toward the first candidate feature, then the lowest threshold.
     """
     n = y.shape[0]
     total = y.sum()
@@ -160,7 +194,7 @@ def best_split(X, y, feature_indices, min_samples_leaf, criterion, ranking=None,
     features = np.asarray(feature_indices, dtype=np.intp)
     if ranking is None:
         ranking = rank_codes(X)
-    if criterion == "gini" and ranking.flat_codes.flags.f_contiguous:
+    if criterion == "gini":
         width, k = ranking.width, features.shape[0]
         block = ranking.flat_codes.T[features]
         if rows is not None:
@@ -171,7 +205,9 @@ def best_split(X, y, feature_indices, min_samples_leaf, criterion, ranking=None,
         hist = np.bincount(block.ravel("K"), minlength=2 * k * width).reshape(k, width, 2)
         count, sums = hist[:, :, 0] + hist[:, :, 1], hist[:, :, 1]
     else:
-        count, sums = _leaf_histograms(ranking, rows, y)
+        if table is None:
+            table = sparse_codes(ranking.flat_codes, ranking.width)
+        count, sums = _leaf_histograms(table, rows, y)
         count, sums = count[features], sums[features]
     left_n = count.cumsum(axis=1)
     valid = (count > 0) & (left_n >= min_samples_leaf) & (left_n <= n - min_samples_leaf)
@@ -198,11 +234,13 @@ def best_split(X, y, feature_indices, min_samples_leaf, criterion, ranking=None,
     r, a = row[j], lo[j]
     b = np.searchsorted(left_n[r], left_n[r, a], side="right")  # the node's next value
     f = int(features[r])
-    return f, (ranking.values[f, a] + ranking.values[f, b]) / 2.0, gain
+    below, above = float(ranking.values[f, a]), float(ranking.values[f, b])
+    middle = (below + above) / 2.0  # a Python float: overflow gives inf, and no warning
+    return f, middle if middle < above else below, gain
 
 
 def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
-             feature_subsample=None, rng=None, ranking=None, rows=None):
+             feature_subsample=None, rng=None, ranking=None, rows=None, table=None):
     """Greedy recursive best-split CART tree, appended to the EnsembleModel
     `model`; returns its leaves, each mapped to its rows.
 
@@ -210,14 +248,19 @@ def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
     features), drawn from `rng`. Leaves carry the class-1 fraction
     (classification) or the mean target (regression). `ranking` is
     rank_codes of X, computed here when absent; column-major flat codes let
-    a subsampling node read only its candidate columns. `rows` are the
-    root's rows of X and y (all when None; a bootstrap sample repeats rows).
+    a subsampling node read only its candidate columns. A regression tree
+    reads `table`, the ranking's sparse_codes, built here when absent.
+    `rows` are the root's rows of X and y (all when None; a bootstrap
+    sample repeats rows).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
     if ranking is None:
         ranking = rank_codes(X)
+    if table is None and criterion == "variance":
+        table = sparse_codes(ranking.flat_codes, ranking.width)
+    root_rows = None if rows is None else np.asarray(rows)
     subsample = feature_subsample is not None and feature_subsample < n_features
     all_features = np.arange(n_features)
     leaves = {}
@@ -236,7 +279,8 @@ def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
             candidates = rng.sample_indices(n_features, feature_subsample)
         else:
             candidates = all_features
-        found = best_split(X, yr, candidates, min_samples_leaf, criterion, ranking, rows)
+        found = best_split(X, yr, candidates, min_samples_leaf, criterion, ranking,
+                           rows if depth else root_rows, table)
         if found is None:
             return
         del leaves[node]
@@ -247,7 +291,7 @@ def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
         grow(left + 1, rows[~mask], depth + 1)
 
     model.roots.append(model.leaf())
-    grow(model.roots[-1], np.arange(X.shape[0]) if rows is None else np.asarray(rows), 0)
+    grow(model.roots[-1], np.arange(X.shape[0]) if root_rows is None else root_rows, 0)
     return leaves
 
 
@@ -342,13 +386,12 @@ def fit_gbm(
     tree to the residuals."""
     X = check_matrix(X)
     ranking = rank_codes(X)
-    # bincount counts intp: whole-row gathers of narrower codes would convert twice a node
-    ranking = ranking._replace(flat_codes=ranking.flat_codes.astype(np.intp))
+    table = sparse_codes(ranking.flat_codes, ranking.width)
 
     def grow(residual, model):
         return fit_tree(
             X, residual, model, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-            criterion="variance", ranking=ranking,
+            criterion="variance", ranking=ranking, table=table,
         )
 
     return _boost("gbm", X, y, n_rounds, learning_rate, grow)
@@ -368,7 +411,6 @@ class FeatureBins:
 
     edges: list  # per feature, strictly increasing candidate thresholds
     codes: np.ndarray  # (n, F) bin index per value: count of edges < value
-    flat_codes: np.ndarray  # codes offset by feature * width, for bincount
     n_bins: int  # the cap on bins per feature
     width: int  # histogram columns per feature: most edges of any feature + 1
     cells: np.ndarray  # feature * width + bin of every boundary with an edge
@@ -412,25 +454,40 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
         codes[:, f] = np.searchsorted(e, col, side="left")
     n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
     width = int(n_edges.max(initial=0)) + 1
-    flat = codes + np.arange(n_features) * width
     cells = np.flatnonzero(np.arange(width) < n_edges[:, None])
-    return FeatureBins(
-        edges=edges, codes=codes, flat_codes=flat, n_bins=n_bins, width=width, cells=cells,
-    )
+    return FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, cells=cells)
 
 
-def _leaf_histograms(bins, rows, targets):
+def _leaf_histograms(table: SparseCodes, rows, targets):
     """(count, target sum) per (feature, code) of `rows` (all when None) of
-    a FeatureBins or Ranking, whose targets are `targets`: each cell's sum
-    adds its rows in row order."""
-    n_features = bins.flat_codes.shape[1]
-    size = n_features * bins.width
-    flat = (bins.flat_codes if rows is None else bins.flat_codes[rows]).ravel()
-    count = np.bincount(flat, minlength=size).reshape(n_features, bins.width)
-    grad = np.bincount(
-        flat, weights=np.repeat(targets, n_features), minlength=size
-    ).reshape(n_features, bins.width)
-    return count.astype(np.float64), grad
+    the SparseCodes `table`, whose targets are `targets`.
+
+    Two bincounts read only the rows' non-default codes, so each
+    non-default cell's sum adds its rows in row order. Each column's
+    default cell then takes the rest: its count is the rows' number less
+    the column's other counts, and its sum is targets.sum() less the
+    column's other sums added one after another from its lowest code up,
+    or 0.0 when no row is at the default.
+    """
+    n_features, width = table.default.shape[0], table.width
+    if rows is None:
+        flat, per_row = table.codes, np.diff(table.indptr)
+    else:
+        start = table.indptr[rows]
+        per_row = table.indptr[rows + 1] - start
+        # the node's k-th code, of its row i, is codes[start[i] + k - (its codes before row i)]
+        at = np.repeat(start + per_row - np.cumsum(per_row), per_row)
+        at += np.arange(at.shape[0])
+        flat = table.codes[at]
+    size = n_features * width
+    count = np.bincount(flat, minlength=size)
+    sums = np.bincount(flat, weights=np.repeat(targets, per_row), minlength=size)
+    sums = sums.astype(np.float64, copy=False)  # bincount of no codes gives integer zeros
+    at_default = targets.shape[0] - count.reshape(n_features, width).sum(axis=1)
+    count[table.default] = at_default
+    rest = targets.sum() - sums.reshape(n_features, width).cumsum(axis=1)[:, -1]
+    sums[table.default] = np.where(at_default > 0, rest, 0.0)
+    return count.reshape(n_features, width).astype(np.float64), sums.reshape(n_features, width)
 
 
 def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
@@ -458,10 +515,11 @@ def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
     return gain, feature, b
 
 
-def _grow_leafwise(bins: FeatureBins, residual, model, max_leaves, min_samples_leaf):
-    """One tree grown over the histograms of `bins` and appended to
-    `model`: the leaf with the largest gain splits next, until max_leaves.
-    Returns its leaves, each mapped to its ascending rows."""
+def _grow_leafwise(bins: FeatureBins, table, residual, model, max_leaves, min_samples_leaf):
+    """One tree grown over the histograms of `bins`, read from their
+    SparseCodes `table`, and appended to `model`: the leaf with the largest
+    gain splits next, until max_leaves. Returns its leaves, each mapped to
+    its ascending rows."""
     heap = []  # (-gain, node, feature, bin, count, grad) of each leaf that can split
     leaves = {}
 
@@ -471,9 +529,8 @@ def _grow_leafwise(bins: FeatureBins, residual, model, max_leaves, min_samples_l
         if best is not None:  # ties pop in push order: node indices rise
             heapq.heappush(heap, (-best[0], node, best[1], best[2], count, grad))
 
-    rows = np.arange(bins.codes.shape[0])
     model.roots.append(model.leaf())
-    push(model.roots[-1], rows, *_leaf_histograms(bins, rows, residual))
+    push(model.roots[-1], np.arange(bins.codes.shape[0]), *_leaf_histograms(table, None, residual))
     while len(leaves) < max_leaves and heap:
         _, node, f, b, count, grad = heapq.heappop(heap)
         rows = leaves.pop(node)
@@ -481,10 +538,10 @@ def _grow_leafwise(bins: FeatureBins, residual, model, max_leaves, min_samples_l
         left_rows, right_rows = rows[mask], rows[~mask]
         # build the smaller child's histogram, subtract for the sibling
         if left_rows.shape[0] <= right_rows.shape[0]:
-            lc, lg = _leaf_histograms(bins, left_rows, residual[left_rows])
+            lc, lg = _leaf_histograms(table, left_rows, residual[left_rows])
             rc, rg = count - lc, grad - lg
         else:
-            rc, rg = _leaf_histograms(bins, right_rows, residual[right_rows])
+            rc, rg = _leaf_histograms(table, right_rows, residual[right_rows])
             lc, lg = count - rc, grad - rg
         left = model.split(node, f, float(bins.edges[f][b]))
         push(left, left_rows, lc, lg)
@@ -505,9 +562,10 @@ def fit_leafwise_gbm(
     the leaf with the largest gain splits next, until max_leaves."""
     X = check_matrix(X)
     bins = compute_bins(X, n_bins)
+    table = sparse_codes(bins.codes + np.arange(X.shape[1]) * bins.width, bins.width)
 
     def grow(residual, model):
-        return _grow_leafwise(bins, residual, model, max_leaves, min_samples_leaf)
+        return _grow_leafwise(bins, table, residual, model, max_leaves, min_samples_leaf)
 
     return _boost("leafwise_gbm", X, y, n_rounds, learning_rate, grow)
 

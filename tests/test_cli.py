@@ -21,6 +21,16 @@ from jobfraud.cli import run_cli
 from jobfraud.config import RunConfig
 from jobfraud.pipeline import DetectionPipeline
 
+
+@pytest.fixture(scope="module", autouse=True)
+def float_errors_raise():
+    """Every run in this module, of all four kinds, including the module's
+    trained bundles, hits no float overflow, invalid operation or division
+    by zero outside the product's own np.errstate blocks: each one raises."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield
+
+
 # a fast configuration for end-to-end runs on the 300-row fixture
 FAST_CONFIG = {
     "seed": 42,
@@ -848,31 +858,37 @@ def test_bilstm_bundle_too_large_to_score_exits_four(tmp_path, tiny_bilstm_dir, 
     assert "Traceback" not in err and not scored.exists()
 
 
-# every value a config sweep sets a field to
+# every value a config sweep sets a field to, and the magnitudes it also
+# sets every float field to
 _SWEEP_VALUES = (0, -1, 0.5, 1e-320, 1e308, -1e308, float("nan"), float("inf"), 2**62, True,
                  "x", None)
+_SWEEP_MAGNITUDES = (1e10, 1e100, 1e307)
 _TREE_MODELS = {"random_forest": "rf", "gbm": "gbm", "leafwise_gbm": "lgbt"}
 
 
-def _config_fields():
-    """(section or None, name) of every RunConfig field."""
+def _config_fields(kind=None):
+    """(section or None, name) of every RunConfig field, or of those of type `kind`."""
     for f in dataclasses.fields(RunConfig):
         if dataclasses.is_dataclass(f.type):
-            yield from ((f.name, g.name) for g in dataclasses.fields(f.type))
-        else:
+            yield from ((f.name, g.name) for g in dataclasses.fields(f.type)
+                        if kind in (None, g.type))
+        elif kind in (None, f.type):
             yield None, f.name
 
 
 @pytest.mark.filterwarnings("error")
 def test_config_sweep_exits_zero_to_four_without_a_traceback(tmp_path, half_fake_csv, capsys):
-    """Every RunConfig field set to each sweep value in turn, one train per
-    config on the 40-row file, of the section's model (the BiLSTM for a
-    field outside the tree sections): each run exits 0-4 and writes no
-    traceback."""
+    """Every RunConfig field set to each sweep value in turn, and every float
+    field to each sweep magnitude, one train per config on the 40-row file,
+    of the section's model (the BiLSTM for a field outside the tree
+    sections): each run exits 0-4 and writes no traceback."""
     fields = list(_config_fields())
-    assert len(fields) == 29
+    floats = list(_config_fields(float))
+    assert len(fields) == 29 and len(floats) == 7
     failures = []
-    for run, ((section, name), value) in enumerate(itertools.product(fields, _SWEEP_VALUES)):
+    runs = itertools.chain(itertools.product(fields, _SWEEP_VALUES),
+                           itertools.product(floats, _SWEEP_MAGNITUDES))
+    for run, ((section, name), value) in enumerate(runs):
         config = json.loads(json.dumps(TINY_CONFIG))
         (config.setdefault(section, {}) if section else config)[name] = value
         path = tmp_path / f"config-{run}.json"

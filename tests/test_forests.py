@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -30,6 +31,7 @@ from jobfraud.rng import SplitMix64
 import features_reference
 import tree_reference
 from tree_reference import (
+    column_modes,
     reference_best_split,
     reference_fit_gbm,
     reference_fit_random_forest,
@@ -45,14 +47,24 @@ from tree_reference import (
 # --------------------------------------------------------------------------
 
 def full_grid_histograms(bins, rows, targets):
-    n_features = bins.codes.shape[1]
-    size = n_features * bins.n_bins
-    flat = (bins.codes[rows] + np.arange(n_features) * bins.n_bins).ravel()
-    count = np.bincount(flat, minlength=size).reshape(n_features, bins.n_bins)
-    grad = np.bincount(
-        flat, weights=np.repeat(targets, n_features), minlength=size
-    ).reshape(n_features, bins.n_bins)
-    return count.astype(np.float64), grad
+    """Dense histograms of `rows` (all when None) on an n_bins-wide grid,
+    each column's default bin (its most frequent in bins.codes, the lowest
+    on ties) filled as forests._leaf_histograms states: the rows' number
+    and targets.sum() less the other bins, whose sums are added from the
+    lowest bin up; a sum of 0.0 when no row is at the default."""
+    codes = bins.codes if rows is None else bins.codes[rows]
+    n_features = codes.shape[1]
+    count = np.zeros((n_features, bins.n_bins))
+    grad = np.zeros((n_features, bins.n_bins))
+    for f in range(n_features):
+        col = codes[:, f]
+        default = np.argmax(np.bincount(bins.codes[:, f]))
+        count[f] = np.bincount(col, minlength=bins.n_bins)
+        weights = np.where(col == default, 0.0, targets)
+        grad[f] = np.bincount(col, weights=weights, minlength=bins.n_bins)  # in row order
+        others = np.cumsum(grad[f])[-1]  # one by one, the default's 0.0 among them
+        grad[f, default] = targets.sum() - others if count[f, default] else 0.0
+    return count, grad
 
 
 def full_grid_best_hist_split(bins, count, grad, min_samples_leaf):
@@ -75,6 +87,12 @@ def full_grid_best_hist_split(bins, count, grad, min_samples_leaf):
     return gain, feature, b
 
 
+def _bin_table(bins):
+    """The SparseCodes that fit_leafwise_gbm reads its histograms from."""
+    offsets = np.arange(bins.codes.shape[1]) * bins.width
+    return forests.sparse_codes(bins.codes + offsets, bins.width)
+
+
 def reference_compute_bins(X, n_bins=255):
     """compute_bins one column at a time: np.unique, then searchsorted."""
     X = np.asarray(X, dtype=np.float64)
@@ -95,11 +113,8 @@ def reference_compute_bins(X, n_bins=255):
         codes[:, f] = np.searchsorted(e, col, side="left")
     n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
     width = int(n_edges.max(initial=0)) + 1
-    flat = codes + np.arange(n_features) * width
     cells = np.flatnonzero(np.arange(width) < n_edges[:, None])
-    return forests.FeatureBins(
-        edges=edges, codes=codes, flat_codes=flat, n_bins=n_bins, width=width, cells=cells,
-    )
+    return forests.FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, cells=cells)
 
 
 def _random_columns(rng, n, n_features):
@@ -331,7 +346,8 @@ def test_row_indexed_split_equals_reference_on_copied_rows(instance):
     """best_split on a node's row indices equals the reference search on the
     node's copied rows, exactly, for both code layouts."""
     X, y, rows, candidates, min_leaf, criterion = instance
-    expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion)
+    modes = column_modes(X)  # the defaults of the whole matrix's sparse codes
+    expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion, modes)
     ranking = rank_codes(X)
     column_major = ranking._replace(flat_codes=np.asfortranarray(ranking.flat_codes))
     for layout in (ranking, column_major):  # whole-row and candidate-column gathers
@@ -359,6 +375,81 @@ def test_variance_split_on_dyadic_targets_equals_sorted_scan_and_fractions(data)
         assert brute == 0
     else:
         assert variance_gain_exact(y, X[:, found[0]] <= found[1]) == brute
+
+
+@st.composite
+def _histogram_instances(draw):
+    """A matrix with a column whose two most frequent values tie above its
+    lowest, a column whose mode is not its lowest value, a single-valued
+    and an all-distinct column and up to three drawn ones; its targets; an
+    ascending node of its rows; and a bin cap."""
+    k = draw(st.integers(2, 6))
+    n = 2 * k + 1
+    columns = [
+        np.r_[np.resize([4.0, -2.0], 2 * k), -5.0],  # ties -2.0 (rank 1) with 4.0
+        np.r_[-1.0, np.full(2 * k, 5.0)],
+        np.full(n, draw(st.floats(-4, 4))),
+        np.array(draw(st.permutations(range(n))), dtype=np.float64) / 2.0,
+    ]
+    ties = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    for _ in range(draw(st.integers(0, 3))):
+        columns.insert(draw(st.integers(0, len(columns))),
+                       np.array(draw(st.lists(ties, min_size=n, max_size=n))))
+    inexact = st.sampled_from([0.1, 0.7, 1 / 3, -0.3])  # sums that round by order
+    target = st.one_of(st.floats(-4, 4), inexact)
+    targets = np.array(draw(st.lists(target, min_size=n, max_size=n)))
+    node = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    return np.column_stack(columns), targets, node, draw(st.sampled_from([3, 255]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_histogram_instances())
+def test_sparse_histograms_equal_dense_counts_and_row_order_sums(instance):
+    """_leaf_histograms on SparseCodes, for a Ranking's codes and for a
+    FeatureBins', of all rows (None), of one row and of a node: counts equal
+    a dense bincount, every non-default cell's sum is the dense row-order
+    sum bit for bit, and each default cell is the stated rest."""
+    X, targets, node, n_bins = instance
+    n_features = X.shape[1]
+    ranking, bins = rank_codes(X), compute_bins(X, n_bins)
+    offsets = np.arange(n_features)
+    for codes, width in ((ranking.flat_codes - offsets * ranking.width, ranking.width),
+                         (bins.codes, bins.width)):
+        table = forests.sparse_codes(codes + offsets * width, width)
+        defaults = [np.argmax(np.bincount(codes[:, f], minlength=width)) for f in offsets]
+        assert np.array_equal(table.default, np.array(defaults) + offsets * width)
+        for rows in (None, node[:1], node):
+            node_codes, node_targets = (codes, targets) if rows is None else (
+                codes[rows], targets[rows])
+            count, sums = forests._leaf_histograms(table, rows, node_targets)
+            assert count.shape == sums.shape == (n_features, width)
+            for f, default in enumerate(defaults):
+                column = node_codes[:, f]
+                assert np.array_equal(count[f], np.bincount(column, minlength=width))
+                dense = np.bincount(column, weights=node_targets, minlength=width)
+                other = np.arange(width) != default
+                assert sums[f, other].tobytes() == dense[other].tobytes()
+                rest = node_targets.sum() - np.cumsum(np.where(other, dense, 0.0))[-1]
+                assert sums[f, default] == (rest if count[f, default] else 0.0)
+
+
+def test_adjacent_float_split_keeps_rows_on_both_sides():
+    """The midpoint of two adjacent floats rounds up to the upper one; the
+    threshold is then the lower one, so a split leaves rows on both sides."""
+    a = 1e-300
+    b = np.nextafter(a, 1.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a], [b], [a], [b]])
+    y = np.array([0, 1, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        models = (fit_random_forest(X, y, n_trees=1, bootstrap=False), fit_gbm(X, y, n_rounds=1))
+        for model in models:
+            tree = ensemble_to_dict(model)["trees"][0]
+            assert (tree["feature"], tree["threshold"]) == (0, a)
+            leaves = _leaf_rows(tree, X, np.arange(4))
+            assert [rows.tolist() for _, rows in leaves] == [[0, 2], [1, 3]]
+            assert all(np.isfinite(leaf["value"]) for leaf, _ in leaves)
 
 
 def test_rank_codes_are_unique_inverses():
@@ -502,7 +593,7 @@ def test_leafwise_histogram_gain_matches_exact_on_small_instances():
         X = np.array([[float(rng.randrange(6)) for _ in range(4)] for _ in range(n)])
         resid = np.array([rng.random() - 0.5 for _ in range(n)])
         bins = compute_bins(X, n_bins=255)
-        count, grad = forests._leaf_histograms(bins, np.arange(n), resid)
+        count, grad = forests._leaf_histograms(_bin_table(bins), np.arange(n), resid)
         hist = forests._best_hist_split(bins, count, grad, 1)
         exact = best_split(X, resid, range(4), 1, "variance")
         if hist is None or exact is None:
@@ -529,7 +620,7 @@ def test_leafwise_scan_equals_full_grid_reference():
         assert bins.width <= bins.n_bins
         rows = np.sort(rng.choice(n, size=1 + int(rng.integers(n)), replace=False))
         min_leaf = 1 + int(rng.integers(4))
-        count, grad = forests._leaf_histograms(bins, rows, resid[rows])
+        count, grad = forests._leaf_histograms(_bin_table(bins), rows, resid[rows])
         expected = full_grid_best_hist_split(
             bins, *full_grid_histograms(bins, rows, resid[rows]), min_leaf
         )
@@ -573,7 +664,7 @@ def test_compute_bins_equals_per_column_reference():
         assert len(got.edges) == len(expected.edges), f"case {case}"
         for f, (a, b) in enumerate(zip(got.edges, expected.edges)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"case {case} feature {f}"
-        for name in ("codes", "flat_codes", "cells"):
+        for name in ("codes", "cells"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), f"case {case} {name}"
         assert (got.n_bins, got.width) == (expected.n_bins, expected.width), f"case {case}"
@@ -631,9 +722,16 @@ def test_ensembles_equal_reference_search_on_fixture(fixture_matrix, monkeypatch
         return ensemble_to_dict(fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=5))
 
     batched = fit_leafwise()
-    monkeypatch.setattr(forests, "_leaf_histograms", full_grid_histograms)
+    made = []  # the FeatureBins of the fit, for the dense histograms
+
+    def made_bins(X, n_bins):
+        made.append(reference_compute_bins(X, n_bins))
+        return made[-1]
+
+    monkeypatch.setattr(forests, "_leaf_histograms",
+                        lambda table, rows, targets: full_grid_histograms(made[-1], rows, targets))
     monkeypatch.setattr(forests, "_best_hist_split", full_grid_best_hist_split)
-    monkeypatch.setattr(forests, "compute_bins", reference_compute_bins)
+    monkeypatch.setattr(forests, "compute_bins", made_bins)
     assert batched == fit_leafwise()
 
 

@@ -4,11 +4,13 @@ test_forests.py.
 `sorted_scan_best_split` is the one-numpy-scan-per-feature CART search
 that the batched and then the histogram `forests.best_split` replaced;
 `reference_best_split` is that scan with a variance split's sums added in
-the histogram search's order. The fits are the learners as they were
-before the node gathers, the histograms and the flat node arrays: every
-node copies its rows of X (`X[rows]`) and sorts them, every forest tree
-copies its bootstrap rows, and trees are linked `TreeNode` objects whose
-GBM leaves get their Newton values by routing the rows again. The fits
+the histogram search's order, whose sum at each column's default (its
+most frequent value in the fit's whole matrix) is the node's total less
+the others. The fits are the learners as they were before the node
+gathers, the histograms and the flat node arrays: every node copies its
+rows of X (`X[rows]`) and sorts them, every forest tree copies its
+bootstrap rows, and trees are linked `TreeNode` objects whose GBM leaves
+get their Newton values by routing the rows again. The fits
 call `reference_best_split` through this module's global, so a test can
 count the calls, and return the nested JSON of `forests.ensemble_to_dict`.
 The fast learners must grow the same trees, byte for byte.
@@ -117,18 +119,38 @@ def _newtonize(node: TreeNode, X, rows, residual, hessian, out) -> None:
     _newtonize(node.right, X, rows[~mask], residual, hessian, out)
 
 
-def _per_value_cumsum(xs, ys):
+def column_modes(X):
+    """Each column's most frequent value, the lowest on ties."""
+    modes = []
+    for col in np.asarray(X, dtype=np.float64).T:
+        distinct, counts = np.unique(col, return_counts=True)
+        modes.append(distinct[np.argmax(counts)])
+    return modes
+
+
+def _per_value_cumsum(xs, ys, total, mode):
     """At each sorted position, the running sum over distinct values of
-    each value's targets, which are added up in row order."""
+    each value's targets, which are added up in row order, except at the
+    value `mode`: its sum is `total` (the node's targets summed in row
+    order) less the other values' sums, added one by one from the lowest."""
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     per_value = [sum(ys[a:b], 0.0) for a, b in zip(starts, np.r_[starts[1:], xs.shape[0]])]
+    at_mode = np.flatnonzero(xs[starts] == mode)
+    if at_mode.shape[0]:
+        others = 0.0
+        for v, s in enumerate(per_value):
+            if v != at_mode[0]:
+                others += s
+        per_value[at_mode[0]] = total - others
     return np.repeat(np.cumsum(per_value), np.diff(np.r_[starts, xs.shape[0]]))
 
 
 def sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion,
-                           cumulative=lambda xs, ys: np.cumsum(ys)):
+                           cumulative=lambda f, xs, ys: np.cumsum(ys)):
     """The per-feature scan: one stable sort of each candidate column and,
-    by default, one running sum of its sorted targets."""
+    by default, one running sum of its sorted targets. A threshold is the
+    midpoint of two neighbouring values, or the lower one when the midpoint
+    is not below the upper (adjacent floats, overflow)."""
     n = y.shape[0]
     total = y.sum()
     if criterion == "gini":
@@ -150,7 +172,7 @@ def sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion,
         boundary = xs[1:] != xs[:-1]
         if not boundary.any():
             continue
-        cum = cumulative(xs, ys)[:-1]
+        cum = cumulative(f, xs, ys)[:-1]
         if criterion == "gini":
             pos_l = cum
             pos_r = total - cum
@@ -165,7 +187,9 @@ def sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion,
         if score[i] > best_score:
             best_score = score[i]
             best_feature = f
-            best_threshold = (xs[i] + xs[i + 1]) / 2.0
+            below, above = float(xs[i]), float(xs[i + 1])
+            middle = (below + above) / 2.0
+            best_threshold = middle if middle < above else below
 
     if best_feature is None:
         return None
@@ -178,15 +202,21 @@ def sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion,
     return best_feature, best_threshold, gain
 
 
-def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion):
+def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion, modes=None):
     """The per-feature scan in the histogram search's summation order: gini
     sums are integer counts, exact in any order, and a variance split's
-    left sum adds each value's targets in row order, then runs across the
-    values."""
+    left sum adds each value's targets in row order, except at the
+    column's entry of `modes` (column_modes of X when None), then runs
+    across the values."""
     if criterion == "gini":
         return sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion)
-    return sorted_scan_best_split(X, y, feature_indices, min_samples_leaf, criterion,
-                                  _per_value_cumsum)
+    if modes is None:
+        modes = column_modes(X)
+    total = y.sum()
+    return sorted_scan_best_split(
+        X, y, feature_indices, min_samples_leaf, criterion,
+        lambda f, xs, ys: _per_value_cumsum(xs, ys, total, modes[f]),
+    )
 
 
 def reference_fit_tree(
@@ -195,6 +225,7 @@ def reference_fit_tree(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
+    modes = column_modes(X) if criterion == "variance" else None
 
     def grow(rows, depth):
         yr = y[rows]
@@ -209,7 +240,7 @@ def reference_fit_tree(
             candidates = range(n_features)
         else:
             candidates = rng.sample_indices(n_features, feature_subsample)
-        found = reference_best_split(X[rows], yr, candidates, min_samples_leaf, criterion)
+        found = reference_best_split(X[rows], yr, candidates, min_samples_leaf, criterion, modes)
         if found is None:
             return node
         f, threshold, _ = found
