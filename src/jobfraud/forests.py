@@ -18,7 +18,13 @@ only its candidate features' codes, from a feature-major copy made once
 per fit. The leaf-wise trainer bins features into equal-frequency
 histograms once, on the same ranking, sizes the histogram grid to the
 widest feature's real bin count, scores only the bin boundaries that carry
-an edge, and always splits the highest-gain leaf.
+an edge, and always splits the highest-gain leaf. Like LightGBM's
+min_data_in_leaf pruning, it spends work only where a split can land, and
+every tree is the one an unpruned grower would grow: a leaf of fewer than
+2 * min_samples_leaf rows is never scanned, a split whose children are
+both that small builds no histogram, and a scan reads only the features
+whose lowest bin leaves at least min_samples_leaf of the leaf's rows above
+it.
 
 Both boosters keep their codes once per fit as SparseCodes: each column's
 most frequent code is its default, and a row keeps only its other codes,
@@ -413,7 +419,7 @@ class FeatureBins:
     codes: np.ndarray  # (n, F) bin index per value: count of edges < value
     n_bins: int  # the cap on bins per feature
     width: int  # histogram columns per feature: most edges of any feature + 1
-    cells: np.ndarray  # feature * width + bin of every boundary with an edge
+    has_edge: np.ndarray  # (F, width) bool: bin b of feature f has an edge above it
 
 
 def compute_bins(X, n_bins=255) -> FeatureBins:
@@ -454,8 +460,8 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
         codes[:, f] = np.searchsorted(e, col, side="left")
     n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
     width = int(n_edges.max(initial=0)) + 1
-    cells = np.flatnonzero(np.arange(width) < n_edges[:, None])
-    return FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, cells=cells)
+    has_edge = np.arange(width) < n_edges[:, None]
+    return FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, has_edge=has_edge)
 
 
 def _leaf_histograms(table: SparseCodes, rows, targets):
@@ -491,15 +497,29 @@ def _leaf_histograms(table: SparseCodes, rows, targets):
 
 
 def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
-    """Highest variance-reduction split over the real bin boundaries, or None."""
+    """Highest variance-reduction split over the real bin boundaries, or None.
+
+    Only features whose lowest bin holds at most n - min_samples_leaf of
+    the leaf's n rows are scanned: a boundary keeps each bin whole on one
+    side, so a bin fuller than that leaves fewer than min_samples_leaf rows
+    on the other side of every boundary. One bin is read per feature
+    because it costs almost nothing; the lowest is the column's default in
+    most of the product's columns, and the fullest bin, which would rule
+    out a few more features, costs a pass over the whole grid. Each kept
+    feature's row of the grid runs through the same cumulative sums, in the
+    same feature-then-bin order, as a scan of every feature, so every score
+    and tie-break is unchanged.
+    """
     total_n = count[0].sum()
     # same row set whichever feature sums it; summed as a row n_bins wide
     # so that the pairwise sum groups the same way for every width
     row = np.zeros(bins.n_bins)
     row[: bins.width] = grad[0]
     total_g = float(row.sum())
-    left_n = count.cumsum(axis=1).ravel()[bins.cells]
-    left_g = grad.cumsum(axis=1).ravel()[bins.cells]
+    features = np.flatnonzero(count[:, 0] <= total_n - min_samples_leaf)
+    cells = np.flatnonzero(bins.has_edge.take(features, axis=0))  # of the kept features' grid
+    left_n = count.take(features, axis=0).cumsum(axis=1).ravel()[cells]
+    left_g = grad.take(features, axis=0).cumsum(axis=1).ravel()[cells]
     right_n = total_n - left_n
     right_g = total_g - left_g
     valid = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
@@ -508,41 +528,60 @@ def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
     score = left_g**2 / np.maximum(left_n, 1.0) + right_g**2 / np.maximum(right_n, 1.0)
     score = np.where(valid, score, -np.inf)
     best = int(np.argmax(score))  # lowest feature, then lowest bin, on ties
-    feature, b = divmod(int(bins.cells[best]), bins.width)
+    k, b = divmod(int(cells[best]), bins.width)
     gain = score[best] - total_g * total_g / total_n
     if not np.isfinite(score[best]) or gain <= 0.0:
         return None
-    return gain, feature, b
+    return gain, int(features[k]), b
 
 
 def _grow_leafwise(bins: FeatureBins, table, residual, model, max_leaves, min_samples_leaf):
     """One tree grown over the histograms of `bins`, read from their
     SparseCodes `table`, and appended to `model`: the leaf with the largest
     gain splits next, until max_leaves. Returns its leaves, each mapped to
-    its ascending rows."""
+    its ascending rows.
+
+    A leaf of fewer than 2 * min_samples_leaf rows has no boundary that
+    leaves min_samples_leaf rows on each side, so it is never scanned. A
+    histogram is read only by its leaf's scan and by the subtraction that
+    gives a split child's sibling, and a leaf that is never scanned never
+    splits, so a split whose children both are that small (or a root that
+    small) builds none. Every other histogram is built as before, the
+    smaller child's from its rows and its sibling's by subtraction, so
+    every scan sees the same sums.
+    """
     heap = []  # (-gain, node, feature, bin, count, grad) of each leaf that can split
     leaves = {}
 
+    def can_split(rows):
+        return rows.shape[0] >= 2 * min_samples_leaf
+
     def push(node, rows, count, grad):
         leaves[node] = rows
+        if not can_split(rows):
+            return
         best = _best_hist_split(bins, count, grad, min_samples_leaf)
         if best is not None:  # ties pop in push order: node indices rise
             heapq.heappush(heap, (-best[0], node, best[1], best[2], count, grad))
 
+    rows = np.arange(bins.codes.shape[0])
+    root = _leaf_histograms(table, None, residual) if can_split(rows) else (None, None)
     model.roots.append(model.leaf())
-    push(model.roots[-1], np.arange(bins.codes.shape[0]), *_leaf_histograms(table, None, residual))
+    push(model.roots[-1], rows, *root)
     while len(leaves) < max_leaves and heap:
         _, node, f, b, count, grad = heapq.heappop(heap)
         rows = leaves.pop(node)
         mask = bins.codes[rows, f] <= b
         left_rows, right_rows = rows[mask], rows[~mask]
-        # build the smaller child's histogram, subtract for the sibling
-        if left_rows.shape[0] <= right_rows.shape[0]:
-            lc, lg = _leaf_histograms(table, left_rows, residual[left_rows])
-            rc, rg = count - lc, grad - lg
-        else:
-            rc, rg = _leaf_histograms(table, right_rows, residual[right_rows])
-            lc, lg = count - rc, grad - rg
+        lc = lg = rc = rg = None
+        if can_split(left_rows) or can_split(right_rows):
+            # build the smaller child's histogram, subtract for the sibling
+            if left_rows.shape[0] <= right_rows.shape[0]:
+                lc, lg = _leaf_histograms(table, left_rows, residual[left_rows])
+                rc, rg = count - lc, grad - lg
+            else:
+                rc, rg = _leaf_histograms(table, right_rows, residual[right_rows])
+                lc, lg = count - rc, grad - rg
         left = model.split(node, f, float(bins.edges[f][b]))
         push(left, left_rows, lc, lg)
         push(left + 1, right_rows, rc, rg)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -32,8 +33,11 @@ import features_reference
 import tree_reference
 from tree_reference import (
     column_modes,
+    full_grid_best_hist_split,
+    full_grid_histograms,
     reference_best_split,
     reference_fit_gbm,
+    reference_fit_leafwise_gbm,
     reference_fit_random_forest,
     reference_predict,
     sorted_scan_best_split,
@@ -41,51 +45,9 @@ from tree_reference import (
 
 
 # --------------------------------------------------------------------------
-# Reference histogram searches: a full n_bins-wide grid (leaf-wise), the
-# design the batched scan in forests replaces and must match bit for bit;
+# Helpers for the leaf-wise tests; the full-grid histogram references and
 # the exact-split references are in tree_reference.py
 # --------------------------------------------------------------------------
-
-def full_grid_histograms(bins, rows, targets):
-    """Dense histograms of `rows` (all when None) on an n_bins-wide grid,
-    each column's default bin (its most frequent in bins.codes, the lowest
-    on ties) filled as forests._leaf_histograms states: the rows' number
-    and targets.sum() less the other bins, whose sums are added from the
-    lowest bin up; a sum of 0.0 when no row is at the default."""
-    codes = bins.codes if rows is None else bins.codes[rows]
-    n_features = codes.shape[1]
-    count = np.zeros((n_features, bins.n_bins))
-    grad = np.zeros((n_features, bins.n_bins))
-    for f in range(n_features):
-        col = codes[:, f]
-        default = np.argmax(np.bincount(bins.codes[:, f]))
-        count[f] = np.bincount(col, minlength=bins.n_bins)
-        weights = np.where(col == default, 0.0, targets)
-        grad[f] = np.bincount(col, weights=weights, minlength=bins.n_bins)  # in row order
-        others = np.cumsum(grad[f])[-1]  # one by one, the default's 0.0 among them
-        grad[f, default] = targets.sum() - others if count[f, default] else 0.0
-    return count, grad
-
-
-def full_grid_best_hist_split(bins, count, grad, min_samples_leaf):
-    edge_mask = np.zeros((len(bins.edges), bins.n_bins - 1), dtype=bool)
-    for f, e in enumerate(bins.edges):
-        edge_mask[f, : e.shape[0]] = True
-    total_n = count[0].sum()
-    total_g = float(grad[0].sum())
-    left_n = count.cumsum(axis=1)[:, :-1]
-    left_g = grad.cumsum(axis=1)[:, :-1]
-    right_n = total_n - left_n
-    right_g = total_g - left_g
-    score = left_g**2 / np.maximum(left_n, 1.0) + right_g**2 / np.maximum(right_n, 1.0)
-    valid = edge_mask & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-    score = np.where(valid, score, -np.inf)
-    feature, b = divmod(int(np.argmax(score)), score.shape[1])
-    gain = score[feature, b] - total_g * total_g / total_n
-    if not np.isfinite(score[feature, b]) or gain <= 0.0:
-        return None
-    return gain, feature, b
-
 
 def _bin_table(bins):
     """The SparseCodes that fit_leafwise_gbm reads its histograms from."""
@@ -113,8 +75,8 @@ def reference_compute_bins(X, n_bins=255):
         codes[:, f] = np.searchsorted(e, col, side="left")
     n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
     width = int(n_edges.max(initial=0)) + 1
-    cells = np.flatnonzero(np.arange(width) < n_edges[:, None])
-    return forests.FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, cells=cells)
+    has_edge = np.arange(width) < n_edges[:, None]
+    return forests.FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, has_edge=has_edge)
 
 
 def _random_columns(rng, n, n_features):
@@ -608,23 +570,112 @@ def test_leafwise_histogram_gain_matches_exact_on_small_instances():
         assert np.array_equal(mask_hist, mask_exact), f"case {case}"
 
 
+def _skewed_columns(rng, n):
+    """Columns whose lowest value is not their most frequent: a middle or
+    the highest value holds most rows, so the lowest bin is not the one
+    that rules the feature out."""
+    cols = []
+    for _ in range(1 + int(rng.integers(4))):
+        n_values = 2 + int(rng.integers(4))
+        p = np.full(n_values, 0.2 / (n_values - 1))
+        p[1 + int(rng.integers(n_values - 1))] = 0.8
+        cols.append(rng.choice(n_values, size=n, p=p).astype(np.float64))
+    return np.column_stack(cols)
+
+
 def test_leafwise_scan_equals_full_grid_reference():
-    """The narrowed histogram scan picks the full 255-wide grid's
-    (feature, bin) with the same gain, bit for bit."""
+    """The pruned histogram scan picks the full 255-wide grid's
+    (feature, bin) with the same gain, bit for bit, at a min_samples_leaf
+    from 1 to one more than the leaf's n rows, at n = 2 * msl - 1 and
+    n = 2 * msl, and where a feature's lowest bin holds exactly n - msl
+    rows. Half the matrices also hold columns whose lowest bin is not
+    their fullest."""
     rng = np.random.default_rng(8)
-    for case in range(300):
+    found = set()  # the kinds of min_samples_leaf draw that found a split
+    for case in range(600):
         n = 2 + int(rng.integers(60))
-        X = _random_columns(rng, n, 1 + int(rng.integers(8)))
+        blocks = [_random_columns(rng, n, 1 + int(rng.integers(8)))]
+        if case % 2:
+            blocks.append(_skewed_columns(rng, n))
+        X = np.hstack(blocks)
         resid = rng.normal(size=n)
         bins = compute_bins(X, n_bins=int(rng.choice([3, 8, 255])))
         assert bins.width <= bins.n_bins
-        rows = np.sort(rng.choice(n, size=1 + int(rng.integers(n)), replace=False))
-        min_leaf = 1 + int(rng.integers(4))
+        kind = case // 2 % 4
+        if kind in (1, 2):  # a leaf of 2 * msl - 1, then of 2 * msl rows
+            min_leaf = 1 + int(rng.integers(n // 2))
+            size = 2 * min_leaf - (kind == 1)
+        else:
+            size = 1 + int(rng.integers(n))
+        rows = np.sort(rng.choice(n, size=size, replace=False))
         count, grad = forests._leaf_histograms(_bin_table(bins), rows, resid[rows])
+        below = np.flatnonzero(count[:, 0] < size)
+        if kind == 3 and below.shape[0]:  # a lowest bin of exactly n - msl rows
+            min_leaf = size - int(count[rng.choice(below), 0])
+        elif kind in (0, 3):
+            min_leaf = 1 + int(rng.integers(size + 1))
         expected = full_grid_best_hist_split(
             bins, *full_grid_histograms(bins, rows, resid[rows]), min_leaf
         )
-        assert forests._best_hist_split(bins, count, grad, min_leaf) == expected, f"case {case}"
+        got = forests._best_hist_split(bins, count, grad, min_leaf)
+        assert got == expected, f"case {case}"
+        if got is not None:
+            found.add(kind)
+    assert found == {0, 2, 3}
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5, 20, 97])
+def test_leafwise_equals_reference_grower(fixture_matrix, min_samples_leaf):
+    """The leaf-wise fit grows the trees of the reference grower, which
+    scans every leaf and builds every histogram on full grids; at 97, more
+    than half the fixture's 192 training rows, every tree is one leaf."""
+    X, y = fixture_matrix
+    params = dict(n_rounds=4, min_samples_leaf=min_samples_leaf)
+    expected = reference_fit_leafwise_gbm(X, y, **params)
+    assert ensemble_to_dict(fit_leafwise_gbm(X, y, **params)) == expected
+
+
+def _split_sizes(model, X):
+    """(left rows, right rows) of every split of `model`, for the rows of X."""
+    sizes = []
+    for root in model.roots:
+        stack = [(root, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            f = model.feature[node]
+            if f >= 0:
+                left = X[rows, f] <= model.threshold[node]
+                sizes.append((int(left.sum()), int((~left).sum())))
+                stack += [(model.left[node], rows[left]), (model.right[node], rows[~left])]
+    return sizes
+
+
+@pytest.mark.parametrize("min_samples_leaf", [5, 20, 97])
+def test_leafwise_builds_and_scans_only_what_can_split(fixture_matrix, monkeypatch,
+                                                       min_samples_leaf):
+    """No leaf of fewer than 2 * min_samples_leaf rows is scanned, and no
+    histogram is built for a split whose children both are that small, or
+    for a root that small."""
+    X, y = fixture_matrix
+    smallest = 2 * min_samples_leaf  # rows of the smallest leaf that can split
+    built, scanned = [], []
+    build, scan = forests._leaf_histograms, forests._best_hist_split
+
+    def spy_build(table, rows, targets):
+        built.append(None if rows is None else rows.shape[0])
+        return build(table, rows, targets)
+
+    def spy_scan(bins, count, grad, min_samples_leaf):
+        scanned.append(count[0].sum())
+        return scan(bins, count, grad, min_samples_leaf)
+
+    monkeypatch.setattr(forests, "_leaf_histograms", spy_build)
+    monkeypatch.setattr(forests, "_best_hist_split", spy_scan)
+    model = fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=min_samples_leaf)
+    assert min(scanned, default=smallest) >= smallest
+    assert built.count(None) == (len(model.roots) if X.shape[0] >= smallest else 0)
+    needed = Counter(min(pair) for pair in _split_sizes(model, X) if max(pair) >= smallest)
+    assert not Counter(size for size in built if size is not None) - needed
 
 
 def _special_columns(rng, n):
@@ -664,7 +715,7 @@ def test_compute_bins_equals_per_column_reference():
         assert len(got.edges) == len(expected.edges), f"case {case}"
         for f, (a, b) in enumerate(zip(got.edges, expected.edges)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"case {case} feature {f}"
-        for name in ("codes", "cells"):
+        for name in ("codes", "has_edge"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), f"case {case} {name}"
         assert (got.n_bins, got.width) == (expected.n_bins, expected.width), f"case {case}"

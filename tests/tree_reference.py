@@ -14,16 +14,23 @@ get their Newton values by routing the rows again. The fits
 call `reference_best_split` through this module's global, so a test can
 count the calls, and return the nested JSON of `forests.ensemble_to_dict`.
 The fast learners must grow the same trees, byte for byte.
+`full_grid_histograms` and `full_grid_best_hist_split` are the leaf-wise
+histograms and scan on a full n_bins-wide grid, which the narrowed grid and
+the pruned scan of `forests` must match bit for bit, and
+`reference_fit_leafwise_gbm` grows the leaf-wise booster's trees over them
+with no pruning: it scans every leaf and builds every split's histograms.
 `reference_predict` is the recursive per-tree predictor that the
 level-wise `forests.ensemble_predict` replaced; it reads the same nested
 JSON.
 """
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from jobfraud.forests import _NEWTON_EPS, _clamped_log_odds
+from jobfraud.forests import _NEWTON_EPS, _clamped_log_odds, compute_bins
 from jobfraud.ndgrad import _sigmoid_values
 from jobfraud.rng import SplitMix64
 
@@ -295,3 +302,106 @@ def reference_fit_gbm(X, y, n_rounds=100, learning_rate=0.1, max_depth=3, min_sa
         scores += learning_rate * step
         trees.append(tree)
     return _ensemble_dict("gbm", trees, X.shape[1], learning_rate, base)
+
+
+# --------------------------------------------------------------------------
+# Leaf-wise histogram boosting on full n_bins-wide grids
+# --------------------------------------------------------------------------
+
+def full_grid_histograms(bins, rows, targets):
+    """Dense histograms of `rows` (all when None) on an n_bins-wide grid,
+    each column's default bin (its most frequent in bins.codes, the lowest
+    on ties) filled as forests._leaf_histograms states: the rows' number
+    and targets.sum() less the other bins, whose sums are added from the
+    lowest bin up; a sum of 0.0 when no row is at the default."""
+    codes = bins.codes if rows is None else bins.codes[rows]
+    n_features = codes.shape[1]
+    count = np.zeros((n_features, bins.n_bins))
+    grad = np.zeros((n_features, bins.n_bins))
+    for f in range(n_features):
+        col = codes[:, f]
+        default = np.argmax(np.bincount(bins.codes[:, f]))
+        count[f] = np.bincount(col, minlength=bins.n_bins)
+        weights = np.where(col == default, 0.0, targets)
+        grad[f] = np.bincount(col, weights=weights, minlength=bins.n_bins)  # in row order
+        others = np.cumsum(grad[f])[-1]  # one by one, the default's 0.0 among them
+        grad[f, default] = targets.sum() - others if count[f, default] else 0.0
+    return count, grad
+
+
+def full_grid_best_hist_split(bins, count, grad, min_samples_leaf):
+    edge_mask = np.zeros((len(bins.edges), bins.n_bins - 1), dtype=bool)
+    for f, e in enumerate(bins.edges):
+        edge_mask[f, : e.shape[0]] = True
+    total_n = count[0].sum()
+    total_g = float(grad[0].sum())
+    left_n = count.cumsum(axis=1)[:, :-1]
+    left_g = grad.cumsum(axis=1)[:, :-1]
+    right_n = total_n - left_n
+    right_g = total_g - left_g
+    score = left_g**2 / np.maximum(left_n, 1.0) + right_g**2 / np.maximum(right_n, 1.0)
+    valid = edge_mask & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    score = np.where(valid, score, -np.inf)
+    feature, b = divmod(int(np.argmax(score)), score.shape[1])
+    gain = score[feature, b] - total_g * total_g / total_n
+    if not np.isfinite(score[feature, b]) or gain <= 0.0:
+        return None
+    return gain, feature, b
+
+
+def reference_grow_leafwise(bins, residual, max_leaves, min_samples_leaf):
+    """One leaf-wise tree on full grids: every leaf, of any size, is
+    scanned, and every split builds its smaller child's histogram and
+    subtracts it from its parent's for the sibling. The leaf with the
+    largest gain splits next (the first pushed on ties), until max_leaves."""
+    heap = []
+    pushed = itertools.count()
+
+    def push(node, rows, count, grad):
+        found = full_grid_best_hist_split(bins, count, grad, min_samples_leaf)
+        if found is not None:
+            gain, f, b = found
+            heapq.heappush(heap, (-gain, next(pushed), node, rows, f, b, count, grad))
+
+    root = TreeNode()
+    push(root, np.arange(bins.codes.shape[0]), *full_grid_histograms(bins, None, residual))
+    n_leaves = 1
+    while n_leaves < max_leaves and heap:
+        _, _, node, rows, f, b, count, grad = heapq.heappop(heap)
+        mask = bins.codes[rows, f] <= b
+        left_rows, right_rows = rows[mask], rows[~mask]
+        if left_rows.shape[0] <= right_rows.shape[0]:
+            lc, lg = full_grid_histograms(bins, left_rows, residual[left_rows])
+            rc, rg = count - lc, grad - lg
+        else:
+            rc, rg = full_grid_histograms(bins, right_rows, residual[right_rows])
+            lc, lg = count - rc, grad - rg
+        node.feature, node.threshold = f, float(bins.edges[f][b])
+        node.left, node.right = TreeNode(), TreeNode()
+        push(node.left, left_rows, lc, lg)
+        push(node.right, right_rows, rc, rg)
+        n_leaves += 1
+    return root
+
+
+def reference_fit_leafwise_gbm(X, y, n_rounds=100, learning_rate=0.1, max_leaves=31, n_bins=255,
+                               min_samples_leaf=20):
+    """The leaf-wise booster over reference_grow_leafwise, on the bins of
+    forests.compute_bins (pinned by its own per-column reference)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).astype(np.float64)
+    bins = compute_bins(X, n_bins)
+    base = _clamped_log_odds(float(y.mean()))
+    scores = np.full(X.shape[0], base)
+    trees = []
+    all_rows = np.arange(X.shape[0])
+    for _ in range(n_rounds):
+        p = _sigmoid_values(scores)
+        residual = y - p
+        hessian = p * (1.0 - p)
+        tree = reference_grow_leafwise(bins, residual, max_leaves, min_samples_leaf)
+        step = np.empty(X.shape[0])
+        _newtonize(tree, X, all_rows, residual, hessian, step)
+        scores += learning_rate * step
+        trees.append(tree)
+    return _ensemble_dict("leafwise_gbm", trees, X.shape[1], learning_rate, base)
