@@ -541,50 +541,52 @@ def _grow_leafwise(bins: FeatureBins, table, residual, model, max_leaves, min_sa
     gain splits next, until max_leaves. Returns its leaves, each mapped to
     its ascending rows.
 
-    A leaf of fewer than 2 * min_samples_leaf rows has no boundary that
-    leaves min_samples_leaf rows on each side, so it is never scanned. A
-    histogram is read only by its leaf's scan and by the subtraction that
-    gives a split child's sibling, and a leaf that is never scanned never
-    splits, so a split whose children both are that small (or a root that
-    small) builds none. Every other histogram is built as before, the
-    smaller child's from its rows and its sibling's by subtraction, so
-    every scan sees the same sums.
+    Two kinds of leaf cannot split and are never scanned: one of fewer
+    than 2 * min_samples_leaf rows, which has no boundary that leaves
+    min_samples_leaf rows on each side, and, as in fit_tree, one whose
+    residuals are all equal, where every split's exact gain is 0 and a scan
+    could only find a rounding residue. A histogram is read only by its
+    leaf's scan and by the subtraction that gives a split child's sibling,
+    and a leaf that is never scanned never splits, so a split whose
+    children both cannot split (or a root that cannot) builds none. Every
+    other histogram is built as before, the smaller child's from its rows
+    and its sibling's by subtraction, so every scan sees the same sums.
     """
     heap = []  # (-gain, node, feature, bin, count, grad) of each leaf that can split
     leaves = {}
 
     def can_split(rows):
-        return rows.shape[0] >= 2 * min_samples_leaf
+        if rows.shape[0] < 2 * min_samples_leaf:
+            return False
+        r = residual[rows]
+        return bool((r[1:] != r[:-1]).any())
 
-    def push(node, rows, count, grad):
+    def push(node, rows, hist):
         leaves[node] = rows
-        if not can_split(rows):
+        if hist is None:  # the leaf cannot split
             return
-        best = _best_hist_split(bins, count, grad, min_samples_leaf)
+        best = _best_hist_split(bins, *hist, min_samples_leaf)
         if best is not None:  # ties pop in push order: node indices rise
-            heapq.heappush(heap, (-best[0], node, best[1], best[2], count, grad))
+            heapq.heappush(heap, (-best[0], node, best[1], best[2], *hist))
 
     rows = np.arange(bins.codes.shape[0])
-    root = _leaf_histograms(table, None, residual) if can_split(rows) else (None, None)
     model.roots.append(model.leaf())
-    push(model.roots[-1], rows, *root)
+    push(model.roots[-1], rows, _leaf_histograms(table, None, residual) if can_split(rows) else None)
     while len(leaves) < max_leaves and heap:
         _, node, f, b, count, grad = heapq.heappop(heap)
         rows = leaves.pop(node)
         mask = bins.codes[rows, f] <= b
-        left_rows, right_rows = rows[mask], rows[~mask]
-        lc = lg = rc = rg = None
-        if can_split(left_rows) or can_split(right_rows):
+        children = rows[mask], rows[~mask]
+        scan = [can_split(child) for child in children]
+        hists = [None, None]
+        if any(scan):
             # build the smaller child's histogram, subtract for the sibling
-            if left_rows.shape[0] <= right_rows.shape[0]:
-                lc, lg = _leaf_histograms(table, left_rows, residual[left_rows])
-                rc, rg = count - lc, grad - lg
-            else:
-                rc, rg = _leaf_histograms(table, right_rows, residual[right_rows])
-                lc, lg = count - rc, grad - rg
+            i = int(children[0].shape[0] > children[1].shape[0])
+            c, g = _leaf_histograms(table, children[i], residual[children[i]])
+            hists[i], hists[1 - i] = (c, g), (count - c, grad - g)
         left = model.split(node, f, float(bins.edges[f][b]))
-        push(left, left_rows, lc, lg)
-        push(left + 1, right_rows, rc, rg)
+        for k in (0, 1):
+            push(left + k, children[k], hists[k] if scan[k] else None)
     return leaves
 
 

@@ -635,18 +635,28 @@ def test_leafwise_equals_reference_grower(fixture_matrix, min_samples_leaf):
     assert ensemble_to_dict(fit_leafwise_gbm(X, y, **params)) == expected
 
 
+def _node_rows(model, X, root):
+    """Each node of the tree at `root`, mapped to the rows of X that reach it."""
+    reach = {root: np.arange(X.shape[0])}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        f = model.feature[node]
+        if f >= 0:
+            rows = reach[node]
+            left = X[rows, f] <= model.threshold[node]
+            reach[model.left[node]], reach[model.right[node]] = rows[left], rows[~left]
+            stack += [model.left[node], model.right[node]]
+    return reach
+
+
 def _split_sizes(model, X):
     """(left rows, right rows) of every split of `model`, for the rows of X."""
     sizes = []
     for root in model.roots:
-        stack = [(root, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            f = model.feature[node]
-            if f >= 0:
-                left = X[rows, f] <= model.threshold[node]
-                sizes.append((int(left.sum()), int((~left).sum())))
-                stack += [(model.left[node], rows[left]), (model.right[node], rows[~left])]
+        reach = _node_rows(model, X, root)
+        sizes += [(reach[model.left[node]].shape[0], reach[model.right[node]].shape[0])
+                  for node in reach if model.feature[node] >= 0]
     return sizes
 
 
@@ -676,6 +686,23 @@ def test_leafwise_builds_and_scans_only_what_can_split(fixture_matrix, monkeypat
     assert built.count(None) == (len(model.roots) if X.shape[0] >= smallest else 0)
     needed = Counter(min(pair) for pair in _split_sizes(model, X) if max(pair) >= smallest)
     assert not Counter(size for size in built if size is not None) - needed
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 20])
+def test_leafwise_never_splits_a_pure_leaf(fixture_matrix, min_samples_leaf):
+    """No split of a leaf-wise fit has training rows whose residuals, in
+    its round, are all equal: like fit_tree, the grower leaves such a leaf
+    alone, where every split's exact gain is 0."""
+    X, y = fixture_matrix
+    model = fit_leafwise_gbm(X, y, n_rounds=20, min_samples_leaf=min_samples_leaf)
+    scores = np.full(X.shape[0], model.base_score)
+    for root in model.roots:
+        residual = y - _sigmoid_values(scores)
+        for node, rows in _node_rows(model, X, root).items():
+            if model.feature[node] >= 0:
+                assert (residual[rows] != residual[rows[0]]).any(), f"tree {root} node {node}"
+            else:
+                scores[rows] += model.learning_rate * model.value[node]
 
 
 def _special_columns(rng, n):

@@ -351,13 +351,16 @@ def full_grid_best_hist_split(bins, count, grad, min_samples_leaf):
 
 def reference_grow_leafwise(bins, residual, max_leaves, min_samples_leaf):
     """One leaf-wise tree on full grids: every leaf, of any size, is
-    scanned, and every split builds its smaller child's histogram and
+    scanned unless its residuals are all equal (as reference_fit_tree
+    stops), and every split builds its smaller child's histogram and
     subtracts it from its parent's for the sibling. The leaf with the
     largest gain splits next (the first pushed on ties), until max_leaves."""
     heap = []
     pushed = itertools.count()
 
     def push(node, rows, count, grad):
+        if (residual[rows] == residual[rows[0]]).all():
+            return
         found = full_grid_best_hist_split(bins, count, grad, min_samples_leaf)
         if found is not None:
             gain, f, b = found
