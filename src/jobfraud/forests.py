@@ -19,12 +19,13 @@ per fit. The leaf-wise trainer bins features into equal-frequency
 histograms once, on the same ranking, sizes the histogram grid to the
 widest feature's real bin count, scores only the bin boundaries that carry
 an edge, and always splits the highest-gain leaf. Like LightGBM's
-min_data_in_leaf pruning, it spends work only where a split can land, and
-every tree is the one an unpruned grower would grow: a leaf of fewer than
-2 * min_samples_leaf rows is never scanned, a split whose children are
-both that small builds no histogram, and a scan reads only the features
-whose lowest bin leaves at least min_samples_leaf of the leaf's rows above
-it.
+min_data_in_leaf pruning, it spends work only where a split can land: a
+leaf of fewer than 2 * min_samples_leaf rows, or (as a CART node stops)
+one whose residuals are all equal, is never scanned, a split whose
+children both are such leaves builds no histogram, and a scan reads only
+the features whose lowest bin leaves at least min_samples_leaf of the
+leaf's rows above it. The row-count and feature rules skip only what no
+valid split could use, so the trees are those of a scan of everything.
 
 Both boosters keep their codes once per fit as SparseCodes: each column's
 most frequent code is its default, and a row keeps only its other codes,

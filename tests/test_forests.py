@@ -76,7 +76,8 @@ def reference_compute_bins(X, n_bins=255):
     n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
     width = int(n_edges.max(initial=0)) + 1
     has_edge = np.arange(width) < n_edges[:, None]
-    return forests.FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, has_edge=has_edge)
+    return forests.FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width,
+                               has_edge=has_edge)
 
 
 def _random_columns(rng, n, n_features):
@@ -675,9 +676,9 @@ def test_leafwise_builds_and_scans_only_what_can_split(fixture_matrix, monkeypat
         built.append(None if rows is None else rows.shape[0])
         return build(table, rows, targets)
 
-    def spy_scan(bins, count, grad, min_samples_leaf):
+    def spy_scan(bins, count, grad, msl):
         scanned.append(count[0].sum())
-        return scan(bins, count, grad, min_samples_leaf)
+        return scan(bins, count, grad, msl)
 
     monkeypatch.setattr(forests, "_leaf_histograms", spy_build)
     monkeypatch.setattr(forests, "_best_hist_split", spy_scan)

@@ -18,7 +18,8 @@ The fast learners must grow the same trees, byte for byte.
 histograms and scan on a full n_bins-wide grid, which the narrowed grid and
 the pruned scan of `forests` must match bit for bit, and
 `reference_fit_leafwise_gbm` grows the leaf-wise booster's trees over them
-with no pruning: it scans every leaf and builds every split's histograms.
+with no pruning: it scans every leaf of any size, unless its residuals are
+all equal, and builds every split's histograms.
 `reference_predict` is the recursive per-tree predictor that the
 level-wise `forests.ensemble_predict` replaced; it reads the same nested
 JSON.
