@@ -38,19 +38,8 @@ class SplitMix64:
         return low + (high - low) * self.random()
 
     def _block(self, size: int) -> np.ndarray:
-        """The next `size` next_uint64 draws, bit for bit, at once.
-
-        The k-th output is mix(state + k * gamma), so the whole block is
-        computed in wrapping uint64 arithmetic; the state ends where `size`
-        scalar draws leave it.
-        """
-        z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        z += np.uint64(self._state)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        self._state = (self._state + size * _GAMMA) & _MASK64
-        return z
+        """The next `size` next_uint64 draws, bit for bit, at once."""
+        return _blocks([self], size)[0]
 
     def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
         """The next `size` uniform(low, high) draws, bit for bit, at once."""
@@ -72,11 +61,41 @@ class SplitMix64:
             j = self.next_uint64() % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
-    def sample_indices(self, n: int, k: int) -> list:
-        """k distinct indices from range(n), ascending, by rejection draws."""
-        if k >= n:
-            return list(range(n))
-        chosen = set()
+
+def _blocks(streams, size: int) -> np.ndarray:
+    """(len(streams), size): row t is the next `size` next_uint64 draws of
+    streams[t], bit for bit. The k-th draw is mix(state + k * gamma), so the
+    whole block is computed in wrapping uint64 arithmetic; each stream's
+    state ends where `size` scalar draws leave it."""
+    z = np.array([s._state for s in streams], dtype=np.uint64)[:, None]
+    z = z + np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    for s in streams:
+        s._state = (s._state + size * _GAMMA) & _MASK64
+    return z
+
+
+def sample_indices(streams, n: int, k: int) -> np.ndarray:
+    """(len(streams), min(k, n)) int64: row t holds k distinct indices from
+    range(n), ascending, drawn from streams[t] by rejection (each draw is
+    next_uint64() % n, a repeat is drawn again) until k are distinct, or
+    all of range(n), with no draw, when k >= n.
+
+    Every stream's first k draws come from one block across the streams;
+    a stream among whose first k draws a value repeats goes on drawing one
+    value at a time from where the block left it, so each row and each
+    stream's state are those of the scalar loop.
+    """
+    if k >= n:
+        return np.tile(np.arange(n, dtype=np.int64), (len(streams), 1))
+    picked = np.sort(_blocks(streams, k) % np.uint64(n), axis=1).astype(np.int64)
+    for t in np.flatnonzero((picked[:, 1:] == picked[:, :-1]).any(axis=1)).tolist():
+        chosen = set(picked[t].tolist())
         while len(chosen) < k:
-            chosen.add(self.next_uint64() % n)
-        return sorted(chosen)
+            chosen.add(streams[t].next_uint64() % n)
+        picked[t] = sorted(chosen)
+    return picked

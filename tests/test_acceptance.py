@@ -256,7 +256,7 @@ def test_criterion_6_oracle_equivalence():
             [[float(rng.randrange(5)) for _ in range(n_features)] for _ in range(n)]
         )
         y = np.array([rng.randrange(2) for _ in range(n)], dtype=float)
-        found = best_split(X, y, range(n_features), 1, "gini")
+        found = best_split(X, y, [range(n_features)], 1, "gini")[0]
         brute = brute_force_best_gain(X, y, 1, gini_gain_exact)
         if found is None:
             split_exact += brute == 0

@@ -205,12 +205,12 @@ def test_tree_constant_features_mixed_labels_single_leaf():
 def test_tree_tie_breaks_lowest_feature_then_threshold():
     # duplicated perfect feature: both give identical gain; feature 0 wins
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-    found = best_split(X, np.array([0.0, 1.0, 0.0, 1.0]), range(2), 1, "gini")
+    found = best_split(X, np.array([0.0, 1.0, 0.0, 1.0]), [range(2)], 1, "gini")[0]
     assert found[0] == 0
     # three identical-gain thresholds inside one feature: lowest wins
     X2 = np.array([[0.0], [1.0], [2.0], [3.0]])
     y2 = np.array([0.0, 0.0, 1.0, 1.0])
-    f2 = best_split(X2, y2, range(1), 1, "gini")
+    f2 = best_split(X2, y2, [range(1)], 1, "gini")[0]
     assert f2[1] == 1.5  # the maximizer; 0.5/2.5 are strictly worse
 
 
@@ -222,7 +222,7 @@ def test_tree_split_matches_brute_force_on_random_instances():
         n_features = 1 + rng.randrange(5)
         X = np.array([[float(rng.randrange(5)) for _ in range(n_features)] for _ in range(n)])
         y = np.array([rng.randrange(2) for _ in range(n)], dtype=float)
-        found = best_split(X, y, range(n_features), 1, "gini")
+        found = best_split(X, y, [range(n_features)], 1, "gini")[0]
         brute = brute_force_best_gain(X, y, 1, gini_gain_exact)
         if found is None:
             assert brute == 0
@@ -239,7 +239,7 @@ def test_regression_split_matches_brute_force():
         n = 5 + rng.randrange(30)
         X = np.array([[float(rng.randrange(4)) for _ in range(3)] for _ in range(n)])
         y = np.array([rng.randrange(5) / 2.0 for _ in range(n)])
-        found = best_split(X, y, range(3), 1, "variance")
+        found = best_split(X, y, [range(3)], 1, "variance")[0]
         brute = brute_force_best_gain(X, y, 1, variance_gain_exact)
         if found is None:
             assert brute == 0
@@ -269,13 +269,13 @@ def test_batched_split_equals_per_feature_reference(criterion):
             candidates = sorted(rng.choice(n_features, size=size, replace=False).tolist())
         min_leaf = 1 + int(rng.integers(4))
         expected = reference_best_split(X, y, candidates, min_leaf, criterion)
-        assert best_split(X, y, candidates, min_leaf, criterion) == expected, f"case {case}"
+        assert best_split(X, y, [candidates], min_leaf, criterion) == [expected], f"case {case}"
         # the ranking of a larger matrix, restricted to the node's rows
         rows = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
         expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion)
         ranking = rank_codes(X)
         ranking = ranking._replace(flat_codes=ranking.flat_codes[rows])
-        found = best_split(X[rows], y[rows], candidates, min_leaf, criterion, ranking)
+        found = best_split(X[rows], y[rows], [candidates], min_leaf, criterion, ranking)[0]
         assert found == expected, f"case {case} (row subset)"
         splits += expected is not None
     assert splits > 500  # most instances have a split to agree on
@@ -314,7 +314,7 @@ def test_row_indexed_split_equals_reference_on_copied_rows(instance):
     ranking = rank_codes(X)
     column_major = ranking._replace(flat_codes=np.asfortranarray(ranking.flat_codes))
     for layout in (ranking, column_major):  # whole-row and candidate-column gathers
-        found = best_split(X, y[rows], candidates, min_leaf, criterion, layout, rows)
+        found = best_split(X, y, [candidates], min_leaf, criterion, layout, [rows])[0]
         assert found == expected
 
 
@@ -331,7 +331,7 @@ def test_variance_split_on_dyadic_targets_equals_sorted_scan_and_fractions(data)
     X = np.column_stack([data.draw(column) for _ in range(n_features)])
     y = np.array(data.draw(st.lists(st.integers(-256, 256), min_size=n, max_size=n))) / 64.0
     min_leaf = data.draw(st.integers(1, 3))
-    found = best_split(X, y, range(n_features), min_leaf, "variance")
+    found = best_split(X, y, [range(n_features)], min_leaf, "variance")[0]
     assert found == sorted_scan_best_split(X, y, range(n_features), min_leaf, "variance")
     brute = brute_force_best_gain(X, y, min_leaf, variance_gain_exact)
     if found is None:
@@ -548,6 +548,17 @@ def test_leafwise_max_leaves_two_is_single_split():
         assert "feature" not in tree["left"] and "feature" not in tree["right"]
 
 
+def test_row_sums_add_each_row_in_order():
+    """_row_sums equals the last column of a row-wise cumsum bit for bit,
+    for one row or many and rows long enough for numpy's pairwise sum."""
+    rng = np.random.default_rng(6)
+    for n_rows in (1, 2, 5, 549):
+        for width in (1, 8, 9, 13, 255):
+            grid = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-8, 9, (n_rows, width))
+            got = forests._row_sums(grid)
+            assert got.tobytes() == grid.cumsum(axis=1)[:, -1].tobytes(), (n_rows, width)
+
+
 def test_leafwise_histogram_gain_matches_exact_on_small_instances():
     """With more bins than distinct values the histogram search is exact."""
     rng = SplitMix64(99)
@@ -558,7 +569,7 @@ def test_leafwise_histogram_gain_matches_exact_on_small_instances():
         bins = compute_bins(X, n_bins=255)
         count, grad = forests._leaf_histograms(_bin_table(bins), np.arange(n), resid)
         hist = forests._best_hist_split(bins, count, grad, 1)
-        exact = best_split(X, resid, range(4), 1, "variance")
+        exact = best_split(X, resid, [range(4)], 1, "variance")[0]
         if hist is None or exact is None:
             assert hist is None and exact is None
             continue
@@ -773,14 +784,27 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _assert_same_trees(monkeypatch, fast, reference):
+def _searched_nodes(monkeypatch, fast, reference):
     """fast() and reference() fit equal ensembles, and every node that
-    searched for a split did it through the module-level forests.best_split."""
-    fast_calls = _count_calls(monkeypatch, forests, "best_split")
+    searched for a split did it through the module-level forests.best_split,
+    which searches one node per row of its candidates; returns their number."""
+    searched = []
+    inner = forests.best_split
+
+    def spy(X, y, candidates, *args, **kwargs):
+        searched.append(len(candidates))
+        return inner(X, y, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(forests, "best_split", spy)
     got = ensemble_to_dict(fast())
     reference_calls = _count_calls(monkeypatch, tree_reference, "reference_best_split")
     assert got == reference()
-    assert len(fast_calls) == len(reference_calls) > 0
+    assert sum(searched) == len(reference_calls)
+    return sum(searched)
+
+
+def _assert_same_trees(monkeypatch, fast, reference):
+    assert _searched_nodes(monkeypatch, fast, reference) > 0
 
 
 def test_ensembles_equal_reference_search_on_fixture(fixture_matrix, monkeypatch):
@@ -842,6 +866,41 @@ def test_random_forest_equals_reference_fit(fixture_matrix, monkeypatch, bootstr
         lambda: fit_random_forest(X, y, **params),
         lambda: reference_fit_random_forest(X, y, **params),
     )
+
+
+@pytest.mark.parametrize("split_pairs, lockstep_rows", [
+    (1, forests._LOCKSTEP_ROWS),  # every node searched on its own
+    (1000, 400),  # a fixture root alone, deeper nodes together; fixture trees two at a time
+])
+def test_random_forest_equals_reference_on_uneven_forests(fixture_matrix, monkeypatch, split_pairs,
+                                                          lockstep_rows):
+    """Forests whose trees finish at different lockstep steps, or never
+    search, grow the reference's trees, however a step's nodes are chunked
+    and the trees grouped."""
+    monkeypatch.setattr(forests, "_SPLIT_PAIRS", split_pairs)
+    monkeypatch.setattr(forests, "_LOCKSTEP_ROWS", lockstep_rows)
+    X, y = fixture_matrix
+    tiny_X = np.random.default_rng(3).integers(0, 3, size=(6, 5)).astype(np.float64)
+    tiny_y = np.array([0, 0, 1, 0, 0, 0])
+    # some bootstraps of the tiny matrix miss its one positive: a pure root
+    tiny = ensemble_to_dict(fit_random_forest(tiny_X, tiny_y, n_trees=12, seed=1))["trees"]
+    assert any("feature" in tree for tree in tiny) and any("feature" not in tree for tree in tiny)
+    cases = [
+        (tiny_X, tiny_y, dict(n_trees=12, seed=1)),
+        (X, y, dict(n_trees=5, max_depth=1, seed=2)),
+        (X, y, dict(n_trees=3, min_samples_leaf=X.shape[0] + 1, seed=3)),
+        (X, y, dict(n_trees=3, max_depth=4, feature_subsample=X.shape[1], seed=4)),
+        (tiny_X, tiny_y, dict(n_trees=3, feature_subsample=9, seed=4)),
+        (X, y, dict(n_trees=3, max_depth=6, bootstrap=False, seed=5)),
+    ]
+    searched = []
+    for X_case, y_case, params in cases:
+        searched.append(_searched_nodes(
+            monkeypatch,
+            lambda: fit_random_forest(X_case, y_case, **params),
+            lambda: tree_reference.reference_fit_random_forest(X_case, y_case, **params),
+        ))
+    assert searched[2] == 0 and all(searched[:2] + searched[3:])
 
 
 def test_leafwise_deterministic():

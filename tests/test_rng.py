@@ -2,8 +2,11 @@
 computed with an independent transliteration of the stated update rules."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jobfraud.rng import SplitMix64
+from jobfraud.rng import SplitMix64, sample_indices
+from tree_reference import reference_sample_indices
 
 # First outputs for seed 0; matches the widely published reference stream.
 SEED0_FIRST4 = [
@@ -52,15 +55,14 @@ def test_shuffle_is_permutation():
 
 
 def test_sample_indices_distinct_and_sorted():
-    rng = SplitMix64(3)
-    picked = rng.sample_indices(50, 7)
+    picked = sample_indices([SplitMix64(3)], 50, 7)[0].tolist()
     assert len(picked) == 7 == len(set(picked))
     assert picked == sorted(picked)
     assert all(0 <= i < 50 for i in picked)
 
 
 def test_sample_indices_full_range():
-    assert SplitMix64(1).sample_indices(5, 9) == [0, 1, 2, 3, 4]
+    assert sample_indices([SplitMix64(1)], 5, 9).tolist() == [[0, 1, 2, 3, 4]]
 
 
 def test_uniform_array_matches_scalar_draws():
@@ -88,3 +90,34 @@ def test_randrange_array_matches_scalar_draws():
             want = [scalar.randrange(n) for _ in range(size)]
             assert got.dtype == np.int64 and got.tolist() == want
             assert block.next_uint64() == scalar.next_uint64()
+
+
+@st.composite
+def _sample_cases(draw):
+    """Streams (seeds 0 and 2**64 - 1 among them, some advanced mid-stream)
+    and (n, k) with n in 1..600 and k in 1..n + 1, k = n - 1 (where a
+    repeat among the first k draws is near-certain) often."""
+    seed = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+    seeds = draw(st.lists(st.tuples(seed, st.integers(0, 3)), min_size=1, max_size=6))
+    n = draw(st.integers(1, 600))
+    k = draw(st.one_of(st.just(max(1, n - 1)), st.integers(1, n + 1)))
+    return seeds, n, k
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sample_cases())
+def test_batched_sample_indices_equals_scalar_loop(case):
+    """Each row of the batch is the scalar rejection loop's draw, and each
+    stream goes on from where that loop leaves it."""
+    seeds, n, k = case
+    batch, scalar = [], []
+    for seed, skip in seeds:
+        batch.append(SplitMix64(seed))
+        scalar.append(SplitMix64(seed))
+        for rng in (batch[-1], scalar[-1]):
+            for _ in range(skip):
+                rng.next_uint64()
+    got = sample_indices(batch, n, k)
+    want = [reference_sample_indices(rng, n, k) for rng in scalar]
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert [rng.next_uint64() for rng in batch] == [rng.next_uint64() for rng in scalar]

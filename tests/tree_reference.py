@@ -227,6 +227,18 @@ def reference_best_split(X, y, feature_indices, min_samples_leaf, criterion, mod
     )
 
 
+def reference_sample_indices(rng, n, k):
+    """k distinct indices from range(n), ascending, drawn one next_uint64()
+    % n at a time from `rng` until k are distinct; range(n), with no draw,
+    when k >= n. The scalar loop that rng.sample_indices batches."""
+    if k >= n:
+        return list(range(n))
+    chosen = set()
+    while len(chosen) < k:
+        chosen.add(rng.next_uint64() % n)
+    return sorted(chosen)
+
+
 def reference_fit_tree(
     X, y, max_depth=None, min_samples_leaf=1, criterion="gini", feature_subsample=None, rng=None,
 ):
@@ -247,7 +259,7 @@ def reference_fit_tree(
         if feature_subsample is None or feature_subsample >= n_features:
             candidates = range(n_features)
         else:
-            candidates = rng.sample_indices(n_features, feature_subsample)
+            candidates = reference_sample_indices(rng, n_features, feature_subsample)
         found = reference_best_split(X[rows], yr, candidates, min_samples_leaf, criterion, modes)
         if found is None:
             return node
@@ -263,11 +275,16 @@ def reference_fit_tree(
 
 
 def reference_fit_random_forest(
-    X, y, n_trees=100, max_depth=25, min_samples_leaf=1, bootstrap=True, seed=42,
+    X, y, n_trees=100, max_depth=25, min_samples_leaf=1, feature_subsample="sqrt", bootstrap=True,
+    seed=42,
 ):
+    """Bagged trees grown one after another, each from its own stream."""
     X = np.asarray(X, dtype=np.float64)
     n, n_features = X.shape
-    per_node = max(1, int(np.sqrt(n_features)))
+    if feature_subsample == "sqrt":
+        per_node = max(1, int(np.sqrt(n_features)))
+    else:
+        per_node = feature_subsample
     trees = []
     for i in range(n_trees):
         rng = SplitMix64(seed + i)
