@@ -27,9 +27,10 @@ gather from a (feature, row) table of 2 * value rank + label, built once
 per fit, one integer bincount keyed by (node, candidate, value, label),
 one cumulative sum and a first max per node. Each score is the same
 float64 formula as a node searched alone. What a fit holds at once stays
-bounded: a step's nodes are gathered in chunks of at most _SPLIT_PAIRS
-(candidate, row) pairs, and a forest grows as many trees together as hold
-at most _LOCKSTEP_ROWS root rows between them.
+bounded: a step's nodes are searched in chunks of at most _SEARCH_CELLS
+gathered (candidate, row) pairs and histogram (candidate, value) cells,
+and a forest grows as many trees together as hold at most _LOCKSTEP_ROWS
+root rows between them.
 
 The leaf-wise trainer bins features into equal-frequency
 histograms once, on the same ranking, sizes the histogram grid to the
@@ -180,7 +181,7 @@ def sparse_codes(flat_codes, width) -> SparseCodes:
     return SparseCodes(default, indptr, flat_codes[other].astype(np.intp), width)
 
 
-_SPLIT_PAIRS = 1 << 18  # (candidate, row) pairs one gather of best_split reads at most
+_SEARCH_CELLS = 1 << 18  # (candidate, row) pairs plus (candidate, value) cells of a search chunk
 _LOCKSTEP_ROWS = 1 << 21  # root rows of the trees a random forest grows in lockstep
 
 
@@ -221,8 +222,8 @@ def best_split(X, y, candidates, min_samples_leaf, criterion, ranking=None, rows
     label_codes of the ranking and the 0/1 labels y (built here when
     absent): one take gathers their candidates' entries of their rows, and
     one integer bincount keyed by (node, candidate, value, label) counts
-    them, for nodes of at most _SPLIT_PAIRS (candidate, row) pairs at a
-    time. A variance node reads `table`, the sparse_codes of the ranking
+    them, for nodes of at most _SEARCH_CELLS (candidate, row) pairs and
+    (candidate, value) cells at a time. A variance node reads `table`, the sparse_codes of the ranking
     (built here when absent), through _leaf_histograms, whose non-default
     sums add up each value's rows in row order. A cumulative sum along the
     values gives every split's left side; a split may follow each of the
@@ -241,14 +242,15 @@ def best_split(X, y, candidates, min_samples_leaf, criterion, ranking=None, rows
         table = _split_table(criterion, ranking, y)
     rows = [None] if rows is None else rows
     candidates = np.asarray(candidates, dtype=np.intp).reshape(len(rows), -1)
-    pairs = [candidates.shape[1] * (y.shape[0] if r is None else r.shape[0]) for r in rows]
-    found, start, gathered = [], 0, 0
-    for stop, size in enumerate(pairs, 1):
-        gathered += size
-        if stop == len(rows) or gathered + pairs[stop] > _SPLIT_PAIRS:
+    cells = [candidates.shape[1] * (ranking.width + (y.shape[0] if r is None else r.shape[0]))
+             for r in rows]
+    found, start, held = [], 0, 0
+    for stop, size in enumerate(cells, 1):
+        held += size
+        if stop == len(rows) or held + cells[stop] > _SEARCH_CELLS:
             found += _search_nodes(y, candidates[start:stop], min_samples_leaf, criterion,
                                    ranking, rows[start:stop], table)
-            start, gathered = stop, 0
+            start, held = stop, 0
     return found
 
 

@@ -313,7 +313,7 @@ def test_row_indexed_split_equals_reference_on_copied_rows(instance):
     expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion, modes)
     ranking = rank_codes(X)
     column_major = ranking._replace(flat_codes=np.asfortranarray(ranking.flat_codes))
-    for layout in (ranking, column_major):  # whole-row and candidate-column gathers
+    for layout in (ranking, column_major):  # row- and column-major codes
         found = best_split(X, y, [candidates], min_leaf, criterion, layout, [rows])[0]
         assert found == expected
 
@@ -868,16 +868,16 @@ def test_random_forest_equals_reference_fit(fixture_matrix, monkeypatch, bootstr
     )
 
 
-@pytest.mark.parametrize("split_pairs, lockstep_rows", [
+@pytest.mark.parametrize("search_cells, lockstep_rows", [
     (1, forests._LOCKSTEP_ROWS),  # every node searched on its own
-    (1000, 400),  # a fixture root alone, deeper nodes together; fixture trees two at a time
+    (1000, 400),  # a fixture root alone, small nodes together; fixture trees two at a time
 ])
-def test_random_forest_equals_reference_on_uneven_forests(fixture_matrix, monkeypatch, split_pairs,
+def test_random_forest_equals_reference_on_uneven_forests(fixture_matrix, monkeypatch, search_cells,
                                                           lockstep_rows):
     """Forests whose trees finish at different lockstep steps, or never
     search, grow the reference's trees, however a step's nodes are chunked
     and the trees grouped."""
-    monkeypatch.setattr(forests, "_SPLIT_PAIRS", split_pairs)
+    monkeypatch.setattr(forests, "_SEARCH_CELLS", search_cells)
     monkeypatch.setattr(forests, "_LOCKSTEP_ROWS", lockstep_rows)
     X, y = fixture_matrix
     tiny_X = np.random.default_rng(3).integers(0, 3, size=(6, 5)).astype(np.float64)

@@ -10,7 +10,10 @@ the others. The fits are the learners as they were before the node
 gathers, the histograms and the flat node arrays: every node copies its
 rows of X (`X[rows]`) and sorts them, every forest tree copies its
 bootstrap rows, and trees are linked `TreeNode` objects whose GBM leaves
-get their Newton values by routing the rows again. The fits
+get their Newton values by routing the rows again. The forest grows its
+trees one after another, each drawing its candidates with
+`reference_sample_indices`, the scalar rejection loop that
+`rng.sample_indices` batches across streams. The fits
 call `reference_best_split` through this module's global, so a test can
 count the calls, and return the nested JSON of `forests.ensemble_to_dict`.
 The fast learners must grow the same trees, byte for byte.
