@@ -5,8 +5,9 @@ Split search is exact greedy CART over midpoints between consecutive
 distinct sorted values (Gini for classification trees, variance reduction
 for regression trees); ties in gain break toward the lowest feature index,
 then the lowest threshold. Each fit ranks every column's values once
-(rank_codes): integer codes offset by feature, and a table of each
-column's distinct values. A node then scores all candidate features
+(rank_codes): per-column value ranks, of the narrowest unsigned type that
+holds them, and a table of each column's distinct values; only
+sparse_codes offsets them by feature. A node then scores all candidate features
 together from one histogram per feature of its rows' row counts and
 target sums per distinct value, sorting nothing: with one bin per
 distinct value, the histogram search is the exact search (as XGBoost's
@@ -124,10 +125,9 @@ class EnsembleModel:
 class Ranking(NamedTuple):
     """X ranked once per fit: values[f, c] is column f's c-th smallest
     distinct value (its largest fills the row past its last), and
-    flat_codes[i, f] is f * width + c for the c with X[i, f] == values[f, c],
-    so that one bincount of a node's codes counts every (feature, value)."""
+    codes[i, f] is the c with X[i, f] == values[f, c]."""
 
-    flat_codes: np.ndarray  # (n, F), of the narrowest integer type that holds 2 * F * width
+    codes: np.ndarray  # (n, F), of the narrowest unsigned type that holds width
     values: np.ndarray  # (F, width): width is the most distinct values of any column
 
     @property
@@ -140,7 +140,7 @@ def rank_codes(X) -> Ranking:
     are np.unique's inverse for all columns at once, and the distinct
     values they index."""
     X = np.asarray(X, dtype=np.float64)
-    n, n_features = X.shape
+    n = X.shape[0]
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
     first = np.ones(X.shape, dtype=bool)  # where each value's run of sorted rows begins
@@ -151,17 +151,16 @@ def rank_codes(X) -> Ranking:
     f, i = np.nonzero(first.T)
     values[f, ranks[i, f] - 1] = xs[i, f]
     del xs
-    # narrow codes keep the ranking small; label_codes doubles them in place
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(-2 * n_features * width))
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(width))  # narrow: the ranking stays small
     np.put_along_axis(codes, order, ranks, axis=0)
-    codes += np.arange(n_features, dtype=codes.dtype) * width - 1  # f * width + rank
+    codes -= 1
     return Ranking(codes, values)
 
 
 class SparseCodes(NamedTuple):
-    """Flat codes (n, F) kept by row without each column's default, its
-    most frequent code (the lowest on ties): row i's other codes are
-    codes[indptr[i]:indptr[i + 1]], in column order."""
+    """(n, F) codes offset by feature, f * width + code, kept by row without
+    each column's default, its most frequent code (the lowest on ties):
+    row i's other codes are codes[indptr[i]:indptr[i + 1]], in column order."""
 
     default: np.ndarray  # (F,) intp flat code of each column's default
     indptr: np.ndarray  # (n + 1,) intp
@@ -169,16 +168,18 @@ class SparseCodes(NamedTuple):
     width: int  # flat codes per feature
 
 
-def sparse_codes(flat_codes, width) -> SparseCodes:
-    """The SparseCodes of (n, F) codes offset by feature * width."""
-    n, n_features = flat_codes.shape
-    count = np.bincount(flat_codes.ravel(), minlength=n_features * width)
+def sparse_codes(codes, width) -> SparseCodes:
+    """The SparseCodes of (n, F) per-column codes below width."""
+    n, n_features = codes.shape
+    offsets = np.arange(0, n_features * width, width)
+    flat = codes + offsets  # intp
+    count = np.bincount(flat.ravel(), minlength=n_features * width)
     default = count.reshape(n_features, width).argmax(axis=1)  # first max: lowest code
-    default += np.arange(n_features) * width
-    other = flat_codes != default
+    default += offsets
+    other = flat != default
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(other.sum(axis=1), out=indptr[1:])
-    return SparseCodes(default, indptr, flat_codes[other].astype(np.intp), width)
+    return SparseCodes(default, indptr, flat[other], width)
 
 
 _SEARCH_CELLS = 1 << 18  # (candidate, row) pairs plus (candidate, value) cells of a search chunk
@@ -189,20 +190,11 @@ def label_codes(ranking: Ranking, y) -> np.ndarray:
     """(F, n) 2 * c + y[i], for c the rank of X[i, f] among column f's
     distinct values and y 0/1 labels: one bincount of a node's gathered
     entries counts every (value, label) of its candidate features."""
-    n_features, width = ranking.values.shape
-    table = ranking.flat_codes.T.copy()  # row-major (F, n)
-    table -= (np.arange(n_features, dtype=table.dtype) * width)[:, None]
+    # row-major (F, n), or take on its flat keys copies it
+    table = ranking.codes.T.astype(np.min_scalar_type(2 * ranking.width - 1), order="C")
     table *= 2
     table += np.asarray(y).astype(table.dtype)
-    return table.astype(np.min_scalar_type(2 * width - 1))
-
-
-def _split_table(criterion, ranking, y):
-    """What best_split reads for `criterion`: the label_codes of the ranking
-    and the 0/1 labels y for gini, the ranking's sparse_codes for variance."""
-    if criterion == "gini":
-        return label_codes(ranking, y)
-    return sparse_codes(ranking.flat_codes, ranking.width)
+    return table
 
 
 def best_split(X, y, candidates, min_samples_leaf, criterion, ranking=None, rows=None,
@@ -239,7 +231,8 @@ def best_split(X, y, candidates, min_samples_leaf, criterion, ranking=None, rows
     if ranking is None:
         ranking = rank_codes(X)
     if table is None:
-        table = _split_table(criterion, ranking, y)
+        table = (label_codes(ranking, y) if criterion == "gini"
+                 else sparse_codes(ranking.codes, ranking.width))
     rows = [None] if rows is None else rows
     candidates = np.asarray(candidates, dtype=np.intp).reshape(len(rows), -1)
     cells = [candidates.shape[1] * (ranking.width + (y.shape[0] if r is None else r.shape[0]))
@@ -330,32 +323,25 @@ def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
     rows[t], is None; a bootstrap sample repeats rows). `feature_subsample`
     is a per-node candidate count (None = all features), drawn from the
     node's tree's stream. Leaves carry the class-1 fraction
-    (classification) or the mean target (regression). `ranking` is
-    rank_codes of X, computed here when absent, and `table` is what
-    best_split reads for the criterion, built here when absent.
+    (classification) or the mean target (regression). `ranking` and
+    `table` go to best_split as they are.
 
-    Each tree keeps its own depth-first stack, so its draws, its splits
-    and its node numbers come in the order of a tree grown alone. A step
-    takes every unfinished tree's next node that is to be searched, draws
-    their candidates together and searches them in one best_split call.
+    Each tree grows apart, from its root at node 0, with its own
+    depth-first stack, so its draws, its splits and its node numbers come
+    in the order of a tree grown alone. A step takes every unfinished
+    tree's next node that is to be searched, draws their candidates
+    together and searches them in one best_split call.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
-    if ranking is None:
-        ranking = rank_codes(X)
-    if table is None:
-        table = _split_table(criterion, ranking, y)
     if rows is None:
         rows = [None] * (1 if rngs is None else len(rngs))
     roots = [None if root is None else np.asarray(root) for root in rows]
-    # the first tree grows in `model` itself, the others apart, appended after it
-    trees = [model] + [EnsembleModel(model.kind, n_features) for _ in roots[1:]]
+    trees = [EnsembleModel(model.kind, n_features) for _ in roots]
     all_rows, all_features = np.arange(X.shape[0]), np.arange(n_features)
-    stacks = []
-    for tree, root in zip(trees, roots):
-        tree.roots.append(tree.leaf())
-        stacks.append([(tree.roots[-1], all_rows if root is None else root, 0)])
+    stacks = [[(tree.leaf(), all_rows if root is None else root, 0)]
+              for tree, root in zip(trees, roots)]
     leaves = [{} for _ in roots]
     while True:
         searched = []  # (tree, node, rows, depth) of each unfinished tree's next search
@@ -390,8 +376,8 @@ def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
             mask = X[rows, f] <= threshold
             left = trees[t].split(node, f, threshold)
             stacks[t] += [(left + 1, rows[~mask], depth + 1), (left, rows[mask], depth + 1)]
-    leaf_rows = leaves[0] if roots else {}
-    for tree, tree_leaves in zip(trees[1:], leaves[1:]):
+    leaf_rows = {}
+    for tree, tree_leaves in zip(trees, leaves):
         base = len(model.value)
         model.roots.append(base)
         model.feature += tree.feature
@@ -497,7 +483,7 @@ def fit_gbm(
     tree to the residuals."""
     X = check_matrix(X)
     ranking = rank_codes(X)
-    table = sparse_codes(ranking.flat_codes, ranking.width)
+    table = sparse_codes(ranking.codes, ranking.width)
 
     def grow(residual, model):
         return fit_tree(
@@ -540,9 +526,8 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
     not be its value ranks.
     """
     X = np.asarray(X, dtype=np.float64)
-    n_features = X.shape[1]
     ranking = rank_codes(X)
-    codes = ranking.flat_codes - np.arange(n_features) * ranking.width
+    codes = ranking.codes.astype(np.int64)
     values = ranking.values
     with np.errstate(over="ignore", invalid="ignore"):  # such columns are binned on their own
         mids = (values[:, :-1] + values[:, 1:]) / 2.0
@@ -719,7 +704,7 @@ def fit_leafwise_gbm(
     the leaf with the largest gain splits next, until max_leaves."""
     X = check_matrix(X)
     bins = compute_bins(X, n_bins)
-    table = sparse_codes(bins.codes + np.arange(X.shape[1]) * bins.width, bins.width)
+    table = sparse_codes(bins.codes, bins.width)
 
     def grow(residual, model):
         return _grow_leafwise(bins, table, residual, model, max_leaves, min_samples_leaf)

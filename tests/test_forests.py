@@ -51,8 +51,7 @@ from tree_reference import (
 
 def _bin_table(bins):
     """The SparseCodes that fit_leafwise_gbm reads its histograms from."""
-    offsets = np.arange(bins.codes.shape[1]) * bins.width
-    return forests.sparse_codes(bins.codes + offsets, bins.width)
+    return forests.sparse_codes(bins.codes, bins.width)
 
 
 def reference_compute_bins(X, n_bins=255):
@@ -274,7 +273,7 @@ def test_batched_split_equals_per_feature_reference(criterion):
         rows = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
         expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion)
         ranking = rank_codes(X)
-        ranking = ranking._replace(flat_codes=ranking.flat_codes[rows])
+        ranking = ranking._replace(codes=ranking.codes[rows])
         found = best_split(X[rows], y[rows], [candidates], min_leaf, criterion, ranking)[0]
         assert found == expected, f"case {case} (row subset)"
         splits += expected is not None
@@ -312,7 +311,7 @@ def test_row_indexed_split_equals_reference_on_copied_rows(instance):
     modes = column_modes(X)  # the defaults of the whole matrix's sparse codes
     expected = reference_best_split(X[rows], y[rows], candidates, min_leaf, criterion, modes)
     ranking = rank_codes(X)
-    column_major = ranking._replace(flat_codes=np.asfortranarray(ranking.flat_codes))
+    column_major = ranking._replace(codes=np.asfortranarray(ranking.codes))
     for layout in (ranking, column_major):  # row- and column-major codes
         found = best_split(X, y, [candidates], min_leaf, criterion, layout, [rows])[0]
         assert found == expected
@@ -376,9 +375,8 @@ def test_sparse_histograms_equal_dense_counts_and_row_order_sums(instance):
     n_features = X.shape[1]
     ranking, bins = rank_codes(X), compute_bins(X, n_bins)
     offsets = np.arange(n_features)
-    for codes, width in ((ranking.flat_codes - offsets * ranking.width, ranking.width),
-                         (bins.codes, bins.width)):
-        table = forests.sparse_codes(codes + offsets * width, width)
+    for codes, width in ((ranking.codes, ranking.width), (bins.codes, bins.width)):
+        table = forests.sparse_codes(codes, width)
         defaults = [np.argmax(np.bincount(codes[:, f], minlength=width)) for f in offsets]
         assert np.array_equal(table.default, np.array(defaults) + offsets * width)
         for rows in (None, node[:1], node):
@@ -415,11 +413,11 @@ def test_adjacent_float_split_keeps_rows_on_both_sides():
             assert all(np.isfinite(leaf["value"]) for leaf, _ in leaves)
 
 
-def test_rank_codes_are_unique_inverses():
+def test_rank_codes_are_unique_inverses(fixture_matrix):
     X = np.array([[0.5, -0.0, 3.0], [-1.0, 0.0, 3.0], [0.5, 2.0, 3.0], [2.0, -0.0, 3.0]])
     ranking = rank_codes(X)
-    assert ranking.width == 3  # feature f's codes start at 3 f
-    assert ranking.flat_codes.T.tolist() == [[1, 0, 1, 2], [3, 3, 4, 3], [6, 6, 6, 6]]
+    assert ranking.width == 3  # each column's codes are its own ranks, below 3
+    assert ranking.codes.T.tolist() == [[1, 0, 1, 2], [0, 0, 1, 0], [0, 0, 0, 0]]
     # each column's distinct values, its largest repeated past its last
     assert ranking.values.tolist() == [[-1.0, 0.5, 2.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0]]
     rng = np.random.default_rng(6)
@@ -427,10 +425,18 @@ def test_rank_codes_are_unique_inverses():
     ranking = rank_codes(X)
     for f in range(12):
         distinct, inverse = np.unique(X[:, f], return_inverse=True)
-        assert np.array_equal(ranking.flat_codes[:, f], f * ranking.width + inverse)
+        assert np.array_equal(ranking.codes[:, f], inverse)
         assert np.array_equal(ranking.values[f, : distinct.shape[0]], distinct)
     wide = rank_codes(np.arange(40000.0)[::-1].reshape(-1, 1))
-    assert np.array_equal(wide.flat_codes[:, 0], np.arange(40000)[::-1])
+    assert np.array_equal(wide.codes[:, 0], np.arange(40000)[::-1])
+    assert wide.codes.dtype == np.uint16
+    # the narrowest unsigned types: the product's tabular matrix ranks in bytes
+    X, y = fixture_matrix
+    ranking = rank_codes(X)
+    table = forests.label_codes(ranking, y)
+    assert ranking.codes.dtype == table.dtype == np.uint8
+    assert table.shape == X.shape[::-1] and table.flags.c_contiguous
+    assert np.array_equal(table, 2 * ranking.codes.T + y)
 
 
 def test_tree_respects_min_samples_leaf():
@@ -478,6 +484,25 @@ def test_single_tree_no_bootstrap_equals_fit_tree():
     assert np.array_equal(
         ensemble_predict(model, X), tree_reference.tree_predict(tree_reference.tree_from_dict(direct), X)
     )
+    # three streams at once, with no ranking or table, after a tree already in the model
+    forest = fit_random_forest(X, y, n_trees=3, bootstrap=False, feature_subsample=1, seed=9)
+    assert len({json.dumps(tree) for tree in ensemble_to_dict(forest)["trees"]}) == 3
+    grown = forests.EnsembleModel("random_forest", X.shape[1])
+    fit_tree(X, y, grown, max_depth=1)
+    base = len(grown.value)
+    leaves = fit_tree(X, y, grown, max_depth=25, feature_subsample=1,
+                      rngs=[SplitMix64(9 + i) for i in range(3)])
+    assert ensemble_to_dict(grown)["trees"][0] == _fit_one_tree(X, y, max_depth=1)
+    assert grown.roots[1:] == [base + root for root in forest.roots]
+    for name in ("feature", "threshold", "value"):
+        assert getattr(grown, name)[base:] == getattr(forest, name)
+    for name in ("left", "right"):
+        assert getattr(grown, name)[base:] == [c + base if c >= 0 else c for c in getattr(forest, name)]
+    assert sorted(leaves) == [base + i for i, f in enumerate(forest.feature) if f < 0]
+    bounds = grown.roots[1:] + [base + len(forest.value)]
+    for start, stop in zip(bounds, bounds[1:]):
+        tree_rows = np.concatenate([rows for node, rows in leaves.items() if start <= node < stop])
+        assert np.array_equal(np.sort(tree_rows), np.arange(X.shape[0]))
 
 
 def test_forest_same_seed_identical():
