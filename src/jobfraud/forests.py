@@ -7,9 +7,9 @@ for regression trees); ties in gain break toward the lowest feature index,
 then the lowest threshold. Each fit ranks every column's values once
 (rank_codes): per-column value ranks, of the narrowest unsigned type that
 holds them, and a table of each column's distinct values; only
-sparse_codes offsets them by feature. A node then scores all candidate features
-together from one histogram per feature of its rows' row counts and
-target sums per distinct value, sorting nothing: with one bin per
+sparse_codes offsets them by feature. A node then scores all candidate
+features together from one histogram per feature of its rows' row counts
+and target sums per distinct value, sorting nothing: with one bin per
 distinct value, the histogram search is the exact search (as XGBoost's
 exact and histogram split finding coincide when no feature has more
 values than bins). Its cost grows with the distinct values per feature,
@@ -172,14 +172,15 @@ def sparse_codes(codes, width) -> SparseCodes:
     """The SparseCodes of (n, F) per-column codes below width."""
     n, n_features = codes.shape
     offsets = np.arange(0, n_features * width, width)
-    flat = codes + offsets  # intp
+    # narrow flat codes, f * width + code: only the kept ones are widened to intp
+    flat = codes.astype(np.min_scalar_type(n_features * width))
+    flat += offsets.astype(flat.dtype)
     count = np.bincount(flat.ravel(), minlength=n_features * width)
-    default = count.reshape(n_features, width).argmax(axis=1)  # first max: lowest code
-    default += offsets
-    other = flat != default
+    default = count.reshape(n_features, width).argmax(axis=1) + offsets  # first max: lowest code
+    other = flat != default.astype(flat.dtype)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(other.sum(axis=1), out=indptr[1:])
-    return SparseCodes(default, indptr, flat[other], width)
+    return SparseCodes(default, indptr, flat[other].astype(np.intp), width)
 
 
 _SEARCH_CELLS = 1 << 18  # (candidate, row) pairs plus (candidate, value) cells of a search chunk
