@@ -359,12 +359,13 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
     embedding = params.embedding.values
     vocab, hidden = embedding.shape[0], wh.shape[2]
     order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
+    real, offsets = real.tolist(), offsets.tolist()  # the step loops read Python ints
     # step t reads its c at slots[t] and writes it at slots[t + 1]; its gates
     # are the (4, size, H) block at row 4 * slots[t] of the flat gates, and
     # tanh(c) the rows at slots[t]
     widest = offsets[-1] - offsets[-2]  # steps only grow
     gates, cs, tanh_cs, hs = workspace.step(widest, hidden)
-    slots = offsets if keep_states else np.zeros_like(offsets)
+    slots = offsets if keep_states else [0] * len(offsets)
     if keep_states:
         # the weight-gradient chunks are gathered into tanh(c) once the
         # backward loop is done with it
@@ -375,16 +376,13 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
     # one step's recurrent products; the backward's gate-value gradients
     # and activation derivatives
     scratch = _allocate((2 if keep_states else 1, 4 * widest * hidden))
-
-    def block(flat, start, size):
-        """The (4, size, H) gate-major block at row 4 * start of flat."""
-        return flat[4 * hidden * start : 4 * hidden * (start + size)].reshape(4, size, hidden)
+    gate_rows = 4 * hidden  # floats in one flat row of the gates
 
     for t in range(length):
         here, there, size = slots[t], slots[t + 1], offsets[t + 1] - offsets[t]
-        z = block(gates, here, size)
-        np.take(table, index[offsets[t] : offsets[t + 1]], axis=1, out=z, mode="clip")
-        recurrent = block(scratch[0], 0, size)
+        z = gates[gate_rows * here : gate_rows * (here + size)].reshape(4, size, hidden)
+        table.take(index[offsets[t] : offsets[t + 1]], axis=1, out=z, mode="clip")
+        recurrent = scratch[0][: gate_rows * size].reshape(4, size, hidden)
         np.matmul(hs[:batch], wh_g[0], out=recurrent[:, :batch])
         np.matmul(hs[batch:size], wh_g[1], out=recurrent[:, batch:])
         z += recurrent
@@ -410,7 +408,7 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
         for t in reversed(range(length)):
             start, stop = offsets[t], offsets[t + 1]
             size = stop - start
-            z = block(gates, start, size)
+            z = gates[gate_rows * start : gate_rows * stop].reshape(4, size, hidden)
             if t + 1 < length:
                 # step t + 1's h input, o * tanh(c) as the forward made it, goes
                 # over c_t, which step t + 1 has read as c_prev and step t never reads
@@ -419,7 +417,8 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
                 h_next[size:] = h_next[batch]  # rows entering at t + 1
             dz = _cell_backward(z, cs[start:stop], tanh_cs[start:stop],
                                 dh[:size], dc[:size],
-                                block(scratch[0], 0, size), block(scratch[1], 0, size))
+                                scratch[0][: gate_rows * size].reshape(4, size, hidden),
+                                scratch[1][: gate_rows * size].reshape(4, size, hidden))
             np.matmul(dz[:batch], wh[0], out=dh[:batch])
             np.matmul(dz[batch:], wh[1], out=dh[batch:size])
             if t and real[t] > real[t - 1]:  # rows entering at t began from the shared state

@@ -7,21 +7,30 @@ for regression trees); ties in gain break toward the lowest feature index,
 then the lowest threshold. Each fit ranks every column's values once
 (rank_codes): per-column value ranks, of the narrowest unsigned type that
 holds them, and a table of each column's distinct values; only
-sparse_codes offsets them by feature. A node then scores all candidate
-features together from one histogram per feature of its rows' row counts
-and target sums per distinct value, sorting nothing: with one bin per
-distinct value, the histogram search is the exact search (as XGBoost's
-exact and histogram split finding coincide when no feature has more
-values than bins). Its cost grows with the distinct values per feature,
-which the tabular matrix keeps small (flags, one-hots, term counts). Nodes
-work on row indices and copy no rows of X.
+sparse_codes offsets them by feature. Both work on blocks of at most
+_BLOCK_CELLS cells (rank_codes on column blocks, sparse_codes' mode counts
+on row blocks), so neither holds a whole-matrix sort or intp copy. A node
+then scores all candidate features together from one histogram per
+feature of its rows' row counts and target sums per distinct value,
+sorting nothing: with one bin per distinct value, the histogram search is
+the exact search (as XGBoost's exact and histogram split finding coincide
+when no feature has more values than bins). Its cost grows with the
+distinct values per feature, which the tabular matrix keeps small (flags,
+one-hots, term counts). Nodes work on row indices and copy no rows of X.
 
 A random forest grows its trees in lockstep. Breiman's trees are
 independent given their streams, so each tree keeps its own depth-first
 stack and its own splitmix64 stream, and its draws, its splits and its
 node numbers come in the order of the tree grown alone; the trees are
 then appended in tree order, so every node array and bundle byte is that
-of one tree after another. A step takes every unfinished tree's next node
+of one tree after another. A tree that draws no candidates, as the
+depth-wise GBM's, takes all its open nodes at each step: a node's split
+depends only on its rows, so its nested JSON is the depth-first tree's,
+and only its in-memory node numbers follow the steps. After a step's
+search, fit_tree partitions the rows of all its split nodes with one
+gather and one comparison, groups them stably by side and node, and gives
+every child its row count, value and stop flag by segment reductions
+before it is pushed. A step takes every unfinished tree's next node
 to search, draws all their candidate sets in one uint64 block across the
 trees' streams, and searches all those nodes in one best_split call: one
 gather from a (feature, row) table of 2 * value rank + label, built once
@@ -109,9 +118,14 @@ class EnsembleModel:
 
     def split(self, node, feature, threshold) -> int:
         """Turn leaf `node` into a split; returns its new left leaf, the right follows."""
-        left = self.leaf()
+        left = len(self.value)
+        self.feature += (-1, -1)
+        self.threshold += (0.0, 0.0)
+        self.left += (-1, -1)
+        self.right += (-1, -1)
+        self.value += (0.0, 0.0)
         self.feature[node], self.threshold[node] = feature, threshold
-        self.left[node], self.right[node] = left, self.leaf()
+        self.left[node], self.right[node] = left, left + 1
         return left
 
     def decision_scores(self, X) -> np.ndarray:
@@ -135,25 +149,49 @@ class Ranking(NamedTuple):
         return self.values.shape[1]
 
 
+_BLOCK_CELLS = 1 << 18  # cells of X, or of its codes, that a blocked pass works on at once
+
+
 def rank_codes(X) -> Ranking:
     """The Ranking of X (at least one row): per-column dense ranks, which
     are np.unique's inverse for all columns at once, and the distinct
-    values they index."""
+    values they index.
+
+    Columns are ranked in blocks of at most _BLOCK_CELLS cells (at least
+    one column), so the sort's working set stays bounded however large X
+    is: each block, transposed to (columns, rows), gets one stable argsort
+    along its rows, and flat takes and index writes read and place its
+    sorted values and ranks. A column's ranks never depend on another's.
+    """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    first = np.ones(X.shape, dtype=bool)  # where each value's run of sorted rows begins
-    np.not_equal(xs[1:], xs[:-1], out=first[1:])
-    ranks = np.cumsum(first, axis=0, dtype=np.min_scalar_type(n))  # 1 + the rank
-    width = int(ranks[-1].max(initial=1))
-    values = np.repeat(xs[-1:].T, width, axis=1)
-    f, i = np.nonzero(first.T)
-    values[f, ranks[i, f] - 1] = xs[i, f]
-    del xs
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(width))  # narrow: the ranking stays small
-    np.put_along_axis(codes, order, ranks, axis=0)
-    codes -= 1
+    n, n_features = X.shape
+    step = max(1, _BLOCK_CELLS // n)
+    blocks = []  # each block's (columns, n) codes and (columns, its own width) values
+    for lo in range(0, n_features, step):
+        xt = np.ascontiguousarray(X[:, lo : lo + step].T)
+        order = np.argsort(xt, axis=1, kind="stable")
+        order += np.arange(0, xt.size, n)[:, None]  # flat: row c of the block starts at c * n
+        xs = xt.take(order)
+        first = np.ones(xs.shape, dtype=bool)  # where each value's run of sorted rows begins
+        np.not_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])
+        ranks = np.cumsum(first, axis=1, dtype=np.min_scalar_type(n))  # 1 + the rank
+        width = int(ranks[:, -1].max())
+        values = np.repeat(xs[:, -1:], width, axis=1)
+        at = np.flatnonzero(first)
+        values.reshape(-1)[at // n * width + ranks.reshape(-1)[at] - 1] = xs.reshape(-1)[at]
+        del xs, first
+        codes = np.empty(xt.shape, dtype=np.min_scalar_type(width))  # narrow: the ranking stays small
+        codes.reshape(-1)[order.reshape(-1)] = ranks.reshape(-1)
+        codes -= 1
+        blocks.append((codes, values))
+    width = max((block_values.shape[1] for _, block_values in blocks), default=1)
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(width))
+    values = np.empty((n_features, width))
+    for lo, (block_codes, block_values) in zip(range(0, n_features, step), blocks):
+        hi = lo + block_codes.shape[0]
+        codes[:, lo:hi] = block_codes.T
+        values[lo:hi, : block_values.shape[1]] = block_values
+        values[lo:hi, block_values.shape[1] :] = block_values[:, -1:]
     return Ranking(codes, values)
 
 
@@ -175,7 +213,10 @@ def sparse_codes(codes, width) -> SparseCodes:
     # narrow flat codes, f * width + code: only the kept ones are widened to intp
     flat = codes.astype(np.min_scalar_type(n_features * width))
     flat += offsets.astype(flat.dtype)
-    count = np.bincount(flat.ravel(), minlength=n_features * width)
+    count = np.zeros(n_features * width, dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // max(1, n_features))
+    for lo in range(0, n, step):  # bincount widens the codes it reads to intp: a block at a time
+        count += np.bincount(flat[lo : lo + step].ravel(), minlength=n_features * width)
     default = count.reshape(n_features, width).argmax(axis=1) + offsets  # first max: lowest code
     other = flat != default.astype(flat.dtype)
     indptr = np.zeros(n + 1, dtype=np.intp)
@@ -324,59 +365,96 @@ def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
     rows[t], is None; a bootstrap sample repeats rows). `feature_subsample`
     is a per-node candidate count (None = all features), drawn from the
     node's tree's stream. Leaves carry the class-1 fraction
-    (classification) or the mean target (regression). `ranking` and
-    `table` go to best_split as they are.
+    (classification) or the mean target (regression, its targets added in
+    row order). `ranking` and `table` go to best_split as they are.
 
-    Each tree grows apart, from its root at node 0, with its own
-    depth-first stack, so its draws, its splits and its node numbers come
-    in the order of a tree grown alone. A step takes every unfinished
-    tree's next node that is to be searched, draws their candidates
-    together and searches them in one best_split call.
+    Each tree grows apart, from its root at node 0. A tree that draws
+    candidates keeps its own depth-first stack, so its draws, its splits
+    and its node numbers come in the order of a tree grown alone; a step
+    takes each such tree's next node. A tree that draws none
+    (feature_subsample None or at least the feature count, as the
+    depth-wise GBM's) takes all its open nodes at each step: a node's
+    split depends only on its rows, so the order cannot change its splits
+    or its nested JSON, and only its in-memory node numbers follow the
+    steps, level by level. A step's nodes are searched in one best_split
+    call. One gather and one comparison then partition the rows
+    of all the step's split nodes, grouped stably by side and node, so
+    each child keeps its rows in row order, and segment reductions over
+    the children give each its value and whether it must stop (fewer than
+    2 * min_samples_leaf rows, max_depth reached, or all targets equal)
+    before it is pushed.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # a step's flat take reads it in place
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
     if rows is None:
         rows = [None] * (1 if rngs is None else len(rngs))
     roots = [None if root is None else np.asarray(root) for root in rows]
     trees = [EnsembleModel(model.kind, n_features) for _ in roots]
-    all_rows, all_features = np.arange(X.shape[0]), np.arange(n_features)
-    stacks = [[(tree.leaf(), all_rows if root is None else root, 0)]
-              for tree, root in zip(trees, roots)]
+    draws = feature_subsample is not None and feature_subsample < n_features
+    stacks = [[] for _ in roots]  # (node, rows, depth) of each tree's nodes to search
     leaves = [{} for _ in roots]
+
+    def push(nodes, rows, n):
+        """Give each of `nodes`, (tree, node, depth) holding the next n[j]
+        of `rows`, its value, then stack it to search or keep it as a leaf."""
+        yr = y[rows]
+        starts = np.cumsum(n) - n
+        value = np.add.reduceat(yr, starts) / n
+        stop = np.minimum.reduceat(yr, starts) == np.maximum.reduceat(yr, starts)
+        stop |= n < 2 * min_samples_leaf
+        del yr  # before the copies: a wide step (a forest's roots) holds less at once
+        bounds = np.append(starts, rows.shape[0]).tolist()
+        for (t, node, depth), mean, done, a, b in zip(nodes, value.tolist(), stop.tolist(),
+                                                       bounds, bounds[1:]):
+            trees[t].value[node] = mean
+            part = rows[a:b].copy()  # not a view, which would keep all of rows while it waits
+            if done or (max_depth is not None and depth >= max_depth):
+                leaves[t][node] = part
+            else:
+                stacks[t].append((node, part, depth))
+
+    all_rows, all_features = np.arange(X.shape[0]), np.arange(n_features)
+    push([(t, tree.leaf(), 0) for t, tree in enumerate(trees)],
+         np.concatenate([all_rows if root is None else root for root in roots]),
+         np.array([X.shape[0] if root is None else root.shape[0] for root in roots]))
     while True:
-        searched = []  # (tree, node, rows, depth) of each unfinished tree's next search
+        searched = []  # (tree, node, rows, depth) of the step's searches
         for t, stack in enumerate(stacks):
-            while stack:
-                node, rows, depth = stack.pop()
-                yr = y[rows]
-                trees[t].value[node] = float(yr.sum() / rows.shape[0])  # yr.mean(), without its overhead
-                leaves[t][node] = rows
-                if not (
-                    rows.shape[0] < 2 * min_samples_leaf
-                    or (max_depth is not None and depth >= max_depth)
-                    or (yr == yr[0]).all()
-                ):
-                    searched.append((t, node, rows, depth))
-                    break
+            if not draws:
+                searched += [(t, *entry) for entry in reversed(stack)]  # in pop order
+                stack.clear()
+            elif stack:
+                searched.append((t, *stack.pop()))
         if not searched:
             break
-        if feature_subsample is None:
-            candidates = np.repeat(all_features[None], len(searched), axis=0)
-        else:
+        if draws:
             candidates = sample_indices([rngs[t] for t, *_ in searched], n_features,
                                         feature_subsample)
+        else:
+            candidates = np.repeat(all_features[None], len(searched), axis=0)
         node_rows = [rows if depth else roots[t] for t, _, rows, depth in searched]
         found = best_split(X, y, candidates, min_samples_leaf, criterion, ranking, node_rows,
                            table)
+        splits = []
         for (t, node, rows, depth), split in zip(searched, found):
             if split is None:
-                continue
-            del leaves[t][node]
-            f, threshold, _ = split
-            mask = X[rows, f] <= threshold
-            left = trees[t].split(node, f, threshold)
-            stacks[t] += [(left + 1, rows[~mask], depth + 1), (left, rows[mask], depth + 1)]
+                leaves[t][node] = rows
+            else:
+                splits.append((t, node, rows, depth, *split[:2]))
+        if not splits:
+            continue
+        t, node, rows, depth, f, threshold = zip(*splits)  # a tuple per field
+        n = np.array([r.shape[0] for r in rows])
+        every = np.concatenate(rows)
+        left = X.take(every * n_features + np.repeat(f, n)) <= np.repeat(threshold, n)
+        n_left = np.add.reduceat(left, np.cumsum(n) - n, dtype=np.intp)
+        first = [trees[i].split(j, g, h) for i, j, g, h in zip(t, node, f, threshold)]
+        # right children first, so each depth-first tree pops its left child next
+        children = [(i, c + 1, d + 1) for i, c, d in zip(t, first, depth)]
+        children += [(i, c, d + 1) for i, c, d in zip(t, first, depth)]
+        push(children, np.concatenate((every.compress(~left), every.compress(left))),
+             np.concatenate((n - n_left, n_left)))
     leaf_rows = {}
     for tree, tree_leaves in zip(trees, leaves):
         base = len(model.value)

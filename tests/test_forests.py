@@ -39,6 +39,7 @@ from tree_reference import (
     reference_fit_gbm,
     reference_fit_leafwise_gbm,
     reference_fit_random_forest,
+    reference_fit_tree,
     reference_predict,
     sorted_scan_best_split,
 )
@@ -439,6 +440,36 @@ def test_rank_codes_are_unique_inverses(fixture_matrix):
     assert np.array_equal(table, 2 * ranking.codes.T + y)
 
 
+@pytest.mark.parametrize("block_columns", [1, 2, 3])
+def test_rank_codes_in_column_blocks_equal_one_block(monkeypatch, block_columns):
+    """Blocks of 1, 2 or 3 columns rank X as one block does: a block
+    boundary falls inside the run of three 3-value columns at 2 and 3
+    columns, and the one 300-value column makes every block's codes as wide
+    as its own. sparse_codes, which counts codes by row block, keeps its
+    defaults too."""
+    rng = np.random.default_rng(11)
+    n = 300
+    X = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(n, 7))  # -0.0 and 0.0 are one value
+    X[:, 1:4] = rng.integers(0, 3, size=(n, 3))
+    X[:, 4] = rng.permutation(n) / 7.0  # wider than the rest
+    X[:, 6] = 5.0
+    whole = rank_codes(X)  # 2,100 cells: one block
+    sparse = forests.sparse_codes(whole.codes, whole.width)
+    monkeypatch.setattr(forests, "_BLOCK_CELLS", block_columns * n)
+    blocked = rank_codes(X)
+    assert blocked.codes.dtype == whole.codes.dtype == np.uint16
+    assert np.array_equal(blocked.codes, whole.codes)
+    assert blocked.values.tobytes() == whole.values.tobytes()
+    for f in range(X.shape[1]):
+        distinct, inverse = np.unique(X[:, f], return_inverse=True)
+        assert np.array_equal(blocked.codes[:, f], inverse)
+        padded = np.r_[distinct, np.repeat(distinct[-1], blocked.width - distinct.shape[0])]
+        assert np.array_equal(blocked.values[f], padded)
+    counted = forests.sparse_codes(blocked.codes, blocked.width)  # blocks of 300 // 7 rows and up
+    for got, expected in zip(counted, sparse):
+        assert np.array_equal(got, expected)
+
+
 def test_tree_respects_min_samples_leaf():
     X = np.arange(10.0).reshape(-1, 1)
     y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
@@ -505,6 +536,73 @@ def test_single_tree_no_bootstrap_equals_fit_tree():
         assert np.array_equal(np.sort(tree_rows), np.arange(X.shape[0]))
 
 
+def _reached_leaves(model, X, node, rows):
+    """Each leaf below `node` of model, mapped to the rows among `rows`
+    (in their order, repeats kept) that reach it."""
+    if model.feature[node] < 0:
+        return {node: rows}
+    mask = X[rows, model.feature[node]] <= model.threshold[node]
+    return {**_reached_leaves(model, X, model.left[node], rows[mask]),
+            **_reached_leaves(model, X, model.right[node], rows[~mask])}
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+@pytest.mark.parametrize("max_depth", [None, 2])
+def test_fit_tree_streams_equal_reference_trees(fixture_matrix, monkeypatch, min_samples_leaf,
+                                                max_depth):
+    """Four streams from bootstrap roots that repeat rows, searched in
+    chunks of a few nodes and partitioned together: each tree is the
+    reference's tree fit alone on its root's rows, and fit_tree returns
+    every leaf with the rows of its root that reach it, in root order. A
+    forest of these sizes, grown two trees at a time, is the reference's."""
+    monkeypatch.setattr(forests, "_SEARCH_CELLS", 2000)
+    monkeypatch.setattr(forests, "_LOCKSTEP_ROWS", 400)
+    X, y = fixture_matrix
+    n = X.shape[0]
+    roots = [SplitMix64(20 + t).randrange_array(n, n) for t in range(4)]
+    assert all(np.unique(root).shape[0] < n for root in roots)
+    params = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf, feature_subsample=5)
+    model = forests.EnsembleModel("random_forest", X.shape[1])
+    leaves = fit_tree(X, y, model, rngs=[SplitMix64(7 + t) for t in range(4)], rows=roots, **params)
+    reached = {}
+    for t, root in enumerate(roots):
+        expected = reference_fit_tree(X[root], y[root].astype(float), rng=SplitMix64(7 + t), **params)
+        assert forests.tree_to_dict(model, model.roots[t]) == tree_reference.tree_to_dict(expected)
+        reached.update(_reached_leaves(model, X, model.roots[t], root))
+    assert leaves.keys() == reached.keys() == {i for i, f in enumerate(model.feature) if f < 0}
+    for node, rows in reached.items():
+        assert np.array_equal(leaves[node], rows)
+    forest = dict(n_trees=4, max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=9)
+    _assert_same_trees(monkeypatch, lambda: fit_random_forest(X, y, **forest),
+                       lambda: reference_fit_random_forest(X, y, **forest))
+
+
+def test_draw_free_tree_searches_whole_steps_and_keeps_the_nested_json(fixture_matrix, monkeypatch):
+    """A tree that draws no candidates searches all its open nodes at each
+    step, so its in-memory node numbers follow the steps, and its nested
+    JSON is the depth-first reference's. The targets are multiples of 1/8,
+    so each leaf's mean is exact in any summation order."""
+    X, _ = fixture_matrix
+    y = np.random.default_rng(4).integers(0, 9, X.shape[0]) / 8.0
+    searched = []
+    inner = forests.best_split
+
+    def spy(X, y, candidates, *args):
+        searched.append(len(candidates))
+        return inner(X, y, candidates, *args)
+
+    monkeypatch.setattr(forests, "best_split", spy)
+    model = forests.EnsembleModel("gbm", X.shape[1])
+    fit_tree(X, y, model, max_depth=4, criterion="variance")
+    reference_calls = _count_calls(monkeypatch, tree_reference, "reference_best_split")
+    expected = reference_fit_tree(X, y, max_depth=4, criterion="variance")
+    assert forests.tree_to_dict(model, 0) == tree_reference.tree_to_dict(expected)
+    assert searched == [1, 2, 3, 4] and sum(searched) == len(reference_calls)
+    copy = forests.EnsembleModel("gbm", X.shape[1])
+    forests.tree_from_dict(forests.tree_to_dict(model, 0), X.shape[1], copy)
+    assert (model.left[:3], copy.left[:3]) == ([1, 3, 5], [1, 3, 17])  # by level; depth-first
+
+
 def test_forest_same_seed_identical():
     X, y = _separable()
     a = fit_random_forest(X, y, n_trees=5, seed=3)
@@ -530,6 +628,18 @@ def test_gbm_degenerate_labels():
     assert model.base_score == 10.0
     assert len(model.roots) == 0
     assert (ensemble_predict(model, X) > 0.999).all()
+
+
+def test_gbm_in_memory_model_predicts_like_its_bundle_copy():
+    """The depth-wise GBM's trees number their nodes by step in memory and
+    depth-first in a bundle; both score every row the same, bit for bit."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 6))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=200) > 0).astype(int)
+    model = fit_gbm(X, y, n_rounds=5, max_depth=4)
+    copy = ensemble_from_dict(ensemble_to_dict(model))
+    assert model.left != copy.left
+    assert ensemble_predict(model, X).tobytes() == ensemble_predict(copy, X).tobytes()
 
 
 def test_gbm_base_score_balanced():
