@@ -43,9 +43,11 @@ and a forest grows as many trees together as hold at most _LOCKSTEP_ROWS
 root rows between them.
 
 The leaf-wise trainer bins features into equal-frequency
-histograms once, on the same ranking, sizes the histogram grid to the
-widest feature's real bin count, scores only the bin boundaries that carry
-an edge, and always splits the highest-gain leaf. Like LightGBM's
+histograms once, on the same ranking, keeping its narrow codes, sizes the
+histogram grid to the widest feature's real bin count, scans each leaf's
+histograms with the scan that best_split runs on a node's (a boundary after
+each of the leaf's non-empty bins), and always splits the highest-gain
+leaf. Like LightGBM's
 min_data_in_leaf pruning, it spends work only where a split can land: a
 leaf of fewer than 2 * min_samples_leaf rows, or (as a CART node stops)
 one whose residuals are all equal, is never scanned, a split whose
@@ -259,14 +261,10 @@ def best_split(X, y, candidates, min_samples_leaf, criterion, ranking=None, rows
     them, for nodes of at most _SEARCH_CELLS (candidate, row) pairs and
     (candidate, value) cells at a time. A variance node reads `table`, the sparse_codes of the ranking
     (built here when absent), through _leaf_histograms, whose non-default
-    sums add up each value's rows in row order. A cumulative sum along the
-    values gives every split's left side; a split may follow each of the
-    node's values that leaves min_samples_leaf rows on each side, and its
-    threshold is the midpoint of that value and the node's next one, or that
-    value itself when the midpoint rounds up to the next (adjacent floats)
-    or overflows. Each score is the same elementwise float64 formula
-    whatever the nodes searched with it, and a node's first max breaks ties
-    toward its first candidate feature, then the lowest threshold.
+    sums add up each value's rows in row order. _scan, which the leaf-wise
+    grower shares, picks each node's split; its threshold is the midpoint
+    of the split's value and the node's next one, or that value itself when
+    the midpoint rounds up to the next (adjacent floats) or overflows.
     """
     if criterion not in ("gini", "variance"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -318,6 +316,41 @@ def _search_nodes(y, candidates, min_samples_leaf, criterion, ranking, rows, tab
             pick = np.arange(n_nodes)[:, None], candidates
             count, sums = count[pick], sums[pick]
         parent_term = total * total / n  # constant part of the score
+    cell, score, left_n = _scan(count, sums, n, total, min_samples_leaf, criterion)
+    j, r, a = np.unravel_index(cell, count.shape)
+    if criterion == "gini":
+        gain = 2.0 * (parent_term[j] + score) / n[j]
+    else:
+        gain = (score - parent_term[j]) / n[j]
+    # the node's next value: where its left side next grows
+    b = (left_n[j, r] > left_n.take(cell)[:, None]).argmax(axis=1)
+    f = candidates[j, r]
+    found = [None] * n_nodes
+    for node, f, below, above, gain in zip(j.tolist(), f.tolist(), ranking.values[f, a].tolist(),
+                                           ranking.values[f, b].tolist(), gain.tolist()):
+        if gain <= 0.0:
+            continue
+        middle = (below + above) / 2.0  # a Python float: overflow gives inf, and no warning
+        found[node] = f, middle if middle < above else below, gain
+    return found
+
+
+def _scan(count, sums, n, total, min_samples_leaf, criterion):
+    """The best split of each node from its (nodes, candidates, width)
+    histograms: count and sums hold each candidate feature's row count and
+    target sum per value (or bin), and n and total each node's rows and
+    target total.
+
+    A cumulative sum along the values gives every split's left side; a
+    split may follow each of a node's non-empty values that leaves
+    min_samples_leaf rows on each side. Its score is the gini or variance
+    score below, the same elementwise float64 formula whatever the nodes
+    scanned with it, and a node's first max breaks ties toward its first
+    candidate, then the lowest value. Returns, node by node for the nodes
+    that have a split, the flat index into count of the best split's value
+    and its score, then count's cumulative sums.
+    """
+    n_nodes, k, width = count.shape
     left_n = count.cumsum(axis=2)
     high = (n - min_samples_leaf)[:, None, None]
     cell = np.flatnonzero((count > 0) & (left_n >= min_samples_leaf) & (left_n <= high))
@@ -333,25 +366,8 @@ def _search_nodes(y, candidates, min_samples_leaf, criterion, ranking, rows, tab
     else:
         score = cum * cum / left_n_at + (node_total - cum) ** 2 / right_n
     bounds = np.searchsorted(at, np.arange(n_nodes + 1)).tolist()
-    # first max: first feature, then lowest threshold
-    best = np.array([a + int(score[a:b].argmax()) for a, b in zip(bounds, bounds[1:]) if a < b],
-                    dtype=np.intp)
-    j, r, a = np.unravel_index(cell[best], count.shape)
-    if criterion == "gini":
-        gain = 2.0 * (parent_term[j] + score[best]) / n[j]
-    else:
-        gain = (score[best] - parent_term[j]) / n[j]
-    # the node's next value: where its left side next grows
-    b = (left_n[j, r] > left_n_at[best][:, None]).argmax(axis=1)
-    f = candidates[j, r]
-    found = [None] * n_nodes
-    for node, f, below, above, gain in zip(j.tolist(), f.tolist(), ranking.values[f, a].tolist(),
-                                           ranking.values[f, b].tolist(), gain.tolist()):
-        if gain <= 0.0:
-            continue
-        middle = (below + above) / 2.0  # a Python float: overflow gives inf, and no warning
-        found[node] = f, middle if middle < above else below, gain
-    return found
+    best = [a + int(score[a:b].argmax()) for a, b in zip(bounds, bounds[1:]) if a < b]
+    return cell.take(best), score.take(best), left_n
 
 
 def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
@@ -586,10 +602,9 @@ class FeatureBins:
     """
 
     edges: list  # per feature, strictly increasing candidate thresholds
-    codes: np.ndarray  # (n, F) bin index per value: count of edges < value
+    codes: np.ndarray  # (n, F) bin per value, the count of edges below it: narrowest unsigned type
     n_bins: int  # the cap on bins per feature
     width: int  # histogram columns per feature: most edges of any feature + 1
-    has_edge: np.ndarray  # (F, width) bool: bin b of feature f has an edge above it
 
 
 def compute_bins(X, n_bins=255) -> FeatureBins:
@@ -602,12 +617,15 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
     n_bins distinct values take quantile edges, and a column with a
     midpoint not strictly between its two values (NaN, an infinity,
     overflow, or adjacent floats) is binned on its own, since its bins need
-    not be its value ranks.
+    not be its value ranks. The codes keep the ranking's narrow type, or
+    the narrowest unsigned type that holds n_bins - 1 when that is wider,
+    so that a column binned on its own fits; the ranking is copied only
+    then.
     """
     X = np.asarray(X, dtype=np.float64)
     ranking = rank_codes(X)
-    codes = ranking.codes.astype(np.int64)
     values = ranking.values
+    codes = ranking.codes.astype(np.min_scalar_type(max(ranking.width, n_bins) - 1), copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # such columns are binned on their own
         mids = (values[:, :-1] + values[:, 1:]) / 2.0
     n_mids = codes.max(axis=0)
@@ -627,10 +645,8 @@ def compute_bins(X, n_bins=255) -> FeatureBins:
             e = np.unique(quantiles)
         edges[f] = e
         codes[:, f] = np.searchsorted(e, col, side="left")
-    n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
-    width = int(n_edges.max(initial=0)) + 1
-    has_edge = np.arange(width) < n_edges[:, None]
-    return FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width, has_edge=has_edge)
+    width = max((e.shape[0] for e in edges), default=0) + 1
+    return FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width)
 
 
 def _row_sums(grid):
@@ -677,7 +693,8 @@ def _leaf_histograms(table: SparseCodes, rows, targets):
 
 
 def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
-    """Highest variance-reduction split over the real bin boundaries, or None.
+    """Highest variance-reduction split of a leaf over its bin boundaries,
+    as (gain, feature, bin), or None: _scan on the leaf's histograms.
 
     Only features whose lowest bin holds at most n - min_samples_leaf of
     the leaf's n rows are scanned: a boundary keeps each bin whole on one
@@ -685,32 +702,27 @@ def _best_hist_split(bins: FeatureBins, count, grad, min_samples_leaf):
     on the other side of every boundary. One bin is read per feature
     because it costs almost nothing; the lowest is the column's default in
     most of the product's columns, and the fullest bin, which would rule
-    out a few more features, costs a pass over the whole grid. Each kept
-    feature's row of the grid runs through the same cumulative sums, in the
-    same feature-then-bin order, as a scan of every feature, so every score
-    and tie-break is unchanged.
+    out a few more features, costs a pass over the whole grid. A boundary
+    follows each of the leaf's non-empty bins: above an empty bin it would
+    send the rows of the non-empty bin below it the same way, at a higher
+    edge. Each kept feature's row of the grid runs through the same
+    cumulative sums, in the same feature-then-bin order, as a scan of every
+    feature, so every score and tie-break is unchanged.
     """
     total_n = count[0].sum()
     # same row set whichever feature sums it; summed as a row n_bins wide
     # so that the pairwise sum groups the same way for every width
     row = np.zeros(bins.n_bins)
     row[: bins.width] = grad[0]
-    total_g = float(row.sum())
+    total_g = row.sum()
     features = np.flatnonzero(count[:, 0] <= total_n - min_samples_leaf)
-    cells = np.flatnonzero(bins.has_edge.take(features, axis=0))  # of the kept features' grid
-    left_n = count.take(features, axis=0).cumsum(axis=1).ravel()[cells]
-    left_g = grad.take(features, axis=0).cumsum(axis=1).ravel()[cells]
-    right_n = total_n - left_n
-    right_g = total_g - left_g
-    valid = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-    if not valid.any():
+    cell, score, _ = _scan(count.take(features, axis=0)[None], grad.take(features, axis=0)[None],
+                           total_n[None], total_g[None], min_samples_leaf, "variance")
+    if not cell.shape[0]:
         return None
-    score = left_g**2 / np.maximum(left_n, 1.0) + right_g**2 / np.maximum(right_n, 1.0)
-    score = np.where(valid, score, -np.inf)
-    best = int(np.argmax(score))  # lowest feature, then lowest bin, on ties
-    k, b = divmod(int(cells[best]), bins.width)
-    gain = score[best] - total_g * total_g / total_n
-    if not np.isfinite(score[best]) or gain <= 0.0:
+    k, b = divmod(int(cell[0]), bins.width)
+    gain = score[0] - total_g * total_g / total_n
+    if not np.isfinite(score[0]) or gain <= 0.0:
         return None
     return gain, int(features[k]), b
 

