@@ -354,7 +354,9 @@ def _scan(count, sums, n, total, min_samples_leaf, criterion):
     left_n = count.cumsum(axis=2)
     high = (n - min_samples_leaf)[:, None, None]
     cell = np.flatnonzero((count > 0) & (left_n >= min_samples_leaf) & (left_n <= high))
-    at = cell // (k * width)  # ascending: node by node, then feature, then value
+    # each cell's node, ascending: node by node, then feature, then value (a
+    # lone node, as every leaf-wise scan, reads its n and total as scalars)
+    at = cell // (k * width) if n_nodes > 1 else 0
     # gini's integer sums convert exactly, and only at the candidates
     cum = sums.cumsum(axis=2).take(cell).astype(np.float64, copy=False)
     left_n_at = left_n.take(cell).astype(np.float64, copy=False)
@@ -365,8 +367,11 @@ def _scan(count, sums, n, total, min_samples_leaf, criterion):
         score = -(pos_l * (left_n_at - pos_l) / left_n_at + pos_r * (right_n - pos_r) / right_n)
     else:
         score = cum * cum / left_n_at + (node_total - cum) ** 2 / right_n
-    bounds = np.searchsorted(at, np.arange(n_nodes + 1)).tolist()
-    best = [a + int(score[a:b].argmax()) for a, b in zip(bounds, bounds[1:]) if a < b]
+    if n_nodes == 1:
+        best = [int(score.argmax())] if cell.shape[0] else []
+    else:
+        bounds = np.searchsorted(at, np.arange(n_nodes + 1)).tolist()
+        best = [a + int(score[a:b].argmax()) for a, b in zip(bounds, bounds[1:]) if a < b]
     return cell.take(best), score.take(best), left_n
 
 
