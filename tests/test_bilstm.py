@@ -20,8 +20,15 @@ from jobfraud.bilstm import (
 from jobfraud.config import BilstmSection, FeatureSection, RunConfig, TrainSection
 from jobfraud.errors import ShapeError
 from jobfraud.ndgrad import Tensor
-import tape_reference
-from tape_reference import lstm_cell, strided_cell, strided_cell_backward, tape_encode
+from tape_reference import (
+    grad_check,
+    lstm_cell,
+    multiply,
+    strided_cell,
+    strided_cell_backward,
+    sum_all,
+    tape_encode,
+)
 
 
 TINY = ModelConfig(
@@ -122,9 +129,9 @@ def test_cell_gradient_check():
 
     def f():
         h_t, c_t = lstm_cell(x, h, c, cell)
-        return tape_reference.sum_all(tape_reference.multiply(h_t, h_t))
+        return sum_all(multiply(h_t, h_t))
 
-    assert tape_reference.grad_check(f, [cell.wx, cell.wh, cell.bias]) < 1e-6
+    assert grad_check(f, [cell.wx, cell.wh, cell.bias]) < 1e-6
 
 
 def test_cell_shape_error():
@@ -190,7 +197,7 @@ def encode_with_grads(encode, ids, params: ModelParams, weights):
     forward_only = encode(ids, params).values
     with ndgrad.Graph() as g:
         recorded = encode(ids, params)
-        loss = tape_reference.sum_all(tape_reference.multiply(recorded, Tensor(weights)))
+        loss = sum_all(multiply(recorded, Tensor(weights)))
     ndgrad.backward(g, loss)
     return forward_only, recorded.values, len(g), [t.grad.copy() for t in tensors]
 
@@ -560,7 +567,7 @@ def test_full_model_gradient_check_two_examples():
     def f():
         return ndgrad.bce_loss(model_forward(ids, numeric, params), y)
 
-    assert tape_reference.grad_check(f, params.tensors()) < 1e-5
+    assert grad_check(f, params.tensors()) < 1e-5
 
 
 # --------------------------------------------------------------------------

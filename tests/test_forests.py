@@ -853,6 +853,28 @@ def test_leafwise_never_splits_a_pure_leaf(fixture_matrix, min_samples_leaf):
                 scores[rows] += model.learning_rate * model.value[node]
 
 
+def test_leafwise_splits_follow_a_non_empty_bin():
+    """Every leaf-wise split's bin holds rows of its node. A sibling's
+    histogram is its parent's less the other child's, so a bin with no rows
+    in the sibling can keep a rounding residue in its target sum; the scan
+    skips such a bin, which would send the same rows the same way as the
+    non-empty bin below it, at a higher edge. Seeds 1, 5 and 8 each grew
+    one split on an empty bin when the scan read every bin with an edge."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(200, 6)) * rng.choice([1.0, 0.1, 1 / 3], 6)
+        y = (rng.random(200) < 0.3 + 0.1 * X[:, 0]).astype(np.float64)
+        model = fit_leafwise_gbm(X, y, n_rounds=10, n_bins=16, min_samples_leaf=5)
+        bins = compute_bins(X, 16)
+        for root in model.roots:
+            for node, rows in _node_rows(model, X, root).items():
+                f = model.feature[node]
+                if f >= 0:
+                    b = np.searchsorted(bins.edges[f], model.threshold[node])
+                    assert bins.edges[f][b] == model.threshold[node]
+                    assert (bins.codes[rows, f] == b).any(), f"seed {seed} tree {root} node {node}"
+
+
 def _special_columns(rng, n):
     """Columns whose bins are not their value ranks, or that need the
     quantile path: adjacent floats, overflowing midpoints, infinities, NaN,

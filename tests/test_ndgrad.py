@@ -4,8 +4,17 @@ import pytest
 from jobfraud import bilstm, ndgrad
 from jobfraud.errors import NumericError, ShapeError
 from jobfraud.ndgrad import Graph, Tensor, backward, param
-import tape_reference
-from tape_reference import grad_check, reshape, slice_columns, transpose
+from tape_reference import (
+    activation,
+    gather,
+    grad_check,
+    multiply,
+    reshape,
+    slice_columns,
+    sum_all,
+    tanh,
+    transpose,
+)
 
 
 def finite_diff(f, x: Tensor, eps=1e-6):
@@ -49,7 +58,7 @@ def test_matmul_backward_rule():
     a = param(np.array([[1.0, -2.0], [0.5, 3.0]]))
     b = param(np.array([[2.0, 0.0], [1.0, -1.0]]))
     with Graph() as g:
-        loss = tape_reference.sum_all(ndgrad.matmul(a, b))
+        loss = sum_all(ndgrad.matmul(a, b))
     backward(g, loss)
     ones = np.ones((2, 2))
     assert np.allclose(a.grad, ones @ b.values.T)
@@ -62,9 +71,9 @@ def test_matmul_backward_rule():
 
 def test_activation_values():
     x = Tensor([0.0, -2.0])
-    assert tape_reference.activation("sigmoid", x).values[0] == 0.5
-    assert tape_reference.activation("tanh", x).values[0] == 0.0
-    assert tape_reference.activation("relu", x).values.tolist() == [0.0, 0.0]
+    assert activation("sigmoid", x).values[0] == 0.5
+    assert activation("tanh", x).values[0] == 0.0
+    assert activation("relu", x).values.tolist() == [0.0, 0.0]
 
 
 def test_sigmoid_complement_identity():
@@ -81,7 +90,7 @@ def test_sigmoid_extreme_inputs_stay_finite():
 
 def test_unknown_activation():
     with pytest.raises(ValueError):
-        tape_reference.activation("gelu", Tensor([0.0]))
+        activation("gelu", Tensor([0.0]))
 
 
 @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu"])
@@ -90,7 +99,7 @@ def test_activation_gradients_match_finite_differences(kind):
     x = param(rng.normal(size=(4, 3)) + 0.05)  # nudged off the relu kink
 
     def f():
-        return tape_reference.sum_all(tape_reference.activation(kind, x))
+        return sum_all(activation(kind, x))
 
     assert grad_check(f, [x]) < 1e-6
 
@@ -123,7 +132,7 @@ def test_concat_backward_splits_gradient():
 
     def f():
         joined = ndgrad.concat(a, b)
-        return tape_reference.sum_all(tape_reference.multiply(joined, Tensor(weights)))
+        return sum_all(multiply(joined, Tensor(weights)))
 
     assert grad_check(f, [a, b]) < 1e-8
     assert np.allclose(a.grad, weights[:, :2])
@@ -132,17 +141,17 @@ def test_concat_backward_splits_gradient():
 
 def test_gather_rows():
     table = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = tape_reference.gather(table, [1, 1, 0])
+    out = gather(table, [1, 1, 0])
     assert out.values.tolist() == [[3.0, 4.0], [3.0, 4.0], [1.0, 2.0]]
 
 
 def test_gather_out_of_range():
     with pytest.raises(IndexError):
-        tape_reference.gather(Tensor(np.zeros((2, 2))), [2])
+        gather(Tensor(np.zeros((2, 2))), [2])
 
 
 def test_gather_empty_ids():
-    out = tape_reference.gather(Tensor(np.zeros((3, 4))), [])
+    out = gather(Tensor(np.zeros((3, 4))), [])
     assert out.values.shape == (0, 4)
 
 
@@ -151,7 +160,7 @@ def test_gather_repeated_id_accumulates_gradient():
     ids = [2, 2, 2, 1]
 
     def f():
-        return tape_reference.sum_all(tape_reference.gather(table, ids))
+        return sum_all(gather(table, ids))
 
     assert grad_check(f, [table]) < 1e-8
     assert np.allclose(table.grad[2], 3.0)  # picked three times
@@ -165,7 +174,7 @@ def test_slice_columns_and_transpose_gradients():
 
     def f():
         part = slice_columns(transpose(transpose(x)), 1, 4)
-        return tape_reference.sum_all(tape_reference.multiply(part, part))
+        return sum_all(multiply(part, part))
 
     assert grad_check(f, [x]) < 1e-7
 
@@ -175,7 +184,7 @@ def test_reshape_gradient():
 
     def f():
         m = reshape(x, (2, 3))
-        return tape_reference.sum_all(tape_reference.multiply(m, m))
+        return sum_all(multiply(m, m))
 
     assert grad_check(f, [x]) < 1e-8
 
@@ -222,7 +231,7 @@ def test_bce_batch_mean_and_gradient():
 def test_backward_sum_gives_ones():
     w = param(np.zeros((2, 3)))
     with Graph() as g:
-        loss = tape_reference.sum_all(w)
+        loss = sum_all(w)
     backward(g, loss)
     assert np.array_equal(w.grad, np.ones((2, 3)))
 
@@ -230,7 +239,7 @@ def test_backward_sum_gives_ones():
 def test_backward_square_hand_derivative():
     x = param(np.array([3.0]))
     with Graph() as g:
-        loss = tape_reference.sum_all(tape_reference.multiply(x, x))
+        loss = sum_all(multiply(x, x))
     backward(g, loss)
     assert x.grad[0] == pytest.approx(6.0)
 
@@ -239,7 +248,7 @@ def test_unused_parameter_gets_zero_gradient():
     used = param(np.array([2.0]))
     unused = param(np.array([5.0]))
     with Graph() as g:
-        loss = tape_reference.sum_all(used)
+        loss = sum_all(used)
     backward(g, loss)
     assert np.array_equal(unused.grad, np.zeros(1))
 
@@ -247,7 +256,7 @@ def test_unused_parameter_gets_zero_gradient():
 def test_backward_requires_scalar_recorded_loss():
     w = param(np.ones(3))
     with Graph() as g:
-        vec = tape_reference.multiply(w, 2.0)
+        vec = multiply(w, 2.0)
     with pytest.raises(ShapeError):
         backward(g, vec)
     with Graph() as g2:
@@ -264,9 +273,9 @@ def test_backward_is_linear():
     def run(a, b):
         x.zero_grad()
         with Graph() as g:
-            f_val = tape_reference.sum_all(tape_reference.multiply(x, x))
-            g_val = tape_reference.sum_all(ndgrad.sigmoid(x))
-            loss = ndgrad.add(tape_reference.multiply(f_val, a), tape_reference.multiply(g_val, b))
+            f_val = sum_all(multiply(x, x))
+            g_val = sum_all(ndgrad.sigmoid(x))
+            loss = ndgrad.add(multiply(f_val, a), multiply(g_val, b))
         backward(g, loss)
         return x.grad.copy()
 
@@ -285,7 +294,7 @@ def test_repeated_backward_is_bitwise_identical():
         w.zero_grad()
         with Graph() as g:
             out = ndgrad.sigmoid(ndgrad.matmul(x, w))
-            loss = tape_reference.sum_all(out)
+            loss = sum_all(out)
         backward(g, loss)
         return w.grad.copy()
 
@@ -298,7 +307,7 @@ def test_gradient_accumulates_without_zeroing():
     w = param(np.array([1.0]))
     for _ in range(2):
         with Graph() as g:
-            loss = tape_reference.sum_all(tape_reference.multiply(w, 3.0))
+            loss = sum_all(multiply(w, 3.0))
         backward(g, loss)
     assert w.grad[0] == pytest.approx(6.0)  # two backwards, no zero_grad
 
@@ -333,7 +342,7 @@ def test_graph_records_one_node_per_op_with_a_gradient_input(monkeypatch):
 
     w = param(np.zeros((2, 3)))
     with Graph() as g:
-        loss = tape_reference.sum_all(ndgrad.concat(w, plain))
+        loss = sum_all(ndgrad.concat(w, plain))
     assert len(g) == 2
     backward(g, loss)
     assert np.array_equal(w.grad, np.ones((2, 3)))
@@ -350,7 +359,7 @@ def test_grad_check_quadratic_form():
     x = param(rng.normal(size=(4, 1)))
 
     def f():
-        return tape_reference.sum_all(ndgrad.matmul(transpose(x), ndgrad.matmul(Tensor(A), x)))
+        return sum_all(ndgrad.matmul(transpose(x), ndgrad.matmul(Tensor(A), x)))
 
     assert grad_check(f, [x]) < 1e-8
 
@@ -360,7 +369,7 @@ def test_grad_check_rejects_non_finite():
     x = param(np.array([1e308]))
 
     def f():
-        return tape_reference.sum_all(tape_reference.multiply(x, x))
+        return sum_all(multiply(x, x))
 
     with pytest.raises(NumericError):
         grad_check(f, [x])
@@ -371,7 +380,7 @@ def test_grad_check_agrees_with_independent_finite_diff():
     x = param(rng.normal(size=(3, 2)))
 
     def f():
-        return tape_reference.sum_all(tape_reference.tanh(x))
+        return sum_all(tanh(x))
 
     grad_check(f, [x])
     analytic = x.grad.copy()
