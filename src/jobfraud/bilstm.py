@@ -39,12 +39,13 @@ load builds it from the stored tensors. Both derive the ModelConfig in
 one way, ModelConfig.of_run, from the run config, the vocabulary's size
 and the encoder's width, so a bundle stores no copy of it. weight_table
 declares every trainable tensor's name and shape once, in the one order
-of the initial draws, of named_tensors and of a bundle's tensor
-directory; a load checks each stored tensor against it, shape and finite
-values, before it wraps the stored arrays.
+of the initial draws, of a bundle's tensor directory and of a model's
+weights: a dict that maps each table name to its tensor, which the
+kernel, the trainer and a bundle read by name. A load checks each stored
+tensor against the table, shape and finite values, before it wraps the
+stored arrays.
 """
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,64 +77,32 @@ class ModelConfig:
                    numeric_width=numeric_width, seed=cfg.seed)
 
 
-@dataclass
-class LstmParams:
-    """One direction's weights; gate blocks along the first axis are
-    (input, forget, candidate, output), each `hidden` rows."""
-
-    wx: Tensor  # (4H, E)
-    wh: Tensor  # (4H, H)
-    bias: Tensor  # (4H,)
-
-
-@dataclass
-class ModelParams:
-    embedding: Tensor  # (V, E)
-    forward_lstm: LstmParams
-    backward_lstm: LstmParams
-    dense_w: Tensor  # (2H + D, U)
-    dense_b: Tensor  # (U,)
-    out_w: Tensor  # (U, 1)
-    out_b: Tensor  # (1,)
-
-    def named_tensors(self) -> list:
-        """(name, tensor) in weight_table order."""
-        return [(name, operator.attrgetter(name)(self)) for name in _NAMES]
-
-    def tensors(self) -> list:
-        return [t for _, t in self.named_tensors()]
-
-
-# the trainable tensors in canonical order; weight_table pairs each with its shape
-_NAMES = ("embedding", *(f"{way}.{name}" for way in ("forward_lstm", "backward_lstm")
-                         for name in ("wx", "wh", "bias")),
-          "dense_w", "dense_b", "out_w", "out_b")
+# the two directions' name prefixes, in the kernel's stacking order, and
+# the names of each direction's weights
+_WAYS = ("forward_lstm", "backward_lstm")
+_LSTM = ("wx", "wh", "bias")
 
 
 def weight_table(cfg: ModelConfig) -> list:
     """(name, shape) of every trainable tensor, in the one canonical order:
-    that of named_tensors, of a bundle's tensor directory and of the
-    initial draws."""
+    that of a model's weights (the name -> tensor map init_params and
+    params_from_arrays return), of a bundle's tensor directory and of the
+    initial draws. An LSTM's gate blocks along the first axis are (input,
+    forget, candidate, output), each `hidden_units` rows."""
     v, e, h = cfg.vocab_size, cfg.embedding_dim, cfg.hidden_units
     u, d = cfg.dense_units, cfg.numeric_width
-    lstm = [(4 * h, e), (4 * h, h), (4 * h,)]
-    return list(zip(_NAMES, [(v, e), *lstm, *lstm, (2 * h + d, u), (u,), (u, 1), (1,)]))
+    lstm = [(f"{way}.{name}", shape) for way in _WAYS
+            for name, shape in zip(_LSTM, [(4 * h, e), (4 * h, h), (4 * h,)])]
+    return [("embedding", (v, e)), *lstm, ("dense_w", (2 * h + d, u)), ("dense_b", (u,)),
+            ("out_w", (u, 1)), ("out_b", (1,))]
 
 
-def _params(arrays: dict) -> ModelParams:
-    """ModelParams whose trainable tensors wrap the arrays, by table name."""
-    t = {name: ndgrad.param(values) for name, values in arrays.items()}
-    forward, backward = (LstmParams(t[f"{way}.wx"], t[f"{way}.wh"], t[f"{way}.bias"])
-                         for way in ("forward_lstm", "backward_lstm"))
-    return ModelParams(t["embedding"], forward, backward,
-                       t["dense_w"], t["dense_b"], t["out_w"], t["out_b"])
-
-
-def init_params(cfg: ModelConfig) -> ModelParams:
-    """Initial weights from one seeded stream, walking weight_table: the
-    embedding is drawn U(+-0.05) and every other matrix Glorot-uniform,
-    row-major, in table order, so a seed pins every initial weight; 1-D
-    tensors are zero except the LSTM biases' +1 forget-gate block."""
+def init_params(cfg: ModelConfig) -> dict:
+    """Initial weights, weight_table's name -> tensor map, from one seeded
+    stream: the embedding is drawn U(+-0.05) and every other matrix
+    Glorot-uniform, row-major, in table order, so a seed pins every initial
+    weight; 1-D tensors are zero except the LSTM biases' +1 forget-gate
+    block."""
     rng = SplitMix64(cfg.seed)
     h = cfg.hidden_units
     arrays = {}
@@ -146,13 +115,14 @@ def init_params(cfg: ModelConfig) -> ModelParams:
             if name.endswith(".bias"):
                 values[h : 2 * h] = 1.0  # forget gate starts open
         arrays[name] = values
-    return _params(arrays)
+    return params_from_arrays(cfg, arrays.__getitem__)
 
 
-def params_from_arrays(cfg: ModelConfig, lookup) -> ModelParams:
-    """ModelParams around stored arrays: `lookup` maps each weight_table
-    name to an ndarray, which must have its table shape and finite values.
-    Every array is checked before any tensor is built."""
+def params_from_arrays(cfg: ModelConfig, lookup) -> dict:
+    """weight_table's name -> tensor map, in table order, of trainable
+    tensors around stored arrays: `lookup` maps each table name to an
+    ndarray, which must have its table shape and finite values. Every
+    array is checked before any tensor is built."""
     arrays = {}
     for name, shape in weight_table(cfg):
         values = np.asarray(lookup(name), dtype=np.float64)
@@ -161,7 +131,7 @@ def params_from_arrays(cfg: ModelConfig, lookup) -> ModelParams:
         if not np.isfinite(values).all():
             raise ModelStoreError(f"tensor {name!r} holds a value that is not finite")
         arrays[name] = values
-    return _params(arrays)
+    return {name: ndgrad.param(values) for name, values in arrays.items()}
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +145,7 @@ _GRADIENT_CHUNK = 2048
 
 
 class KernelWeights(NamedTuple):
-    """One ModelParams' weights in the layouts the kernel reads.
+    """One model's weights in the layouts the kernel reads.
 
     wx (2, 4H, E) and wh (2, 4H, H) are both directions' weights in kernel
     gate order and `order` that row order, for the backward; wh_g (2, 4,
@@ -190,7 +160,7 @@ class KernelWeights(NamedTuple):
     table: np.ndarray
 
 
-def kernel_weights(params: ModelParams) -> KernelWeights:
+def kernel_weights(params: dict) -> KernelWeights:
     """params' current weights in the kernel's layouts, as new arrays that
     do not follow later changes to params: scoring builds them once and
     passes them to every chunk, while each training batch builds its own,
@@ -206,14 +176,11 @@ def kernel_weights(params: ModelParams) -> KernelWeights:
     table that is not finite (finite weights too large to score) raises
     NumericError.
     """
-    h = params.forward_lstm.wh.shape[1]
+    h = params["forward_lstm.wh"].shape[1]
     order = np.r_[0 : 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
-    lstms = (params.forward_lstm, params.backward_lstm)
-    wx, wh, bias = (
-        np.stack([getattr(lstm, name).values[order] for lstm in lstms])
-        for name in ("wx", "wh", "bias")
-    )
-    embedding = params.embedding.values
+    wx, wh, bias = (np.stack([params[f"{way}.{name}"].values[order] for way in _WAYS])
+                    for name in _LSTM)
+    embedding = params["embedding"].values
     vocab, e = embedding.shape
     scale = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
     wx_g = np.ascontiguousarray((wx.reshape(2, 4, h, e) * scale).transpose(1, 0, 3, 2))
@@ -348,7 +315,7 @@ def _cell_backward(z, c_prev, tanh_c, dh, dc, upstream, local):
     return dz
 
 
-def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
+def _encode(ids, params: dict, keep_states: bool, workspace: Workspace,
             kernel: KernelWeights):
     """The encoding (B, 2H) and, when keep_states, the backward_fn that
     backprops through time from its gradient; otherwise the steps share
@@ -356,7 +323,7 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
     in one step slot: the backward rebuilds the h it needs."""
     batch, length = ids.shape
     wx, wh, gate_order, wh_g, table = kernel
-    embedding = params.embedding.values
+    embedding = params["embedding"].values
     vocab, hidden = embedding.shape[0], wh.shape[2]
     order, real, offsets, index, fwd_rows, rev_rows = _plan(ids, vocab)
     real, offsets = real.tolist(), offsets.tolist()  # the step loops read Python ints
@@ -460,16 +427,15 @@ def _encode(ids, params: ModelParams, keep_states: bool, workspace: Workspace,
             d_wx[d] += np.outer(pad_sum, embedding[0])
             d_bias[d] += pad_sum
             d_embedding[0] += pad_sum @ wx[d]
-        ndgrad.accumulate(params.embedding, d_embedding)
-        for d, lstm in enumerate((params.forward_lstm, params.backward_lstm)):
-            ndgrad.accumulate(lstm.wx, d_wx[d][gate_order])
-            ndgrad.accumulate(lstm.wh, d_wh[d][gate_order])
-            ndgrad.accumulate(lstm.bias, d_bias[d][gate_order])
+        ndgrad.accumulate(params["embedding"], d_embedding)
+        for d, way in enumerate(_WAYS):
+            for name, grads in zip(_LSTM, (d_wx, d_wh, d_bias)):
+                ndgrad.accumulate(params[f"{way}.{name}"], grads[d][gate_order])
 
     return encoded, backward_fn
 
 
-def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None,
+def bilstm_encode(ids, params: dict, workspace: Workspace = None,
                   kernel: KernelWeights = None) -> Tensor:
     """Concatenated final hidden states of both directions, (batch, 2H).
 
@@ -494,12 +460,10 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None,
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ShapeError(f"ids must be 2-D, got shape {ids.shape}")
-    vocab = params.embedding.shape[0]
+    vocab = params["embedding"].shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexError(f"token id out of range for an embedding with {vocab} rows")
-    inputs = [params.embedding]
-    for lstm in (params.forward_lstm, params.backward_lstm):
-        inputs += [lstm.wx, lstm.wh, lstm.bias]
+    inputs = [params["embedding"], *(params[f"{way}.{name}"] for way in _WAYS for name in _LSTM)]
     recording = ndgrad.recording(inputs)
     if workspace is None:
         workspace = Workspace()
@@ -511,7 +475,7 @@ def bilstm_encode(ids, params: ModelParams, workspace: Workspace = None,
     return out
 
 
-def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None,
+def model_forward(ids, numeric, params: dict, workspace: Workspace = None,
                   kernel: KernelWeights = None) -> Tensor:
     """Per-example fraud probability, shape (batch, 1), each value in (0, 1).
     The encoder runs in `workspace`'s buffers, or in fresh ones, on
@@ -519,14 +483,14 @@ def model_forward(ids, numeric, params: ModelParams, workspace: Workspace = None
     is not finite raises NumericError."""
     encoded = bilstm_encode(ids, params, workspace, kernel)
     merged = ndgrad.concat(encoded, Tensor(numeric))
-    hidden = ndgrad.relu(ndgrad.add(ndgrad.matmul(merged, params.dense_w), params.dense_b))
-    logit = ndgrad.add(ndgrad.matmul(hidden, params.out_w), params.out_b)
+    hidden = ndgrad.relu(ndgrad.add(ndgrad.matmul(merged, params["dense_w"]), params["dense_b"]))
+    logit = ndgrad.add(ndgrad.matmul(hidden, params["out_w"]), params["out_b"])
     if not np.isfinite(logit.values).all():
         raise NumericError("a BiLSTM pre-sigmoid logit is not finite")
     return ndgrad.sigmoid(logit)
 
 
-def predict_scores(ids, numeric, params: ModelParams, workspace: Workspace = None) -> np.ndarray:
+def predict_scores(ids, numeric, params: dict, workspace: Workspace = None) -> np.ndarray:
     """Fraud probabilities without recording gradients, in eval chunks
     that share one KernelWeights and `workspace`, or a fresh Workspace.
     Float errors stay quiet: one that can change a score ends in an input
@@ -571,7 +535,7 @@ class BiLstmClassifier:
     """
 
     config: ModelConfig
-    params: ModelParams
+    params: dict
     history: trainer.History | None = None
 
     @classmethod
@@ -593,7 +557,7 @@ class BiLstmClassifier:
         params = init_params(config)
         workspace = Workspace()  # every batch's and validation pass's; dropped on return
         history = trainer.train(
-            params.named_tensors(),
+            params.items(),
             lambda b_ids, b_num: model_forward(b_ids, b_num, params, workspace),
             lambda v_ids, v_num: predict_scores(v_ids, v_num, params, workspace),
             (ids, numeric, y),

@@ -117,7 +117,7 @@ class DetectionPipeline:
         tensors = ()
         if self.kind == "bilstm":
             extra["vocabulary"] = list(self.vectorizer.tokens)
-            tensors = [(name, t.values) for name, t in self.model.params.named_tensors()]
+            tensors = [(name, t.values) for name, t in self.model.params.items()]
         else:
             extra["ensemble"] = forests.ensemble_to_dict(self.model)
             extra["terms"] = list(self.terms)

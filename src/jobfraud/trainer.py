@@ -82,8 +82,6 @@ class Adam:
         correct2 = 1.0 - opts.beta2**self.t
         for (name, p), m, v in zip(self._named, self._m, self._v):
             grad = p.grad
-            if grad is None:
-                continue
             if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient in tensor {name!r}")
             m *= opts.beta1

@@ -16,10 +16,11 @@ views of row-major (rows, 4H) gate blocks; the kernel's gate-major
 versions must give their exact bits.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from jobfraud import ndgrad
-from jobfraud.bilstm import LstmParams, ModelParams
 from jobfraud.errors import NumericError, ShapeError
 from jobfraud.ndgrad import Tensor
 
@@ -161,7 +162,22 @@ def _step(x_t, h_prev, c_prev, wx_t, wh_t, bias, hidden):
     return h_t, c_t
 
 
-def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams):
+class Lstm(NamedTuple):
+    """One direction's weights; gate blocks along the first axis are
+    (input, forget, candidate, output), each `hidden` rows."""
+
+    wx: Tensor  # (4H, E)
+    wh: Tensor  # (4H, H)
+    bias: Tensor  # (4H,)
+
+
+def lstm_weights(params: dict, way: str) -> Lstm:
+    """Direction `way`'s ("forward_lstm" or "backward_lstm") tensors in a
+    model's name -> tensor map."""
+    return Lstm(*(params[f"{way}.{name}"] for name in Lstm._fields))
+
+
+def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: Lstm):
     """One recurrence step built from tape ops; accepts single vectors or
     row batches. Gate blocks are (input, forget, candidate, output)."""
     hidden = params.wh.shape[1]
@@ -180,15 +196,16 @@ def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams):
     return h_t, c_t
 
 
-def tape_encode(ids, params: ModelParams) -> Tensor:
+def tape_encode(ids, params: dict) -> Tensor:
     """Reference encoder: gather plus lstm_cell on the tape, step by step,
     over every position of both directions."""
     ids = np.atleast_2d(ids)
     batch, length = ids.shape
-    hidden = params.forward_lstm.wh.shape[1]
-    steps = [gather(params.embedding, ids[:, t]) for t in range(length)]
+    hidden = params["forward_lstm.wh"].shape[1]
+    steps = [gather(params["embedding"], ids[:, t]) for t in range(length)]
     finals = []
-    for lstm, order in ((params.forward_lstm, steps), (params.backward_lstm, steps[::-1])):
+    for way, order in (("forward_lstm", steps), ("backward_lstm", steps[::-1])):
+        lstm = lstm_weights(params, way)
         h = c = Tensor(np.zeros((batch, hidden)))
         for x_t in order:
             h, c = lstm_cell(x_t, h, c, lstm)

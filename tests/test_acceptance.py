@@ -191,7 +191,7 @@ def test_criterion_5_gradient_checks():
     def full_model():
         return ndgrad.bce_loss(bilstm.model_forward(ids, numeric, params), y)
 
-    model_err = grad_check(full_model, params.tensors())
+    model_err = grad_check(full_model, list(params.values()))
 
     op_errs = {}
     a = ndgrad.param(rng.normal(size=(3, 4)))
@@ -304,7 +304,7 @@ def test_criterion_7_determinism(tmp_path, small_csv):
     a, b = bilstm.init_params(cfg), bilstm.init_params(cfg)
     weights_equal = all(
         np.array_equal(ta.values, tb.values)
-        for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors())
+        for (_, ta), (_, tb) in zip(a.items(), b.items())
     )
 
     # end-to-end CLI train twice: identical metrics and manifests

@@ -12,10 +12,11 @@ from jobfraud import bilstm, ndgrad, trainer
 from jobfraud.bilstm import (
     BiLstmClassifier,
     ModelConfig,
-    ModelParams,
     bilstm_encode,
     init_params,
     model_forward,
+    params_from_arrays,
+    weight_table,
 )
 from jobfraud.config import BilstmSection, FeatureSection, RunConfig, TrainSection
 from jobfraud.errors import ShapeError
@@ -23,6 +24,7 @@ from jobfraud.ndgrad import Tensor
 from tape_reference import (
     grad_check,
     lstm_cell,
+    lstm_weights,
     multiply,
     strided_cell,
     strided_cell_backward,
@@ -37,13 +39,13 @@ TINY = ModelConfig(
 )
 
 
-def zero_params(cfg: ModelConfig, forget_bias=0.0) -> ModelParams:
+def zero_params(cfg: ModelConfig, forget_bias=0.0) -> dict:
     params = init_params(cfg)
-    for _, t in params.named_tensors():
+    for t in params.values():
         t.values[...] = 0.0
     if forget_bias:
-        for lstm in (params.forward_lstm, params.backward_lstm):
-            lstm.bias.values[cfg.hidden_units : 2 * cfg.hidden_units] = forget_bias
+        for way in ("forward_lstm", "backward_lstm"):
+            params[f"{way}.bias"].values[cfg.hidden_units : 2 * cfg.hidden_units] = forget_bias
     return params
 
 
@@ -53,14 +55,14 @@ def zero_params(cfg: ModelConfig, forget_bias=0.0) -> ModelParams:
 
 def test_init_same_seed_identical():
     a, b = init_params(TINY), init_params(TINY)
-    for (name, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
+    for (name, ta), (_, tb) in zip(a.items(), b.items()):
         assert np.array_equal(ta.values, tb.values), name
 
 
 def test_init_different_seed_differs():
     other = ModelConfig(**{**TINY.__dict__, "seed": 10})
     a, b = init_params(TINY), init_params(other)
-    assert not np.array_equal(a.embedding.values, b.embedding.values)
+    assert not np.array_equal(a["embedding"].values, b["embedding"].values)
 
 
 def test_init_glorot_bounds():
@@ -69,28 +71,42 @@ def test_init_glorot_bounds():
     params = init_params(cfg)
     two_h_d = 2 * cfg.hidden_units + cfg.numeric_width
     checks = [
-        (params.forward_lstm.wx, 4 * cfg.hidden_units + cfg.embedding_dim),
-        (params.forward_lstm.wh, 4 * cfg.hidden_units + cfg.hidden_units),
-        (params.dense_w, two_h_d + cfg.dense_units),
-        (params.out_w, cfg.dense_units + 1),
+        (params["forward_lstm.wx"], 4 * cfg.hidden_units + cfg.embedding_dim),
+        (params["forward_lstm.wh"], 4 * cfg.hidden_units + cfg.hidden_units),
+        (params["dense_w"], two_h_d + cfg.dense_units),
+        (params["out_w"], cfg.dense_units + 1),
     ]
     for tensor, fan_sum in checks:
         bound = np.sqrt(6.0 / fan_sum)
         assert np.abs(tensor.values).max() < bound  # strictly inside
-    assert np.abs(params.embedding.values).max() < 0.05
+    assert np.abs(params["embedding"].values).max() < 0.05
 
 
 def test_init_bias_layout():
     params = init_params(TINY)
     h = TINY.hidden_units
-    bias = params.forward_lstm.bias.values
+    bias = params["forward_lstm.bias"].values
     assert np.array_equal(bias[h : 2 * h], np.ones(h))  # forget block
     assert np.array_equal(np.delete(bias, np.s_[h : 2 * h]), np.zeros(3 * h))
-    assert np.array_equal(params.dense_b.values, np.zeros(TINY.dense_units))
+    assert np.array_equal(params["dense_b"].values, np.zeros(TINY.dense_units))
 
 
 def test_all_trainable_tensors_require_grad():
-    assert all(t.requires_grad for _, t in init_params(TINY).named_tensors())
+    assert all(t.requires_grad for t in init_params(TINY).values())
+
+
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig(vocab_size=500, numeric_width=10, seed=42)],
+                         ids=["tiny", "default-width"])
+def test_weights_follow_weight_table(cfg):
+    """A model's weights are weight_table's names and shapes in its order,
+    whatever order the stored arrays are looked up in."""
+    params = init_params(cfg)
+    assert [(name, t.shape) for name, t in params.items()] == weight_table(cfg)
+    backwards = {name: t.values for name, t in reversed(params.items())}
+    loaded = params_from_arrays(cfg, backwards.__getitem__)
+    assert [(name, t.shape) for name, t in loaded.items()] == weight_table(cfg)
+    for name, t in params.items():
+        assert np.array_equal(loaded[name].values, t.values), name
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +118,7 @@ def test_cell_zero_weights_collapse():
     x = Tensor(np.ones(TINY.embedding_dim))
     h = Tensor(np.zeros(TINY.hidden_units))
     c = Tensor(np.zeros(TINY.hidden_units))
-    h_t, c_t = lstm_cell(x, h, c, params.forward_lstm)
+    h_t, c_t = lstm_cell(x, h, c, lstm_weights(params, "forward_lstm"))
     assert np.array_equal(h_t.values, np.zeros(TINY.hidden_units))
     assert np.array_equal(c_t.values, np.zeros(TINY.hidden_units))
 
@@ -114,7 +130,7 @@ def test_cell_forget_limit_preserves_memory():
         Tensor(np.ones(TINY.embedding_dim)),
         Tensor(np.zeros(TINY.hidden_units)),
         Tensor(c_prev),
-        params.forward_lstm,
+        lstm_weights(params, "forward_lstm"),
     )
     assert np.allclose(c_t.values, c_prev, atol=1e-9)
 
@@ -122,7 +138,7 @@ def test_cell_forget_limit_preserves_memory():
 def test_cell_gradient_check():
     rng = np.random.default_rng(21)
     params = init_params(TINY)
-    cell = params.forward_lstm
+    cell = lstm_weights(params, "forward_lstm")
     x = Tensor(rng.normal(size=TINY.embedding_dim))
     h = Tensor(rng.normal(size=TINY.hidden_units))
     c = Tensor(rng.normal(size=TINY.hidden_units))
@@ -141,7 +157,7 @@ def test_cell_shape_error():
             Tensor(np.zeros(TINY.embedding_dim + 1)),
             Tensor(np.zeros(TINY.hidden_units)),
             Tensor(np.zeros(TINY.hidden_units)),
-            params.forward_lstm,
+            lstm_weights(params, "forward_lstm"),
         )
 
 
@@ -166,9 +182,7 @@ def test_encode_reversal_swaps_halves_with_tied_directions():
     params = init_params(TINY)
     # tie the two directions
     for name in ("wx", "wh", "bias"):
-        getattr(params.backward_lstm, name).values[...] = getattr(
-            params.forward_lstm, name
-        ).values
+        params[f"backward_lstm.{name}"].values[...] = params[f"forward_lstm.{name}"].values
     ids = np.array([[3, 1, 7, 2]])
     h = TINY.hidden_units
     fwd = bilstm_encode(ids, params).values[0]
@@ -186,12 +200,11 @@ def test_encode_id_out_of_range():
             bilstm_encode(np.array([[2, bad]]), params)
 
 
-def encode_with_grads(encode, ids, params: ModelParams, weights):
+def encode_with_grads(encode, ids, params: dict, weights):
     """(forward-only encoding, recorded encoding, tape length, encoder
     gradients) for the loss sum(encoding * weights)."""
-    tensors = [params.embedding]
-    for lstm in (params.forward_lstm, params.backward_lstm):
-        tensors += [lstm.wx, lstm.wh, lstm.bias]
+    tensors = [params["embedding"], *lstm_weights(params, "forward_lstm"),
+               *lstm_weights(params, "backward_lstm")]
     for t in tensors:
         t.zero_grad()
     forward_only = encode(ids, params).values
@@ -202,12 +215,13 @@ def encode_with_grads(encode, ids, params: ModelParams, weights):
     return forward_only, recorded.values, len(g), [t.grad.copy() for t in tensors]
 
 
-def random_params(cfg: ModelConfig, rng, tied=False) -> ModelParams:
+def random_params(cfg: ModelConfig, rng, tied=False) -> dict:
     params = init_params(cfg)
-    for _, t in params.named_tensors():
+    for t in params.values():
         t.values[...] = rng.normal(scale=0.6, size=t.shape)
     if tied:  # one set of weights read by both directions
-        params.backward_lstm = params.forward_lstm
+        for name in ("wx", "wh", "bias"):
+            params[f"backward_lstm.{name}"] = params[f"forward_lstm.{name}"]
     return params
 
 
@@ -218,7 +232,7 @@ def right_padded(rng, lengths, length, vocab):
     return ids
 
 
-def assert_matches_tape(ids, params: ModelParams, weights):
+def assert_matches_tape(ids, params: dict, weights):
     fused = encode_with_grads(bilstm_encode, ids, params, weights)
     tape = encode_with_grads(tape_encode, ids, params, weights)
     assert fused[2] == 3  # the encoder is one tape node
@@ -567,7 +581,7 @@ def test_full_model_gradient_check_two_examples():
     def f():
         return ndgrad.bce_loss(model_forward(ids, numeric, params), y)
 
-    assert grad_check(f, params.tensors()) < 1e-5
+    assert grad_check(f, list(params.values())) < 1e-5
 
 
 # --------------------------------------------------------------------------

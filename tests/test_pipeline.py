@@ -174,6 +174,23 @@ def test_bundle_config_tensor_mismatch_is_store_error(tmp_path, small_dataset, p
         DetectionPipeline.load(tmp_path / "m")
 
 
+def test_bilstm_bundle_tensor_directory_follows_weight_table(tmp_path, small_dataset, prepared):
+    """A saved BiLSTM's tensor directory holds exactly weight_table's names
+    and shapes, in its order, and a load gives back the trained weights."""
+    import json
+
+    pipe = train_pipeline(small_dataset, FAST, "bilstm", prepared=prepared)
+    pipe.save(tmp_path / "m")
+    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text(encoding="utf-8"))
+    table = bilstm.weight_table(pipe.model.config)
+    assert [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]] == table
+    loaded = DetectionPipeline.load(tmp_path / "m").model
+    assert loaded.config == pipe.model.config
+    assert list(loaded.params) == list(pipe.model.params)
+    for name, t in pipe.model.params.items():
+        assert np.array_equal(loaded.params[name].values, t.values), name
+
+
 def test_ensemble_bundle_round_trip(tmp_path, small_dataset, prepared):
     pipe = train_pipeline(small_dataset, FAST, "leafwise_gbm", prepared=prepared)
     scores = pipe.predict_scores(small_dataset.postings[:40])

@@ -216,7 +216,7 @@ def test_train_reaches_full_accuracy_on_separable_toy():
     # patience effectively disabled
     cfg = _run_config(3, max_epochs=200, batch_size=8, learning_rate=1e-2, patience=199)
     history = train(
-        params.named_tensors(), forward, score,
+        params.items(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     scores = bilstm.predict_scores(ids, numeric, params)
@@ -228,7 +228,7 @@ def test_train_first_epoch_loss_below_ln2():
     params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(3, max_epochs=2, batch_size=4, learning_rate=1e-3, patience=1)
     history = train(
-        params.named_tensors(), forward, score,
+        params.items(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     assert history.train_loss[0] < np.log(2)
@@ -236,7 +236,7 @@ def test_train_first_epoch_loss_below_ln2():
 
 def test_train_frozen_batch_loss_decreases_over_first_steps():
     params, forward, _, ids, numeric, y = _toy_model_and_data()
-    adam = Adam(params.named_tensors(), TrainSection(learning_rate=1e-3))
+    adam = Adam(params.items(), TrainSection(learning_rate=1e-3))
     losses = []
     for _ in range(6):
         adam.zero_grad()
@@ -253,7 +253,7 @@ def test_train_restores_best_epoch_weights():
     params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(3, max_epochs=30, batch_size=8, learning_rate=5e-2, patience=4)
     history = train(
-        params.named_tensors(), forward, score,
+        params.items(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     scores = bilstm.predict_scores(ids, numeric, params)
@@ -267,7 +267,7 @@ def test_train_empty_split_is_error():
     params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(0, max_epochs=2, patience=1)
     with pytest.raises(DataError):
-        train(params.named_tensors(), forward, score, (ids[:0], numeric[:0], y[:0]),
+        train(params.items(), forward, score, (ids[:0], numeric[:0], y[:0]),
               (ids, numeric, y), cfg)
 
 
@@ -275,7 +275,7 @@ def test_train_histories_aligned():
     params, forward, score, ids, numeric, y = _toy_model_and_data()
     cfg = _run_config(3, max_epochs=5, batch_size=8, learning_rate=1e-2, patience=4)
     history = train(
-        params.named_tensors(), forward, score,
+        params.items(), forward, score,
         (ids, numeric, y), (ids, numeric, y), cfg,
     )
     n = history.stopped_epoch
@@ -303,6 +303,6 @@ def test_train_passes_configured_adam_settings(small_csv, monkeypatch):
     weights = []
     for cfg in (base, custom):
         model = pipeline.train_pipeline(dataset, cfg, "bilstm").model
-        weights.append([t.values for _, t in model.params.named_tensors()])
+        weights.append([t.values for _, t in model.params.items()])
     assert seen == [(0.9, 0.999, 1e-8), (0.5, 0.999, 0.1)]
     assert not all(np.array_equal(a, b) for a, b in zip(*weights))
