@@ -53,7 +53,7 @@ import numpy as np
 
 from . import ndgrad, trainer
 from .base import check_labels
-from .config import RunConfig
+from .config import BilstmSection, FeatureSection, RunConfig
 from .errors import DataError, ModelStoreError, NumericError, ShapeError
 from .ndgrad import Tensor
 from .rng import SplitMix64
@@ -61,13 +61,15 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A BiLSTM's shape and seed; the defaults are a default RunConfig's."""
+
     vocab_size: int
-    embedding_dim: int = 32
-    hidden_units: int = 64
-    dense_units: int = 64
-    sequence_length: int = 256
+    embedding_dim: int = BilstmSection.embedding_dim
+    hidden_units: int = BilstmSection.hidden_units
+    dense_units: int = BilstmSection.dense_units
+    sequence_length: int = FeatureSection.sequence_length
     numeric_width: int = 4
-    seed: int = 42
+    seed: int = RunConfig.seed
 
     @classmethod
     def of_run(cls, cfg: RunConfig, vocab_size: int, numeric_width: int) -> "ModelConfig":

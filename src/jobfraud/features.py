@@ -260,7 +260,7 @@ def binary_feature_distribution(dataset) -> dict:
     return out
 
 
-def eda_report(dataset, top_k: int = 20) -> dict:
+def eda_report(dataset, top_k: int) -> dict:
     titles = [p.title_clean for p in dataset.postings]
     full_texts = [p.full_text for p in dataset.postings]
     return {

@@ -68,7 +68,12 @@ column's mode, gains nothing and pays for the gather instead.
 An ensemble's trees share one set of flat node arrays, which both growers
 append to; the boosters share one boosting loop. Predict walks all rows
 through all trees one level at a time. Bundles keep each tree as nested
-JSON, which tree_to_dict and tree_from_dict convert to and from the arrays.
+JSON, which tree_to_dict and tree_from_dict convert to and from the arrays;
+ensemble_to_dict refuses a tree deeper than MAX_TREE_DEPTH levels, since
+tree_to_dict and json recurse once per level.
+
+Each of the three fits takes (X, y, cfg) and reads its own RunConfig
+section, which declares every setting's default.
 """
 
 import heapq
@@ -81,6 +86,7 @@ import numpy as np
 
 from . import features as features_mod
 from .base import check_labels, check_matrix
+from .config import RunConfig
 from .errors import ModelStoreError, NumericError, ShapeError
 from .ndgrad import _sigmoid_values
 from .rng import SplitMix64, sample_indices
@@ -493,36 +499,27 @@ def fit_tree(X, y, model, max_depth=None, min_samples_leaf=1, criterion="gini",
 # Random forest
 # --------------------------------------------------------------------------
 
-def fit_random_forest(
-    X,
-    y,
-    n_trees=100,
-    max_depth=25,
-    min_samples_leaf=1,
-    feature_subsample="sqrt",
-    bootstrap=True,
-    seed=42,
-) -> EnsembleModel:
-    """Bagged classification trees; tree i draws from stream seed + i.
+def fit_random_forest(X, y, cfg: RunConfig) -> EnsembleModel:
+    """Bagged classification trees of cfg.random_forest; tree i draws from
+    stream cfg.seed + i, and each node from max(1, int(sqrt(F))) of the F
+    features.
 
     fit_tree grows the trees in lockstep, as many at a time as hold at
     most _LOCKSTEP_ROWS root rows between them (at least one).
     """
+    forest = cfg.random_forest
     X = check_matrix(X)
     y = check_labels(y, X.shape[0])
     n, n_features = X.shape
     ranking = rank_codes(X)
     table = label_codes(ranking, y)
-    if feature_subsample == "sqrt":
-        per_node = max(1, int(np.sqrt(n_features)))
-    else:
-        per_node = feature_subsample
+    per_node = max(1, int(np.sqrt(n_features)))
     model = EnsembleModel("random_forest", n_features)
     group = max(1, _LOCKSTEP_ROWS // n)
-    for start in range(0, n_trees, group):
-        rngs = [SplitMix64(seed + i) for i in range(start, min(n_trees, start + group))]
-        rows = [rng.randrange_array(n, n) for rng in rngs] if bootstrap else None
-        fit_tree(X, y, model, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+    for start in range(0, forest.n_trees, group):
+        rngs = [SplitMix64(cfg.seed + i) for i in range(start, min(forest.n_trees, start + group))]
+        rows = [rng.randrange_array(n, n) for rng in rngs] if forest.bootstrap else None
+        fit_tree(X, y, model, max_depth=forest.max_depth, min_samples_leaf=forest.min_samples_leaf,
                  criterion="gini", feature_subsample=per_node, rngs=rngs, ranking=ranking,
                  rows=rows, table=table)
     return model
@@ -571,27 +568,21 @@ def _boost(kind, X, y, n_rounds, learning_rate, grow) -> EnsembleModel:
     return model
 
 
-def fit_gbm(
-    X,
-    y,
-    n_rounds=100,
-    learning_rate=0.1,
-    max_depth=3,
-    min_samples_leaf=1,
-) -> EnsembleModel:
-    """Boosting on exact regression trees: each round fits a depth-limited
-    tree to the residuals."""
+def fit_gbm(X, y, cfg: RunConfig) -> EnsembleModel:
+    """Boosting on exact regression trees, as cfg.gbm sets it: each round
+    fits a depth-limited tree to the residuals."""
+    gbm = cfg.gbm
     X = check_matrix(X)
     ranking = rank_codes(X)
     table = sparse_codes(ranking.codes, ranking.width)
 
     def grow(residual, model):
         return fit_tree(
-            X, residual, model, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            X, residual, model, max_depth=gbm.max_depth, min_samples_leaf=gbm.min_samples_leaf,
             criterion="variance", ranking=ranking, table=table,
         )
 
-    return _boost("gbm", X, y, n_rounds, learning_rate, grow)
+    return _boost("gbm", X, y, gbm.n_rounds, gbm.learning_rate, grow)
 
 
 # --------------------------------------------------------------------------
@@ -612,7 +603,7 @@ class FeatureBins:
     width: int  # histogram columns per feature: most edges of any feature + 1
 
 
-def compute_bins(X, n_bins=255) -> FeatureBins:
+def compute_bins(X, n_bins) -> FeatureBins:
     """Equal-frequency bins; features with few distinct values get one bin
     per value, with edges at midpoints.
 
@@ -787,25 +778,19 @@ def _grow_leafwise(bins: FeatureBins, table, residual, model, max_leaves, min_sa
     return leaves
 
 
-def fit_leafwise_gbm(
-    X,
-    y,
-    n_rounds=100,
-    learning_rate=0.1,
-    max_leaves=31,
-    n_bins=255,
-    min_samples_leaf=20,
-) -> EnsembleModel:
-    """Boosting like fit_gbm, but trees grow leaf-wise over histograms:
-    the leaf with the largest gain splits next, until max_leaves."""
+def fit_leafwise_gbm(X, y, cfg: RunConfig) -> EnsembleModel:
+    """Boosting like fit_gbm, as cfg.leafwise_gbm sets it, but trees grow
+    leaf-wise over histograms: the leaf with the largest gain splits next,
+    until max_leaves."""
+    lgbt = cfg.leafwise_gbm
     X = check_matrix(X)
-    bins = compute_bins(X, n_bins)
+    bins = compute_bins(X, lgbt.n_bins)
     table = sparse_codes(bins.codes, bins.width)
 
     def grow(residual, model):
-        return _grow_leafwise(bins, table, residual, model, max_leaves, min_samples_leaf)
+        return _grow_leafwise(bins, table, residual, model, lgbt.max_leaves, lgbt.min_samples_leaf)
 
-    return _boost("leafwise_gbm", X, y, n_rounds, learning_rate, grow)
+    return _boost("leafwise_gbm", X, y, lgbt.n_rounds, lgbt.learning_rate, grow)
 
 
 # --------------------------------------------------------------------------
@@ -915,7 +900,33 @@ def tree_from_dict(data: dict, n_features: int, model: EnsembleModel) -> None:
         pending += [(data["right"], left + 1), (data["left"], left)]
 
 
+MAX_TREE_DEPTH = 512  # levels of a bundle's tree: tree_to_dict and json recurse once per level
+
+
+def _tree_depths(model: EnsembleModel) -> np.ndarray:
+    """Each tree's depth, the most splits on a path from its root to a
+    leaf, from one walk of all the trees a level at a time."""
+    left, right = np.array(model.left, dtype=np.intp), np.array(model.right, dtype=np.intp)
+    depths = np.zeros(len(model.roots), dtype=np.intp)
+    nodes, trees = np.array(model.roots, dtype=np.intp), np.arange(len(model.roots))
+    level = 0
+    while nodes.shape[0]:
+        split = left[nodes] >= 0
+        nodes = np.concatenate((left[nodes[split]], right[nodes[split]]))
+        trees = np.tile(trees[split], 2)
+        level += 1
+        depths[trees] = level
+    return depths
+
+
 def ensemble_to_dict(model: EnsembleModel) -> dict:
+    """The ensemble as the bundles' JSON; a tree deeper than MAX_TREE_DEPTH
+    raises ModelStoreError."""
+    depths = _tree_depths(model)
+    deep = np.flatnonzero(depths > MAX_TREE_DEPTH)
+    if deep.shape[0]:
+        raise ModelStoreError(f"tree {deep[0]} is {depths[deep[0]]} levels deep; a bundle holds "
+                              f"trees of at most {MAX_TREE_DEPTH} levels")
     return {
         "kind": model.kind,
         "n_features": model.n_features,

@@ -52,7 +52,7 @@ def _check_pair(labels, scores):
     return labels.astype(np.int64), scores
 
 
-def confusion_at(labels, scores, threshold: float = 0.5) -> ConfusionMatrix:
+def confusion_at(labels, scores, threshold: float) -> ConfusionMatrix:
     """Tally predictions (score >= threshold) against 0/1 labels."""
     labels, scores = _check_pair(labels, scores)
     predicted = scores >= threshold
@@ -94,7 +94,7 @@ def roc_auc(labels, scores) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def compute_report(labels, scores, threshold: float = 0.5) -> MetricsReport:
+def compute_report(labels, scores, threshold: float) -> MetricsReport:
     cm = confusion_at(labels, scores, threshold)
     return MetricsReport(threshold=threshold, confusion=cm, **classification_scores(cm),
                          auroc=roc_auc(labels, scores))

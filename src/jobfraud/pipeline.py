@@ -63,15 +63,6 @@ def _distinct_strings(stored) -> bool:
     return isinstance(stored, list) and len({s for s in stored if isinstance(s, str)}) == len(stored)
 
 
-# Tree-ensemble kind -> its fit on (X, y), with the settings of its RunConfig section.
-_FIT_ENSEMBLE = {
-    "random_forest": lambda X, y, cfg: forests.fit_random_forest(
-        X, y, seed=cfg.seed, **vars(cfg.random_forest)),
-    "gbm": lambda X, y, cfg: forests.fit_gbm(X, y, **vars(cfg.gbm)),
-    "leafwise_gbm": lambda X, y, cfg: forests.fit_leafwise_gbm(X, y, **vars(cfg.leafwise_gbm)),
-}
-
-
 @dataclass(eq=False)
 class DetectionPipeline:
     """A fitted featurizer stack plus one trained model: a BiLstmClassifier,
@@ -217,8 +208,8 @@ def train_pipeline(dataset: Dataset, cfg: RunConfig, kind: str,
         model = bilstm.BiLstmClassifier.fit(cfg, len(prepared.vectorizer.tokens),
                                             rows(train_idx), y[train_idx],
                                             validation_data=(rows(val_idx), y[val_idx]))
-    else:
-        model = _FIT_ENSEMBLE[kind](rows(train_idx), y[train_idx], cfg)
+    else:  # looked up at the call, so a wrapped fit (a traced run's) is the one called
+        model = getattr(forests, f"fit_{kind}")(rows(train_idx), y[train_idx], cfg)
 
     test_scores = model.decision_scores(rows(test_idx))
     report = metrics.compute_report(y[test_idx], test_scores, cfg.threshold)

@@ -337,7 +337,7 @@ def _fake_row(rng) -> dict:
     }
 
 
-def generate_rows(n_rows: int = 2000, seed: int = 7, fraud_rate: float = 0.10) -> list:
+def generate_rows(n_rows: int, seed: int, fraud_rate: float) -> list:
     """CSV field rows (strings) under COLUMNS, with round(rate * n) fakes."""
     rng = SplitMix64(seed)
     n_fake = round(fraud_rate * n_rows)
@@ -365,13 +365,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m jobfraud.synth",
         description="Write a deterministic synthetic job-postings CSV.",
+        argument_default=argparse.SUPPRESS,  # an option left out takes write_fixture's default
     )
-    parser.add_argument("out", help="output CSV path")
-    parser.add_argument("--rows", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--fraud-rate", type=float, default=0.10)
-    args = parser.parse_args(argv)
-    write_fixture(args.out, args.rows, args.seed, args.fraud_rate)
+    parser.add_argument("path", metavar="out", help="output CSV path")
+    parser.add_argument("--rows", type=int, dest="n_rows", metavar="ROWS")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--fraud-rate", type=float)
+    write_fixture(**vars(parser.parse_args(argv)))
     return 0
 
 

@@ -97,7 +97,7 @@ class Adam:
             p.zero_grad()
 
 
-def early_stop_check(val_losses, patience: int = 2):
+def early_stop_check(val_losses, patience: int):
     """(stop, best_index): best_index is the argmin, first occurrence on
     ties. Stop once `patience` epochs have passed since the best one; the
     first epoch counts as no improvement (there is nothing to improve on),

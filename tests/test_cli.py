@@ -745,6 +745,55 @@ def test_overflowing_boosting_step_exits_four(tmp_path, small_csv, model, sectio
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.fixture(scope="module")
+def chain_csv(tmp_path_factory):
+    """900 postings whose description repeats one word k times in row k,
+    with labels alternating over the training rows in order of k: a
+    leaf-wise tree on the word's count is a chain, max_leaves - 1 levels
+    deep while its 576 training rows last."""
+    n = 900
+    labels = [k % 2 for k in range(n)]
+    for i, row in enumerate(sorted(trainer.split_dataset(n, RunConfig.seed).train)):
+        labels[row] = i % 2
+    records = [[str(k + 1), " ".join(["word"] * (k + 1)), str(labels[k])] for k in range(n)]
+    path = tmp_path_factory.mktemp("data") / "chain.csv"
+    path.write_text(ingest.format_csv(["job_id", "description", "fraudulent"], records),
+                    encoding="utf-8")
+    return path
+
+
+def _tree_depth(tree):
+    """The most splits on a path from a nested-JSON tree's root to a leaf."""
+    deepest, pending = 0, [(tree, 0)]
+    while pending:
+        node, depth = pending.pop()
+        deepest = max(deepest, depth)
+        if "feature" in node:
+            pending += [(node["left"], depth + 1), (node["right"], depth + 1)]
+    return deepest
+
+
+def test_tree_deeper_than_a_bundle_holds_exits_three(tmp_path, chain_csv, capsys):
+    """A leaf-wise tree of 513 levels is a model store error naming it, with
+    no bundle and no traceback; one of 512 levels saves, loads and scores."""
+    err = {}
+    for max_leaves, code in ((514, 3), (513, 0)):
+        config = tmp_path / f"{max_leaves}.json"
+        config.write_text(json.dumps({"leafwise_gbm": {
+            "n_rounds": 1, "max_leaves": max_leaves, "n_bins": 1000, "min_samples_leaf": 1,
+        }}), encoding="utf-8")
+        assert run_cli(["train", "--data", str(chain_csv), "--config", str(config),
+                        "--model", "lgbt", "--out", str(tmp_path / f"m{max_leaves}")]) == code
+        err[max_leaves] = capsys.readouterr().err
+    assert err == {514: "model store error: tree 0 is 513 levels deep; a bundle holds trees "
+                        "of at most 512 levels\n", 513: ""}
+    assert not (tmp_path / "m514").exists()
+    manifest = json.loads((tmp_path / "m513" / "manifest.json").read_text(encoding="utf-8"))
+    assert [_tree_depth(tree) for tree in manifest["ensemble"]["trees"]] == [512]
+    assert run_cli(["predict", "--model", str(tmp_path / "m513"), "--input", str(chain_csv),
+                    "--out", str(tmp_path / "scored.csv")]) == 0
+
+
 @pytest.mark.parametrize("value", [0, -1])
 @pytest.mark.parametrize("field", ["n_rounds", "learning_rate"])
 @pytest.mark.parametrize("model, section", [("gbm", "gbm"), ("lgbt", "leafwise_gbm")])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jobfraud import features, forests, metrics
 from jobfraud.config import GbmSection, LeafwiseSection, RandomForestSection, RunConfig
-from jobfraud.errors import ShapeError
+from jobfraud.errors import ModelStoreError, ShapeError
 from jobfraud.forests import (
     best_split,
     build_tabular,
@@ -27,7 +27,6 @@ from jobfraud.forests import (
     rank_codes,
 )
 from jobfraud.ndgrad import _sigmoid_values
-from jobfraud.pipeline import _FIT_ENSEMBLE
 from jobfraud.rng import SplitMix64
 import features_reference
 import tree_reference
@@ -53,6 +52,22 @@ from tree_reference import (
 def _bin_table(bins):
     """The SparseCodes that fit_leafwise_gbm reads its histograms from."""
     return forests.sparse_codes(bins.codes, bins.width)
+
+
+def _rf(X, y, seed=RunConfig.seed, **section):
+    """fit_random_forest under a RunConfig of this seed and random_forest section."""
+    cfg = RunConfig(seed=seed, random_forest=RandomForestSection(**section))
+    return fit_random_forest(X, y, cfg)
+
+
+def _gbm(X, y, **section):
+    """fit_gbm under a RunConfig of this gbm section."""
+    return fit_gbm(X, y, RunConfig(gbm=GbmSection(**section)))
+
+
+def _lgbt(X, y, **section):
+    """fit_leafwise_gbm under a RunConfig of this leafwise_gbm section."""
+    return fit_leafwise_gbm(X, y, RunConfig(leafwise_gbm=LeafwiseSection(**section)))
 
 
 def reference_compute_bins(X, n_bins=255):
@@ -406,7 +421,7 @@ def test_adjacent_float_split_keeps_rows_on_both_sides():
     y = np.array([0, 1, 0, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        models = (fit_random_forest(X, y, n_trees=1, bootstrap=False), fit_gbm(X, y, n_rounds=1))
+        models = (_rf(X, y, n_trees=1, bootstrap=False), _gbm(X, y, n_rounds=1))
         for model in models:
             tree = ensemble_to_dict(model)["trees"][0]
             assert (tree["feature"], tree["threshold"]) == (0, a)
@@ -500,24 +515,27 @@ def _separable(n=60, seed=1):
 
 def test_forest_perfect_feature_generalizes():
     X, y = _separable()
-    model = fit_random_forest(X, y, n_trees=20, seed=5)
+    model = _rf(X, y, n_trees=20, seed=5)
     X_new, y_new = _separable(seed=2)
     preds = (ensemble_predict(model, X_new) >= 0.5).astype(int)
     assert (preds == y_new).mean() == 1.0
 
 
 def test_single_tree_no_bootstrap_equals_fit_tree():
+    """A one-column forest's node draws its one feature (max(1, int(sqrt(1)))
+    of 1), so its tree without bootstrap is fit_tree's on all features."""
     X, y = _separable(n=40)
-    model = fit_random_forest(
-        X, y, n_trees=1, bootstrap=False, feature_subsample=4, max_depth=25, seed=9,
-    )
-    direct = _fit_one_tree(X, y.astype(float), max_depth=25, min_samples_leaf=1)
-    assert ensemble_to_dict(model)["trees"] == [direct]
+    model = _rf(X[:, :1], y, n_trees=1, bootstrap=False, max_depth=25, seed=9)
+    direct = _fit_one_tree(X[:, :1], y.astype(float), max_depth=25, min_samples_leaf=1)
+    assert ensemble_to_dict(model)["trees"] == [direct] and _depth(direct) > 2
     assert np.array_equal(
-        ensemble_predict(model, X), tree_reference.tree_predict(tree_reference.tree_from_dict(direct), X)
+        ensemble_predict(model, X[:, :1]),
+        tree_reference.tree_predict(tree_reference.tree_from_dict(direct), X[:, :1]),
     )
-    # three streams at once, with no ranking or table, after a tree already in the model
-    forest = fit_random_forest(X, y, n_trees=3, bootstrap=False, feature_subsample=1, seed=9)
+    # three streams at once, with no ranking or table, after a tree already in the
+    # model: each node of a 2-column forest draws max(1, int(sqrt(2))) = 1 feature
+    X = X[:, 1:3]
+    forest = _rf(X, y, n_trees=3, bootstrap=False, seed=9)
     assert len({json.dumps(tree) for tree in ensemble_to_dict(forest)["trees"]}) == 3
     grown = forests.EnsembleModel("random_forest", X.shape[1])
     fit_tree(X, y, grown, max_depth=1)
@@ -573,8 +591,9 @@ def test_fit_tree_streams_equal_reference_trees(fixture_matrix, monkeypatch, min
     assert leaves.keys() == reached.keys() == {i for i, f in enumerate(model.feature) if f < 0}
     for node, rows in reached.items():
         assert np.array_equal(leaves[node], rows)
-    forest = dict(n_trees=4, max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=9)
-    _assert_same_trees(monkeypatch, lambda: fit_random_forest(X, y, **forest),
+    # a forest's depth is capped at 200, which no tree of the fixture's rows reaches
+    forest = dict(n_trees=4, max_depth=max_depth or 200, min_samples_leaf=min_samples_leaf, seed=9)
+    _assert_same_trees(monkeypatch, lambda: _rf(X, y, **forest),
                        lambda: reference_fit_random_forest(X, y, **forest))
 
 
@@ -606,14 +625,14 @@ def test_draw_free_tree_searches_whole_steps_and_keeps_the_nested_json(fixture_m
 
 def test_forest_same_seed_identical():
     X, y = _separable()
-    a = fit_random_forest(X, y, n_trees=5, seed=3)
-    b = fit_random_forest(X, y, n_trees=5, seed=3)
+    a = _rf(X, y, n_trees=5, seed=3)
+    b = _rf(X, y, n_trees=5, seed=3)
     assert ensemble_to_dict(a) == ensemble_to_dict(b)
 
 
 def test_forest_probability_permutation_invariant():
     X, y = _separable()
-    model = fit_random_forest(X, y, n_trees=7, seed=1)
+    model = _rf(X, y, n_trees=7, seed=1)
     data = ensemble_to_dict(model)
     shuffled = ensemble_from_dict({**data, "trees": data["trees"][::-1]})
     assert np.allclose(ensemble_predict(model, X), ensemble_predict(shuffled, X))
@@ -625,7 +644,7 @@ def test_forest_probability_permutation_invariant():
 
 def test_gbm_degenerate_labels():
     X = np.random.default_rng(0).normal(size=(12, 2))
-    model = fit_gbm(X, np.ones(12, dtype=int), n_rounds=5)
+    model = _gbm(X, np.ones(12, dtype=int), n_rounds=5)
     assert model.base_score == 10.0
     assert len(model.roots) == 0
     assert (ensemble_predict(model, X) > 0.999).all()
@@ -637,37 +656,45 @@ def test_gbm_in_memory_model_predicts_like_its_bundle_copy():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(200, 6))
     y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=200) > 0).astype(int)
-    model = fit_gbm(X, y, n_rounds=5, max_depth=4)
+    model = _gbm(X, y, n_rounds=5, max_depth=4)
     copy = ensemble_from_dict(ensemble_to_dict(model))
     assert model.left != copy.left
     assert ensemble_predict(model, X).tobytes() == ensemble_predict(copy, X).tobytes()
 
 
+def _first_rounds(model, rounds):
+    """A boosted model cut to its first `rounds` trees, which a fit of that
+    many rounds grows: the rounds before a tree do not depend on it. At 0
+    it is the model no round has added to, which no config asks for."""
+    data = ensemble_to_dict(model)
+    return ensemble_from_dict({**data, "trees": data["trees"][:rounds]})
+
+
 def test_gbm_base_score_balanced():
     X = np.zeros((4, 1))
-    model = fit_gbm(X, np.array([0, 1, 0, 1]), n_rounds=0)
+    model = _gbm(X, np.array([0, 1, 0, 1]), n_rounds=1)
     assert model.base_score == 0.0
-    assert np.allclose(ensemble_predict(model, X), 0.5)
+    assert np.allclose(ensemble_predict(_first_rounds(model, 0), X), 0.5)
 
 
 def test_gbm_first_round_reduces_log_loss():
     X, y = _separable()
-    base = fit_gbm(X, y, n_rounds=0)
-    one = fit_gbm(X, y, n_rounds=1)
+    one = _gbm(X, y, n_rounds=1)
 
     def log_loss(model):
         p = np.clip(ensemble_predict(model, X), 1e-12, 1 - 1e-12)
         return -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
 
-    assert log_loss(one) < log_loss(base)
+    assert log_loss(one) < log_loss(_first_rounds(one, 0))
 
 
 def test_gbm_training_log_loss_non_increasing():
     X, y = _separable(n=50)
+    model = _gbm(X, y, n_rounds=15, learning_rate=0.1)
+    assert ensemble_to_dict(_first_rounds(model, 6)) == ensemble_to_dict(_gbm(X, y, n_rounds=6))
     losses = []
     for rounds in range(0, 16, 3):
-        model = fit_gbm(X, y, n_rounds=rounds, learning_rate=0.1)
-        p = np.clip(ensemble_predict(model, X), 1e-12, 1 - 1e-12)
+        p = np.clip(ensemble_predict(_first_rounds(model, rounds), X), 1e-12, 1 - 1e-12)
         losses.append(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -678,7 +705,7 @@ def test_gbm_training_log_loss_non_increasing():
 
 def test_leafwise_max_leaves_two_is_single_split():
     X, y = _separable(n=80)
-    model = fit_leafwise_gbm(X, y, n_rounds=3, max_leaves=2, min_samples_leaf=5)
+    model = _lgbt(X, y, n_rounds=3, max_leaves=2, min_samples_leaf=5)
     for tree in ensemble_to_dict(model)["trees"]:
         assert "feature" in tree
         assert "feature" not in tree["left"] and "feature" not in tree["right"]
@@ -780,7 +807,7 @@ def test_leafwise_equals_reference_grower(fixture_matrix, min_samples_leaf):
     X, y = fixture_matrix
     params = dict(n_rounds=4, min_samples_leaf=min_samples_leaf)
     expected = reference_fit_leafwise_gbm(X, y, **params)
-    assert ensemble_to_dict(fit_leafwise_gbm(X, y, **params)) == expected
+    assert ensemble_to_dict(_lgbt(X, y, **params)) == expected
 
 
 def _node_rows(model, X, root):
@@ -829,7 +856,7 @@ def test_leafwise_builds_and_scans_only_what_can_split(fixture_matrix, monkeypat
 
     monkeypatch.setattr(forests, "_leaf_histograms", spy_build)
     monkeypatch.setattr(forests, "_best_hist_split", spy_scan)
-    model = fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=min_samples_leaf)
+    model = _lgbt(X, y, n_rounds=4, min_samples_leaf=min_samples_leaf)
     assert min(scanned, default=smallest) >= smallest
     assert built.count(None) == (len(model.roots) if X.shape[0] >= smallest else 0)
     needed = Counter(min(pair) for pair in _split_sizes(model, X) if max(pair) >= smallest)
@@ -842,7 +869,7 @@ def test_leafwise_never_splits_a_pure_leaf(fixture_matrix, min_samples_leaf):
     its round, are all equal: like fit_tree, the grower leaves such a leaf
     alone, where every split's exact gain is 0."""
     X, y = fixture_matrix
-    model = fit_leafwise_gbm(X, y, n_rounds=20, min_samples_leaf=min_samples_leaf)
+    model = _lgbt(X, y, n_rounds=20, min_samples_leaf=min_samples_leaf)
     scores = np.full(X.shape[0], model.base_score)
     for root in model.roots:
         residual = y - _sigmoid_values(scores)
@@ -864,7 +891,7 @@ def test_leafwise_splits_follow_a_non_empty_bin():
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 4, size=(200, 6)) * rng.choice([1.0, 0.1, 1 / 3], 6)
         y = (rng.random(200) < 0.3 + 0.1 * X[:, 0]).astype(np.float64)
-        model = fit_leafwise_gbm(X, y, n_rounds=10, n_bins=16, min_samples_leaf=5)
+        model = _lgbt(X, y, n_rounds=10, n_bins=16, min_samples_leaf=5)
         bins = compute_bins(X, 16)
         for root in model.roots:
             for node, rows in _node_rows(model, X, root).items():
@@ -979,17 +1006,17 @@ def test_ensembles_equal_reference_search_on_fixture(fixture_matrix, monkeypatch
     X, y = fixture_matrix
     _assert_same_trees(
         monkeypatch,
-        lambda: fit_random_forest(X, y, n_trees=4, seed=3),
+        lambda: _rf(X, y, n_trees=4, seed=3),
         lambda: reference_fit_random_forest(X, y, n_trees=4, seed=3),
     )
     _assert_same_trees(
         monkeypatch,
-        lambda: fit_gbm(X, y, n_rounds=4),
+        lambda: _gbm(X, y, n_rounds=4),
         lambda: reference_fit_gbm(X, y, n_rounds=4),
     )
 
     def fit_leafwise():
-        return ensemble_to_dict(fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=5))
+        return ensemble_to_dict(_lgbt(X, y, n_rounds=4, min_samples_leaf=5))
 
     batched = fit_leafwise()
     made = []  # the FeatureBins of the fit, for the dense histograms
@@ -1019,7 +1046,7 @@ def test_gbm_equals_reference_fit(fixture_matrix, monkeypatch, min_samples_leaf,
     for X, y in (fixture_matrix, (lone_X, lone_y)):
         _assert_same_trees(
             monkeypatch,
-            lambda: fit_gbm(X, y, **params),
+            lambda: _gbm(X, y, **params),
             lambda: reference_fit_gbm(X, y, **params),
         )
 
@@ -1030,7 +1057,7 @@ def test_random_forest_equals_reference_fit(fixture_matrix, monkeypatch, bootstr
     params = dict(n_trees=4, min_samples_leaf=2, bootstrap=bootstrap, seed=5)
     _assert_same_trees(
         monkeypatch,
-        lambda: fit_random_forest(X, y, **params),
+        lambda: _rf(X, y, **params),
         lambda: reference_fit_random_forest(X, y, **params),
     )
 
@@ -1050,43 +1077,56 @@ def test_random_forest_equals_reference_on_uneven_forests(fixture_matrix, monkey
     tiny_X = np.random.default_rng(3).integers(0, 3, size=(6, 5)).astype(np.float64)
     tiny_y = np.array([0, 0, 1, 0, 0, 0])
     # some bootstraps of the tiny matrix miss its one positive: a pure root
-    tiny = ensemble_to_dict(fit_random_forest(tiny_X, tiny_y, n_trees=12, seed=1))["trees"]
+    tiny = ensemble_to_dict(_rf(tiny_X, tiny_y, n_trees=12, seed=1))["trees"]
     assert any("feature" in tree for tree in tiny) and any("feature" not in tree for tree in tiny)
     cases = [
         (tiny_X, tiny_y, dict(n_trees=12, seed=1)),
         (X, y, dict(n_trees=5, max_depth=1, seed=2)),
         (X, y, dict(n_trees=3, min_samples_leaf=X.shape[0] + 1, seed=3)),
+        # trees that draw no candidates: all the features, or more
         (X, y, dict(n_trees=3, max_depth=4, feature_subsample=X.shape[1], seed=4)),
-        (tiny_X, tiny_y, dict(n_trees=3, feature_subsample=9, seed=4)),
+        (tiny_X, tiny_y, dict(n_trees=3, max_depth=25, feature_subsample=9, seed=4)),
         (X, y, dict(n_trees=3, max_depth=6, bootstrap=False, seed=5)),
     ]
     searched = []
     for X_case, y_case, params in cases:
+        fit = _subsampled_forest if "feature_subsample" in params else _rf
         searched.append(_searched_nodes(
             monkeypatch,
-            lambda: fit_random_forest(X_case, y_case, **params),
+            lambda: fit(X_case, y_case, **params),
             lambda: tree_reference.reference_fit_random_forest(X_case, y_case, **params),
         ))
     assert searched[2] == 0 and all(searched[:2] + searched[3:])
 
 
+def _subsampled_forest(X, y, n_trees, seed, **params):
+    """fit_random_forest's bootstrap forest grown by one fit_tree call at a
+    feature_subsample of its own: tree i draws its rows, then its nodes'
+    candidates, from stream seed + i."""
+    model = forests.EnsembleModel("random_forest", X.shape[1])
+    rngs = [SplitMix64(seed + i) for i in range(n_trees)]
+    n = X.shape[0]
+    fit_tree(X, y, model, rngs=rngs, rows=[rng.randrange_array(n, n) for rng in rngs], **params)
+    return model
+
+
 def test_leafwise_deterministic():
     X, y = _separable(n=70)
-    a = fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=5)
-    b = fit_leafwise_gbm(X, y, n_rounds=4, min_samples_leaf=5)
+    a = _lgbt(X, y, n_rounds=4, min_samples_leaf=5)
+    b = _lgbt(X, y, n_rounds=4, min_samples_leaf=5)
     assert ensemble_to_dict(a) == ensemble_to_dict(b)
 
 
 def test_leafwise_learns_separable():
     X, y = _separable(n=100)
-    model = fit_leafwise_gbm(X, y, n_rounds=30, min_samples_leaf=5)
+    model = _lgbt(X, y, n_rounds=30, min_samples_leaf=5)
     preds = (ensemble_predict(model, X) >= 0.5).astype(int)
     assert (preds == y).mean() >= 0.99
 
 
 def test_leafwise_respects_min_samples_leaf():
     X, y = _separable(n=60)
-    model = fit_leafwise_gbm(X, y, n_rounds=2, min_samples_leaf=10)
+    model = _lgbt(X, y, n_rounds=2, min_samples_leaf=10)
     for tree in ensemble_to_dict(model)["trees"]:
         for _, rows in _leaf_rows(tree, X, np.arange(60)):
             assert len(rows) >= 10
@@ -1119,9 +1159,9 @@ def test_predict_zero_rounds_is_constant_sigmoid():
 def test_predict_probabilities_in_range():
     X, y = _separable()
     for model in (
-        fit_random_forest(X, y, n_trees=5, seed=0),
-        fit_gbm(X, y, n_rounds=10),
-        fit_leafwise_gbm(X, y, n_rounds=10, min_samples_leaf=5),
+        _rf(X, y, n_trees=5, seed=0),
+        _gbm(X, y, n_rounds=10),
+        _lgbt(X, y, n_rounds=10, min_samples_leaf=5),
     ):
         p = ensemble_predict(model, X)
         assert ((p >= 0.0) & (p <= 1.0)).all()
@@ -1135,10 +1175,37 @@ def test_predict_width_mismatch():
 
 def test_tree_serialization_round_trip():
     X, y = _separable(n=40)
-    model = fit_gbm(X, y, n_rounds=3)
+    model = _gbm(X, y, n_rounds=3)
     clone = ensemble_from_dict(ensemble_to_dict(model))
     assert np.array_equal(ensemble_predict(model, X), ensemble_predict(clone, X))
     assert ensemble_to_dict(clone) == ensemble_to_dict(model)
+
+
+def test_tree_deeper_than_a_bundle_holds_is_refused():
+    """A leaf-wise tree on one column of distinct values with alternating
+    labels is a chain, max_leaves - 1 levels deep. At MAX_TREE_DEPTH (512)
+    levels it goes through ensemble_to_dict, JSON and ensemble_from_dict and
+    predicts as fit; one level more is a ModelStoreError naming the tree and
+    its depth, also for a tree after the first."""
+    assert forests.MAX_TREE_DEPTH == 512
+    n = 600
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.arange(n) % 2
+    chains = [_lgbt(X, y, n_rounds=1, max_leaves=leaves, n_bins=n, min_samples_leaf=1)
+              for leaves in (513, 514)]
+    assert [forests._tree_depths(chain).tolist() for chain in chains] == [[512], [513]]
+    data = json.loads(json.dumps(ensemble_to_dict(chains[0])))
+    assert np.array_equal(ensemble_predict(ensemble_from_dict(data), X),
+                          ensemble_predict(chains[0], X))
+    with pytest.raises(ModelStoreError, match="^tree 0 is 513 levels deep; a bundle holds "
+                                              "trees of at most 512 levels$"):
+        ensemble_to_dict(chains[1])
+    chain = data["trees"][0]
+    deeper = {"feature": 0, "threshold": 0.5, "left": chain, "right": {"value": 0.0}}
+    ensemble = ensemble_from_dict({**data, "trees": [{"value": 0.5}, chain, deeper]})
+    assert forests._tree_depths(ensemble).tolist() == [0, 512, 513]
+    with pytest.raises(ModelStoreError, match="^tree 2 is 513 levels deep"):
+        ensemble_to_dict(ensemble)
 
 
 def _rows_on_thresholds(model, X):
@@ -1160,9 +1227,9 @@ def test_predict_equals_recursive_reference(fixture_matrix, monkeypatch, walk_pa
     X, y = fixture_matrix
     monkeypatch.setattr(forests, "_WALK_PAIRS", walk_pairs)
     for model in (
-        fit_random_forest(X, y, n_trees=10, max_depth=8, seed=2),
-        fit_gbm(X, y, n_rounds=10),
-        fit_leafwise_gbm(X, y, n_rounds=10, min_samples_leaf=5),
+        _rf(X, y, n_trees=10, max_depth=8, seed=2),
+        _gbm(X, y, n_rounds=10),
+        _lgbt(X, y, n_rounds=10, min_samples_leaf=5),
     ):
         data = json.loads(json.dumps(ensemble_to_dict(model)))
         loaded = ensemble_from_dict(data)
@@ -1249,8 +1316,8 @@ def test_count_terms_around_the_chunk_size(extra):
 
 
 def test_estimator_wrappers_fit_predict():
-    """Each tree kind's entry of the pipeline's fit table reads its own
-    config section and gives an ensemble that scores rows."""
+    """Each tree kind's fit reads its own config section and gives an
+    ensemble that scores rows."""
     X, y = _separable(n=80)
     for kind, cfg in (
         ("random_forest", RunConfig(seed=1, random_forest=RandomForestSection(n_trees=10))),
@@ -1258,7 +1325,7 @@ def test_estimator_wrappers_fit_predict():
         ("leafwise_gbm",
          RunConfig(leafwise_gbm=LeafwiseSection(n_rounds=10, min_samples_leaf=5))),
     ):
-        model = _FIT_ENSEMBLE[kind](X, y, cfg)
+        model = getattr(forests, f"fit_{kind}")(X, y, cfg)
         assert model.kind == kind and len(model.roots) == 10
         scores = model.decision_scores(X)
         assert scores.shape == (80,)
@@ -1280,7 +1347,7 @@ def test_estimator_predict_uses_threshold():
             threshold=0.7, leafwise_gbm=LeafwiseSection(n_rounds=3, min_samples_leaf=5)
         )),
     ):
-        scores = _FIT_ENSEMBLE[kind](X, y, cfg).decision_scores(X)
+        scores = getattr(forests, f"fit_{kind}")(X, y, cfg).decision_scores(X)
         assert ((scores >= 0.5) & (scores < 0.7)).any()  # rows the threshold decides
         predicted = scores >= 0.7
         actual = y == 1

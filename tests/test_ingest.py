@@ -130,6 +130,17 @@ def test_synth_fixture_bytes_unchanged(tmp_path):
     assert zlib.crc32(path.read_bytes()) == 2286080611
 
 
+def test_synth_cli_leaves_omitted_options_to_write_fixture(tmp_path):
+    """`python -m jobfraud.synth` writes write_fixture's file: its options
+    reach their parameters, and an option left out takes the default."""
+    assert synth.main([str(tmp_path / "given.csv"), "--rows", "300", "--seed", "7",
+                       "--fraud-rate", "0.5"]) == 0
+    assert zlib.crc32((tmp_path / "given.csv").read_bytes()) == 2286080611
+    synth.main([str(tmp_path / "default.csv")])
+    synth.write_fixture(tmp_path / "fixture.csv")
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "fixture.csv").read_bytes()
+
+
 # --------------------------------------------------------------------------
 # CSV reader
 # --------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def brute_force_auc(labels, scores):
 # --------------------------------------------------------------------------
 
 def test_confusion_perfect_case():
-    cm = confusion_at([1, 0], [0.9, 0.1])
+    cm = confusion_at([1, 0], [0.9, 0.1], 0.5)
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (1, 1, 0, 0)
 
 
@@ -47,7 +47,7 @@ def test_confusion_boundary_score_is_positive():
 def test_confusion_hand_tally():
     labels = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1]
     scores = [0.1, 0.6, 0.4, 0.2, 0.9, 0.8, 0.3, 0.7, 0.55, 0.05]
-    cm = confusion_at(labels, scores)
+    cm = confusion_at(labels, scores, 0.5)
     # hand tally at >= 0.5: negatives predicted + at 0.6, 0.9; positives
     # predicted + at 0.8, 0.7, 0.55
     assert (cm.tn, cm.fp, cm.fn, cm.tp) == (3, 2, 2, 3)
@@ -56,7 +56,7 @@ def test_confusion_hand_tally():
 
 def test_confusion_length_mismatch():
     with pytest.raises(ShapeError):
-        confusion_at([1, 0], [0.5])
+        confusion_at([1, 0], [0.5], 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_compute_report_consistency():
 
 
 def test_report_tables_perfect_model_row():
-    report = compute_report([0, 1], [0.1, 0.9])
+    report = compute_report([0, 1], [0.1, 0.9], 0.5)
     text, payload = report_tables([("demo", report)])
     row = next(line for line in text.splitlines() if line.startswith("| demo"))
     assert "1.00" in row and "100.00%" in row
@@ -188,7 +188,7 @@ def test_report_tables_perfect_model_row():
 
 
 def test_report_tables_json_schema():
-    report = compute_report([0, 1, 1], [0.4, 0.6, 0.7])
+    report = compute_report([0, 1, 1], [0.4, 0.6, 0.7], 0.5)
     _, payload = report_tables([("m", report)])
     entry = payload[0]
     assert set(entry) == {

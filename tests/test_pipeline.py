@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -199,6 +200,43 @@ def test_ensemble_bundle_round_trip(tmp_path, small_dataset, prepared):
     assert loaded.kind == "leafwise_gbm"
     assert np.array_equal(loaded.predict_scores(small_dataset.postings[:40]), scores)
     assert loaded.cfg == pipe.cfg
+
+
+# a value away from its default for every field of each tree section, and the seed
+AWAY = {
+    "random_forest": dict(seed=43, n_trees=7, max_depth=3, min_samples_leaf=2, bootstrap=False),
+    "gbm": dict(n_rounds=7, learning_rate=0.2, max_depth=2, min_samples_leaf=2),
+    "leafwise_gbm": dict(n_rounds=7, learning_rate=0.2, max_leaves=7, n_bins=8,
+                         min_samples_leaf=5),
+}
+
+
+@pytest.mark.parametrize("kind", list(AWAY))
+def test_every_tree_section_field_reaches_its_fit(small_dataset, kind):
+    """Setting any one field of a tree kind's RunConfig section away from
+    its default (and the seed, for the forest's streams) changes the
+    ensemble that train_pipeline trains on the same prepared split, and
+    each ensemble is forests.fit_{kind}'s on the prepared training rows."""
+    base = RunConfig()
+    section = getattr(base, kind)
+    assert AWAY[kind].keys() - {"seed"} == {f.name for f in dataclasses.fields(section)}
+    prepared = prepare(small_dataset, base, kinds=(kind,))
+    rows = np.array(prepared.splits.train)
+
+    def trained(cfg):
+        model = train_pipeline(small_dataset, cfg, kind, prepared=prepared).model
+        fit = getattr(forests, f"fit_{kind}")(prepared.tabular[rows], prepared.labels[rows], cfg)
+        assert forests.ensemble_to_dict(model) == forests.ensemble_to_dict(fit)
+        return forests.ensemble_to_dict(model)
+
+    default = trained(base)
+    for name, value in AWAY[kind].items():
+        if name == "seed":
+            cfg = base.replace(seed=value)
+        else:
+            cfg = base.replace(**{kind: dataclasses.replace(section, **{name: value})})
+        assert value != getattr(base if name == "seed" else section, name)
+        assert trained(cfg) != default, name
 
 
 def test_bilstm_bundle_ignores_workspace_contents(tmp_path, small_dataset, prepared, monkeypatch):
